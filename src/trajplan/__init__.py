@@ -1,10 +1,10 @@
 """Trajectory optimization planners over differentiable dynamics.
 
-Three planners share one rollout engine: cross-entropy method search,
-projected gradient ascent with backtracking line search, and a hybrid
-that seeds gradient refinement from a large one-time CEM exploration and
-replans cheaply thereafter. A harness runs them under MPC on analytic or
-learned-MLP dynamics and writes reproducible CSV results.
+One planner, ``plan``, refines a large one-time cross-entropy method (CEM)
+exploration by projected gradient ascent with backtracking line search and
+replans cheaply thereafter; pure CEM and the first-order baseline are
+schedules of it. A harness runs them under MPC on analytic or learned-MLP
+dynamics and writes reproducible CSV results.
 """
 
 from .cem import CemResult, SamplingDistribution, run_cem, sample, update_distribution
@@ -14,18 +14,17 @@ from .core import (ActionBounds, DivergedError, PlannerConfig, Trajectory,
 from .dynamics import (BarrierWorld, CartpoleWorld, Environment, MlpModel,
                        QuadraticGoalReward, collect_random_rollouts, fit_mlp,
                        make_environment)
-from .gradplanner import (LineSearchConfig, OptimizeTrace, baseline_gradient_plan,
-                          line_search_update, optimize, reward_gradient)
+from .gradplanner import (LineSearchConfig, OptimizeTrace, line_search_update,
+                          optimize, reward_gradient)
 
 __all__ = [
     "ActionBounds", "BarrierWorld", "CartpoleWorld", "CemResult", "DivergedError",
     "Environment", "LineSearchConfig", "MlpModel", "OptimizeTrace",
     "PlanOutput", "PlannerConfig", "PlannerState", "QuadraticGoalReward",
-    "SamplingDistribution", "Trajectory", "baseline_gradient_plan",
-    "collect_random_rollouts", "fit_mlp", "line_search_update",
-    "make_environment", "optimize", "plan", "project", "reward_gradient",
-    "rollout", "rollout_batch", "run_cem", "sample", "split_budget",
-    "total_reward", "update_distribution", "warm_start_mean",
+    "SamplingDistribution", "Trajectory", "collect_random_rollouts", "fit_mlp",
+    "line_search_update", "make_environment", "optimize", "plan", "project",
+    "reward_gradient", "rollout", "rollout_batch", "run_cem", "sample",
+    "split_budget", "total_reward", "update_distribution", "warm_start_mean",
 ]
 
 __version__ = "0.1.0"

@@ -6,6 +6,8 @@ budget reseeds from the time-shifted previous optimum. The top k pooled
 sequences are refined by projected gradient ascent with line search, the
 refined sequence with the highest rolled-out reward wins, and its first
 action is the planner output.
+With G=0 the same loop is pure CEM; with a 1x1 CEM and a fresh
+PlannerState every step it is the first-order planner from one random start.
 """
 
 from __future__ import annotations
@@ -33,6 +35,7 @@ class PlanDiagnostics:
     post_gradient_rewards: list[float]
     samples_used: int
     gradient_evals: int                       # rollout evaluations spent on refinement
+    memory_proxy: int                         # sequences resident: n, plus k when G > 0
     traces: list[OptimizeTrace] = field(default_factory=list)
 
 
@@ -58,6 +61,7 @@ def plan(state: PlannerState, s_t: Array, model, reward, cfg: PlannerConfig,
     budget is n_init*m_init at t = 0 and n_r*m_r afterwards, the CEM
     variance resets to one at every step, and refinement never lowers a
     sequence's reward, so the output dominates everything CEM evaluated.
+    With G=0 there is no refinement: the output is CEM's pooled best.
     """
     first = state.timestep == 0
     if first != (state.previous_optimal is None):
@@ -80,7 +84,7 @@ def plan(state: PlannerState, s_t: Array, model, reward, cfg: PlannerConfig,
     ls_cfg = LineSearchConfig.from_planner(cfg)
     refined, traces, rewards = [], [], []
     evals = 0
-    for i, (seq, _) in enumerate(result.top_k):
+    for i, (seq, _) in enumerate(result.top_k if cfg.G > 0 else []):
         try:
             opt_seq, trace = optimize(seq, model, reward, s_t, ls_cfg, bounds)
         except DivergedError as err:
@@ -92,12 +96,17 @@ def plan(state: PlannerState, s_t: Array, model, reward, cfg: PlannerConfig,
         rewards.append(final.total_reward)
         evals += 1 + trace.rollout_evaluations + 1  # seed rollout + trials + re-evaluation
 
-    winner = int(np.argmax(rewards))  # argmax keeps the lowest index on ties
-    best_seq = refined[winner]
+    if cfg.G == 0:
+        best_seq, best_reward = result.best_sequence, result.best_reward
+    else:
+        winner = int(np.argmax(rewards))  # argmax keeps the lowest index on ties
+        best_seq, best_reward = refined[winner], rewards[winner]
     diagnostics = PlanDiagnostics(cem_best_reward=result.best_reward,
                                   post_gradient_rewards=rewards,
                                   samples_used=result.samples_used,
-                                  gradient_evals=evals, traces=traces)
+                                  gradient_evals=evals,
+                                  memory_proxy=n + (cfg.k if cfg.G > 0 else 0),
+                                  traces=traces)
     output = PlanOutput(action=best_seq[0].copy(), optimal_sequence=best_seq,
-                        model_reward=rewards[winner], diagnostics=diagnostics)
+                        model_reward=best_reward, diagnostics=diagnostics)
     return output, PlannerState(previous_optimal=best_seq, timestep=state.timestep + 1)

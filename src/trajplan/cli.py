@@ -70,6 +70,10 @@ def load_config(source: str) -> dict:
     if version != CONFIG_VERSION:
         raise ConfigError(f"config field 'version': expected {CONFIG_VERSION}, "
                           f"got {version!r}")
+    steps = config.get("steps", harness.DEFAULT_STEPS)
+    if isinstance(steps, bool) or not isinstance(steps, int) or steps < 1:
+        raise ConfigError(f"config field 'steps': expected a positive integer, "
+                          f"got {steps!r}")
     return config
 
 
@@ -141,7 +145,7 @@ def cmd_run(args) -> int:
     cfg = planner_config_from(planner_overrides.pop("config", None) or planner_overrides)
     env = make_environment(env_name, **env_overrides)
     model = _load_planning_model(config.get("model"), env_name) or env.dynamics
-    steps = int(config.get("steps", harness.DEFAULT_STEPS))
+    steps = config.get("steps", harness.DEFAULT_STEPS)
     seeds = _seeds_from(config, args.seed)
 
     results = []
@@ -163,7 +167,7 @@ def cmd_sweep_ninit(args) -> int:
     if args.config:
         config = load_config(args.config)
         cfg = planner_config_from(config.get("planner_config"))
-        steps = int(config.get("steps", steps))
+        steps = config.get("steps", steps)
     values = [int(v) for v in args.values.split(",")]
     sweep = harness.ninit_sweep(values, args.trials, cfg=cfg, steps=steps,
                                 base_seed=args.seed or 0)
@@ -185,7 +189,7 @@ def cmd_sweep_samples(args) -> int:
     if args.config:
         config = load_config(args.config)
         cfg = planner_config_from(config.get("planner_config"))
-        steps = int(config.get("steps", steps))
+        steps = config.get("steps", steps)
     planners = args.planners.split(",")
     budgets = [int(b) for b in args.budgets.split(",")]
     sweep = harness.sample_efficiency_sweep(planners, budgets, args.trials,
@@ -208,7 +212,7 @@ def cmd_compare(args) -> int:
     cfg = planner_config_from(config.get("planner_config"))
     envs = config.get("envs", ["barrier", "cartpole"])
     planners = config.get("planners", list(harness.PLANNER_NAMES))
-    steps = int(config.get("steps", harness.DEFAULT_STEPS))
+    steps = config.get("steps", harness.DEFAULT_STEPS)
     seeds = _seeds_from(config, args.seed)
 
     planning_models = {}

@@ -97,32 +97,16 @@ def _check_finite(x: Array, step: int, what: str) -> None:
 
 
 def rollout(model, reward, s0: Array, seq: Array) -> Trajectory:
-    """Simulate one action sequence through the dynamics model.
+    """Simulate one action sequence: ``rollout_batch`` at B=1, as a Trajectory.
 
-    states[t+1] = model.step(states[t], seq[t]) for t = 0..T-1, with the
-    reward model scored on (next state, action) pairs. Deterministic:
-    identical inputs produce bit-identical trajectories.
-
-    Raises DivergedError naming the first step at which the model produced
-    a non-finite state or reward.
+    states[t+1] = model.step(states[t], seq[t]), with the reward scored on
+    (next state, action) pairs; raises DivergedError like rollout_batch.
     """
-    s0 = np.asarray(s0, dtype=float)
     seq = np.asarray(seq, dtype=float)
-    T = seq.shape[0]
-    states = np.empty((T + 1, s0.shape[0]))
-    step_rewards = np.empty(T)
-    states[0] = s0
-    total = 0.0
-    for t in range(T):
-        s_next = model.step(states[t], seq[t])
-        _check_finite(s_next, t, "state")
-        r = float(reward.reward(s_next, seq[t]))
-        _check_finite(np.asarray(r), t, "reward")
-        states[t + 1] = s_next
-        step_rewards[t] = r
-        total += r
-    return Trajectory(states=states, actions=seq, step_rewards=step_rewards,
-                      total_reward=total)
+    totals, states, rewards = rollout_batch(model, reward, s0, seq[None],
+                                            return_full=True)
+    return Trajectory(states=states[0], actions=seq, step_rewards=rewards[0],
+                      total_reward=float(totals[0]))
 
 
 def rollout_batch(model, reward, s0: Array, seqs: Array, return_full: bool = False):
@@ -130,12 +114,19 @@ def rollout_batch(model, reward, s0: Array, seqs: Array, return_full: bool = Fal
 
     Returns the (B,) vector of cumulative rewards; with ``return_full``
     also the (B, T+1, d_s) state array and (B, T) step rewards. Rewards
-    accumulate in ascending step order, so each row is bit-identical to the
-    corresponding single-sequence ``rollout``.
+    accumulate in ascending step order; reruns are bit-identical. Row i
+    versus ``rollout(seqs[i])`` (which is this function at B=1): bitwise
+    equal for the analytic models (barrier, cartpole: elementwise
+    arithmetic) at any B; for ``MlpModel`` at B>1 equal only to rounding,
+    because BLAS may sum a row's products in another order for another B.
+
+    Raises DivergedError naming the first step at which the model produced
+    a non-finite state or reward.
     """
+    s0 = np.asarray(s0, dtype=float)
     seqs = np.asarray(seqs, dtype=float)
     B, T, _ = seqs.shape
-    s = np.broadcast_to(np.asarray(s0, dtype=float), (B, s0.shape[0])).copy()
+    s = np.broadcast_to(s0, (B, s0.shape[0])).copy()
     totals = np.zeros(B)
     states = rewards = None
     if return_full:
@@ -191,15 +182,17 @@ class PlannerConfig:
     alpha: float = 0.3         # distribution update smoothing
     k_elite: int | None = None  # per-iteration elites; None -> max(ceil(0.1 n), 1)
     k: int = 1                 # sequences refined by gradient updates
-    G: int = 10                # gradient updates per sequence
+    G: int = 10                # gradient updates per sequence; 0 returns CEM's best
     J: int = 8                 # line search trials per update
     eta_init: float = 0.01     # initial line search step size
     rho: float = 0.67          # line search step decay
 
     def __post_init__(self):
-        for name in ("horizon", "n_init", "m_init", "n_r", "m_r", "k", "G", "J"):
+        for name in ("horizon", "n_init", "m_init", "n_r", "m_r", "k", "J"):
             if int(getattr(self, name)) < 1:
                 raise ValueError(f"{name} must be a positive integer")
+        if int(self.G) < 0:
+            raise ValueError("G must be a nonnegative integer")
         if not 0.0 < self.alpha < 1.0:
             raise ValueError("alpha must lie in (0, 1)")
         if not 0.0 < self.rho < 1.0:

@@ -428,18 +428,27 @@ class MlpModel(DynamicsModel):
 
     @classmethod
     def load_binary(cls, path):
+        """Read a save_binary file; a malformed file raises ValueError naming it."""
         with open(path, "rb") as f:
             data = f.read()
         if data[:4] != _MLP_MAGIC:
             raise ValueError(f"{path}: not a model file (bad magic)")
-        version, d_s, d_a, act_code, n_layers = struct.unpack_from("<IIIII", data, 4)
-        if version != _MLP_VERSION:
-            raise ValueError(f"{path}: unsupported format version {version}")
-        offset = 4 + 20
-        shapes = []
-        for _ in range(n_layers):
-            shapes.append(struct.unpack_from("<II", data, offset))
-            offset += 8
+        try:
+            version, d_s, d_a, act_code, n_layers = struct.unpack_from("<IIIII", data, 4)
+            if version != _MLP_VERSION:
+                raise ValueError(f"{path}: unsupported format version {version}")
+            shapes = [struct.unpack_from("<II", data, 24 + 8 * i) for i in range(n_layers)]
+        except struct.error:
+            raise ValueError(f"{path}: truncated model file ({len(data)} bytes)") from None
+        activation = {v: k for k, v in _ACTIVATIONS.items()}.get(act_code)
+        if activation is None:
+            raise ValueError(f"{path}: unknown activation code {act_code}")
+        d_in = d_s + d_a
+        offset = 24 + 8 * n_layers
+        expected = offset + 8 * (2 * d_in + 2 * d_s + sum(i * o + o for i, o in shapes))
+        if len(data) != expected:
+            problem = "truncated model file" if len(data) < expected else "trailing bytes"
+            raise ValueError(f"{path}: {problem} ({len(data)} bytes, expected {expected})")
 
         def take(n):
             nonlocal offset
@@ -447,14 +456,12 @@ class MlpModel(DynamicsModel):
             offset += 8 * n
             return arr
 
-        d_in = d_s + d_a
         in_mean, in_std = take(d_in), take(d_in)
         out_mean, out_std = take(d_s), take(d_s)
         weights = []
         for fan_in, fan_out in shapes:
             W = take(fan_in * fan_out).reshape(fan_in, fan_out)
             weights.append((W, take(fan_out)))
-        activation = {v: k for k, v in _ACTIVATIONS.items()}[act_code]
         return cls(d_s, d_a, weights, in_mean, in_std, out_mean, out_std, activation)
 
     def to_json_dict(self):

@@ -92,10 +92,11 @@ def line_search_update(seq: Array, grad: Array, model, reward, s0: Array,
     sequence is returned unchanged. Returns (sequence, accepted, record,
     trajectory) where the trajectory matches the returned sequence.
 
-    The J candidates are evaluated as one batched rollout; this is
-    bit-identical to trying them one at a time because rollouts are
-    deterministic and acceptance only inspects candidates in schedule
-    order.
+    The J candidates are evaluated as one batched rollout and acceptance
+    inspects them in schedule order. For the analytic models that is
+    bit-identical to trying them one at a time; for ``MlpModel`` the
+    candidate rewards agree with single rollouts only to rounding (see
+    ``rollout_batch``), so a near-tie can be decided differently.
     """
     if current is None:
         current = rollout(model, reward, s0, seq)
@@ -135,16 +136,3 @@ def optimize(seq: Array, model, reward, s0: Array, cfg: LineSearchConfig,
         trace.updates.append(record)
     trace.final_reward = traj.total_reward
     return seq, trace
-
-
-def baseline_gradient_plan(model, reward, s0: Array, cfg: PlannerConfig,
-                           bounds: ActionBounds, rng, init_std: float = 1.0):
-    """Pure first-order planner: one random initialization, then gradient ascent.
-
-    The initialization is a zero-mean unit-variance draw (scaled by
-    init_std; 0 gives a deterministic start at project(0)) clamped into
-    bounds. Returns (sequence, trace).
-    """
-    init = init_std * rng.standard_normal((cfg.horizon, bounds.d_a))
-    seq = project(init, bounds)
-    return optimize(seq, model, reward, s0, LineSearchConfig.from_planner(cfg), bounds)

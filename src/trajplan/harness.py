@@ -1,4 +1,4 @@
-"""MPC experiment harness: episode runner, planner baselines, sweeps, CSV output.
+"""MPC experiment harness: episode runner, planner ids, sweeps, CSV output.
 
 An episode plans with a (possibly learned) model, executes the first
 action in the true environment, observes the next true state and replans.
@@ -18,13 +18,12 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .cem import SamplingDistribution, default_elite_count, run_cem
-from .cemgd import PlanDiagnostics, PlannerState, PlanOutput, plan, warm_start_mean
+from .cemgd import PlannerState, PlanOutput, plan
 from .core import (ActionBounds, Array, DivergedError, PlannerConfig,
                    project, rollout, split_budget)
 from .dynamics import (ENVIRONMENTS, Environment, MlpModel, QuadraticGoalReward,
                        make_environment)
-from .gradplanner import baseline_gradient_plan, reward_gradient
+from .gradplanner import reward_gradient
 
 GOAL_EPS = 0.1          # barrier success: final distance to goal below this
 DEFAULT_STEPS = 100     # episode length H
@@ -46,104 +45,50 @@ class EpisodeError(RuntimeError):
 
 
 # ---------------------------------------------------------------------------
-# Planner policies (adapters sharing one plan-step interface)
+# Planner policies: every planner id is plan() under one schedule
 
 
-class CemGdPolicy:
-    """Receding-horizon wrapper around the hybrid planner."""
+@dataclass
+class Policy:
+    """Receding-horizon wrapper around plan() for one planner id.
 
-    def __init__(self, model, reward, cfg: PlannerConfig, bounds: ActionBounds,
-                 planner_id: str = "cemgd"):
-        self.model = model
-        self.reward = reward
-        self.cfg = cfg
-        self.bounds = bounds
-        self.planner_id = planner_id
+    With ``warm_start`` the PlannerState carries over between steps;
+    without it every step plans afresh as at t = 0.
+    """
+
+    planner_id: str
+    model: object
+    reward: object
+    cfg: PlannerConfig
+    bounds: ActionBounds
+    warm_start: bool = True
 
     def reset(self, rng):
         self._rng = rng
         self._state = PlannerState()
 
-    def plan_step(self, s) -> tuple[PlanOutput, int]:
-        n = self.cfg.n_init if self._state.timestep == 0 else self.cfg.n_r
-        out, self._state = plan(self._state, s, self.model, self.reward,
-                                self.cfg, self.bounds, self._rng)
-        return out, n + self.cfg.k
-
-
-class CemPolicy:
-    """Pure CEM planner; the sampling mean is warm-started between steps."""
-
-    def __init__(self, model, reward, horizon: int, n: int, m: int,
-                 bounds: ActionBounds, alpha: float = 0.3,
-                 k_elite: int | None = None, planner_id: str | None = None):
-        self.model = model
-        self.reward = reward
-        self.horizon = horizon
-        self.n = n
-        self.m = m
-        self.alpha = alpha
-        self.k_elite = k_elite if k_elite is not None else default_elite_count(n)
-        self.bounds = bounds
-        self.planner_id = planner_id or f"cem-{n * m}"
-
-    def reset(self, rng):
-        self._rng = rng
-        self._previous = None
-
-    def plan_step(self, s) -> tuple[PlanOutput, int]:
-        mean = None if self._previous is None else warm_start_mean(self._previous)
-        dist = SamplingDistribution.initial(self.horizon, self.bounds.d_a, mean)
-        result = run_cem(self.model, self.reward, s, dist, self.n, self.m,
-                         self.k_elite, self.alpha, self.bounds, self._rng, top_k=1)
-        self._previous = result.best_sequence
-        diag = PlanDiagnostics(cem_best_reward=result.best_reward,
-                               post_gradient_rewards=[], samples_used=result.samples_used,
-                               gradient_evals=0)
-        out = PlanOutput(action=result.best_sequence[0].copy(),
-                         optimal_sequence=result.best_sequence,
-                         model_reward=result.best_reward, diagnostics=diag)
-        return out, self.n
-
-
-class GradientPolicy:
-    """Pure first-order planner: fresh random initialization every step."""
-
-    planner_id = "gradient"
-
-    def __init__(self, model, reward, cfg: PlannerConfig, bounds: ActionBounds):
-        self.model = model
-        self.reward = reward
-        self.cfg = cfg
-        self.bounds = bounds
-
-    def reset(self, rng):
-        self._rng = rng
-
-    def plan_step(self, s) -> tuple[PlanOutput, int]:
-        seq, trace = baseline_gradient_plan(self.model, self.reward, s, self.cfg,
-                                            self.bounds, self._rng)
-        diag = PlanDiagnostics(cem_best_reward=trace.initial_reward,
-                               post_gradient_rewards=[trace.final_reward],
-                               samples_used=0,
-                               gradient_evals=1 + trace.rollout_evaluations,
-                               traces=[trace])
-        out = PlanOutput(action=seq[0].copy(), optimal_sequence=seq,
-                         model_reward=trace.final_reward, diagnostics=diag)
-        return out, 1
+    def plan_step(self, s) -> PlanOutput:
+        out, state = plan(self._state, s, self.model, self.reward, self.cfg,
+                          self.bounds, self._rng)
+        if self.warm_start:
+            self._state = state
+        return out
 
 
 def make_policy(name: str, model, reward, cfg: PlannerConfig, bounds: ActionBounds):
-    """Build a planner policy by id: cemgd, gradient, or cem-<budget>."""
+    """Build a planner policy by id: cemgd (``cfg`` as given), cem-<budget>
+    (the split budget at every step, G=0) or gradient (a 1x1 CEM seed
+    refined from a fresh state every step)."""
     if name == "cemgd":
-        return CemGdPolicy(model, reward, cfg, bounds)
+        return Policy(name, model, reward, cfg, bounds)
     if name == "gradient":
-        return GradientPolicy(model, reward, cfg, bounds)
-    if name.startswith("cem-"):
-        budget = int(name.split("-", 1)[1])
-        n, m = split_budget(budget)
-        return CemPolicy(model, reward, cfg.horizon, n, m, bounds,
-                         alpha=cfg.alpha, planner_id=name)
+        cfg = replace(cfg, n_init=1, m_init=1, k=1, k_elite=None)
+        return Policy(name, model, reward, cfg, bounds, warm_start=False)
+    budget = name.removeprefix("cem-")
+    if name.startswith("cem-") and budget.isdecimal() and int(budget) > 0:
+        n, m = split_budget(int(budget))
+        cfg = replace(cfg, n_init=n, m_init=m, n_r=n, m_r=m, G=0, k=1, k_elite=None)
+        return Policy(name, model, reward, cfg, bounds)
     raise ValueError(f"unknown planner {name!r}; valid planners: "
                      f"cemgd, gradient, cem-<budget>")
 
@@ -226,7 +171,7 @@ def run_episode(env: Environment, policy, steps: int, seed: int) -> EpisodeResul
     for t in range(steps):
         t0 = time.perf_counter()
         try:
-            out, mem = policy.plan_step(s)
+            out = policy.plan_step(s)
         except DivergedError as err:
             raise EpisodeError(f"planner {policy.planner_id} failed at episode "
                                f"step {t}: {err}", step=t) from err
@@ -240,7 +185,7 @@ def run_episode(env: Environment, policy, steps: int, seed: int) -> EpisodeResul
         model_rewards[t] = out.model_reward
         samples[t] = out.diagnostics.samples_used
         gevals[t] = out.diagnostics.gradient_evals
-        proxy[t] = mem
+        proxy[t] = out.diagnostics.memory_proxy
         total += r
         s = s_next
 
@@ -364,8 +309,8 @@ def ninit_sweep(values, trials: int, cfg: PlannerConfig | None = None,
     for value in values:
         n_init, m_init = split_budget(value)
         run_cfg = replace(cfg, n_init=n_init, m_init=m_init)
-        policy = CemGdPolicy(env.dynamics, env.reward, run_cfg, env.bounds,
-                             planner_id=f"cemgd-ninit{value}")
+        policy = replace(make_policy("cemgd", env.dynamics, env.reward, run_cfg,
+                                     env.bounds), planner_id=f"cemgd-ninit{value}")
         episodes = [run_episode(env, policy, steps, base_seed + i)
                     for i in range(trials)]
         results.extend(episodes)
@@ -395,18 +340,17 @@ def sample_efficiency_sweep(planners, budgets, trials: int,
     results = []
     table = {}
     for planner in planners:
+        if planner not in ("cem", "cemgd"):
+            raise ValueError(f"unknown planner {planner!r}; valid: cem, cemgd")
         for budget in budgets:
-            n, m = split_budget(budget)
             if planner == "cem":
-                policy = CemPolicy(env.dynamics, env.reward, cfg.horizon, n, m,
-                                   env.bounds, alpha=cfg.alpha,
-                                   planner_id=f"cem-{budget}")
-            elif planner == "cemgd":
-                run_cfg = replace(cfg, n_r=n, m_r=m)
-                policy = CemGdPolicy(env.dynamics, env.reward, run_cfg, env.bounds,
-                                     planner_id=f"cemgd-nr{budget}")
+                policy = make_policy(f"cem-{budget}", env.dynamics, env.reward, cfg,
+                                     env.bounds)
             else:
-                raise ValueError(f"unknown planner {planner!r}; valid: cem, cemgd")
+                n, m = split_budget(budget)
+                policy = replace(make_policy("cemgd", env.dynamics, env.reward,
+                                             replace(cfg, n_r=n, m_r=m), env.bounds),
+                                 planner_id=f"cemgd-nr{budget}")
             episodes = [run_episode(env, policy, steps, base_seed + i)
                         for i in range(trials)]
             results.extend(episodes)

@@ -5,7 +5,12 @@ criteria (4-9) run seeded desk-scale experiments and take several minutes
 each; the whole suite is sized to finish well inside the stated budgets.
 """
 
+import json
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -136,3 +141,41 @@ def test_criterion_3_monotone_improvement():
     ok = violations == 0 and calls == 200
     report(3, ok, f"{calls} optimize calls, {violations} monotonicity violations; "
                   f"{time.perf_counter() - t0:.1f}s")
+
+
+# ---------------------------------------------------------------------------
+# Criterion 8: CSV determinism across reruns
+
+
+def test_criterion_8_csv_determinism(tmp_path):
+    # Two fresh processes run the same compare over both envs and all five
+    # planners, one with 1 BLAS thread and one with 2; raw.csv must match
+    # byte for byte once the wall-time column plan_time_s is dropped.
+    t0 = time.perf_counter()
+    config = tmp_path / "compare.json"
+    config.write_text(json.dumps({
+        "version": 1,
+        "envs": ["barrier", "cartpole"],
+        "planners": list(harness.PLANNER_NAMES),
+        "planner_config": {"horizon": 8, "n_init": 100, "m_init": 2, "G": 3},
+        "steps": 4,
+        "seeds": [0, 1],
+    }))
+    src = str(Path(harness.__file__).resolve().parents[1])
+    path = [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]
+    stripped = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"out{threads}"
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                   PYTHONPATH=os.pathsep.join(path))
+        subprocess.run([sys.executable, "-m", "trajplan.cli", "compare", "--config",
+                        str(config), "--out", str(out)], env=env, check=True,
+                       capture_output=True, timeout=120)
+        lines = (out / "raw.csv").read_text().splitlines()
+        assert lines[0].split(",")[-1] == "plan_time_s"
+        stripped.append([line.rsplit(",", 1)[0] for line in lines])
+    rows = len(stripped[0]) - 1
+    elapsed = time.perf_counter() - t0
+    ok = rows == 2 * 5 * 2 * 4 and stripped[0] == stripped[1] and elapsed < 30.0
+    report(8, ok, f"{rows} raw rows, identical without plan_time_s: "
+                  f"{stripped[0] == stripped[1]}; {elapsed:.1f}s")

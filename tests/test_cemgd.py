@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import trajplan.cemgd as cemgd_mod
-from trajplan.cem import run_cem
+from trajplan.cem import SamplingDistribution, default_elite_count, run_cem
 from trajplan.cemgd import PlannerState, plan, warm_start_mean
 from trajplan.core import ActionBounds, PlannerConfig
 from trajplan.dynamics import make_environment
@@ -105,8 +105,27 @@ class TestPlan:
                       cfg, env.bounds, np.random.default_rng(3))
         bound = cfg.k * cfg.G * (cfg.J + 1) + cfg.k
         assert out.diagnostics.gradient_evals <= bound
+        assert out.diagnostics.memory_proxy == cfg.n_init + cfg.k
         assert len(out.diagnostics.post_gradient_rewards) == cfg.k
         assert len(out.diagnostics.traces) == cfg.k
+
+    def test_no_gradient_steps_returns_cem_pooled_best(self, monkeypatch):
+        env = make_environment("barrier")
+        cfg = tiny_cfg(G=0)
+        monkeypatch.setattr(cemgd_mod, "optimize", None)  # must not be called
+        monkeypatch.setattr(cemgd_mod, "rollout", None)
+        out, state = plan(PlannerState(), env.start_state, env.dynamics, env.reward,
+                          cfg, env.bounds, np.random.default_rng(8))
+        dist = SamplingDistribution.initial(cfg.horizon, env.bounds.d_a)
+        want = run_cem(env.dynamics, env.reward, env.start_state, dist, cfg.n_init,
+                       cfg.m_init, default_elite_count(cfg.n_init), cfg.alpha,
+                       env.bounds, np.random.default_rng(8), top_k=1)
+        assert np.array_equal(out.optimal_sequence, want.best_sequence)
+        assert np.array_equal(state.previous_optimal, want.best_sequence)
+        assert out.model_reward == want.best_reward
+        diag = out.diagnostics
+        assert (diag.samples_used, diag.gradient_evals, diag.memory_proxy) == (120, 0, 40)
+        assert diag.post_gradient_rewards == [] and diag.traces == []
 
     def test_one_step_linear_quadratic_optimum(self):
         model = ScalarLinearDynamics(A=0.8, B=0.5)

@@ -75,6 +75,27 @@ class TestRunCommand:
         assert code != 0
         assert "absent.bin" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("steps", [0, -3])
+    def test_nonpositive_steps_rejected(self, tmp_path, capsys, steps):
+        for command in ("run", "compare"):
+            cfg = run_config(tmp_path, steps=steps, envs=["barrier"], planners=["cem-50"])
+            code = main([command, "--config", cfg, "--out", str(tmp_path / "r")])
+            assert code == 2
+            err = capsys.readouterr().err
+            assert err.startswith("error: config field 'steps'") and err.count("\n") == 1
+        assert not (tmp_path / "r").exists()
+
+    def test_corrupt_model_file_exits_2_naming_path(self, tmp_path, capsys):
+        model_path = tmp_path / "model.bin"
+        MlpModel.initialize(2, 2, hidden=(4, 4, 4), rng=0).save_binary(model_path)
+        data = model_path.read_bytes()
+        model_path.write_bytes(data[:16] + (9).to_bytes(4, "little") + data[20:])
+        cfg = run_config(tmp_path, model={"path": str(model_path)})
+        code = main(["run", "--config", cfg, "--out", str(tmp_path / "r")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "model.bin: unknown activation code 9" in err and err.count("\n") == 1
+
     def test_mlp_model_round_trip(self, tmp_path):
         model = MlpModel.initialize(2, 2, hidden=(4, 4, 4), rng=0)
         model_path = tmp_path / "model.bin"

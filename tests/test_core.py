@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from trajplan.core import (ActionBounds, DivergedError, PlannerConfig, project,
                            rollout, rollout_batch, split_budget, total_reward)
+from trajplan.dynamics import MlpModel, QuadraticGoalReward, make_environment
 
 
 class PointMass:
@@ -133,12 +134,18 @@ class TestRollout:
         assert err.value.step == 2
         assert "step 2" in str(err.value)
 
-    def test_batch_matches_single_bitwise(self):
+    @pytest.mark.parametrize("name", ["pointmass", "barrier", "cartpole"])
+    def test_batch_matches_single_bitwise(self, name):
+        # Models with elementwise arithmetic give the same row at any batch size.
         rng = np.random.default_rng(11)
-        model = PointMass()
-        reward = NegSquaredNorm()
-        s0 = rng.normal(size=2)
-        seqs = rng.normal(size=(7, 10, 2))
+        if name == "pointmass":
+            model, reward, d_a = PointMass(), NegSquaredNorm(), 2
+            s0 = rng.normal(size=2)
+        else:
+            env = make_environment(name)
+            model, reward, d_a = env.dynamics, env.reward, env.bounds.d_a
+            s0 = env.start_state + rng.normal(0.0, 0.1, size=env.start_state.shape)
+        seqs = rng.normal(size=(7, 10, d_a))
         totals, states, step_rewards = rollout_batch(model, reward, s0, seqs,
                                                      return_full=True)
         for i in range(7):
@@ -146,6 +153,22 @@ class TestRollout:
             assert totals[i] == traj.total_reward
             assert np.array_equal(states[i], traj.states)
             assert np.array_equal(step_rewards[i], traj.step_rewards)
+
+    def test_mlp_batch_matches_single_to_rounding(self):
+        # BLAS may order a row's dot products differently for B=8 than for
+        # B=1, so MLP rows agree only to rounding. The bound is fixed from
+        # float64 (1e4 ulps over 10 steps), not from a measurement.
+        rng = np.random.default_rng(12)
+        model = MlpModel.initialize(4, 1, hidden=(200, 200, 200), rng=rng)
+        reward = QuadraticGoalReward(np.zeros(4), action_cost=0.01)
+        s0 = rng.normal(size=4)
+        seqs = rng.normal(size=(8, 10, 1))
+        totals, states, _ = rollout_batch(model, reward, s0, seqs, return_full=True)
+        tol = 1e4 * np.finfo(np.float64).eps
+        for i in range(8):
+            traj = rollout(model, reward, s0, seqs[i])
+            np.testing.assert_allclose(states[i], traj.states, rtol=tol, atol=tol)
+            np.testing.assert_allclose(totals[i], traj.total_reward, rtol=tol)
 
 
 class TestTotalReward:
@@ -189,7 +212,7 @@ class TestPlannerConfig:
     @pytest.mark.parametrize("kwargs", [
         {"alpha": 0.0}, {"alpha": 1.0}, {"rho": 1.0}, {"eta_init": 0.0},
         {"horizon": 0}, {"k": 0}, {"k_elite": 0},
-        {"k": 3, "k_elite": 2}, {"k_elite": 11},
+        {"k": 3, "k_elite": 2}, {"k_elite": 11}, {"G": -1},
     ])
     def test_rejects_invalid(self, kwargs):
         with pytest.raises(ValueError):

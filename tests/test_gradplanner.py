@@ -3,9 +3,9 @@ import pytest
 
 from trajplan.core import ActionBounds, PlannerConfig, rollout
 from trajplan.dynamics import make_environment
-from trajplan.gradplanner import (LineSearchConfig, baseline_gradient_plan,
-                                  eta_schedule, line_search_update, optimize,
-                                  reward_gradient)
+from trajplan.gradplanner import (LineSearchConfig, eta_schedule,
+                                  line_search_update, optimize, reward_gradient)
+from trajplan.harness import make_policy
 
 
 class FrozenDynamics:
@@ -150,26 +150,18 @@ class TestOptimize:
 
 
 class TestBaselinePlan:
-    def test_zero_init_std_is_deterministic_projected_zero_start(self):
-        cfg = PlannerConfig(horizon=4)
-        env = make_environment("barrier")
-        seq1, _ = baseline_gradient_plan(env.dynamics, env.reward, env.start_state,
-                                         cfg, env.bounds, np.random.default_rng(0),
-                                         init_std=0.0)
-        seq2, _ = baseline_gradient_plan(env.dynamics, env.reward, env.start_state,
-                                         cfg, env.bounds, np.random.default_rng(99),
-                                         init_std=0.0)
-        assert np.array_equal(seq1, seq2)
-
     def test_matches_optimize_from_same_start(self):
         cfg = PlannerConfig(horizon=6)
         env = make_environment("barrier")
-        rng = np.random.default_rng(5)
-        seq, trace = baseline_gradient_plan(env.dynamics, env.reward,
-                                            env.start_state, cfg, env.bounds, rng)
-        start = np.clip(np.random.default_rng(5).standard_normal((6, 2)),
-                        env.bounds.low, env.bounds.high)
-        want, want_trace = optimize(start, env.dynamics, env.reward, env.start_state,
-                                    LineSearchConfig.from_planner(cfg), env.bounds)
-        assert np.array_equal(seq, want)
-        assert trace.final_reward == want_trace.final_reward
+        policy = make_policy("gradient", env.dynamics, env.reward, cfg, env.bounds)
+        policy.reset(np.random.default_rng(5))
+        starts = np.random.default_rng(5)
+        for _ in range(2):  # no warm start: each step refines a fresh draw
+            out = policy.plan_step(env.start_state)
+            start = np.clip(starts.standard_normal((6, 2)),
+                            env.bounds.low, env.bounds.high)
+            want, want_trace = optimize(start, env.dynamics, env.reward,
+                                        env.start_state,
+                                        LineSearchConfig.from_planner(cfg), env.bounds)
+            assert np.array_equal(out.optimal_sequence, want)
+            assert out.model_reward == want_trace.final_reward

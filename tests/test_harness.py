@@ -6,17 +6,16 @@ import pytest
 from trajplan.core import PlannerConfig
 from trajplan.dynamics import (BarrierWorld, collect_random_rollouts, fit_mlp,
                                make_environment)
-from trajplan.harness import (RAW_COLUMNS, SUMMARY_COLUMNS, CemGdPolicy, CemPolicy,
-                              GradientPolicy, classify_barrier, compare_planners,
-                              episode_rows, make_policy, ninit_sweep, run_episode,
-                              sample_efficiency_sweep, summarize, write_raw_csv,
-                              write_summary_csv)
+from trajplan.harness import (RAW_COLUMNS, SUMMARY_COLUMNS, classify_barrier,
+                              compare_planners, episode_rows, make_policy,
+                              ninit_sweep, run_episode, sample_efficiency_sweep,
+                              summarize, write_raw_csv, write_summary_csv)
 
 TINY = PlannerConfig(horizon=5, n_init=20, m_init=2, n_r=10, m_r=1)
 
 
 def barrier_policy(env, cfg=TINY):
-    return CemGdPolicy(env.dynamics, env.reward, cfg, env.bounds)
+    return make_policy("cemgd", env.dynamics, env.reward, cfg, env.bounds)
 
 
 class TestRunEpisode:
@@ -42,7 +41,7 @@ class TestRunEpisode:
         data = collect_random_rollouts(env.dynamics, env.bounds, env.start_state,
                                        episodes=3, steps=50, rng=0)
         model, _ = fit_mlp(data, epochs=3, hidden=(8, 8, 8), rng=1)
-        policy = CemGdPolicy(model, env.reward, TINY, env.bounds)
+        policy = make_policy("cemgd", model, env.reward, TINY, env.bounds)
         res = run_episode(env, policy, steps=6, seed=4)
         # Episode rewards recompute exactly from the recorded true transitions.
         for t in range(6):
@@ -56,6 +55,18 @@ class TestRunEpisode:
         res = run_episode(env, barrier_policy(env, cfg), steps=3, seed=0)
         assert list(res.memory_proxy) == [31, 11, 11]
         assert list(res.samples_used) == [30, 10, 10]
+        # cem-50 runs 10 samples x 5 iterations and refines nothing
+        cem = make_policy("cem-50", env.dynamics, env.reward, cfg, env.bounds)
+        res = run_episode(env, cem, steps=3, seed=0)
+        assert list(res.memory_proxy) == [10, 10, 10]
+        assert list(res.samples_used) == [50, 50, 50]
+        assert list(res.gradient_evals) == [0, 0, 0]
+        # gradient seeds from one sample at every step and refines it
+        grad = make_policy("gradient", env.dynamics, env.reward, cfg, env.bounds)
+        res = run_episode(env, grad, steps=3, seed=0)
+        assert list(res.memory_proxy) == [2, 2, 2]
+        assert list(res.samples_used) == [1, 1, 1]
+        assert list(res.gradient_evals) == [1 + cfg.G * cfg.J + 1] * 3
 
 
 class TestBarrierOutcome:
@@ -171,5 +182,6 @@ class TestCompareAndCsv:
 
     def test_unknown_planner_rejected(self):
         env = make_environment("barrier")
-        with pytest.raises(ValueError, match="planner"):
-            make_policy("mppi", env.dynamics, env.reward, TINY, env.bounds)
+        for name in ("mppi", "cem-abc", "cem-0"):
+            with pytest.raises(ValueError, match=f"unknown planner '{name}'; valid"):
+                make_policy(name, env.dynamics, env.reward, TINY, env.bounds)

@@ -182,6 +182,30 @@ class TestSerialization:
         s, a = np.array([0.3, 0.2]), np.array([0.1, -0.1])
         assert np.array_equal(model.step(s, a), loaded.step(s, a))
 
+    def saved_bytes(self, tmp_path):
+        path = tmp_path / "model.bin"
+        MlpModel.initialize(2, 2, hidden=(3, 3), rng=0).save_binary(path)
+        return path, path.read_bytes()
+
+    def test_unknown_activation_code_names_path(self, tmp_path):
+        path, data = self.saved_bytes(tmp_path)
+        path.write_bytes(data[:16] + (9).to_bytes(4, "little") + data[20:])
+        with pytest.raises(ValueError, match=r"model\.bin: unknown activation code 9"):
+            MlpModel.load_binary(path)
+
+    def test_truncated_file_names_path(self, tmp_path):
+        path, data = self.saved_bytes(tmp_path)
+        for size in (10, 30, len(data) - 8):
+            path.write_bytes(data[:size])
+            with pytest.raises(ValueError, match=r"model\.bin: truncated model file"):
+                MlpModel.load_binary(path)
+
+    def test_trailing_bytes_rejected(self, tmp_path):
+        path, data = self.saved_bytes(tmp_path)
+        path.write_bytes(data + b"\x00")
+        with pytest.raises(ValueError, match=r"model\.bin: trailing bytes"):
+            MlpModel.load_binary(path)
+
     def test_bad_magic_rejected(self, tmp_path):
         path = tmp_path / "junk.bin"
         path.write_bytes(b"NOPE" + b"\x00" * 64)
