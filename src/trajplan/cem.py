@@ -47,7 +47,6 @@ class CemResult:
     best_reward: float
     top_k: list[tuple[Array, float]]   # sorted by reward descending
     samples_used: int
-    final_distribution: SamplingDistribution
 
 
 def sample(dist: SamplingDistribution, n: int, bounds: ActionBounds, rng) -> Array:
@@ -129,4 +128,4 @@ def run_cem(model, reward, s0, init_dist: SamplingDistribution, n: int, m: int,
     top = [(seq, r) for r, _, seq in pool[:pool_size]] if pool_size >= 1 else []
     best_reward, _, best_seq = pool[0]
     return CemResult(best_sequence=best_seq, best_reward=best_reward, top_k=top,
-                     samples_used=n * m, final_distribution=dist)
+                     samples_used=n * m)

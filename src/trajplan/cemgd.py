@@ -18,7 +18,7 @@ import numpy as np
 
 from .cem import SamplingDistribution, default_elite_count, run_cem
 from .core import ActionBounds, Array, DivergedError, PlannerConfig, rollout
-from .gradplanner import LineSearchConfig, OptimizeTrace, optimize
+from .gradplanner import OptimizeTrace, optimize
 
 
 @dataclass
@@ -81,12 +81,11 @@ def plan(state: PlannerState, s_t: Array, model, reward, cfg: PlannerConfig,
     result = run_cem(model, reward, s_t, dist, n, m, k_elite, cfg.alpha,
                      bounds, rng, top_k=cfg.k)
 
-    ls_cfg = LineSearchConfig.from_planner(cfg)
     refined, traces, rewards = [], [], []
     evals = 0
     for i, (seq, _) in enumerate(result.top_k if cfg.G > 0 else []):
         try:
-            opt_seq, trace = optimize(seq, model, reward, s_t, ls_cfg, bounds)
+            opt_seq, trace = optimize(seq, model, reward, s_t, cfg, bounds)
         except DivergedError as err:
             raise DivergedError(f"gradient refinement of elite {i}: {err}",
                                 step=err.step) from err

@@ -71,10 +71,26 @@ def load_config(source: str) -> dict:
         raise ConfigError(f"config field 'version': expected {CONFIG_VERSION}, "
                           f"got {version!r}")
     steps = config.get("steps", harness.DEFAULT_STEPS)
-    if isinstance(steps, bool) or not isinstance(steps, int) or steps < 1:
+    if not _is_int(steps) or steps < 1:
         raise ConfigError(f"config field 'steps': expected a positive integer, "
                           f"got {steps!r}")
+    _check_list(config, "seeds", "nonnegative integers", lambda s: _is_int(s) and s >= 0)
+    _check_list(config, "envs", f"environment names ({', '.join(sorted(ENVIRONMENTS))})",
+                lambda e: isinstance(e, str) and e in ENVIRONMENTS)
+    _check_list(config, "planners", "planner names", lambda p: isinstance(p, str))
     return config
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _check_list(config: dict, key: str, what: str, valid) -> None:
+    """A list field, when present, must be nonempty and hold only valid items."""
+    value = config.get(key)
+    if key in config and not (isinstance(value, list) and value and all(map(valid, value))):
+        raise ConfigError(f"config field '{key}': expected a nonempty list of {what}, "
+                          f"got {value!r}")
 
 
 def planner_config_from(overrides: dict | None) -> PlannerConfig:
@@ -106,13 +122,22 @@ def _named_section(config: dict, key: str) -> tuple[str, dict]:
                       f"got {section!r}")
 
 
-def _seeds_from(config: dict, override: int | None) -> list[int]:
-    if override is not None:
-        return [int(override)]
-    seeds = config.get("seeds", list(range(20)))
-    if not isinstance(seeds, list) or not seeds:
-        raise ConfigError("config field 'seeds': must be a nonempty list")
-    return [int(s) for s in seeds]
+def _grid_config(args) -> tuple[dict, PlannerConfig, int, list[int]]:
+    """What every grid subcommand reads: the config (``{}`` without
+    ``--config``), its planner config, the episode length and the seeds
+    (``--seed`` replaces the list).
+
+    A run config nests its planner config in the ``planner`` section; the
+    other grids share one top-level ``planner_config``.
+    """
+    config = load_config(args.config) if args.config else {}
+    overrides = config.get("planner_config")
+    if "planner" in config:
+        _, section = _named_section(config, "planner")
+        overrides = section.pop("config", None) or section
+    seeds = [args.seed] if args.seed is not None else config.get("seeds", list(range(20)))
+    return (config, planner_config_from(overrides),
+            config.get("steps", harness.DEFAULT_STEPS), seeds)
 
 
 def _out_dir(args) -> Path:
@@ -139,100 +164,80 @@ def _load_planning_model(model_section, env_name: str):
 
 
 def cmd_run(args) -> int:
-    config = load_config(args.config)
+    config, cfg, steps, seeds = _grid_config(args)
     env_name, env_overrides = _named_section(config, "env")
-    planner_name, planner_overrides = _named_section(config, "planner")
-    cfg = planner_config_from(planner_overrides.pop("config", None) or planner_overrides)
+    planner_name, _ = _named_section(config, "planner")
     env = make_environment(env_name, **env_overrides)
     model = _load_planning_model(config.get("model"), env_name) or env.dynamics
-    steps = config.get("steps", harness.DEFAULT_STEPS)
-    seeds = _seeds_from(config, args.seed)
-
-    results = []
-    for seed in seeds:
-        policy = harness.make_policy(planner_name, model, env.reward, cfg, env.bounds)
-        results.append(harness.run_episode(env, policy, steps, seed))
-    out = _out_dir(args)
-    harness.write_raw_csv(results, out / "raw.csv")
-    harness.write_summary_csv(harness.summarize(results), out / "summary.csv")
-    for row in harness.summarize(results):
-        print(f"{row['env']}/{row['planner']}: mean reward {row['mean_reward']:.3f} "
-              f"over {row['episodes']} episodes")
-    return 0
+    policy = harness.make_policy(planner_name, model, env.reward, cfg, env.bounds)
+    return _write_grid(args, harness.run_grid([(env, policy)], seeds, steps))
 
 
 def cmd_sweep_ninit(args) -> int:
-    cfg = PlannerConfig()
-    steps = harness.DEFAULT_STEPS
-    if args.config:
-        config = load_config(args.config)
-        cfg = planner_config_from(config.get("planner_config"))
-        steps = config.get("steps", steps)
+    _, cfg, steps, _ = _grid_config(args)
     values = [int(v) for v in args.values.split(",")]
-    sweep = harness.ninit_sweep(values, args.trials, cfg=cfg, steps=steps,
-                                base_seed=args.seed or 0)
-    out = _out_dir(args)
-    harness.write_raw_csv(sweep.results, out / "raw.csv")
-    harness.write_summary_csv(harness.summarize(sweep.results), out / "summary.csv")
-    with open(out / "ninit_table.csv", "w") as f:
-        f.write("n_init,success_fraction\n")
-        for value, frac in sorted(sweep.table.items()):
-            f.write(f"{value},{frac!r}\n")
-    for value, frac in sorted(sweep.table.items()):
-        print(f"first-step budget {value}: success fraction {frac:.2f}")
-    return 0
+    result = harness.ninit_sweep(values, args.trials, cfg=cfg, steps=steps,
+                                 base_seed=args.seed or 0)
+    table = harness.sweep_table(result.summary, "cemgd-ninit", "success_rate")
+    rows = [{"n_init": value, "success_fraction": frac}
+            for value, frac in sorted(table.items())]
+    return _write_grid(args, result, ("ninit_table.csv", ["n_init", "success_fraction"],
+                                      rows))
 
 
 def cmd_sweep_samples(args) -> int:
-    cfg = PlannerConfig()
-    steps = harness.DEFAULT_STEPS
-    if args.config:
-        config = load_config(args.config)
-        cfg = planner_config_from(config.get("planner_config"))
-        steps = config.get("steps", steps)
+    _, cfg, steps, _ = _grid_config(args)
     planners = args.planners.split(",")
     budgets = [int(b) for b in args.budgets.split(",")]
-    sweep = harness.sample_efficiency_sweep(planners, budgets, args.trials,
-                                            env_name=args.env, cfg=cfg, steps=steps,
-                                            base_seed=args.seed or 0)
-    out = _out_dir(args)
-    harness.write_raw_csv(sweep.results, out / "raw.csv")
-    harness.write_summary_csv(harness.summarize(sweep.results), out / "summary.csv")
-    with open(out / "sample_efficiency.csv", "w") as f:
-        f.write("planner,budget,mean_reward,std_reward\n")
-        for (planner, budget), (mean, std) in sorted(sweep.table.items()):
-            f.write(f"{planner},{budget},{mean!r},{std!r}\n")
-    for (planner, budget), (mean, std) in sorted(sweep.table.items()):
-        print(f"{planner} @ {budget} samples: reward {mean:.2f} +- {std:.2f}")
-    return 0
+    result = harness.sample_efficiency_sweep(planners, budgets, args.trials,
+                                             env_name=args.env, cfg=cfg, steps=steps,
+                                             base_seed=args.seed or 0)
+    rows = []
+    for planner, prefix in (("cem", "cem-"), ("cemgd", "cemgd-nr")):
+        means = harness.sweep_table(result.summary, prefix, "mean_reward")
+        stds = harness.sweep_table(result.summary, prefix, "std_reward")
+        rows += [{"planner": planner, "budget": budget, "mean_reward": means[budget],
+                  "std_reward": stds[budget]} for budget in sorted(means)]
+    return _write_grid(args, result, ("sample_efficiency.csv",
+                                      ["planner", "budget", "mean_reward", "std_reward"],
+                                      rows))
 
 
 def cmd_compare(args) -> int:
-    config = load_config(args.config)
-    cfg = planner_config_from(config.get("planner_config"))
-    envs = config.get("envs", ["barrier", "cartpole"])
-    planners = config.get("planners", list(harness.PLANNER_NAMES))
-    steps = config.get("steps", harness.DEFAULT_STEPS)
-    seeds = _seeds_from(config, args.seed)
-
-    planning_models = {}
-    for env_name, section in (config.get("models") or {}).items():
-        planning_models[env_name] = _load_planning_model(section, env_name)
-
-    result = harness.compare_planners(envs, seeds, steps=steps, cfg=cfg,
-                                      planners=planners,
+    config, cfg, steps, seeds = _grid_config(args)
+    planning_models = {env_name: _load_planning_model(section, env_name)
+                       for env_name, section in (config.get("models") or {}).items()}
+    result = harness.compare_planners(config.get("envs", ["barrier", "cartpole"]), seeds,
+                                      steps=steps, cfg=cfg,
+                                      planners=config.get("planners", harness.PLANNER_NAMES),
                                       planning_models=planning_models or None)
+    return _write_grid(args, result)
+
+
+def _write_grid(args, result: harness.CompareResult, table=None) -> int:
+    """Write a grid's raw.csv, summary.csv, failures.csv (only when an episode
+    failed) and optional ``(file name, columns, rows)`` table to ``--out``,
+    print one line per summary row, and return the exit code: 1 when an
+    episode failed, else 0."""
     out = _out_dir(args)
     harness.write_raw_csv(result.results, out / "raw.csv")
-    harness.write_summary_csv(result.summary, out / "summary.csv")
-    if result.failures:
-        harness.write_failures_csv(result.failures, out / "failures.csv")
-        print(f"{len(result.failures)} episode(s) failed; see failures.csv",
-              file=sys.stderr)
+    harness.write_csv(result.summary, harness.SUMMARY_COLUMNS, out / "summary.csv")
+    if table is not None:
+        name, columns, rows = table
+        harness.write_csv(rows, columns, out / name)
     for row in result.summary:
+        success = "" if row["success_rate"] == "" else f", success {row['success_rate']:.2f}"
         print(f"{row['env']}/{row['planner']}: reward {row['mean_reward']:.2f} "
-              f"+- {row['std_reward']:.2f}, plan {row['mean_plan_time_s'] * 1e3:.1f} ms")
-    return 0
+              f"+- {row['std_reward']:.2f}, plan {row['mean_plan_time_s'] * 1e3:.1f} ms"
+              f"{success}")
+    failures = out / "failures.csv"
+    if not result.failures:
+        failures.unlink(missing_ok=True)
+        return 0
+    harness.write_csv(result.failures, harness.FAILURE_COLUMNS, failures)
+    print(f"error: {len(result.failures)} episode(s) failed; see {failures}",
+          file=sys.stderr)
+    return 1
 
 
 def cmd_train_model(args) -> int:
@@ -337,9 +342,6 @@ def main(argv=None) -> int:
     except FileNotFoundError as err:
         print(f"error: file not found: {err.filename}", file=sys.stderr)
         return 2
-    except harness.EpisodeError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 1
 
 
 if __name__ == "__main__":

@@ -15,7 +15,7 @@ Conventions used throughout the package:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -80,15 +80,6 @@ class Trajectory:
     actions: Array       # (T, d_a)
     step_rewards: Array  # (T,), step_rewards[t] = r(states[t+1], actions[t])
     total_reward: float
-
-    @property
-    def horizon(self) -> int:
-        return self.actions.shape[0]
-
-
-def total_reward(traj: Trajectory) -> float:
-    """Cumulative reward of a trajectory (cached at rollout time)."""
-    return traj.total_reward
 
 
 def _check_finite(x: Array, step: int, what: str) -> None:

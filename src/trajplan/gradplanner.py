@@ -18,21 +18,9 @@ from .core import (ActionBounds, Array, DivergedError, PlannerConfig,
                    Trajectory, project, rollout, rollout_batch)
 
 
-@dataclass(frozen=True)
-class LineSearchConfig:
-    eta_init: float = 0.01   # initial step size
-    rho: float = 0.67        # geometric decay per rejected trial
-    trials: int = 8          # J, maximum trials per update
-    updates: int = 10        # G, gradient updates per sequence
-
-    @classmethod
-    def from_planner(cls, cfg: PlannerConfig) -> "LineSearchConfig":
-        return cls(eta_init=cfg.eta_init, rho=cfg.rho, trials=cfg.J, updates=cfg.G)
-
-
-def eta_schedule(cfg: LineSearchConfig) -> list[float]:
+def eta_schedule(cfg: PlannerConfig) -> list[float]:
     """Step sizes tried within one update: eta_init * rho**j for j = 0..J-1."""
-    return [cfg.eta_init * cfg.rho**j for j in range(cfg.trials)]
+    return [cfg.eta_init * cfg.rho**j for j in range(cfg.J)]
 
 
 @dataclass
@@ -82,7 +70,7 @@ def reward_gradient(model, reward, s0: Array, seq: Array,
 
 
 def line_search_update(seq: Array, grad: Array, model, reward, s0: Array,
-                       cfg: LineSearchConfig, bounds: ActionBounds,
+                       cfg: PlannerConfig, bounds: ActionBounds,
                        current: Trajectory | None = None):
     """One projected-ascent update with backtracking on the step size.
 
@@ -106,7 +94,7 @@ def line_search_update(seq: Array, grad: Array, model, reward, s0: Array,
                                                  return_full=True)
     better = np.nonzero(totals > current.total_reward)[0]
     if better.size == 0:
-        record = UpdateRecord(accepted=False, trials_used=cfg.trials, eta_used=0.0,
+        record = UpdateRecord(accepted=False, trials_used=cfg.J, eta_used=0.0,
                               reward_after=current.total_reward, evaluations=len(etas))
         return seq, False, record, current
     j = int(better[0])
@@ -117,7 +105,7 @@ def line_search_update(seq: Array, grad: Array, model, reward, s0: Array,
     return candidates[j], True, record, accepted_traj
 
 
-def optimize(seq: Array, model, reward, s0: Array, cfg: LineSearchConfig,
+def optimize(seq: Array, model, reward, s0: Array, cfg: PlannerConfig,
              bounds: ActionBounds, initial_trajectory: Trajectory | None = None):
     """Apply G gradient updates with line search; reward never decreases.
 
@@ -129,7 +117,7 @@ def optimize(seq: Array, model, reward, s0: Array, cfg: LineSearchConfig,
     traj = initial_trajectory if initial_trajectory is not None \
         else rollout(model, reward, s0, seq)
     trace = OptimizeTrace(initial_reward=traj.total_reward)
-    for _ in range(cfg.updates):
+    for _ in range(cfg.G):
         grad = reward_gradient(model, reward, s0, seq, trajectory=traj)
         seq, _, record, traj = line_search_update(seq, grad, model, reward, s0,
                                                   cfg, bounds, current=traj)

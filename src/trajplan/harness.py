@@ -21,8 +21,7 @@ import numpy as np
 from .cemgd import PlannerState, PlanOutput, plan
 from .core import (ActionBounds, Array, DivergedError, PlannerConfig,
                    project, rollout, split_budget)
-from .dynamics import (ENVIRONMENTS, Environment, MlpModel, QuadraticGoalReward,
-                       make_environment)
+from .dynamics import Environment, MlpModel, QuadraticGoalReward, make_environment
 from .gradplanner import reward_gradient
 
 GOAL_EPS = 0.1          # barrier success: final distance to goal below this
@@ -34,6 +33,7 @@ RAW_COLUMNS = ["env", "planner", "seed", "step", "true_reward", "model_reward",
 SUMMARY_COLUMNS = ["env", "planner", "episodes", "mean_reward", "std_reward",
                    "mean_plan_time_s", "mean_samples_per_step",
                    "mean_memory_proxy", "success_rate"]
+FAILURE_COLUMNS = ["env", "planner", "seed", "step", "error"]
 
 
 class EpisodeError(RuntimeError):
@@ -210,6 +210,15 @@ def _fmt(value) -> str:
     return str(value)
 
 
+def write_csv(rows: list[dict], columns: list[str], path) -> None:
+    """One header line, then each row's columns in order (floats as repr)."""
+    with open(path, "w", newline="") as f:
+        writer = csv.writer(f, lineterminator="\n")
+        writer.writerow(columns)
+        for row in rows:
+            writer.writerow([_fmt(row[col]) for col in columns])
+
+
 def episode_rows(result: EpisodeResult) -> list[dict]:
     success = "" if result.success is None else str(int(result.success))
     rows = []
@@ -234,11 +243,7 @@ def write_raw_csv(results: list[EpisodeResult], path) -> None:
     """Raw per-step rows, sorted by (env, planner, seed, step)."""
     rows = [row for res in results for row in episode_rows(res)]
     rows.sort(key=lambda r: (r["env"], r["planner"], r["seed"], r["step"]))
-    with open(path, "w", newline="") as f:
-        writer = csv.writer(f, lineterminator="\n")
-        writer.writerow(RAW_COLUMNS)
-        for row in rows:
-            writer.writerow([_fmt(row[col]) for col in RAW_COLUMNS])
+    write_csv(rows, RAW_COLUMNS, path)
 
 
 def summarize(results: list[EpisodeResult]) -> list[dict]:
@@ -265,80 +270,80 @@ def summarize(results: list[EpisodeResult]) -> list[dict]:
     return out
 
 
-def write_summary_csv(summary: list[dict], path) -> None:
-    with open(path, "w", newline="") as f:
-        writer = csv.writer(f, lineterminator="\n")
-        writer.writerow(SUMMARY_COLUMNS)
-        for row in summary:
-            writer.writerow([_fmt(row[col]) for col in SUMMARY_COLUMNS])
+def sweep_table(summary: list[dict], prefix: str, column: str) -> dict[int, object]:
+    """One summary column per budget, for the sweep cells named ``<prefix><budget>``.
 
-
-def write_failures_csv(failures: list[dict], path) -> None:
-    with open(path, "w", newline="") as f:
-        writer = csv.writer(f, lineterminator="\n")
-        writer.writerow(["env", "planner", "seed", "step", "error"])
-        for row in failures:
-            writer.writerow([row["env"], row["planner"], row["seed"],
-                             row["step"], row["error"]])
+    The sweeps name their cells cemgd-ninit<budget>, cem-<budget> and
+    cemgd-nr<budget>, and a cell's summary row already holds the statistic
+    its sweep table reports (success_rate, mean_reward, std_reward).
+    """
+    return {int(row["planner"].removeprefix(prefix)): row[column]
+            for row in summary if row["planner"].startswith(prefix)}
 
 
 # ---------------------------------------------------------------------------
-# Experiments
+# Experiments: every one is a grid of (env, policy) cells over seeds
 
 
 @dataclass
-class NinitSweepResult:
+class CompareResult:
     results: list[EpisodeResult]
-    table: dict[int, float]   # first-step budget -> success fraction
+    summary: list[dict]
+    failures: list[dict] = field(default_factory=list)   # FAILURE_COLUMNS keys
+
+
+def run_grid(cells, seeds, steps: int) -> CompareResult:
+    """Run every (env, policy) cell for one episode per seed.
+
+    An episode that raises EpisodeError becomes a failure row and the grid
+    goes on; the summary covers the finished episodes only.
+    """
+    results, failures = [], []
+    for env, policy in cells:
+        for seed in seeds:
+            try:
+                results.append(run_episode(env, policy, steps, seed))
+            except EpisodeError as err:
+                failures.append({"env": env.name, "planner": policy.planner_id,
+                                 "seed": seed, "step": err.step, "error": str(err)})
+    return CompareResult(results=results, summary=summarize(results), failures=failures)
 
 
 def ninit_sweep(values, trials: int, cfg: PlannerConfig | None = None,
                 steps: int = DEFAULT_STEPS, base_seed: int = 0,
-                env_overrides: dict | None = None) -> NinitSweepResult:
+                env_overrides: dict | None = None) -> CompareResult:
     """Barrier-world success fraction as the first-step sample budget varies.
 
     The replan budget stays at its default (50) throughout; `trials` seeded
-    episodes run per budget value.
+    episodes run per budget value, in cells named cemgd-ninit<budget>.
     """
     if trials < 1:
         raise ValueError("trials must be at least 1")
     cfg = cfg or PlannerConfig()
     env = make_environment("barrier", **(env_overrides or {}))
-    results = []
-    table = {}
+    cells = []
     for value in values:
         n_init, m_init = split_budget(value)
-        run_cfg = replace(cfg, n_init=n_init, m_init=m_init)
-        policy = replace(make_policy("cemgd", env.dynamics, env.reward, run_cfg,
-                                     env.bounds), planner_id=f"cemgd-ninit{value}")
-        episodes = [run_episode(env, policy, steps, base_seed + i)
-                    for i in range(trials)]
-        results.extend(episodes)
-        table[int(value)] = float(np.mean([ep.success for ep in episodes]))
-    return NinitSweepResult(results=results, table=table)
-
-
-@dataclass
-class SampleEfficiencyResult:
-    results: list[EpisodeResult]
-    table: dict[tuple[str, int], tuple[float, float]]  # (planner, budget) -> (mean, std)
+        policy = make_policy("cemgd", env.dynamics, env.reward,
+                             replace(cfg, n_init=n_init, m_init=m_init), env.bounds)
+        cells.append((env, replace(policy, planner_id=f"cemgd-ninit{value}")))
+    return run_grid(cells, range(base_seed, base_seed + trials), steps)
 
 
 def sample_efficiency_sweep(planners, budgets, trials: int,
                             env_name: str = "cartpole",
                             cfg: PlannerConfig | None = None,
                             steps: int = DEFAULT_STEPS,
-                            base_seed: int = 0) -> SampleEfficiencyResult:
+                            base_seed: int = 0) -> CompareResult:
     """Episode reward vs per-step sample budget.
 
-    For pure CEM the budget is the total samples per step; for the hybrid
-    planner it is the replan budget, with the first-step budget held at
-    its configured value.
+    For pure CEM (cells cem-<budget>) the budget is the total samples per
+    step; for the hybrid planner (cells cemgd-nr<budget>) it is the replan
+    budget, with the first-step budget held at its configured value.
     """
     cfg = cfg or PlannerConfig()
     env = make_environment(env_name)
-    results = []
-    table = {}
+    cells = []
     for planner in planners:
         if planner not in ("cem", "cemgd"):
             raise ValueError(f"unknown planner {planner!r}; valid: cem, cemgd")
@@ -351,19 +356,8 @@ def sample_efficiency_sweep(planners, budgets, trials: int,
                 policy = replace(make_policy("cemgd", env.dynamics, env.reward,
                                              replace(cfg, n_r=n, m_r=m), env.bounds),
                                  planner_id=f"cemgd-nr{budget}")
-            episodes = [run_episode(env, policy, steps, base_seed + i)
-                        for i in range(trials)]
-            results.extend(episodes)
-            rewards = np.array([ep.episode_reward for ep in episodes])
-            table[(planner, int(budget))] = (float(rewards.mean()), float(rewards.std()))
-    return SampleEfficiencyResult(results=results, table=table)
-
-
-@dataclass
-class CompareResult:
-    results: list[EpisodeResult]
-    summary: list[dict]
-    failures: list[dict] = field(default_factory=list)
+            cells.append((env, policy))
+    return run_grid(cells, range(base_seed, base_seed + trials), steps)
 
 
 def compare_planners(envs, seeds, steps: int = DEFAULT_STEPS,
@@ -373,24 +367,17 @@ def compare_planners(envs, seeds, steps: int = DEFAULT_STEPS,
 
     `planning_models` optionally maps an environment name to a dynamics
     model the planners should use instead of the ground-truth one (the
-    true environment still scores and advances the episode). Failed
-    episodes are recorded and the grid continues.
+    true environment still scores and advances the episode).
     """
     cfg = cfg or PlannerConfig()
-    planners = planners if planners is not None else list(PLANNER_NAMES)
-    results, failures = [], []
+    planners = planners if planners is not None else PLANNER_NAMES
+    cells = []
     for env_name in envs:
         env = make_environment(env_name)
         model = (planning_models or {}).get(env_name, env.dynamics)
-        for planner_name in planners:
-            for seed in seeds:
-                policy = make_policy(planner_name, model, env.reward, cfg, env.bounds)
-                try:
-                    results.append(run_episode(env, policy, steps, seed))
-                except EpisodeError as err:
-                    failures.append({"env": env_name, "planner": planner_name,
-                                     "seed": seed, "step": err.step, "error": str(err)})
-    return CompareResult(results=results, summary=summarize(results), failures=failures)
+        cells += [(env, make_policy(name, model, env.reward, cfg, env.bounds))
+                  for name in planners]
+    return run_grid(cells, seeds, steps)
 
 
 # ---------------------------------------------------------------------------

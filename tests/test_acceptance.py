@@ -18,7 +18,7 @@ import pytest
 from trajplan.cem import VARIANCE_FLOOR, SamplingDistribution, update_distribution
 from trajplan.core import ActionBounds, PlannerConfig, project, rollout, split_budget
 from trajplan.dynamics import MlpModel, QuadraticGoalReward, make_environment
-from trajplan.gradplanner import LineSearchConfig, optimize, reward_gradient
+from trajplan.gradplanner import optimize, reward_gradient
 from trajplan import harness
 
 
@@ -119,7 +119,7 @@ def test_criterion_2_cem_update_oracle():
 
 def test_criterion_3_monotone_improvement():
     t0 = time.perf_counter()
-    cfg = LineSearchConfig()  # published defaults
+    cfg = PlannerConfig()  # published defaults
     violations = 0
     calls = 0
     for name in ("barrier", "cartpole"):

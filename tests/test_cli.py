@@ -23,6 +23,15 @@ def run_config(tmp_path, **overrides):
     return str(path)
 
 
+def diverging_model(tmp_path):
+    """A barrier-sized MLP whose weights overflow on the first rollout."""
+    model = MlpModel.initialize(2, 2, hidden=(4, 4, 4), rng=0)
+    model.weights = [(W * 1e200, b) for W, b in model.weights]
+    path = tmp_path / "diverging.bin"
+    model.save_binary(path)
+    return {"path": str(path)}
+
+
 class TestConfig:
     def test_presets_load(self):
         for name in PRESETS:
@@ -38,6 +47,23 @@ class TestConfig:
         path.write_text(json.dumps({"version": 99}))
         with pytest.raises(ValueError, match="version"):
             load_config(str(path))
+
+    @pytest.mark.parametrize("field, value", [
+        ("envs", "barrier"), ("envs", ["barrier", "halfcheetah"]),
+        ("planners", "cemgd"), ("planners", [50]),
+        ("seeds", ["a"]), ("seeds", [True]), ("seeds", [1.5]), ("seeds", [-1]),
+        ("seeds", []),
+    ])
+    def test_bad_list_field_named_before_any_output(self, tmp_path, capsys, field, value):
+        cfg = run_config(tmp_path, **{"envs": ["barrier"], "planners": ["cem-50"],
+                                      field: value})
+        for command in ("run", "compare"):
+            code = main([command, "--config", cfg, "--out", str(tmp_path / "r")])
+            assert code == 2
+            err = capsys.readouterr().err
+            assert err.startswith(f"error: config field '{field}': ")
+            assert err.count("\n") == 1
+        assert not (tmp_path / "r").exists()
 
     def test_unknown_planner_field_named(self):
         with pytest.raises(ValueError, match="planner_config.krypton"):
@@ -95,6 +121,18 @@ class TestRunCommand:
         assert code == 2
         err = capsys.readouterr().err
         assert "model.bin: unknown activation code 9" in err and err.count("\n") == 1
+
+    def test_diverged_episodes_written_as_failures(self, tmp_path, capsys):
+        cfg = run_config(tmp_path, model=diverging_model(tmp_path))
+        code = main(["run", "--config", cfg, "--out", str(tmp_path / "r")])
+        assert code == 1
+        with open(tmp_path / "r" / "failures.csv") as f:
+            rows = list(csv.DictReader(f))
+        assert [(r["env"], r["planner"], r["seed"], r["step"]) for r in rows] == \
+            [("barrier", "cemgd", "0", "0"), ("barrier", "cemgd", "1", "0")]
+        assert (tmp_path / "r" / "raw.csv").read_text().count("\n") == 1  # header only
+        err = capsys.readouterr().err
+        assert err.startswith("error: 2 episode(s) failed") and err.count("\n") == 1
 
     def test_mlp_model_round_trip(self, tmp_path):
         model = MlpModel.initialize(2, 2, hidden=(4, 4, 4), rng=0)
@@ -176,6 +214,36 @@ class TestCompareCommand:
         with open(tmp_path / "results" / "summary.csv") as f:
             sheader = f.readline().strip().split(",")
         assert sheader == SUMMARY_COLUMNS
+
+    def test_diverged_cell_recorded_and_others_kept(self, tmp_path, capsys):
+        path = tmp_path / "cmp.json"
+        path.write_text(json.dumps({
+            "version": 1,
+            "envs": ["barrier", "cartpole"],
+            "planners": ["cem-50"],
+            "planner_config": {"horizon": 3, "n_init": 10, "m_init": 1,
+                               "n_r": 10, "m_r": 1},
+            "steps": 2,
+            "seeds": [0, 1],
+            "models": {"barrier": diverging_model(tmp_path)},
+        }))
+        out = tmp_path / "r"
+        code = main(["compare", "--config", str(path), "--out", str(out)])
+        assert code == 1
+        with open(out / "failures.csv") as f:
+            failed = [(r["env"], r["seed"]) for r in csv.DictReader(f)]
+        assert failed == [("barrier", "0"), ("barrier", "1")]
+        with open(out / "raw.csv") as f:
+            finished = {(r["env"], r["seed"]) for r in csv.DictReader(f)}
+        assert finished == {("cartpole", "0"), ("cartpole", "1")}
+        err = capsys.readouterr().err
+        assert err.startswith("error: 2 episode(s) failed") and err.count("\n") == 1
+        # A clean rerun into the same directory leaves no stale failures.csv.
+        config = json.loads(path.read_text())
+        del config["models"]
+        path.write_text(json.dumps(config))
+        assert main(["compare", "--config", str(path), "--out", str(out)]) == 0
+        assert not (out / "failures.csv").exists()
 
     def test_train_model_then_compare_with_it(self, tmp_path):
         code = main(["train-model", "--env", "barrier", "--episodes", "2",

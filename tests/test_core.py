@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from trajplan.core import (ActionBounds, DivergedError, PlannerConfig, project,
-                           rollout, rollout_batch, split_budget, total_reward)
+                           rollout, rollout_batch, split_budget)
 from trajplan.dynamics import MlpModel, QuadraticGoalReward, make_environment
 
 
@@ -174,7 +174,7 @@ class TestRollout:
 class TestTotalReward:
     def test_zero(self):
         traj = rollout(PointMass(), NegSquaredNorm(), np.zeros(2), np.zeros((4, 2)))
-        assert total_reward(traj) == 0.0
+        assert traj.total_reward == 0.0
 
     def test_arithmetic(self):
         class CountingReward:
@@ -187,7 +187,7 @@ class TestTotalReward:
 
         traj = rollout(PointMass(), CountingReward(), np.zeros(2), np.zeros((3, 2)))
         assert np.array_equal(traj.step_rewards, [1.0, 2.0, 3.0])
-        assert total_reward(traj) == 6.0
+        assert traj.total_reward == 6.0
 
     @given(st.integers(0, 2**32 - 1))
     @settings(max_examples=25, deadline=None)

@@ -3,8 +3,8 @@ import pytest
 
 from trajplan.core import ActionBounds, PlannerConfig, rollout
 from trajplan.dynamics import make_environment
-from trajplan.gradplanner import (LineSearchConfig, eta_schedule,
-                                  line_search_update, optimize, reward_gradient)
+from trajplan.gradplanner import (eta_schedule, line_search_update, optimize,
+                                  reward_gradient)
 from trajplan.harness import make_policy
 
 
@@ -67,12 +67,12 @@ class TestRewardGradient:
 
 class TestLineSearch:
     def test_eta_schedule_values(self):
-        cfg = LineSearchConfig(eta_init=0.01, rho=0.67, trials=3)
+        cfg = PlannerConfig(eta_init=0.01, rho=0.67, J=3)
         np.testing.assert_allclose(eta_schedule(cfg), [0.01, 0.0067, 0.004489],
                                    rtol=0, atol=1e-18)
 
     def test_zero_gradient_rejected_bit_identical(self):
-        cfg = LineSearchConfig(trials=4)
+        cfg = PlannerConfig(J=4)
         seq = np.array([[0.3], [0.1]])
         model, reward = FrozenDynamics(), ActionQuadReward(0.0)
         out, accepted, record, _ = line_search_update(
@@ -84,7 +84,7 @@ class TestLineSearch:
         assert out is seq
 
     def test_concave_quadratic_accepts_first_trial(self):
-        cfg = LineSearchConfig(eta_init=0.01, trials=8)
+        cfg = PlannerConfig(eta_init=0.01, J=8)
         seq = np.array([[0.0]])
         model, reward = FrozenDynamics(), ActionQuadReward(0.5)
         grad = reward_gradient(model, reward, np.zeros(1), seq)
@@ -97,7 +97,7 @@ class TestLineSearch:
         assert out[0, 0] == 0.01 * 2.0 * 0.5
 
     def test_candidates_respect_bounds(self):
-        cfg = LineSearchConfig(eta_init=10.0, trials=3)
+        cfg = PlannerConfig(eta_init=10.0, J=3)
         seq = np.array([[0.9]])
         model, reward = FrozenDynamics(), ActionQuadReward(0.95)
         grad = reward_gradient(model, reward, np.zeros(1), seq)
@@ -108,7 +108,7 @@ class TestLineSearch:
 
 class TestOptimize:
     def test_stationary_at_global_max(self):
-        cfg = LineSearchConfig()
+        cfg = PlannerConfig()
         seq = np.array([[0.25]])
         model, reward = FrozenDynamics(), ActionQuadReward(0.25)
         out, trace = optimize(seq, model, reward, np.zeros(1), cfg, bounds1)
@@ -118,7 +118,7 @@ class TestOptimize:
 
     def test_quadratic_converges_with_suitable_step(self):
         # eta = 0.4 contracts the distance to the optimum by 0.2 per update.
-        cfg = LineSearchConfig(eta_init=0.4, updates=10)
+        cfg = PlannerConfig(eta_init=0.4, G=10)
         seq = np.array([[-0.6]])
         model, reward = FrozenDynamics(), ActionQuadReward(0.3)
         out, trace = optimize(seq, model, reward, np.zeros(1), cfg, bounds1)
@@ -127,7 +127,7 @@ class TestOptimize:
 
     def test_monotone_accepted_rewards_on_barrier(self):
         env = make_environment("barrier")
-        cfg = LineSearchConfig()
+        cfg = PlannerConfig()
         rng = np.random.default_rng(11)
         for _ in range(5):
             seq = np.clip(rng.normal(0, 1, size=(15, 2)), env.bounds.low, env.bounds.high)
@@ -142,11 +142,11 @@ class TestOptimize:
             assert np.all(out >= env.bounds.low) and np.all(out <= env.bounds.high)
 
     def test_evaluation_accounting(self):
-        cfg = LineSearchConfig(trials=8, updates=10)
+        cfg = PlannerConfig(J=8, G=10)
         seq = np.array([[0.0]])
         _, trace = optimize(seq, FrozenDynamics(), ActionQuadReward(0.5),
                             np.zeros(1), cfg, bounds1)
-        assert trace.rollout_evaluations == cfg.updates * cfg.trials
+        assert trace.rollout_evaluations == cfg.G * cfg.J
 
 
 class TestBaselinePlan:
@@ -162,6 +162,6 @@ class TestBaselinePlan:
                             env.bounds.low, env.bounds.high)
             want, want_trace = optimize(start, env.dynamics, env.reward,
                                         env.start_state,
-                                        LineSearchConfig.from_planner(cfg), env.bounds)
+                                        cfg, env.bounds)
             assert np.array_equal(out.optimal_sequence, want)
             assert out.model_reward == want_trace.final_reward

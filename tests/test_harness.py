@@ -4,12 +4,13 @@ import numpy as np
 import pytest
 
 from trajplan.core import PlannerConfig
-from trajplan.dynamics import (BarrierWorld, collect_random_rollouts, fit_mlp,
-                               make_environment)
+from trajplan.dynamics import (BarrierWorld, MlpModel, collect_random_rollouts,
+                               fit_mlp, make_environment)
 from trajplan.harness import (RAW_COLUMNS, SUMMARY_COLUMNS, classify_barrier,
                               compare_planners, episode_rows, make_policy,
-                              ninit_sweep, run_episode, sample_efficiency_sweep,
-                              summarize, write_raw_csv, write_summary_csv)
+                              ninit_sweep, run_episode, run_grid,
+                              sample_efficiency_sweep, sweep_table, write_csv,
+                              write_raw_csv)
 
 TINY = PlannerConfig(horizon=5, n_init=20, m_init=2, n_r=10, m_r=1)
 
@@ -106,32 +107,55 @@ class TestBarrierOutcome:
 class TestSweeps:
     def test_single_trial_fraction_is_zero_or_one(self):
         sweep = ninit_sweep([20], trials=1, cfg=TINY, steps=5)
-        assert sweep.table[20] in (0.0, 1.0)
+        table = sweep_table(sweep.summary, "cemgd-ninit", "success_rate")
+        assert table[20] in (0.0, 1.0)
 
     def test_table_matches_reaggregation(self):
         sweep = ninit_sweep([10, 20], trials=2, cfg=TINY, steps=5)
+        table = sweep_table(sweep.summary, "cemgd-ninit", "success_rate")
         recomputed = {}
         for res in sweep.results:
             budget = int(res.planner_id.removeprefix("cemgd-ninit"))
             recomputed.setdefault(budget, []).append(res.success)
         for budget, successes in recomputed.items():
-            assert sweep.table[budget] == np.mean(successes)
+            assert table[budget] == np.mean(successes)
 
     def test_empty_planner_list_gives_empty_table(self):
         sweep = sample_efficiency_sweep([], [50], trials=1, cfg=TINY, steps=3)
-        assert sweep.table == {}
+        assert sweep_table(sweep.summary, "cem-", "mean_reward") == {}
         assert sweep.results == []
 
     def test_sample_efficiency_budgets(self):
         sweep = sample_efficiency_sweep(["cem", "cemgd"], [10, 20], trials=2,
                                         cfg=TINY, steps=3)
-        assert set(sweep.table) == {("cem", 10), ("cem", 20),
-                                    ("cemgd", 10), ("cemgd", 20)}
+        means = {(planner, budget): mean
+                 for planner, prefix in (("cem", "cem-"), ("cemgd", "cemgd-nr"))
+                 for budget, mean in sweep_table(sweep.summary, prefix,
+                                                 "mean_reward").items()}
+        assert set(means) == {("cem", 10), ("cem", 20), ("cemgd", 10), ("cemgd", 20)}
         cem_rows = [r for r in sweep.results if r.planner_id == "cem-10"]
         assert all(list(r.samples_used) == [10, 10, 10] for r in cem_rows)
-        mean, std = sweep.table[("cem", 10)]
+        std = sweep_table(sweep.summary, "cem-", "std_reward")[10]
         rewards = [r.episode_reward for r in cem_rows]
-        assert mean == np.mean(rewards) and std == np.std(rewards)
+        assert means[("cem", 10)] == np.mean(rewards) and std == np.std(rewards)
+
+
+class TestRunGrid:
+    def test_diverging_cell_recorded_and_grid_continues(self):
+        env = make_environment("barrier")
+        bad = MlpModel.initialize(2, 2, hidden=(4, 4, 4), rng=0)
+        bad.weights = [(W * 1e200, b) for W, b in bad.weights]
+        good = make_policy("cem-50", env.dynamics, env.reward, TINY, env.bounds)
+        diverging = make_policy("cemgd", bad, env.reward, TINY, env.bounds)
+        result = run_grid([(env, diverging), (env, good)], seeds=[0, 1, 2], steps=3)
+        assert [(f["planner"], f["seed"], f["step"]) for f in result.failures] == \
+            [("cemgd", seed, 0) for seed in (0, 1, 2)]
+        assert all(f["env"] == "barrier" and "non-finite" in f["error"]
+                   for f in result.failures)
+        assert [(r.planner_id, r.seed) for r in result.results] == \
+            [("cem-50", seed) for seed in (0, 1, 2)]
+        assert [(row["planner"], row["episodes"]) for row in result.summary] == \
+            [("cem-50", 3)]
 
 
 class TestCompareAndCsv:
@@ -157,7 +181,7 @@ class TestCompareAndCsv:
         raw = tmp_path / "raw.csv"
         summ = tmp_path / "summary.csv"
         write_raw_csv(result.results, raw)
-        write_summary_csv(result.summary, summ)
+        write_csv(result.summary, SUMMARY_COLUMNS, summ)
         with open(raw) as f:
             rows = list(csv.DictReader(f))
         assert list(rows[0]) == RAW_COLUMNS
