@@ -146,7 +146,7 @@ def _out_dir(args) -> Path:
     return out
 
 
-def _load_planning_model(model_section, env_name: str):
+def _load_planning_model(model_section):
     """None (ground truth) or an MLP dynamics model loaded from file."""
     if model_section in (None, "analytic"):
         return None
@@ -168,7 +168,7 @@ def cmd_run(args) -> int:
     env_name, env_overrides = _named_section(config, "env")
     planner_name, _ = _named_section(config, "planner")
     env = make_environment(env_name, **env_overrides)
-    model = _load_planning_model(config.get("model"), env_name) or env.dynamics
+    model = _load_planning_model(config.get("model")) or env.dynamics
     policy = harness.make_policy(planner_name, model, env.reward, cfg, env.bounds)
     return _write_grid(args, harness.run_grid([(env, policy)], seeds, steps))
 
@@ -205,7 +205,7 @@ def cmd_sweep_samples(args) -> int:
 
 def cmd_compare(args) -> int:
     config, cfg, steps, seeds = _grid_config(args)
-    planning_models = {env_name: _load_planning_model(section, env_name)
+    planning_models = {env_name: _load_planning_model(section)
                        for env_name, section in (config.get("models") or {}).items()}
     result = harness.compare_planners(config.get("envs", ["barrier", "cartpole"]), seeds,
                                       steps=steps, cfg=cfg,
@@ -250,10 +250,9 @@ def cmd_train_model(args) -> int:
                              lr=args.lr, hidden=hidden, rng=rng)
     out = _out_dir(args)
     model.save_binary(out / "model.bin")
-    model.save_json(out / "model.json")
     print(f"trained on {data[0].shape[0]} transitions; normalized MSE "
           f"{history[0]:.4f} -> {history[-1]:.6f}")
-    print(f"wrote {out / 'model.bin'} and {out / 'model.json'}")
+    print(f"wrote {out / 'model.bin'}")
     return 0
 
 
@@ -311,7 +310,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = common(sub.add_parser("train-model",
                               help="fit MLP dynamics on random rollouts"))
-    p.add_argument("--config", default=None, help=argparse.SUPPRESS)
     p.add_argument("--env", default="barrier", choices=sorted(ENVIRONMENTS))
     p.add_argument("--episodes", type=int, default=500)
     p.add_argument("--steps", type=int, default=200)
@@ -323,7 +321,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = common(sub.add_parser("gradcheck",
                               help="finite-difference check of rollout gradients"))
-    p.add_argument("--config", default=None, help=argparse.SUPPRESS)
     p.add_argument("--env", default="barrier")
     p.add_argument("--probes", type=int, default=50)
     p.add_argument("--horizon", type=int, default=12)
@@ -334,6 +331,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    if args.seed is not None and args.seed < 0:
+        print(f"error: --seed: expected a nonnegative integer, got {args.seed}",
+              file=sys.stderr)
+        return 2
     try:
         return args.func(args)
     except (ConfigError, ValueError) as err:

@@ -18,7 +18,6 @@ and safe to call concurrently.
 
 from __future__ import annotations
 
-import json
 import math
 import struct
 import warnings
@@ -287,12 +286,8 @@ class CartpoleReward(RewardModel):
 
 
 def _sigmoid(x):
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
+    # tanh is bounded, so no input overflows and no sign branch is needed.
+    return 0.5 * (1.0 + np.tanh(0.5 * x))
 
 
 def silu(x: Array) -> Array:
@@ -308,22 +303,19 @@ def silu_prime(x: Array) -> Array:
 
 _MLP_MAGIC = b"TJPM"
 _MLP_VERSION = 1
-_ACTIVATIONS = {"silu": 0, "linear": 1}
+_MLP_SILU = 0   # the only activation code in the file format
 
 
 class MlpModel(DynamicsModel):
     """Residual MLP dynamics: step(s, a) = s + denormalize(net(normalize([s; a]))).
 
     The network predicts the state delta; inputs and targets are
-    standardized with statistics stored on the model. ``activation`` is
-    "silu" in production; "linear" exists as a test hook for checking the
-    backward pass against plain matrix products.
+    standardized with statistics stored on the model. Every hidden layer
+    applies SiLU; the output layer is linear.
     """
 
     def __init__(self, d_s, d_a, weights, in_mean=None, in_std=None,
-                 out_mean=None, out_std=None, activation="silu"):
-        if activation not in _ACTIVATIONS:
-            raise ValueError(f"unknown activation {activation!r}")
+                 out_mean=None, out_std=None):
         self.d_s = int(d_s)
         self.d_a = int(d_a)
         self.weights = [(np.asarray(W, dtype=float), np.asarray(b, dtype=float))
@@ -333,7 +325,6 @@ class MlpModel(DynamicsModel):
         self.in_std = np.ones(d_in) if in_std is None else np.asarray(in_std, dtype=float)
         self.out_mean = np.zeros(self.d_s) if out_mean is None else np.asarray(out_mean, dtype=float)
         self.out_std = np.ones(self.d_s) if out_std is None else np.asarray(out_std, dtype=float)
-        self.activation = activation
 
     @classmethod
     def initialize(cls, d_s, d_a, hidden=(200, 200, 200), rng=None, **stats):
@@ -346,12 +337,6 @@ class MlpModel(DynamicsModel):
             weights.append((W, np.zeros(fan_out)))
         return cls(d_s, d_a, weights, **stats)
 
-    def _act(self, x):
-        return silu(x) if self.activation == "silu" else x
-
-    def _act_prime(self, x):
-        return silu_prime(x) if self.activation == "silu" else np.ones_like(x)
-
     def _forward(self, z):
         """Forward pass on normalized input; returns (output, pre-activations, activations)."""
         pres, acts = [], [z]
@@ -360,7 +345,7 @@ class MlpModel(DynamicsModel):
             pre = h @ W + b
             if i < len(self.weights) - 1:
                 pres.append(pre)
-                h = self._act(pre)
+                h = silu(pre)
                 acts.append(h)
             else:
                 h = pre
@@ -384,7 +369,7 @@ class MlpModel(DynamicsModel):
         for i in range(len(self.weights) - 1, -1, -1):
             W, _ = self.weights[i]
             if i < len(self.weights) - 1:
-                gh = gh * self._act_prime(pres[i])
+                gh = gh * silu_prime(pres[i])
             gh = gh @ W.T
         gx = gh / self.in_std
         grad_s = g + gx[..., : self.d_s]
@@ -402,7 +387,7 @@ class MlpModel(DynamicsModel):
             W, _ = self.weights[i]
             grads[i] = (acts[i].T @ gh, gh.sum(axis=0))
             if i > 0:
-                gh = (gh @ W.T) * self._act_prime(pres[i - 1])
+                gh = (gh @ W.T) * silu_prime(pres[i - 1])
         return loss, grads
 
     def training_mse(self, z, target):
@@ -417,7 +402,7 @@ class MlpModel(DynamicsModel):
         with open(path, "wb") as f:
             f.write(_MLP_MAGIC)
             f.write(struct.pack("<IIIII", _MLP_VERSION, self.d_s, self.d_a,
-                                _ACTIVATIONS[self.activation], len(self.weights)))
+                                _MLP_SILU, len(self.weights)))
             for W, _ in self.weights:
                 f.write(struct.pack("<II", W.shape[0], W.shape[1]))
             for arr in (self.in_mean, self.in_std, self.out_mean, self.out_std):
@@ -440,8 +425,7 @@ class MlpModel(DynamicsModel):
             shapes = [struct.unpack_from("<II", data, 24 + 8 * i) for i in range(n_layers)]
         except struct.error:
             raise ValueError(f"{path}: truncated model file ({len(data)} bytes)") from None
-        activation = {v: k for k, v in _ACTIVATIONS.items()}.get(act_code)
-        if activation is None:
+        if act_code != _MLP_SILU:
             raise ValueError(f"{path}: unknown activation code {act_code}")
         d_in = d_s + d_a
         offset = 24 + 8 * n_layers
@@ -462,42 +446,7 @@ class MlpModel(DynamicsModel):
         for fan_in, fan_out in shapes:
             W = take(fan_in * fan_out).reshape(fan_in, fan_out)
             weights.append((W, take(fan_out)))
-        return cls(d_s, d_a, weights, in_mean, in_std, out_mean, out_std, activation)
-
-    def to_json_dict(self):
-        return {
-            "format": "trajplan-mlp",
-            "version": _MLP_VERSION,
-            "d_s": self.d_s,
-            "d_a": self.d_a,
-            "activation": self.activation,
-            "normalization": {
-                "in_mean": self.in_mean.tolist(),
-                "in_std": self.in_std.tolist(),
-                "out_mean": self.out_mean.tolist(),
-                "out_std": self.out_std.tolist(),
-            },
-            "layers": [{"w": W.tolist(), "b": b.tolist()} for W, b in self.weights],
-        }
-
-    @classmethod
-    def from_json_dict(cls, d):
-        if d.get("format") != "trajplan-mlp" or d.get("version") != _MLP_VERSION:
-            raise ValueError("unsupported model JSON")
-        norm = d["normalization"]
-        return cls(d["d_s"], d["d_a"],
-                   [(np.asarray(layer["w"]), np.asarray(layer["b"])) for layer in d["layers"]],
-                   norm["in_mean"], norm["in_std"], norm["out_mean"], norm["out_std"],
-                   d["activation"])
-
-    def save_json(self, path):
-        with open(path, "w") as f:
-            json.dump(self.to_json_dict(), f)
-
-    @classmethod
-    def load_json(cls, path):
-        with open(path) as f:
-            return cls.from_json_dict(json.load(f))
+        return cls(d_s, d_a, weights, in_mean, in_std, out_mean, out_std)
 
 
 def _normalization_stats(X, Y):
@@ -546,19 +495,25 @@ def fit_mlp(transitions, epochs=50, batch_size=64, lr=1e-3,
 
 
 def collect_random_rollouts(dynamics, bounds, start_state, episodes, steps=200, rng=None):
-    """Gather (s, a, s') transitions by applying uniform random actions."""
+    """Gather (s, a, s') transitions by applying uniform random actions.
+
+    All episodes step together as one batch, and the transitions come out
+    episode by episode. The one (episodes, steps, d_a) action draw holds the
+    same numbers as one (steps, d_a) draw per episode and leaves ``rng`` in
+    the same state, so the result equals a per-episode loop's bit for bit
+    for models that are bitwise at any batch size (the analytic ones); an
+    MlpModel agrees only to rounding.
+    """
     rng = np.random.default_rng(rng)
-    all_s, all_a, all_next = [], [], []
-    for _ in range(episodes):
-        s = np.asarray(start_state, dtype=float)
-        actions = rng.uniform(bounds.low, bounds.high, size=(steps, bounds.d_a))
-        for a in actions:
-            s_next = dynamics.step(s, a)
-            all_s.append(s)
-            all_a.append(a)
-            all_next.append(s_next)
-            s = s_next
-    return np.array(all_s), np.array(all_a), np.array(all_next)
+    actions = rng.uniform(bounds.low, bounds.high, size=(episodes, steps, bounds.d_a))
+    s0 = np.asarray(start_state, dtype=float)
+    d_s = s0.shape[0]
+    states = np.empty((episodes, steps + 1, d_s))
+    states[:, 0] = s0
+    for t in range(steps):
+        states[:, t + 1] = dynamics.step(states[:, t], actions[:, t])
+    return (states[:, :-1].reshape(-1, d_s), actions.reshape(-1, bounds.d_a),
+            states[:, 1:].reshape(-1, d_s))
 
 
 # ---------------------------------------------------------------------------

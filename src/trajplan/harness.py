@@ -296,16 +296,19 @@ def run_grid(cells, seeds, steps: int) -> CompareResult:
     """Run every (env, policy) cell for one episode per seed.
 
     An episode that raises EpisodeError becomes a failure row and the grid
-    goes on; the summary covers the finished episodes only.
+    goes on; the summary covers the finished episodes only. numpy's
+    overflow/invalid warnings are silenced: the finiteness checks catch a
+    diverging model and the failure row records it.
     """
     results, failures = [], []
-    for env, policy in cells:
-        for seed in seeds:
-            try:
-                results.append(run_episode(env, policy, steps, seed))
-            except EpisodeError as err:
-                failures.append({"env": env.name, "planner": policy.planner_id,
-                                 "seed": seed, "step": err.step, "error": str(err)})
+    with np.errstate(over="ignore", invalid="ignore"):
+        for env, policy in cells:
+            for seed in seeds:
+                try:
+                    results.append(run_episode(env, policy, steps, seed))
+                except EpisodeError as err:
+                    failures.append({"env": env.name, "planner": policy.planner_id,
+                                     "seed": seed, "step": err.step, "error": str(err)})
     return CompareResult(results=results, summary=summarize(results), failures=failures)
 
 

@@ -65,6 +65,17 @@ class TestConfig:
             assert err.count("\n") == 1
         assert not (tmp_path / "r").exists()
 
+    @pytest.mark.parametrize("command", ["run", "compare", "sweep-ninit", "sweep-samples",
+                                         "train-model", "gradcheck"])
+    def test_negative_seed_named_before_any_output(self, tmp_path, capsys, command):
+        argv = [command, "--seed", "-1", "--out", str(tmp_path / "r")]
+        if command == "run":
+            argv += ["--config", run_config(tmp_path)]
+        assert main(argv) == 2
+        assert capsys.readouterr().err == \
+            "error: --seed: expected a nonnegative integer, got -1\n"
+        assert not (tmp_path / "r").exists()
+
     def test_unknown_planner_field_named(self):
         with pytest.raises(ValueError, match="planner_config.krypton"):
             planner_config_from({"krypton": 3})
