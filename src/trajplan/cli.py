@@ -19,8 +19,8 @@ import numpy as np
 
 from . import harness
 from .core import PlannerConfig
-from .dynamics import (ENVIRONMENTS, MlpModel, collect_random_rollouts, fit_mlp,
-                       make_environment)
+from .dynamics import (ENVIRONMENTS, MlpModel, TrainingDivergedError,
+                       collect_random_rollouts, fit_mlp, make_environment)
 
 CONFIG_VERSION = 1
 
@@ -246,8 +246,11 @@ def cmd_train_model(args) -> int:
     data = collect_random_rollouts(env.dynamics, env.bounds, env.start_state,
                                    episodes=args.episodes, steps=args.steps, rng=rng)
     hidden = tuple(int(h) for h in args.hidden.split(","))
-    model, history = fit_mlp(data, epochs=args.epochs, batch_size=args.batch,
-                             lr=args.lr, hidden=hidden, rng=rng)
+    try:
+        model, history = fit_mlp(data, epochs=args.epochs, batch_size=args.batch,
+                                 lr=args.lr, hidden=hidden, rng=rng)
+    except TrainingDivergedError as err:
+        raise ConfigError(f"--lr: {err}") from None
     out = _out_dir(args)
     model.save_binary(out / "model.bin")
     print(f"trained on {data[0].shape[0]} transitions; normalized MSE "

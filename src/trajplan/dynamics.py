@@ -63,7 +63,9 @@ class QuadraticGoalReward(RewardModel):
 
     def reward(self, s_next, a):
         err = s_next - self.goal
-        return -np.sum(err * err, axis=-1) - self.action_cost * np.sum(a * a, axis=-1)
+        # np.add.reduce is np.sum without its Python-level wrappers.
+        return (-np.add.reduce(err * err, axis=-1)
+                - self.action_cost * np.add.reduce(a * a, axis=-1))
 
     def backward(self, s_next, a):
         return -2.0 * (s_next - self.goal), -2.0 * self.action_cost * np.asarray(a, dtype=float)
@@ -127,7 +129,7 @@ class BarrierDynamics(DynamicsModel):
     def _force(self, s):
         w = self.world
         u = s - self._center
-        d = np.sqrt(np.sum(u * u, axis=-1, keepdims=True) + w.smooth_eps**2)
+        d = np.sqrt(np.add.reduce(u * u, axis=-1, keepdims=True) + w.smooth_eps**2)
         coeff = np.where(d < w.radius, w.kappa * (w.radius - d) / d, 0.0)
         return coeff * u
 
@@ -213,12 +215,14 @@ class CartpoleDynamics(DynamicsModel):
         w = self.world
         s = np.asarray(s, dtype=float)
         force = w.force_scale * np.asarray(a, dtype=float)[..., 0]
-        x, v, theta, omega = (s[..., i] for i in range(4))
+        x, v, theta, omega = s[..., 0], s[..., 1], s[..., 2], s[..., 3]
         x_acc, theta_acc = self._accelerations(theta, omega, force)
-        return np.stack(
-            [x + w.dt * v, v + w.dt * x_acc, theta + w.dt * omega, omega + w.dt * theta_acc],
-            axis=-1,
-        )
+        out = np.empty(np.shape(x_acc) + (4,))
+        np.add(x, w.dt * v, out=out[..., 0])
+        np.add(v, w.dt * x_acc, out=out[..., 1])
+        np.add(theta, w.dt * omega, out=out[..., 2])
+        np.add(omega, w.dt * theta_acc, out=out[..., 3])
+        return out
 
     def backward(self, s, a, grad_next):
         w = self.world
@@ -461,6 +465,10 @@ def _normalization_stats(X, Y):
             out_mean, np.maximum(out_std, STD_FLOOR))
 
 
+class TrainingDivergedError(ValueError):
+    """``fit_mlp`` reached a non-finite training loss; the learning rate is too large."""
+
+
 def fit_mlp(transitions, epochs=50, batch_size=64, lr=1e-3,
             hidden=(200, 200, 200), rng=None):
     """Fit an MLP delta-dynamics model to (s, a, s') transitions by mini-batch SGD.
@@ -468,6 +476,8 @@ def fit_mlp(transitions, epochs=50, batch_size=64, lr=1e-3,
     Returns (model, history) where history[i] is the full-dataset MSE on
     normalized targets after i epochs (history[0] is the pre-training MSE).
     With epochs=0 the freshly initialized model is returned unchanged.
+    Raises TrainingDivergedError at the end of the first epoch whose MSE
+    is non-finite; numpy's overflow and invalid warnings are suppressed.
     """
     states, actions, next_states = (np.asarray(part, dtype=float) for part in transitions)
     if states.shape[0] == 0:
@@ -483,14 +493,19 @@ def fit_mlp(transitions, epochs=50, batch_size=64, lr=1e-3,
     Yn = (Y - out_mean) / out_std
     history = [model.training_mse(Z, Yn)]
     n = Z.shape[0]
-    for _ in range(epochs):
-        order = rng.permutation(n)
-        for lo in range(0, n, batch_size):
-            idx = order[lo : lo + batch_size]
-            _, grads = model._loss_and_grads(Z[idx], Yn[idx])
-            model.weights = [(W - lr * gW, b - lr * gb)
-                             for (W, b), (gW, gb) in zip(model.weights, grads)]
-        history.append(model.training_mse(Z, Yn))
+    with np.errstate(over="ignore", invalid="ignore"):
+        for epoch in range(1, epochs + 1):
+            order = rng.permutation(n)
+            for lo in range(0, n, batch_size):
+                idx = order[lo : lo + batch_size]
+                _, grads = model._loss_and_grads(Z[idx], Yn[idx])
+                model.weights = [(W - lr * gW, b - lr * gb)
+                                 for (W, b), (gW, gb) in zip(model.weights, grads)]
+            history.append(model.training_mse(Z, Yn))
+            if not math.isfinite(history[-1]):
+                raise TrainingDivergedError(
+                    f"training diverged in epoch {epoch} of {epochs} (normalized MSE "
+                    f"{history[-1]}); use a smaller learning rate than {lr:g}")
     return model, history
 
 

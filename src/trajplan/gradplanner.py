@@ -52,20 +52,29 @@ def reward_gradient(model, reward, s0: Array, seq: Array,
     reward gradient at each visited state plus the dynamics VJP from the
     following step, and each action collects its reward gradient plus the
     dynamics VJP routed through the next state.
+
+    Raises DivergedError naming the first step, in sweep order (the last
+    step first), whose action gradient or state adjoint is non-finite. As
+    in ``rollout_batch``, finiteness is checked once, after the sweep, and
+    numpy's overflow, invalid and divide warnings inside it are suppressed.
     """
     seq = np.asarray(seq, dtype=float)
     traj = trajectory if trajectory is not None else rollout(model, reward, s0, seq)
     T = seq.shape[0]
     grad = np.empty_like(seq)
+    adjoints = np.empty((T, traj.states.shape[1]))
     state_adjoint = np.zeros(traj.states.shape[1])
-    for t in range(T - 1, -1, -1):
-        r_gs, r_ga = reward.backward(traj.states[t + 1], seq[t])
-        state_adjoint = state_adjoint + r_gs
-        f_gs, f_ga = model.backward(traj.states[t], seq[t], state_adjoint)
-        grad[t] = r_ga + f_ga
-        state_adjoint = f_gs
-        if not np.all(np.isfinite(grad[t])) or not np.all(np.isfinite(state_adjoint)):
-            raise DivergedError(f"non-finite gradient at rollout step {t}", step=t)
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        for t in range(T - 1, -1, -1):
+            r_gs, r_ga = reward.backward(traj.states[t + 1], seq[t])
+            state_adjoint = state_adjoint + r_gs
+            f_gs, f_ga = model.backward(traj.states[t], seq[t], state_adjoint)
+            grad[t] = r_ga + f_ga
+            adjoints[t] = state_adjoint = f_gs
+    if not (np.isfinite(grad).all() and np.isfinite(adjoints).all()):
+        for t in range(T - 1, -1, -1):
+            if not (np.isfinite(grad[t]).all() and np.isfinite(adjoints[t]).all()):
+                raise DivergedError(f"non-finite gradient at rollout step {t}", step=t)
     return grad
 
 

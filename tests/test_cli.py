@@ -256,6 +256,19 @@ class TestCompareCommand:
         assert main(["compare", "--config", str(path), "--out", str(out)]) == 0
         assert not (out / "failures.csv").exists()
 
+    def test_train_model_diverging_lr_exits_2_and_writes_nothing(self, tmp_path, capsys):
+        # Under the suite's error::RuntimeWarning filter a leaked numpy
+        # overflow warning would surface here as an exception.
+        code = main(["train-model", "--env", "barrier", "--episodes", "2",
+                     "--steps", "30", "--epochs", "30", "--hidden", "6,6",
+                     "--lr", "1e6", "--out", str(tmp_path / "m")])
+        assert code == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error: --lr: training diverged in epoch ") \
+            and err.count("\n") == 1
+        assert not (tmp_path / "m" / "model.bin").exists()
+
     def test_train_model_then_compare_with_it(self, tmp_path):
         code = main(["train-model", "--env", "barrier", "--episodes", "2",
                      "--steps", "30", "--epochs", "1", "--hidden", "6,6",

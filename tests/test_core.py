@@ -45,6 +45,51 @@ class ExplodingModel:
         return out
 
 
+class RowOverflowModel:
+    """PointMass whose row 1 overflows to inf at call ``bad_step`` of step."""
+
+    d_s = d_a = 2
+
+    def __init__(self, bad_step):
+        self.bad_step = bad_step
+        self.count = 0
+
+    def step(self, s, a):
+        out = np.asarray(s, dtype=float) + 0.1 * np.asarray(a, dtype=float)
+        if self.count == self.bad_step:
+            out[1] = out[1] * 1e300 * 1e300   # numpy overflow: warns unless ignored
+        self.count += 1
+        return out
+
+
+class RowOverflowReward:
+    """NegSquaredNorm whose row 1 overflows to -inf at call ``bad_step``."""
+
+    def __init__(self, bad_step):
+        self.bad_step = bad_step
+        self.count = 0
+
+    def reward(self, s_next, a):
+        r = -np.sum(np.asarray(s_next) ** 2, axis=-1)
+        if self.count == self.bad_step:
+            r[1] = r[1] * 1e300 * 1e300
+        self.count += 1
+        return r
+
+
+def per_step_divergence(model, reward, s0, seqs):
+    """The check-every-step rollout loop: (kind, step) of its first failure."""
+    s = np.broadcast_to(s0, (seqs.shape[0], s0.shape[0])).copy()
+    with np.errstate(over="ignore", invalid="ignore"):
+        for t in range(seqs.shape[1]):
+            s = model.step(s, seqs[:, t])
+            if not np.all(np.isfinite(s)):
+                return "state", t
+            if not np.all(np.isfinite(reward.reward(s, seqs[:, t]))):
+                return "reward", t
+    return None
+
+
 unit_bounds = ActionBounds.symmetric(1.0, 2)
 
 
@@ -133,6 +178,43 @@ class TestRollout:
             rollout(model, NegSquaredNorm(), np.zeros(1), np.zeros((5, 1)))
         assert err.value.step == 2
         assert "step 2" in str(err.value)
+
+    @pytest.mark.parametrize("bad_state,bad_reward,want", [
+        (2, None, ("state", 2)),
+        (None, 3, ("reward", 3)),
+        (2, 2, ("state", 2)),       # a state is checked before its step's reward
+        (4, 1, ("reward", 1)),
+    ])
+    def test_one_row_diverging_named_like_the_per_step_check(self, bad_state,
+                                                             bad_reward, want):
+        # One finiteness check per rollout, then a rescan: the error must name
+        # the same step and kind as checking every step would. The overflow
+        # happens in numpy, so a leaked RuntimeWarning fails the test under
+        # the suite's error::RuntimeWarning filter.
+        s0 = np.array([0.5, -0.5])
+        seqs = np.random.default_rng(4).normal(size=(3, 6, 2))
+
+        def parts():
+            model = RowOverflowModel(-1 if bad_state is None else bad_state)
+            reward = RowOverflowReward(-1 if bad_reward is None else bad_reward)
+            return model, reward
+
+        assert per_step_divergence(*parts(), s0, seqs) == want
+        kind, step = want
+        with pytest.raises(DivergedError) as err:
+            rollout_batch(*parts(), s0, seqs)
+        assert err.value.step == step
+        assert str(err.value) == f"non-finite {kind} at rollout step {step}"
+
+    def test_nonfinite_start_with_finite_steps_passes(self):
+        # Only the stepped states are checked, as before: s0 itself is not.
+        class Reset:
+            def step(self, s, a):
+                return np.zeros_like(np.asarray(s, dtype=float))
+
+        totals = rollout_batch(Reset(), NegSquaredNorm(), np.array([np.nan, 1.0]),
+                               np.zeros((2, 3, 2)))
+        assert np.array_equal(totals, [0.0, 0.0])
 
     @pytest.mark.parametrize("name", ["pointmass", "barrier", "cartpole"])
     def test_batch_matches_single_bitwise(self, name):

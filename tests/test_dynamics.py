@@ -202,3 +202,57 @@ def test_batched_step_matches_single():
         batched_r = env.reward.reward(ss, aa)
         for i in range(12):
             assert batched_r[i] == env.reward.reward(ss[i], aa[i])
+
+
+# The kernels below were rewritten for speed (ndarray.sum instead of the
+# np.sum wrapper, an out= buffer instead of np.stack). The earlier formulas
+# are kept here as references that the kernels must equal bit for bit.
+
+
+def stacked_cartpole_step(dyn, s, a):
+    w = dyn.world
+    s = np.asarray(s, dtype=float)
+    force = w.force_scale * np.asarray(a, dtype=float)[..., 0]
+    x, v, theta, omega = (s[..., i] for i in range(4))
+    x_acc, theta_acc = dyn._accelerations(theta, omega, force)
+    return np.stack(
+        [x + w.dt * v, v + w.dt * x_acc, theta + w.dt * omega, omega + w.dt * theta_acc],
+        axis=-1,
+    )
+
+
+def np_sum_barrier_step(dyn, s, a):
+    w = dyn.world
+    s = np.asarray(s, dtype=float)
+    u = s - dyn._center
+    d = np.sqrt(np.sum(u * u, axis=-1, keepdims=True) + w.smooth_eps**2)
+    force = np.where(d < w.radius, w.kappa * (w.radius - d) / d, 0.0) * u
+    return s + w.dt * (np.asarray(a, dtype=float) + force)
+
+
+def np_sum_quadratic_reward(reward, s_next, a):
+    err = s_next - reward.goal
+    return -np.sum(err * err, axis=-1) - reward.action_cost * np.sum(a * a, axis=-1)
+
+
+def assert_bitwise(got, want):
+    got, want = np.asarray(got), np.asarray(want)
+    assert got.shape == want.shape and got.dtype == want.dtype
+    assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("shape", [(), (257,)])
+def test_kernels_match_reference_formulas_bitwise(shape):
+    rng = np.random.default_rng(21)
+    for name, reference in (("cartpole", stacked_cartpole_step),
+                            ("barrier", np_sum_barrier_step)):
+        env = make_environment(name)
+        d_s, d_a = env.start_state.shape[0], env.bounds.d_a
+        # Wide states reach the barrier's inside and the pole's every angle.
+        s = rng.normal(0.0, 3.0, size=shape + (d_s,))
+        if name == "barrier":
+            s = env.world.center + rng.uniform(-0.6, 0.6, size=shape + (d_s,))
+        a = rng.uniform(env.bounds.low, env.bounds.high, size=shape + (d_a,))
+        assert_bitwise(env.dynamics.step(s, a), reference(env.dynamics, s, a))
+        if name == "barrier":
+            assert_bitwise(env.reward.reward(s, a), np_sum_quadratic_reward(env.reward, s, a))

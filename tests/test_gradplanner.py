@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from trajplan.core import ActionBounds, PlannerConfig, rollout
+from trajplan.core import ActionBounds, DivergedError, PlannerConfig, rollout
 from trajplan.dynamics import make_environment
 from trajplan.gradplanner import (eta_schedule, line_search_update, optimize,
                                   reward_gradient)
@@ -30,6 +30,39 @@ class ActionQuadReward:
 
     def backward(self, s_next, a):
         return np.zeros(1), -2.0 * (np.asarray(a, dtype=float) - self.target)
+
+
+class VjpOverflowDynamics:
+    """s' = s + 0.1 a; the VJP at each step in ``bad_steps`` overflows to inf.
+
+    ``part`` picks which VJP overflows: the state adjoint or the action's.
+    The step is read off the action, whose first entry holds its index.
+    """
+
+    d_s = d_a = 2
+
+    def __init__(self, bad_steps, part):
+        self.bad_steps = bad_steps
+        self.part = part
+
+    def step(self, s, a):
+        return np.asarray(s, dtype=float) + 0.1 * np.asarray(a, dtype=float)
+
+    def backward(self, s, a, g):
+        grad_s, grad_a = np.array(g, dtype=float), 0.1 * np.asarray(g, dtype=float)
+        if int(a[0]) in self.bad_steps:
+            big = grad_s if self.part == "state" else grad_a
+            big *= 1e300
+            big *= 1e300   # numpy overflow: warns unless ignored
+        return grad_s, grad_a
+
+
+class NegSquaredNorm:
+    def reward(self, s_next, a):
+        return -np.sum(np.asarray(s_next) ** 2, axis=-1)
+
+    def backward(self, s_next, a):
+        return -2.0 * np.asarray(s_next, dtype=float), np.zeros(2)
 
 
 bounds1 = ActionBounds.symmetric(1.0, 1)
@@ -63,6 +96,23 @@ class TestRewardGradient:
                     dn = rollout(env.dynamics, env.reward, s0, bumped).total_reward
                     num = (up - dn) / (2 * h)
                     assert abs(num - grad[t, j]) / max(1.0, abs(num)) < tol
+
+
+    @pytest.mark.parametrize("part", ["state", "action"])
+    @pytest.mark.parametrize("bad_steps,want", [({5}, 5), ({2, 6}, 6), ({0}, 0)])
+    def test_nonfinite_vjp_names_first_step_in_sweep_order(self, part, bad_steps,
+                                                          want):
+        # One finiteness check per sweep, then a rescan from the last step:
+        # the error names the step the backward sweep reaches first. Under
+        # the suite's error::RuntimeWarning filter a leaked overflow warning
+        # would fail the test.
+        T = 8
+        seq = np.column_stack([np.arange(T, dtype=float), np.zeros(T)])
+        model = VjpOverflowDynamics(bad_steps, part)
+        with pytest.raises(DivergedError) as err:
+            reward_gradient(model, NegSquaredNorm(), np.array([1.0, -1.0]), seq)
+        assert err.value.step == want
+        assert str(err.value) == f"non-finite gradient at rollout step {want}"
 
 
 class TestLineSearch:

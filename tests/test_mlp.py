@@ -1,12 +1,18 @@
+import json
 import math
+import os
 import struct
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from trajplan.dynamics import (MlpModel, collect_random_rollouts, fit_mlp,
-                               make_environment, silu, silu_prime)
+import trajplan
+from trajplan.dynamics import (MlpModel, TrainingDivergedError, collect_random_rollouts,
+                               fit_mlp, make_environment, silu, silu_prime)
 
 
 def zero_weight_model(d_s=3, d_a=2, hidden=(4, 4, 4)):
@@ -149,6 +155,50 @@ class TestFit:
     def test_empty_dataset_rejected(self):
         with pytest.raises(ValueError):
             fit_mlp((np.empty((0, 2)), np.empty((0, 1)), np.empty((0, 2))))
+
+
+    def test_diverging_lr_raises_at_first_nonfinite_epoch(self):
+        data = self.linear_data(200)
+        with pytest.raises(TrainingDivergedError, match="epoch 1 of 30"):
+            fit_mlp(data, epochs=30, lr=1e6, hidden=(8, 8, 8), rng=7)
+        assert issubclass(TrainingDivergedError, ValueError)
+
+
+class TestBlasThreads:
+    def test_planned_episode_bitwise_at_1_and_2_threads(self, tmp_path):
+        # A desk-budget cemgd episode planned on a 200x3 MLP, in two fresh
+        # processes whose only difference is OPENBLAS_NUM_THREADS (1 or 2,
+        # set in the child's environment only). The first plan's batch-1000
+        # products are large enough for OpenBLAS to split across threads;
+        # raw.csv must still match byte for byte without plan_time_s.
+        env = make_environment("barrier")
+        data = collect_random_rollouts(env.dynamics, env.bounds, env.start_state,
+                                       episodes=20, steps=50, rng=0)
+        model, _ = fit_mlp(data, epochs=1, rng=0)
+        model.save_binary(tmp_path / "model.bin")
+        config = tmp_path / "run.json"
+        config.write_text(json.dumps({
+            "version": 1, "env": "barrier",
+            "planner": {"name": "cemgd",
+                        "config": {"n_init": 1000, "m_init": 5, "horizon": 30}},
+            "steps": 3, "seeds": [0],
+            "model": {"path": str(tmp_path / "model.bin")},
+        }))
+        src = str(Path(trajplan.__file__).resolve().parents[1])
+        path = [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]
+        stripped = []
+        for threads in ("1", "2"):
+            out = tmp_path / f"out{threads}"
+            child_env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                             PYTHONPATH=os.pathsep.join(path))
+            subprocess.run([sys.executable, "-m", "trajplan.cli", "run", "--config",
+                            str(config), "--out", str(out)], env=child_env, check=True,
+                           capture_output=True, timeout=120)
+            lines = (out / "raw.csv").read_text().splitlines()
+            assert lines[0].split(",")[-1] == "plan_time_s"
+            stripped.append([line.rsplit(",", 1)[0] for line in lines])
+        assert len(stripped[0]) == 1 + 3
+        assert stripped[0] == stripped[1]
 
 
 class TestSerialization:
