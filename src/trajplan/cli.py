@@ -1,4 +1,4 @@
-"""Command-line interface: experiments, sweeps, model training, gradient checks.
+"""Command-line interface: experiment grids, model training, gradient checks.
 
 Configs are JSON with a version field; `--config` accepts a file path or
 the name of a built-in preset. Outputs are CSV files in the directory
@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from . import harness
-from .core import PlannerConfig
+from .core import PlannerConfig, split_budget
 from .dynamics import (ENVIRONMENTS, MlpModel, TrainingDivergedError,
                        collect_random_rollouts, fit_mlp, make_environment)
 
@@ -29,26 +29,42 @@ class ConfigError(ValueError):
     pass
 
 
+# Every preset runs 20 seeded episodes of 100 steps per cell.
+_EPISODES = {"version": 1, "steps": 100, "seeds": list(range(20))}
+_LINEUP = {**_EPISODES, "envs": ["barrier", "cartpole"], "planners": harness.PLANNER_NAMES}
 PRESETS = {
-    # Published hyperparameters throughout; 20 seeded episodes per cell.
-    "paper_defaults": {
-        "version": 1,
-        "envs": ["barrier", "cartpole"],
-        "planners": list(harness.PLANNER_NAMES),
-        "planner_config": {},
-        "steps": 100,
-        "seeds": list(range(20)),
-    },
+    # Published hyperparameters throughout.
+    "paper_defaults": {**_LINEUP, "planner_config": {}},
     # Same shape at desk scale: smaller first-step budget, shorter horizon.
-    "desk": {
-        "version": 1,
-        "envs": ["barrier", "cartpole"],
-        "planners": list(harness.PLANNER_NAMES),
-        "planner_config": {"n_init": 1000, "m_init": 5, "horizon": 30},
-        "steps": 100,
-        "seeds": list(range(20)),
-    },
+    "desk": {**_LINEUP, "planner_config": {"n_init": 1000, "m_init": 5, "horizon": 30}},
+    # Barrier success fraction vs the first-step budget b = n_init * m_init,
+    # the replan budget held at its default.
+    "ninit_sweep": {**_EPISODES, "cells": [
+        {"id": f"cemgd-ninit{b}", "env": "barrier", "planner": "cemgd",
+         "planner_config": dict(zip(("n_init", "m_init"), split_budget(b))),
+         "row": {"n_init": b}} for b in (50, 500, 5000)],
+        "table": {"file": "ninit_table.csv",
+                  "columns": {"success_fraction": "success_rate"}}},
+    # Cartpole episode reward vs per-step sample budget b: pure CEM spends b
+    # at every step, cemgd spends b per replan after its first-step budget.
+    "sample_efficiency": {**_EPISODES, "cells": [
+        {"env": "cartpole", "planner": f"cem-{b}", "row": {"planner": "cem", "budget": b}}
+        for b in (50, 500)] + [
+        {"id": f"cemgd-nr{b}", "env": "cartpole", "planner": "cemgd",
+         "planner_config": dict(zip(("n_r", "m_r"), split_budget(b))),
+         "row": {"planner": "cemgd", "budget": b}} for b in (50, 500)],
+        "table": {"file": "sample_efficiency.csv",
+                  "columns": {"mean_reward": "mean_reward", "std_reward": "std_reward"}}},
 }
+
+CELL_KEYS = ("env", "id", "planner", "planner_config", "row")
+GRID_FORMS = (("cells",), ("env", "planner", "model"), ("envs", "planners"))
+
+
+def _require(ok: bool, field: str, expected: str, got) -> None:
+    """The one config diagnostic: name the field, what it takes and what it got."""
+    if not ok:
+        raise ConfigError(f"config field '{field}': expected {expected}, got {got!r}")
 
 
 def load_config(source: str) -> dict:
@@ -66,78 +82,157 @@ def load_config(source: str) -> dict:
         raise ConfigError(f"config field parse error in {source}: {err}") from None
     if not isinstance(config, dict):
         raise ConfigError("config root must be a JSON object")
-    version = config.get("version")
-    if version != CONFIG_VERSION:
-        raise ConfigError(f"config field 'version': expected {CONFIG_VERSION}, "
-                          f"got {version!r}")
+    _require(config.get("version") == CONFIG_VERSION, "version", CONFIG_VERSION,
+             config.get("version"))
     steps = config.get("steps", harness.DEFAULT_STEPS)
-    if not _is_int(steps) or steps < 1:
-        raise ConfigError(f"config field 'steps': expected a positive integer, "
-                          f"got {steps!r}")
-    _check_list(config, "seeds", "nonnegative integers", lambda s: _is_int(s) and s >= 0)
+    _require(type(steps) is int and steps >= 1, "steps", "a positive integer", steps)
+    _check_list(config, "seeds", "nonnegative integers", lambda s: type(s) is int and s >= 0)
     _check_list(config, "envs", f"environment names ({', '.join(sorted(ENVIRONMENTS))})",
                 lambda e: isinstance(e, str) and e in ENVIRONMENTS)
     _check_list(config, "planners", "planner names", lambda p: isinstance(p, str))
+    _check_list(config, "cells", "cell objects", lambda c: isinstance(c, dict))
     return config
 
 
-def _is_int(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
 def _check_list(config: dict, key: str, what: str, valid) -> None:
-    """A list field, when present, must be nonempty and hold only valid items."""
-    value = config.get(key)
-    if key in config and not (isinstance(value, list) and value and all(map(valid, value))):
-        raise ConfigError(f"config field '{key}': expected a nonempty list of {what}, "
-                          f"got {value!r}")
+    """A list field, when present, must be nonempty and hold distinct valid items."""
+    if key in config:
+        value = config[key]
+        _require(isinstance(value, list) and value and all(map(valid, value)), key,
+                 f"a nonempty list of {what}", value)
+        for i, item in enumerate(value):
+            _require(item not in value[:i], key, "no duplicate entries", item)
 
 
-def planner_config_from(overrides: dict | None) -> PlannerConfig:
+def planner_config_from(overrides, field: str = "planner_config") -> PlannerConfig:
     overrides = overrides or {}
-    valid = {f.name for f in dataclasses.fields(PlannerConfig)}
+    _require(isinstance(overrides, dict), field, "an object", overrides)
+    names = sorted(f.name for f in dataclasses.fields(PlannerConfig))
     for key in overrides:
-        if key not in valid:
-            raise ConfigError(f"config field 'planner_config.{key}': unknown "
-                              f"planner option (valid: {', '.join(sorted(valid))})")
+        _require(key in names, f"{field}.{key}", f"a planner option ({', '.join(names)})", key)
     try:
         return PlannerConfig(**overrides)
-    except (TypeError, ValueError) as err:
-        raise ConfigError(f"config field 'planner_config': {err}") from None
+    except ValueError as err:
+        raise ConfigError(f"config field '{field}': {err}") from None
 
 
-def _named_section(config: dict, key: str) -> tuple[str, dict]:
-    """Accept "name" or {"name": ..., <extra keys>} for the env/planner sections."""
+def _named_section(config: dict, key: str, field: str | None = None) -> tuple[str, dict]:
+    """Accept "name" or {"name": ..., <extra keys>} for the env/planner
+    sections; ``field`` is the section's path in errors (default ``key``)."""
     section = config.get(key)
     if isinstance(section, str):
         return section, {}
-    if isinstance(section, dict):
-        rest = dict(section)
-        try:
-            name = rest.pop("name")
-        except KeyError:
-            raise ConfigError(f"config field '{key}.name': missing") from None
-        return name, rest
-    raise ConfigError(f"config field '{key}': expected a name or object, "
-                      f"got {section!r}")
+    _require(isinstance(section, dict) and isinstance(section.get("name"), str),
+             field or key, 'a name or {"name": ..., <options>}', section)
+    rest = dict(section)
+    return rest.pop("name"), rest
 
 
-def _grid_config(args) -> tuple[dict, PlannerConfig, int, list[int]]:
-    """What every grid subcommand reads: the config (``{}`` without
-    ``--config``), its planner config, the episode length and the seeds
-    (``--seed`` replaces the list).
+def _config_cells(config: dict) -> list[tuple[str, dict]]:
+    """The config's grid as (field path prefix, cell) pairs: the ``cells``
+    list, a run config's one cell, or a compare config's envs x planners."""
+    given = [next(key for key in form if key in config)
+             for form in GRID_FORMS if any(key in config for key in form)]
+    if len(given) > 1:
+        raise ConfigError(f"config field '{given[1]}': cannot be combined with '{given[0]}'")
+    if "cells" in config:
+        return [(f"cells[{i}].", cell) for i, cell in enumerate(config["cells"])]
+    if any(key in config for key in GRID_FORMS[1]):
+        name, section = _named_section(config, "planner")
+        _require(section.keys() <= {"config"}, "planner", "only 'name' and 'config'", section)
+        return [("", {"env": config.get("env"), "planner": name,
+                      "planner_config": section.get("config") or {}})]
+    return [("", {"env": env, "planner": planner})
+            for env in config.get("envs", ["barrier", "cartpole"])
+            for planner in config.get("planners", harness.PLANNER_NAMES)]
 
-    A run config nests its planner config in the ``planner`` section; the
-    other grids share one top-level ``planner_config``.
-    """
-    config = load_config(args.config) if args.config else {}
-    overrides = config.get("planner_config")
-    if "planner" in config:
-        _, section = _named_section(config, "planner")
-        overrides = section.pop("config", None) or section
-    seeds = [args.seed] if args.seed is not None else config.get("seeds", list(range(20)))
-    return (config, planner_config_from(overrides),
-            config.get("steps", harness.DEFAULT_STEPS), seeds)
+
+def _check_cell(where: str, cell: dict, shared: dict) -> dict:
+    """Check one cell and return it in full: ``env`` as {"name": ...,
+    <overrides>}, ``id`` defaulted to the planner id, ``row`` or None."""
+    for key in cell:
+        _require(key in CELL_KEYS, where + key, f"a cell key ({', '.join(CELL_KEYS)})", key)
+    env_name, env_overrides = _named_section(cell, "env", where + "env")
+    _require(env_name in ENVIRONMENTS, where + "env",
+             f"an environment name ({', '.join(sorted(ENVIRONMENTS))})", env_name)
+    valid = [f.name for f in dataclasses.fields(ENVIRONMENTS[env_name])]
+    for key in env_overrides:
+        _require(key in valid, f"{where}env.{key}",
+                 f"a {env_name} option ({', '.join(valid)})", key)
+    try:
+        make_environment(env_name, **env_overrides)
+    except (TypeError, ValueError) as err:
+        raise ConfigError(f"config field '{where}env': {err}") from None
+    planner = cell.get("planner")
+    cell_id = cell.get("id", planner)
+    for key, value in (("planner", planner), ("id", cell_id)):
+        _require(isinstance(value, str) and value, where + key, "a nonempty string", value)
+    overrides = cell.get("planner_config", {})
+    _require(isinstance(overrides, dict), where + "planner_config", "an object", overrides)
+    planner_config_from({**shared, **overrides}, where + "planner_config")
+    row = cell.get("row")
+    _require(row is None or isinstance(row, dict) and row and all(
+        isinstance(v, (str, int, float)) and not isinstance(v, bool) for v in row.values()),
+        where + "row", "a nonempty object of strings and numbers", row)
+    return {"id": cell_id, "env": {"name": env_name, **env_overrides}, "planner": planner,
+            "planner_config": overrides, "row": row}
+
+
+def _check_table(config: dict, cells: list[tuple[str, dict]]) -> None:
+    """A ``table`` goes with a ``cells`` list whose rows all have the first
+    row's keys; its columns name summary statistics."""
+    table = config.get("table")
+    if table is None:
+        return
+    _require("cells" in config and isinstance(table, dict)
+             and table.keys() == {"file", "columns"}, "table",
+             'an object {"file": ..., "columns": ...} beside a \'cells\' list', table)
+    name, columns = table["file"], table["columns"]
+    _require(isinstance(name, str) and name and Path(name).name == name
+             and name not in ("raw.csv", "summary.csv", "failures.csv"), "table.file",
+             "a file name other than raw.csv, summary.csv and failures.csv", name)
+    where, first = cells[0]
+    _require(first["row"] is not None, where + "row", "a row, as 'table' needs", None)
+    keys = list(first["row"])
+    for where, cell in cells:
+        _require(list(cell["row"] or {}) == keys, where + "row",
+                 f"an object with the keys {keys}", cell["row"])
+    statistics = [c for c in harness.SUMMARY_COLUMNS if c not in ("env", "planner")]
+    _require(isinstance(columns, dict) and columns, "table.columns", "a nonempty object",
+             columns)
+    for column, statistic in columns.items():
+        _require(statistic in statistics and column not in keys, f"table.columns.{column}",
+                 f"a summary statistic ({', '.join(statistics)}) under a name that is "
+                 f"no row key", statistic)
+
+
+def _grid_config(args) -> tuple[dict, list[dict], PlannerConfig, dict]:
+    """What every grid subcommand runs, all checked before any episode: the
+    config, its cells, the shared planner config and the planning models
+    by environment name (a run config's ``model`` is its env's)."""
+    config = load_config(args.config)
+    shared = config.get("planner_config") or {}
+    cfg = planner_config_from(shared)
+    cells = [(where, _check_cell(where, cell, shared)) for where, cell in _config_cells(config)]
+    seen = set()
+    for where, cell in cells:
+        key = (cell["env"]["name"], cell["id"])
+        _require(key not in seen, where + "id", "one cell per (env, id)", cell["id"])
+        seen.add(key)
+    envs = {env for env, _ in seen}
+    _check_table(config, cells)
+    models = config.get("models", {})
+    _require(isinstance(models, dict), "models", "an object of environment names", models)
+    if "model" in config:
+        _require("models" not in config, "models", "no 'model' beside it", models)
+        models = {cells[0][1]["env"]["name"]: config["model"]}
+    for name in models:
+        _require(name in envs, f"models.{name}",
+                 f"an environment of the grid ({', '.join(sorted(envs))})", name)
+    return config, [cell for _, cell in cells], cfg, {
+        name: model for name, section in models.items()
+        if (model := _load_planning_model(
+            section, "model" if "model" in config else f"models.{name}")) is not None}
 
 
 def _out_dir(args) -> Path:
@@ -146,85 +241,44 @@ def _out_dir(args) -> Path:
     return out
 
 
-def _load_planning_model(model_section):
+def _load_planning_model(section, field: str):
     """None (ground truth) or an MLP dynamics model loaded from file."""
-    if model_section in (None, "analytic"):
+    if section in (None, "analytic"):
         return None
-    if isinstance(model_section, dict) and "path" in model_section:
-        path = Path(model_section["path"])
-        if not path.exists():
-            raise ConfigError(f"model file not found: {path}")
-        return MlpModel.load_binary(path)
-    raise ConfigError("config field 'model': expected \"analytic\" or "
-                      "{\"path\": ...}")
+    _require(isinstance(section, dict) and "path" in section, field,
+             '"analytic" or {"path": ...}', section)
+    return MlpModel.load_binary(Path(section["path"]))
 
 
 # ---------------------------------------------------------------------------
 # Subcommands
 
 
-def cmd_run(args) -> int:
-    config, cfg, steps, seeds = _grid_config(args)
-    env_name, env_overrides = _named_section(config, "env")
-    planner_name, _ = _named_section(config, "planner")
-    env = make_environment(env_name, **env_overrides)
-    model = _load_planning_model(config.get("model")) or env.dynamics
-    policy = harness.make_policy(planner_name, model, env.reward, cfg, env.bounds)
-    return _write_grid(args, harness.run_grid([(env, policy)], seeds, steps))
+def cmd_grid(args) -> int:
+    """``run`` and ``compare``: every config form is a list of cells."""
+    config, cells, cfg, models = _grid_config(args)
+    seeds = [args.seed] if args.seed is not None else config.get("seeds", list(range(20)))
+    result = harness.run_cells(cells, seeds, config.get("steps", harness.DEFAULT_STEPS),
+                               cfg, models)
+    return _write_grid(args, result, cells, config.get("table"))
 
 
-def cmd_sweep_ninit(args) -> int:
-    _, cfg, steps, _ = _grid_config(args)
-    values = [int(v) for v in args.values.split(",")]
-    result = harness.ninit_sweep(values, args.trials, cfg=cfg, steps=steps,
-                                 base_seed=args.seed or 0)
-    table = harness.sweep_table(result.summary, "cemgd-ninit", "success_rate")
-    rows = [{"n_init": value, "success_fraction": frac}
-            for value, frac in sorted(table.items())]
-    return _write_grid(args, result, ("ninit_table.csv", ["n_init", "success_fraction"],
-                                      rows))
-
-
-def cmd_sweep_samples(args) -> int:
-    _, cfg, steps, _ = _grid_config(args)
-    planners = args.planners.split(",")
-    budgets = [int(b) for b in args.budgets.split(",")]
-    result = harness.sample_efficiency_sweep(planners, budgets, args.trials,
-                                             env_name=args.env, cfg=cfg, steps=steps,
-                                             base_seed=args.seed or 0)
-    rows = []
-    for planner, prefix in (("cem", "cem-"), ("cemgd", "cemgd-nr")):
-        means = harness.sweep_table(result.summary, prefix, "mean_reward")
-        stds = harness.sweep_table(result.summary, prefix, "std_reward")
-        rows += [{"planner": planner, "budget": budget, "mean_reward": means[budget],
-                  "std_reward": stds[budget]} for budget in sorted(means)]
-    return _write_grid(args, result, ("sample_efficiency.csv",
-                                      ["planner", "budget", "mean_reward", "std_reward"],
-                                      rows))
-
-
-def cmd_compare(args) -> int:
-    config, cfg, steps, seeds = _grid_config(args)
-    planning_models = {env_name: _load_planning_model(section)
-                       for env_name, section in (config.get("models") or {}).items()}
-    result = harness.compare_planners(config.get("envs", ["barrier", "cartpole"]), seeds,
-                                      steps=steps, cfg=cfg,
-                                      planners=config.get("planners", harness.PLANNER_NAMES),
-                                      planning_models=planning_models or None)
-    return _write_grid(args, result)
-
-
-def _write_grid(args, result: harness.CompareResult, table=None) -> int:
+def _write_grid(args, result: harness.CompareResult, cells: list[dict], table) -> int:
     """Write a grid's raw.csv, summary.csv, failures.csv (only when an episode
-    failed) and optional ``(file name, columns, rows)`` table to ``--out``,
+    failed) and ``table`` (one row per cell with a summary row) to ``--out``,
     print one line per summary row, and return the exit code: 1 when an
     episode failed, else 0."""
     out = _out_dir(args)
     harness.write_raw_csv(result.results, out / "raw.csv")
     harness.write_csv(result.summary, harness.SUMMARY_COLUMNS, out / "summary.csv")
     if table is not None:
-        name, columns, rows = table
-        harness.write_csv(rows, columns, out / name)
+        summary = {(row["env"], row["planner"]): row for row in result.summary}
+        rows = [{**cell["row"], **{column: stats[statistic]
+                                   for column, statistic in table["columns"].items()}}
+                for cell in cells
+                if (stats := summary.get((cell["env"]["name"], cell["id"]))) is not None]
+        harness.write_csv(rows, list(cells[0]["row"]) + list(table["columns"]),
+                          out / table["file"])
     for row in result.summary:
         success = "" if row["success_rate"] == "" else f", success {row['success_rate']:.2f}"
         print(f"{row['env']}/{row['planner']}: reward {row['mean_reward']:.2f} "
@@ -240,12 +294,27 @@ def _write_grid(args, result: harness.CompareResult, table=None) -> int:
     return 1
 
 
+def _check_positive(args, *flags) -> None:
+    """Each named integer flag must be at least 1."""
+    for flag in flags:
+        value = getattr(args, flag)
+        if value < 1:
+            raise ConfigError(f"--{flag}: expected a positive integer, got {value}")
+
+
 def cmd_train_model(args) -> int:
+    _check_positive(args, "episodes", "steps", "epochs", "batch")
+    widths = args.hidden.split(",")
+    if not all(w.isdecimal() and int(w) > 0 for w in widths):
+        raise ConfigError(f"--hidden: expected comma-separated positive integers, "
+                          f"got {args.hidden!r}")
+    if not args.lr > 0:
+        raise ConfigError(f"--lr: expected a positive number, got {args.lr}")
     env = make_environment(args.env)
     rng = np.random.default_rng(args.seed or 0)
     data = collect_random_rollouts(env.dynamics, env.bounds, env.start_state,
                                    episodes=args.episodes, steps=args.steps, rng=rng)
-    hidden = tuple(int(h) for h in args.hidden.split(","))
+    hidden = tuple(int(w) for w in widths)
     try:
         model, history = fit_mlp(data, epochs=args.epochs, batch_size=args.batch,
                                  lr=args.lr, hidden=hidden, rng=rng)
@@ -260,14 +329,10 @@ def cmd_train_model(args) -> int:
 
 
 def cmd_gradcheck(args) -> int:
-    tol = harness.GRADCHECK_TOLERANCES.get(args.env)
-    if tol is None:
-        valid = ", ".join(sorted(harness.GRADCHECK_TOLERANCES))
-        print(f"error: unknown gradcheck target {args.env!r}; valid targets: {valid}",
-              file=sys.stderr)
-        return 2
+    _check_positive(args, "probes", "horizon")
     worst = harness.gradient_check(args.env, probes=args.probes,
                                    seed=args.seed or 0, horizon=args.horizon)
+    tol = harness.GRADCHECK_TOLERANCES[args.env]
     print(f"{args.env}: max relative gradient error {worst:.3e} "
           f"(tolerance {tol:.0e})")
     return 0 if worst < tol else 1
@@ -281,35 +346,18 @@ def build_parser() -> argparse.ArgumentParser:
 
     def common(p):
         p.add_argument("--seed", type=int, default=None,
-                       help="override the config seed list / base seed")
+                       help="the seed; for run and compare, run it only")
         p.add_argument("--out", default=None, help="output directory")
         return p
 
     p = common(sub.add_parser("run", help="run one experiment config"))
-    p.add_argument("--config", required=True, help="experiment JSON file")
-    p.set_defaults(func=cmd_run)
+    p.add_argument("--config", required=True, help="experiment JSON file or preset name")
+    p.set_defaults(func=cmd_grid)
 
-    p = common(sub.add_parser("sweep-ninit",
-                              help="barrier success rate vs first-step budget"))
-    p.add_argument("--config", default=None, help="optional planner-config JSON")
-    p.add_argument("--values", default="50,500,5000",
-                   help="comma-separated first-step budgets")
-    p.add_argument("--trials", type=int, default=20)
-    p.set_defaults(func=cmd_sweep_ninit)
-
-    p = common(sub.add_parser("sweep-samples",
-                              help="episode reward vs per-step sample budget"))
-    p.add_argument("--config", default=None, help="optional planner-config JSON")
-    p.add_argument("--planners", default="cem,cemgd")
-    p.add_argument("--budgets", default="50,500")
-    p.add_argument("--trials", type=int, default=20)
-    p.add_argument("--env", default="cartpole", choices=sorted(ENVIRONMENTS))
-    p.set_defaults(func=cmd_sweep_samples)
-
-    p = common(sub.add_parser("compare", help="run the full planner lineup"))
+    p = common(sub.add_parser("compare", help="run a grid, by default the planner lineup"))
     p.add_argument("--config", default="paper_defaults",
-                   help="compare config file or preset name")
-    p.set_defaults(func=cmd_compare)
+                   help="experiment JSON file or preset name")
+    p.set_defaults(func=cmd_grid)
 
     p = common(sub.add_parser("train-model",
                               help="fit MLP dynamics on random rollouts"))
@@ -340,7 +388,7 @@ def main(argv=None) -> int:
         return 2
     try:
         return args.func(args)
-    except (ConfigError, ValueError) as err:
+    except ValueError as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
     except FileNotFoundError as err:

@@ -15,6 +15,7 @@ Conventions used throughout the package:
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -183,11 +184,15 @@ class PlannerConfig:
     rho: float = 0.67          # line search step decay
 
     def __post_init__(self):
-        for name in ("horizon", "n_init", "m_init", "n_r", "m_r", "k", "J"):
-            if int(getattr(self, name)) < 1:
-                raise ValueError(f"{name} must be a positive integer")
-        if int(self.G) < 0:
-            raise ValueError("G must be a nonnegative integer")
+        for name in ("horizon", "n_init", "m_init", "n_r", "m_r", "k", "J", "G", "k_elite"):
+            value, low = getattr(self, name), 0 if name == "G" else 1
+            if value is None and name == "k_elite":
+                continue
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < low:
+                raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")
+        for name in ("alpha", "eta_init", "rho"):
+            if not isinstance(getattr(self, name), numbers.Real):
+                raise ValueError(f"{name} must be a number, got {getattr(self, name)!r}")
         if not 0.0 < self.alpha < 1.0:
             raise ValueError("alpha must lie in (0, 1)")
         if not 0.0 < self.rho < 1.0:
@@ -195,7 +200,7 @@ class PlannerConfig:
         if self.eta_init <= 0.0:
             raise ValueError("eta_init must be positive")
         if self.k_elite is not None:
-            if self.k_elite < 1 or self.k_elite > min(self.n_init, self.n_r):
+            if self.k_elite > min(self.n_init, self.n_r):
                 raise ValueError("k_elite must satisfy 1 <= k_elite <= samples per iteration")
             if self.k > self.k_elite:
                 raise ValueError("k must not exceed k_elite")

@@ -547,25 +547,14 @@ class Environment:
     world: object = None
 
 
-def make_barrier(**overrides) -> Environment:
-    world = BarrierWorld(**overrides)
-    return Environment("barrier", world.dynamics(), world.reward_model(),
-                       world.bounds(), world.start_state(), world)
-
-
-def make_cartpole(**overrides) -> Environment:
-    world = CartpoleWorld(**overrides)
-    return Environment("cartpole", world.dynamics(), world.reward_model(),
-                       world.bounds(), world.start_state(), world)
-
-
-ENVIRONMENTS = {"barrier": make_barrier, "cartpole": make_cartpole}
+# Environment name -> world class; a world's dataclass fields are its options.
+ENVIRONMENTS = {"barrier": BarrierWorld, "cartpole": CartpoleWorld}
 
 
 def make_environment(name: str, **overrides) -> Environment:
-    try:
-        factory = ENVIRONMENTS[name]
-    except KeyError:
+    if name not in ENVIRONMENTS:
         valid = ", ".join(sorted(ENVIRONMENTS))
-        raise ValueError(f"unknown environment {name!r}; valid environments: {valid}") from None
-    return factory(**overrides)
+        raise ValueError(f"unknown environment {name!r}; valid environments: {valid}")
+    world = ENVIRONMENTS[name](**overrides)
+    return Environment(name, world.dynamics(), world.reward_model(), world.bounds(),
+                       world.start_state(), world)

@@ -1,4 +1,4 @@
-"""MPC experiment harness: episode runner, planner ids, sweeps, CSV output.
+"""MPC experiment harness: episode runner, planner ids, grids of cells, CSV output.
 
 An episode plans with a (possibly learned) model, executes the first
 action in the true environment, observes the next true state and replans.
@@ -270,19 +270,8 @@ def summarize(results: list[EpisodeResult]) -> list[dict]:
     return out
 
 
-def sweep_table(summary: list[dict], prefix: str, column: str) -> dict[int, object]:
-    """One summary column per budget, for the sweep cells named ``<prefix><budget>``.
-
-    The sweeps name their cells cemgd-ninit<budget>, cem-<budget> and
-    cemgd-nr<budget>, and a cell's summary row already holds the statistic
-    its sweep table reports (success_rate, mean_reward, std_reward).
-    """
-    return {int(row["planner"].removeprefix(prefix)): row[column]
-            for row in summary if row["planner"].startswith(prefix)}
-
-
 # ---------------------------------------------------------------------------
-# Experiments: every one is a grid of (env, policy) cells over seeds
+# Experiments: every one is a grid of cells over seeds
 
 
 @dataclass
@@ -311,75 +300,38 @@ def run_grid(cells, seeds, steps: int) -> CompareResult:
     return CompareResult(results=results, summary=summarize(results), failures=failures)
 
 
-def ninit_sweep(values, trials: int, cfg: PlannerConfig | None = None,
-                steps: int = DEFAULT_STEPS, base_seed: int = 0,
-                env_overrides: dict | None = None) -> CompareResult:
-    """Barrier-world success fraction as the first-step sample budget varies.
+def run_cells(cells, seeds, steps: int = DEFAULT_STEPS, cfg: PlannerConfig | None = None,
+              planning_models: dict | None = None) -> CompareResult:
+    """Run a grid given as data: one episode per cell and seed.
 
-    The replan budget stays at its default (50) throughout; `trials` seeded
-    episodes run per budget value, in cells named cemgd-ninit<budget>.
-    """
-    if trials < 1:
-        raise ValueError("trials must be at least 1")
-    cfg = cfg or PlannerConfig()
-    env = make_environment("barrier", **(env_overrides or {}))
-    cells = []
-    for value in values:
-        n_init, m_init = split_budget(value)
-        policy = make_policy("cemgd", env.dynamics, env.reward,
-                             replace(cfg, n_init=n_init, m_init=m_init), env.bounds)
-        cells.append((env, replace(policy, planner_id=f"cemgd-ninit{value}")))
-    return run_grid(cells, range(base_seed, base_seed + trials), steps)
-
-
-def sample_efficiency_sweep(planners, budgets, trials: int,
-                            env_name: str = "cartpole",
-                            cfg: PlannerConfig | None = None,
-                            steps: int = DEFAULT_STEPS,
-                            base_seed: int = 0) -> CompareResult:
-    """Episode reward vs per-step sample budget.
-
-    For pure CEM (cells cem-<budget>) the budget is the total samples per
-    step; for the hybrid planner (cells cemgd-nr<budget>) it is the replan
-    budget, with the first-step budget held at its configured value.
+    A cell is a dict: ``env`` (a name or ``{"name": ..., <overrides>}``),
+    ``planner`` (an id), and optionally ``planner_config`` (overrides on top
+    of ``cfg``) and ``id`` (the planner column; the planner id by default).
+    `planning_models` optionally maps an env name to the dynamics model its
+    planners use; the true environment still scores and advances episodes.
     """
     cfg = cfg or PlannerConfig()
-    env = make_environment(env_name)
-    cells = []
-    for planner in planners:
-        if planner not in ("cem", "cemgd"):
-            raise ValueError(f"unknown planner {planner!r}; valid: cem, cemgd")
-        for budget in budgets:
-            if planner == "cem":
-                policy = make_policy(f"cem-{budget}", env.dynamics, env.reward, cfg,
-                                     env.bounds)
-            else:
-                n, m = split_budget(budget)
-                policy = replace(make_policy("cemgd", env.dynamics, env.reward,
-                                             replace(cfg, n_r=n, m_r=m), env.bounds),
-                                 planner_id=f"cemgd-nr{budget}")
-            cells.append((env, policy))
-    return run_grid(cells, range(base_seed, base_seed + trials), steps)
+    pairs = []
+    for cell in cells:
+        spec = cell["env"] if isinstance(cell["env"], dict) else {"name": cell["env"]}
+        env = make_environment(**spec)
+        model = (planning_models or {}).get(env.name, env.dynamics)
+        policy = make_policy(cell["planner"], model, env.reward,
+                             replace(cfg, **cell.get("planner_config", {})), env.bounds)
+        if "id" in cell:
+            policy = replace(policy, planner_id=cell["id"])
+        pairs.append((env, policy))
+    return run_grid(pairs, seeds, steps)
 
 
 def compare_planners(envs, seeds, steps: int = DEFAULT_STEPS,
                      cfg: PlannerConfig | None = None,
                      planners=None, planning_models: dict | None = None) -> CompareResult:
-    """Run the planner lineup on each environment over the given seeds.
-
-    `planning_models` optionally maps an environment name to a dynamics
-    model the planners should use instead of the ground-truth one (the
-    true environment still scores and advances the episode).
-    """
-    cfg = cfg or PlannerConfig()
+    """Run the planner lineup (``PLANNER_NAMES`` by default) on each
+    environment over the given seeds: the envs x planners cells."""
     planners = planners if planners is not None else PLANNER_NAMES
-    cells = []
-    for env_name in envs:
-        env = make_environment(env_name)
-        model = (planning_models or {}).get(env_name, env.dynamics)
-        cells += [(env, make_policy(name, model, env.reward, cfg, env.bounds))
-                  for name in planners]
-    return run_grid(cells, seeds, steps)
+    return run_cells([{"env": env, "planner": name} for env in envs for name in planners],
+                     seeds, steps, cfg, planning_models)
 
 
 # ---------------------------------------------------------------------------
@@ -390,15 +342,12 @@ GRADCHECK_TOLERANCES = {"barrier": 1e-5, "cartpole": 1e-5, "mlp": 1e-4}
 
 
 def _gradcheck_setup(kind: str, rng):
-    if kind == "barrier":
-        env = make_environment("barrier")
-        sampler = lambda: rng.uniform(-1.2, 1.2, size=2)
-        return env.dynamics, env.reward, env.bounds, sampler
-    if kind == "cartpole":
-        env = make_environment("cartpole")
-        sampler = lambda: np.array([rng.uniform(-1, 1), rng.uniform(-1, 1),
-                                    rng.uniform(-np.pi, np.pi), rng.uniform(-2, 2)])
-        return env.dynamics, env.reward, env.bounds, sampler
+    samplers = {"barrier": lambda: rng.uniform(-1.2, 1.2, size=2),
+                "cartpole": lambda: np.array([rng.uniform(-1, 1), rng.uniform(-1, 1),
+                                              rng.uniform(-np.pi, np.pi), rng.uniform(-2, 2)])}
+    if kind in samplers:
+        env = make_environment(kind)
+        return env.dynamics, env.reward, env.bounds, samplers[kind]
     if kind == "mlp":
         model = MlpModel.initialize(3, 2, hidden=(16, 16, 16), rng=rng)
         reward = QuadraticGoalReward(np.zeros(3), action_cost=0.01)

@@ -1,8 +1,10 @@
 """Acceptance suite: one test per criterion, each printing a PASS/FAIL line.
 
-Run with `pytest tests/test_acceptance.py -v -s`. The experiment-backed
-criteria (4-9) run seeded desk-scale experiments and take several minutes
-each; the whole suite is sized to finish well inside the stated budgets.
+Run with `pytest tests/test_acceptance.py -v -s`. Criteria 1, 2, 3 and 8
+are written; each finishes in seconds. Criteria 4-7 and 9 (the budget
+sweep, the sample-efficiency and planner-comparison orderings, the
+runtime/memory ordering and the local-optima exhibit) are documented in
+README.md but are not tests yet.
 """
 
 import json

@@ -1,10 +1,12 @@
 import csv
 import json
+import shlex
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from trajplan.cli import PRESETS, load_config, main, planner_config_from
+from trajplan.cli import PRESETS, build_parser, load_config, main, planner_config_from
 from trajplan.dynamics import MlpModel
 
 
@@ -52,7 +54,8 @@ class TestConfig:
         ("envs", "barrier"), ("envs", ["barrier", "halfcheetah"]),
         ("planners", "cemgd"), ("planners", [50]),
         ("seeds", ["a"]), ("seeds", [True]), ("seeds", [1.5]), ("seeds", [-1]),
-        ("seeds", []),
+        ("seeds", []), ("seeds", [0, 0]), ("envs", ["barrier", "barrier"]),
+        ("planners", ["cem-50", "cem-50"]),
     ])
     def test_bad_list_field_named_before_any_output(self, tmp_path, capsys, field, value):
         cfg = run_config(tmp_path, **{"envs": ["barrier"], "planners": ["cem-50"],
@@ -65,8 +68,7 @@ class TestConfig:
             assert err.count("\n") == 1
         assert not (tmp_path / "r").exists()
 
-    @pytest.mark.parametrize("command", ["run", "compare", "sweep-ninit", "sweep-samples",
-                                         "train-model", "gradcheck"])
+    @pytest.mark.parametrize("command", ["run", "compare", "train-model", "gradcheck"])
     def test_negative_seed_named_before_any_output(self, tmp_path, capsys, command):
         argv = [command, "--seed", "-1", "--out", str(tmp_path / "r")]
         if command == "run":
@@ -168,36 +170,147 @@ class TestGradcheck:
         assert "valid targets" in capsys.readouterr().err
 
 
-class TestSweepCommands:
-    def test_sweep_ninit_writes_table(self, tmp_path):
-        cfg_path = tmp_path / "cfg.json"
-        cfg_path.write_text(json.dumps({
-            "version": 1,
-            "planner_config": {"horizon": 4, "n_init": 10, "m_init": 1,
-                               "n_r": 10, "m_r": 1},
-            "steps": 3,
-        }))
-        code = main(["sweep-ninit", "--values", "10,20", "--trials", "2",
-                     "--config", str(cfg_path), "--out", str(tmp_path / "r")])
+def preset_config(tmp_path, preset, **overrides):
+    """A sweep preset's cells and table at test scale."""
+    config = dict(PRESETS[preset], planner_config={"horizon": 4, "n_init": 10, "m_init": 1,
+                                                   "n_r": 10, "m_r": 1},
+                  steps=3, seeds=[0, 1], **overrides)
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(config))
+    return str(path)
+
+
+def read_csv(path):
+    with open(path) as f:
+        return list(csv.DictReader(f))
+
+
+def episode_totals(raw_rows):
+    """Per (planner, seed) episode reward, summed in step order, and success."""
+    totals = {}
+    for row in raw_rows:
+        key = (row["planner"], int(row["seed"]))
+        total, _ = totals.get(key, (0.0, None))
+        totals[key] = (total + float(row["true_reward"]), row["success"])
+    return totals
+
+
+class TestGridTables:
+    def test_ninit_preset_writes_table(self, tmp_path):
+        code = main(["compare", "--config", preset_config(tmp_path, "ninit_sweep"),
+                     "--out", str(tmp_path / "r")])
         assert code == 0
         table = (tmp_path / "r" / "ninit_table.csv").read_text().splitlines()
         assert table[0] == "n_init,success_fraction"
-        assert len(table) == 3
+        assert [line.split(",")[0] for line in table[1:]] == ["50", "500", "5000"]
 
-    def test_sweep_samples_writes_table(self, tmp_path):
-        cfg_path = tmp_path / "cfg.json"
-        cfg_path.write_text(json.dumps({
-            "version": 1,
-            "planner_config": {"horizon": 4, "n_init": 10, "m_init": 1,
-                               "n_r": 10, "m_r": 1},
-            "steps": 3,
-        }))
-        code = main(["sweep-samples", "--planners", "cem", "--budgets", "10",
-                     "--trials", "1", "--config", str(cfg_path),
+    def test_sample_efficiency_preset_writes_table(self, tmp_path):
+        code = main(["compare", "--config", preset_config(tmp_path, "sample_efficiency"),
                      "--out", str(tmp_path / "r")])
         assert code == 0
         lines = (tmp_path / "r" / "sample_efficiency.csv").read_text().splitlines()
         assert lines[0] == "planner,budget,mean_reward,std_reward"
+        assert [line.split(",")[:2] for line in lines[1:]] == \
+            [["cem", "50"], ["cem", "500"], ["cemgd", "50"], ["cemgd", "500"]]
+
+    def test_single_seed_fraction_is_zero_or_one(self, tmp_path):
+        cells = [dict(PRESETS["ninit_sweep"]["cells"][0], row={"n_init": 20},
+                      planner_config={"n_init": 4, "m_init": 5})]
+        cfg = preset_config(tmp_path, "ninit_sweep", cells=cells)
+        assert main(["compare", "--config", cfg, "--seed", "0",
+                     "--out", str(tmp_path / "r")]) == 0
+        [row] = read_csv(tmp_path / "r" / "ninit_table.csv")
+        assert row["n_init"] == "20" and float(row["success_fraction"]) in (0.0, 1.0)
+
+    def test_ninit_table_matches_reaggregation(self, tmp_path):
+        out = tmp_path / "r"
+        assert main(["compare", "--config", preset_config(tmp_path, "ninit_sweep"),
+                     "--out", str(out)]) == 0
+        successes = {}
+        for (planner, _), (_, success) in episode_totals(read_csv(out / "raw.csv")).items():
+            successes.setdefault(int(planner.removeprefix("cemgd-ninit")), []).append(
+                int(success))
+        table = {int(row["n_init"]): float(row["success_fraction"])
+                 for row in read_csv(out / "ninit_table.csv")}
+        assert table == {budget: np.mean(s) for budget, s in successes.items()}
+
+    def test_sample_efficiency_table_matches_raw(self, tmp_path):
+        out = tmp_path / "r"
+        assert main(["compare", "--config", preset_config(tmp_path, "sample_efficiency"),
+                     "--out", str(out)]) == 0
+        raw = read_csv(out / "raw.csv")
+        assert all(row["samples_used"] == "50" for row in raw if row["planner"] == "cem-50")
+        totals = episode_totals(raw)
+        for row in read_csv(out / "sample_efficiency.csv"):
+            cell = {"cem": "cem-", "cemgd": "cemgd-nr"}[row["planner"]] + row["budget"]
+            rewards = [total for (planner, _), (total, _) in totals.items()
+                       if planner == cell]
+            assert len(rewards) == 2
+            assert float(row["mean_reward"]) == np.mean(rewards)
+            assert float(row["std_reward"]) == np.std(rewards)
+
+
+class TestConfigErrors:
+    """Each bad config ends in one `error: config field '<field>': ...` line,
+    exit 2 and no output directory."""
+
+    CELL = {"env": "barrier", "planner": "cem-50"}
+
+    @pytest.mark.parametrize("field, overrides", [
+        ("env.bogus", {"env": {"name": "barrier", "bogus": 1}}),
+        ("cells[1].env.bogus", {"cells": [CELL, dict(CELL, id="b", env={"name": "barrier",
+                                                                         "bogus": 1})]}),
+        ("cells[0].planner_config", {"cells": [dict(CELL, planner_config={"k": "2"})]}),
+        ("envs", {"cells": [CELL], "envs": ["barrier"]}),
+        ("cells[1].id", {"cells": [CELL, dict(CELL, planner_config={"G": 0})]}),
+        ("models.cartpole", {"envs": ["barrier"], "models": {"cartpole": "analytic"}}),
+        ("table", {"table": {"file": "t.csv", "columns": {"r": "mean_reward"}}}),
+        ("cells[0].row", {"cells": [CELL], "table": {"file": "t.csv",
+                                                     "columns": {"r": "mean_reward"}}}),
+        ("env", {"env": {"name": "barrier", "radius": "wide"}}),
+        *[("planner_config", {"planner_config": {"horizon": value}})
+          for value in ("3", 3.5, True, None)],
+        ("table.columns.r", {"cells": [dict(CELL, row={"budget": 50})],
+                             "table": {"file": "t.csv", "columns": {"r": "reward"}}}),
+        ("cells[1].row", {"cells": [dict(CELL, row={"budget": 50}), dict(CELL, id="b")],
+                          "table": {"file": "t.csv", "columns": {"r": "mean_reward"}}}),
+    ])
+    def test_named_before_any_output(self, tmp_path, capsys, field, overrides):
+        config = {"version": 1, "planner_config": {"horizon": 3}, "steps": 2, "seeds": [0]}
+        if not {"cells", "envs", "planners"} & set(overrides):
+            config.update(env="barrier", planner="cem-50")
+        config.update(overrides)
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(config))
+        assert main(["compare", "--config", str(path), "--out", str(tmp_path / "r")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: config field '{field}': ") and err.count("\n") == 1
+        assert not (tmp_path / "r").exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["train-model", "--hidden", "0"], ["train-model", "--hidden", "8,x"],
+    ["train-model", "--batch", "0"], ["train-model", "--epochs", "-1"],
+    ["train-model", "--episodes", "0"], ["train-model", "--steps", "0"],
+    ["train-model", "--lr", "0"],
+    ["gradcheck", "--probes", "0"], ["gradcheck", "--horizon", "0"],
+])
+def test_numeric_flag_named_before_any_output(tmp_path, capsys, argv):
+    assert main(argv + ["--out", str(tmp_path / "r")]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith(f"error: {argv[1]}: ") and err.count("\n") == 1
+    assert not (tmp_path / "r").exists()
+
+
+def test_readme_cli_lines_parse():
+    """Every `trajplan ...` line in README's CLI block names a subcommand and
+    flags that exist (the commands are parsed, not run)."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("## CLI", 1)[1].split("```sh", 1)[1].split("```", 1)[0]
+    lines = [line for line in block.splitlines() if line.startswith("trajplan ")]
+    assert lines
+    for line in lines:
+        build_parser().parse_args(shlex.split(line)[1:])
 
 
 class TestCompareCommand:

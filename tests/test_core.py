@@ -300,6 +300,18 @@ class TestPlannerConfig:
         with pytest.raises(ValueError):
             PlannerConfig(**kwargs)
 
+    @pytest.mark.parametrize("name, value", [
+        ("horizon", "3"), ("horizon", 3.5), ("G", True), ("n_init", None), ("k", 1.0),
+        ("k_elite", "2"), ("alpha", "0.3"), ("rho", None),
+    ])
+    def test_rejects_mistyped_field_by_name(self, name, value):
+        with pytest.raises(ValueError, match=f"^{name} must be (an integer >= [01]|a number), got "):
+            PlannerConfig(**{name: value})
+
+    def test_accepts_numpy_integers_and_unset_k_elite(self):
+        cfg = PlannerConfig(horizon=np.int64(3), k_elite=None, eta_init=1)
+        assert cfg.horizon == 3 and cfg.k_elite is None
+
 
 @pytest.mark.parametrize("total,expected", [
     (50, (10, 5)), (500, (100, 5)), (5000, (100, 50)), (15000, (100, 150)),

@@ -8,8 +8,7 @@ from trajplan.dynamics import (BarrierWorld, MlpModel, collect_random_rollouts,
                                fit_mlp, make_environment)
 from trajplan.harness import (RAW_COLUMNS, SUMMARY_COLUMNS, classify_barrier,
                               compare_planners, episode_rows, make_policy,
-                              ninit_sweep, run_episode, run_grid,
-                              sample_efficiency_sweep, sweep_table, write_csv,
+                              run_cells, run_episode, run_grid, write_csv,
                               write_raw_csv)
 
 TINY = PlannerConfig(horizon=5, n_init=20, m_init=2, n_r=10, m_r=1)
@@ -104,40 +103,46 @@ class TestBarrierOutcome:
                 assert out.reached_goal
 
 
-class TestSweeps:
-    def test_single_trial_fraction_is_zero_or_one(self):
-        sweep = ninit_sweep([20], trials=1, cfg=TINY, steps=5)
-        table = sweep_table(sweep.summary, "cemgd-ninit", "success_rate")
-        assert table[20] in (0.0, 1.0)
+class TestRunCells:
+    def test_single_seed_fraction_is_zero_or_one(self):
+        cell = {"id": "cemgd-ninit20", "env": "barrier", "planner": "cemgd",
+                "planner_config": {"n_init": 4, "m_init": 5}}
+        [row] = run_cells([cell], seeds=[0], steps=5, cfg=TINY).summary
+        assert row["planner"] == "cemgd-ninit20" and row["success_rate"] in (0.0, 1.0)
 
-    def test_table_matches_reaggregation(self):
-        sweep = ninit_sweep([10, 20], trials=2, cfg=TINY, steps=5)
-        table = sweep_table(sweep.summary, "cemgd-ninit", "success_rate")
-        recomputed = {}
-        for res in sweep.results:
-            budget = int(res.planner_id.removeprefix("cemgd-ninit"))
-            recomputed.setdefault(budget, []).append(res.success)
-        for budget, successes in recomputed.items():
-            assert table[budget] == np.mean(successes)
+    def test_success_rate_matches_reaggregation(self):
+        cells = [{"id": f"cemgd-ninit{b}", "env": "barrier", "planner": "cemgd",
+                  "planner_config": {"n_init": b, "m_init": 1}} for b in (10, 20)]
+        grid = run_cells(cells, seeds=[0, 1], steps=5, cfg=TINY)
+        assert [row["planner"] for row in grid.summary] == ["cemgd-ninit10", "cemgd-ninit20"]
+        for row in grid.summary:
+            successes = [r.success for r in grid.results if r.planner_id == row["planner"]]
+            assert len(successes) == 2 and row["success_rate"] == np.mean(successes)
 
-    def test_empty_planner_list_gives_empty_table(self):
-        sweep = sample_efficiency_sweep([], [50], trials=1, cfg=TINY, steps=3)
-        assert sweep_table(sweep.summary, "cem-", "mean_reward") == {}
-        assert sweep.results == []
+    def test_empty_cell_list_gives_empty_grid(self):
+        grid = run_cells([], seeds=[0], steps=3, cfg=TINY)
+        assert grid.results == [] and grid.summary == [] and grid.failures == []
 
-    def test_sample_efficiency_budgets(self):
-        sweep = sample_efficiency_sweep(["cem", "cemgd"], [10, 20], trials=2,
-                                        cfg=TINY, steps=3)
-        means = {(planner, budget): mean
-                 for planner, prefix in (("cem", "cem-"), ("cemgd", "cemgd-nr"))
-                 for budget, mean in sweep_table(sweep.summary, prefix,
-                                                 "mean_reward").items()}
-        assert set(means) == {("cem", 10), ("cem", 20), ("cemgd", 10), ("cemgd", 20)}
-        cem_rows = [r for r in sweep.results if r.planner_id == "cem-10"]
-        assert all(list(r.samples_used) == [10, 10, 10] for r in cem_rows)
-        std = sweep_table(sweep.summary, "cem-", "std_reward")[10]
-        rewards = [r.episode_reward for r in cem_rows]
-        assert means[("cem", 10)] == np.mean(rewards) and std == np.std(rewards)
+    def test_cell_budgets_ids_and_env_overrides(self):
+        cells = [{"env": "cartpole", "planner": "cem-10"},
+                 {"env": "cartpole", "planner": "cem-20"},
+                 {"id": "cemgd-nr10", "env": {"name": "cartpole"}, "planner": "cemgd",
+                  "planner_config": {"n_r": 2, "m_r": 5}},
+                 {"id": "moved", "env": {"name": "barrier", "start": [-0.5, 0.0]},
+                  "planner": "cem-10"}]
+        grid = run_cells(cells, seeds=[0, 1], steps=3, cfg=TINY)
+        assert [(row["env"], row["planner"]) for row in grid.summary] == \
+            [("barrier", "moved"), ("cartpole", "cem-10"), ("cartpole", "cem-20"),
+             ("cartpole", "cemgd-nr10")]
+        cem = [r for r in grid.results if r.planner_id == "cem-10"]
+        assert all(list(r.samples_used) == [10, 10, 10] for r in cem)
+        hybrid = [r for r in grid.results if r.planner_id == "cemgd-nr10"]
+        assert all(list(r.samples_used) == [40, 10, 10] for r in hybrid)
+        row = next(row for row in grid.summary if row["planner"] == "cem-10")
+        rewards = [r.episode_reward for r in cem]
+        assert row["mean_reward"] == np.mean(rewards) and row["std_reward"] == np.std(rewards)
+        moved = [r for r in grid.results if r.planner_id == "moved"]
+        assert all(list(r.states[0]) == [-0.5, 0.0] for r in moved)
 
 
 class TestRunGrid:
