@@ -3,7 +3,8 @@
 Maintains an entrywise Gaussian (diagonal covariance) over (T, d_a) action
 sequences. Each iteration samples n sequences, rolls them out, refits the
 distribution to the top k_elite by a moving average, and the best
-sequences over the whole run are pooled across iterations.
+sequences over the whole run are pooled across iterations, as the
+trajectories their rollouts produced.
 """
 
 from __future__ import annotations
@@ -12,7 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ActionBounds, Array, DivergedError, project, rollout_batch
+from .core import (ActionBounds, Array, DivergedError, Trajectory, project,
+                   rollout_batch)
 
 # Keeps the sampling distribution from collapsing to a point.
 VARIANCE_FLOOR = 1e-6
@@ -43,9 +45,18 @@ class SamplingDistribution:
 
 @dataclass
 class CemResult:
+    """The pooled best of a CEM run.
+
+    ``top_k`` holds the best sequences as the trajectories CEM's batched
+    rollouts produced (states, actions, step rewards, total), sorted by
+    total reward descending, earlier sample first on ties; for the
+    analytic models each equals ``rollout`` of its actions bit for bit,
+    for ``MlpModel`` to rounding.
+    """
+
     best_sequence: Array
     best_reward: float
-    top_k: list[tuple[Array, float]]   # sorted by reward descending
+    top_k: list[Trajectory]
     samples_used: int
 
 
@@ -89,7 +100,7 @@ def update_distribution(dist: SamplingDistribution, elites, alpha: float,
 
 
 def _merge_top(pool, candidates, size):
-    """Keep the best `size` (reward, index, sequence) entries; earlier index wins ties."""
+    """Keep the best `size` (reward, index, payload) entries; earlier index wins ties."""
     pool = pool + candidates
     pool.sort(key=lambda entry: (-entry[0], entry[1]))
     return pool[:size]
@@ -103,29 +114,37 @@ def run_cem(model, reward, s0, init_dist: SamplingDistribution, n: int, m: int,
     Per iteration the top k_elite samples (ties broken by sample order)
     drive the distribution update; the returned top_k (default k_elite)
     and best sequence are pooled over all n*m evaluated samples, so the
-    best reward seen is a running maximum over iterations.
+    best reward seen is a running maximum over iterations. Only the rows
+    that enter the pool are copied out of an iteration's rollout buffers.
     """
     if not 1 <= k_elite <= n:
         raise ValueError("k_elite must satisfy 1 <= k_elite <= n")
     if m < 1:
         raise ValueError("m must be at least 1")
     pool_size = k_elite if top_k is None else int(top_k)
+    keep = max(pool_size, 1)
     dist = init_dist
-    pool: list[tuple[float, int, Array]] = []
+    pool: list[tuple[float, int, Trajectory | int]] = []   # int: a row of this iteration
     for it in range(m):
         seqs = sample(dist, n, bounds, rng)
         try:
-            rewards = rollout_batch(model, reward, s0, seqs)
+            totals, states, step_rewards = rollout_batch(model, reward, s0, seqs,
+                                                         return_full=True)
         except DivergedError as err:
             raise DivergedError(f"cem iteration {it}: {err}", step=err.step) from err
-        order = np.argsort(-rewards, kind="stable")
-        elite_idx = order[:k_elite]
-        dist = update_distribution(dist, seqs[elite_idx], alpha)
+        order = np.argsort(-totals, kind="stable")
+        dist = update_distribution(dist, seqs[order[:k_elite]], alpha)
         base = it * n
-        candidates = [(float(rewards[i]), base + int(i), seqs[i])
-                      for i in order[: max(k_elite, pool_size)]]
-        pool = _merge_top(pool, candidates, max(pool_size, 1))
-    top = [(seq, r) for r, _, seq in pool[:pool_size]] if pool_size >= 1 else []
-    best_reward, _, best_seq = pool[0]
-    return CemResult(best_sequence=best_seq, best_reward=best_reward, top_k=top,
+        # Beyond this iteration's best `keep` no sample can enter the pool.
+        pool = _merge_top(pool, [(float(totals[i]), base + int(i), int(i))
+                                 for i in order[:keep]], keep)
+        for j, (r, idx, entry) in enumerate(pool):
+            if idx >= base:
+                pool[j] = (r, idx, Trajectory(
+                    states=states[entry].copy(), actions=seqs[entry].copy(),
+                    step_rewards=step_rewards[entry].copy(), total_reward=r))
+        del seqs, states, step_rewards
+    best = pool[0][2]
+    return CemResult(best_sequence=best.actions, best_reward=best.total_reward,
+                     top_k=[traj for _, _, traj in pool[:pool_size]],
                      samples_used=n * m)

@@ -3,9 +3,10 @@
 At the first time step a large CEM budget explores the landscape from a
 zero-mean unit-variance distribution; at every later step a much smaller
 budget reseeds from the time-shifted previous optimum. The top k pooled
-sequences are refined by projected gradient ascent with line search, the
-refined sequence with the highest rolled-out reward wins, and its first
-action is the planner output.
+sequences are refined by projected gradient ascent with line search,
+starting from the trajectories CEM rolled out; the refined sequence with
+the highest rolled-out reward wins, and its first action is the planner
+output.
 With G=0 the same loop is pure CEM; with a 1x1 CEM and a fresh
 PlannerState every step it is the first-order planner from one random start.
 """
@@ -17,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .cem import SamplingDistribution, default_elite_count, run_cem
-from .core import ActionBounds, Array, DivergedError, PlannerConfig, rollout
+from .core import ActionBounds, Array, DivergedError, PlannerConfig
 from .gradplanner import OptimizeTrace, optimize
 
 
@@ -34,7 +35,7 @@ class PlanDiagnostics:
     cem_best_reward: float
     post_gradient_rewards: list[float]
     samples_used: int
-    gradient_evals: int                       # rollout evaluations spent on refinement
+    gradient_evals: int                       # 1 + line-search trials + 1 per refined sequence
     memory_proxy: int                         # sequences resident: n, plus k when G > 0
     traces: list[OptimizeTrace] = field(default_factory=list)
 
@@ -62,6 +63,11 @@ def plan(state: PlannerState, s_t: Array, model, reward, cfg: PlannerConfig,
     variance resets to one at every step, and refinement never lowers a
     sequence's reward, so the output dominates everything CEM evaluated.
     With G=0 there is no refinement: the output is CEM's pooled best.
+    Refinement starts from CEM's pooled trajectories and the winner's
+    reward is the one its last rollout gave, so plan() rolls out nothing
+    beyond CEM's samples and the line-search candidates. ``gradient_evals``
+    still counts 1 + trials + 1 per refined sequence: the seed's score
+    (from CEM's rollout) and the winner's score (from the line search's).
     """
     first = state.timestep == 0
     if first != (state.previous_optimal is None):
@@ -83,17 +89,17 @@ def plan(state: PlannerState, s_t: Array, model, reward, cfg: PlannerConfig,
 
     refined, traces, rewards = [], [], []
     evals = 0
-    for i, (seq, _) in enumerate(result.top_k if cfg.G > 0 else []):
+    for i, seed in enumerate(result.top_k if cfg.G > 0 else []):
         try:
-            opt_seq, trace = optimize(seq, model, reward, s_t, cfg, bounds)
+            opt_seq, trace = optimize(seed.actions, model, reward, s_t, cfg, bounds,
+                                      initial_trajectory=seed)
         except DivergedError as err:
             raise DivergedError(f"gradient refinement of elite {i}: {err}",
                                 step=err.step) from err
-        final = rollout(model, reward, s_t, opt_seq)
         refined.append(opt_seq)
         traces.append(trace)
-        rewards.append(final.total_reward)
-        evals += 1 + trace.rollout_evaluations + 1  # seed rollout + trials + re-evaluation
+        rewards.append(trace.final_reward)
+        evals += 1 + trace.rollout_evaluations + 1  # seed score + trials + winner score
 
     if cfg.G == 0:
         best_seq, best_reward = result.best_sequence, result.best_reward

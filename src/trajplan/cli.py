@@ -57,6 +57,8 @@ PRESETS = {
                   "columns": {"mean_reward": "mean_reward", "std_reward": "std_reward"}}},
 }
 
+CONFIG_KEYS = ("version", "steps", "seeds", "env", "planner", "model", "envs", "planners",
+               "planner_config", "models", "cells", "table")
 CELL_KEYS = ("env", "id", "planner", "planner_config", "row")
 GRID_FORMS = (("cells",), ("env", "planner", "model"), ("envs", "planners"))
 
@@ -68,20 +70,24 @@ def _require(ok: bool, field: str, expected: str, got) -> None:
 
 
 def load_config(source: str) -> dict:
-    """Load a config from a JSON file path or a named preset."""
+    """Load a config from a JSON file path or a named preset; either is
+    checked the same way."""
     if source in PRESETS:
-        return json.loads(json.dumps(PRESETS[source]))
-    path = Path(source)
-    if not path.exists():
-        names = ", ".join(sorted(PRESETS))
-        raise ConfigError(f"config {source!r} is neither a file nor a preset "
-                          f"(presets: {names})")
-    try:
-        config = json.loads(path.read_text())
-    except json.JSONDecodeError as err:
-        raise ConfigError(f"config field parse error in {source}: {err}") from None
+        config = json.loads(json.dumps(PRESETS[source]))
+    else:
+        path = Path(source)
+        if not path.exists():
+            names = ", ".join(sorted(PRESETS))
+            raise ConfigError(f"config {source!r} is neither a file nor a preset "
+                              f"(presets: {names})")
+        try:
+            config = json.loads(path.read_text())
+        except json.JSONDecodeError as err:
+            raise ConfigError(f"config field parse error in {source}: {err}") from None
     if not isinstance(config, dict):
         raise ConfigError("config root must be a JSON object")
+    for key in config:
+        _require(key in CONFIG_KEYS, key, f"a config key ({', '.join(CONFIG_KEYS)})", key)
     _require(config.get("version") == CONFIG_VERSION, "version", CONFIG_VERSION,
              config.get("version"))
     steps = config.get("steps", harness.DEFAULT_STEPS)

@@ -4,12 +4,17 @@ Two analytic environments (a 2D goal-seeking world with a repulsive
 circular barrier, and cartpole swingup) plus a small deterministic MLP
 dynamics model trained on random-rollout transitions.
 
-Every dynamics model exposes
+Every dynamics model subclasses DynamicsModel and exposes
 
     step(s, a) -> s_next
     backward(s, a, grad_next) -> (grad_s, grad_a)
+    linearize(states, actions) -> vjp, with vjp(t, grad_next) -> (grad_s, grad_a)
 
-where backward computes the vector-Jacobian products of step. Reward
+where backward computes the vector-Jacobian products of step, and
+linearize fixes a whole (T, d_s) / (T, d_a) trajectory once so that
+vjp(t, g) equals backward(states[t], actions[t], g): the default calls
+backward step by step, and MlpModel runs one time-batched forward pass
+instead of one per step (equal to the per-step VJP to rounding). Reward
 models expose reward(s_next, a) and backward(s_next, a). step and reward
 accept a single sample or a batch stacked along a leading axis; backward
 operates on single samples. All models are pure functions of their inputs
@@ -42,6 +47,11 @@ class DynamicsModel:
     def backward(self, s: Array, a: Array, grad_next: Array) -> tuple[Array, Array]:
         """VJPs (df/ds)^T grad_next and (df/da)^T grad_next at (s, a)."""
         raise NotImplementedError
+
+    def linearize(self, states: Array, actions: Array):
+        """The VJPs along a trajectory: vjp(t, grad_next) is
+        backward(states[t], actions[t], grad_next), bit for bit."""
+        return lambda t, grad_next: self.backward(states[t], actions[t], grad_next)
 
 
 class RewardModel:
@@ -365,20 +375,29 @@ class MlpModel(DynamicsModel):
         return np.asarray(s, dtype=float) + self.predict_delta(s, a)
 
     def backward(self, s, a, grad_next):
-        g = np.asarray(grad_next, dtype=float)
-        x = np.concatenate([np.asarray(s, dtype=float), np.asarray(a, dtype=float)], axis=-1)
-        z = (x - self.in_mean) / self.in_std
-        _, pres, _ = self._forward(z)
-        gh = g * self.out_std
-        for i in range(len(self.weights) - 1, -1, -1):
-            W, _ = self.weights[i]
-            if i < len(self.weights) - 1:
-                gh = gh * silu_prime(pres[i])
-            gh = gh @ W.T
-        gx = gh / self.in_std
-        grad_s = g + gx[..., : self.d_s]
-        grad_a = gx[..., self.d_s :]
-        return grad_s, grad_a
+        return self.linearize(np.asarray(s, dtype=float)[None],
+                              np.asarray(a, dtype=float)[None])(0, grad_next)
+
+    def linearize(self, states, actions):
+        """One batched forward pass over the (T, d_s) states and (T, d_a)
+        actions keeps each hidden layer's SiLU slope, so vjp(t, g) only
+        chains the weight products. Equals backward at step t to rounding:
+        BLAS may sum a row's products in another order for another T."""
+        x = np.concatenate([np.asarray(states, dtype=float),
+                            np.asarray(actions, dtype=float)], axis=-1)
+        _, pres, _ = self._forward((x - self.in_mean) / self.in_std)
+        slopes = [silu_prime(pre) for pre in pres]
+        layers = [W.T for W, _ in self.weights]
+
+        def vjp(t, grad_next):
+            g = np.asarray(grad_next, dtype=float)
+            gh = (g * self.out_std) @ layers[-1]
+            for slope, W_T in zip(reversed(slopes), reversed(layers[:-1])):
+                gh = (gh * slope[t]) @ W_T
+            gx = gh / self.in_std
+            return g + gx[..., : self.d_s], gx[..., self.d_s :]
+
+        return vjp
 
     def _loss_and_grads(self, z, target):
         """Mean squared error on normalized targets plus parameter gradients."""

@@ -51,7 +51,9 @@ def reward_gradient(model, reward, s0: Array, seq: Array,
     Backward sweep over the rollout: the running state adjoint picks up the
     reward gradient at each visited state plus the dynamics VJP from the
     following step, and each action collects its reward gradient plus the
-    dynamics VJP routed through the next state.
+    dynamics VJP routed through the next state. ``trajectory``, the rollout
+    of ``seq`` from ``s0``, saves rolling it out again; the dynamics are
+    linearized along it once per sweep (``DynamicsModel.linearize``).
 
     Raises DivergedError naming the first step, in sweep order (the last
     step first), whose action gradient or state adjoint is non-finite. As
@@ -65,10 +67,11 @@ def reward_gradient(model, reward, s0: Array, seq: Array,
     adjoints = np.empty((T, traj.states.shape[1]))
     state_adjoint = np.zeros(traj.states.shape[1])
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        vjp = model.linearize(traj.states[:-1], seq)
         for t in range(T - 1, -1, -1):
             r_gs, r_ga = reward.backward(traj.states[t + 1], seq[t])
             state_adjoint = state_adjoint + r_gs
-            f_gs, f_ga = model.backward(traj.states[t], seq[t], state_adjoint)
+            f_gs, f_ga = vjp(t, state_adjoint)
             grad[t] = r_ga + f_ga
             adjoints[t] = state_adjoint = f_gs
     if not (np.isfinite(grad).all() and np.isfinite(adjoints).all()):
@@ -89,16 +92,18 @@ def line_search_update(seq: Array, grad: Array, model, reward, s0: Array,
     sequence is returned unchanged. Returns (sequence, accepted, record,
     trajectory) where the trajectory matches the returned sequence.
 
-    The J candidates are evaluated as one batched rollout and acceptance
-    inspects them in schedule order. For the analytic models that is
-    bit-identical to trying them one at a time; for ``MlpModel`` the
-    candidate rewards agree with single rollouts only to rounding (see
-    ``rollout_batch``), so a near-tie can be decided differently.
+    The J candidates are built by one broadcast over the step sizes
+    (elementwise, so bit for bit the per-eta formula) and evaluated as one
+    batched rollout, and acceptance inspects them in schedule order. For
+    the analytic models that is bit-identical to trying them one at a
+    time; for ``MlpModel`` the candidate rewards agree with single
+    rollouts only to rounding (see ``rollout_batch``), so a near-tie can
+    be decided differently.
     """
     if current is None:
         current = rollout(model, reward, s0, seq)
     etas = eta_schedule(cfg)
-    candidates = np.stack([project(seq + eta * grad, bounds) for eta in etas])
+    candidates = project(seq + np.asarray(etas)[:, None, None] * grad, bounds)
     totals, states, step_rewards = rollout_batch(model, reward, s0, candidates,
                                                  return_full=True)
     better = np.nonzero(totals > current.total_reward)[0]
@@ -120,7 +125,11 @@ def optimize(seq: Array, model, reward, s0: Array, cfg: PlannerConfig,
 
     The step size schedule restarts at eta_init for each update, and the
     gradient is recomputed once per update (trials only rescale the step).
-    Returns (sequence, trace).
+    ``initial_trajectory``, the rollout of ``seq`` from ``s0`` (as CEM's
+    pooled top-k holds it), saves the first rollout; each sweep then runs
+    on the trajectory the last update returned, so optimize itself rolls
+    out only the line-search candidates. Returns (sequence, trace), with
+    the returned sequence's rolled-out reward in ``trace.final_reward``.
     """
     seq = np.asarray(seq, dtype=float)
     traj = initial_trajectory if initial_trajectory is not None \

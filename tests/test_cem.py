@@ -3,7 +3,8 @@ import pytest
 
 from trajplan.cem import (VARIANCE_FLOOR, SamplingDistribution, default_elite_count,
                           run_cem, sample, update_distribution)
-from trajplan.core import ActionBounds, rollout_batch
+from trajplan.core import ActionBounds, rollout, rollout_batch
+from trajplan.dynamics import make_environment
 
 
 class StaticDynamics:
@@ -128,7 +129,7 @@ class TestRunCem:
         rewards = rollout_batch(StaticDynamics(), ActionQuadReward(), np.zeros(1), draws)
         assert len(result.top_k) == n
         want = sorted(rewards, reverse=True)
-        got = [r for _, r in result.top_k]
+        got = [traj.total_reward for traj in result.top_k]
         assert got == want
         assert result.best_reward == want[0]
         assert result.samples_used == n
@@ -146,15 +147,32 @@ class TestRunCem:
 
     def test_top_k_dominates_and_feasible(self):
         result = self.run(n=30, m=3, k_elite=5, seed=2)
-        top_rewards = [r for _, r in result.top_k]
+        top_rewards = [traj.total_reward for traj in result.top_k]
         assert result.best_reward == top_rewards[0]
         assert top_rewards == sorted(top_rewards, reverse=True)
-        for seq, _ in result.top_k:
-            assert np.all(seq >= -1.0) and np.all(seq <= 1.0)
+        for traj in result.top_k:
+            assert np.all(traj.actions >= -1.0) and np.all(traj.actions <= 1.0)
 
     def test_top_k_parameter_truncates(self):
         result = self.run(n=30, m=2, k_elite=5, seed=2, top_k=2)
         assert len(result.top_k) == 2
+
+    @pytest.mark.parametrize("name", ["barrier", "cartpole"])
+    def test_top_k_trajectories_equal_single_rollouts_bitwise(self, name):
+        env = make_environment(name)
+        dist = SamplingDistribution.initial(6, env.bounds.d_a)
+        result = run_cem(env.dynamics, env.reward, env.start_state, dist, 30, 3, 5, 0.3,
+                         env.bounds, np.random.default_rng(4), top_k=4)
+        assert len(result.top_k) == 4
+        assert result.best_sequence.tobytes() == result.top_k[0].actions.tobytes()
+        assert result.best_reward == result.top_k[0].total_reward
+        for traj in result.top_k:
+            want = rollout(env.dynamics, env.reward, env.start_state, traj.actions)
+            assert traj.states.tobytes() == want.states.tobytes()
+            assert traj.step_rewards.tobytes() == want.step_rewards.tobytes()
+            assert traj.total_reward == want.total_reward
+            # Copied out of the iteration's buffers, which are not kept alive.
+            assert traj.states.base is None and traj.actions.base is None
 
     def test_invalid_arguments(self):
         with pytest.raises(ValueError):

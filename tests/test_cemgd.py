@@ -1,14 +1,19 @@
 import numpy as np
 import pytest
 
+import trajplan.cem as cem_mod
 import trajplan.cemgd as cemgd_mod
+import trajplan.core as core_mod
+import trajplan.gradplanner as gradplanner_mod
 from trajplan.cem import SamplingDistribution, default_elite_count, run_cem
-from trajplan.cemgd import PlannerState, plan, warm_start_mean
-from trajplan.core import ActionBounds, PlannerConfig
-from trajplan.dynamics import make_environment
+from trajplan.cemgd import (PlanDiagnostics, PlannerState, PlanOutput, plan,
+                            warm_start_mean)
+from trajplan.core import ActionBounds, PlannerConfig, rollout
+from trajplan.dynamics import DynamicsModel, make_environment
+from trajplan.gradplanner import optimize
 
 
-class ScalarLinearDynamics:
+class ScalarLinearDynamics(DynamicsModel):
     """s' = A s + B u on a single state and action dimension."""
 
     d_s = d_a = 1
@@ -113,7 +118,6 @@ class TestPlan:
         env = make_environment("barrier")
         cfg = tiny_cfg(G=0)
         monkeypatch.setattr(cemgd_mod, "optimize", None)  # must not be called
-        monkeypatch.setattr(cemgd_mod, "rollout", None)
         out, state = plan(PlannerState(), env.start_state, env.dynamics, env.reward,
                           cfg, env.bounds, np.random.default_rng(8))
         dist = SamplingDistribution.initial(cfg.horizon, env.bounds.d_a)
@@ -183,3 +187,68 @@ class TestPlan:
             state = PlannerState(previous_optimal=np.zeros((4, 2)), timestep=1)
             plan(state, env.start_state, env.dynamics, env.reward, cfg,
                  env.bounds, np.random.default_rng(7))
+
+
+def reference_plan(state, s_t, model, reward, cfg, bounds, rng):
+    """plan() as it was before refinement reused CEM's rollouts: optimize
+    rolls its seed sequence out again, and the winner is re-rolled."""
+    if state.timestep == 0:
+        mean, n, m = None, cfg.n_init, cfg.m_init
+    else:
+        mean, n, m = warm_start_mean(state.previous_optimal), cfg.n_r, cfg.m_r
+    k_elite = cfg.k_elite if cfg.k_elite is not None else default_elite_count(n)
+    dist = SamplingDistribution.initial(cfg.horizon, bounds.d_a, mean)
+    result = run_cem(model, reward, s_t, dist, n, m, k_elite, cfg.alpha, bounds, rng,
+                     top_k=cfg.k)
+    refined, traces, rewards = [], [], []
+    for seed in result.top_k:
+        opt_seq, trace = optimize(seed.actions, model, reward, s_t, cfg, bounds)
+        refined.append(opt_seq)
+        traces.append(trace)
+        rewards.append(rollout(model, reward, s_t, opt_seq).total_reward)
+    winner = int(np.argmax(rewards))
+    diagnostics = PlanDiagnostics(
+        cem_best_reward=result.best_reward, post_gradient_rewards=rewards,
+        samples_used=result.samples_used,
+        gradient_evals=sum(1 + trace.rollout_evaluations + 1 for trace in traces),
+        memory_proxy=n + cfg.k, traces=traces)
+    best = refined[winner]
+    return (PlanOutput(best[0].copy(), best, rewards[winner], diagnostics),
+            PlannerState(previous_optimal=best, timestep=state.timestep + 1))
+
+
+class TestRolloutReuse:
+    @pytest.mark.parametrize("name", ["barrier", "cartpole"])
+    def test_matches_rerolling_recipe_bitwise(self, name):
+        env = make_environment(name)
+        cfg = tiny_cfg(k=2, k_elite=5)
+        s = env.start_state
+        state, want_state = PlannerState(), PlannerState()
+        rng, want_rng = np.random.default_rng(9), np.random.default_rng(9)
+        for _ in range(3):  # the first step and two replans
+            out, state = plan(state, s, env.dynamics, env.reward, cfg, env.bounds, rng)
+            want, want_state = reference_plan(want_state, s, env.dynamics, env.reward,
+                                              cfg, env.bounds, want_rng)
+            assert out.action.tobytes() == want.action.tobytes()
+            assert out.optimal_sequence.tobytes() == want.optimal_sequence.tobytes()
+            assert out.model_reward == want.model_reward
+            assert out.diagnostics == want.diagnostics
+            s = env.dynamics.step(s, out.action)
+
+    def test_replan_rolls_out_cem_and_line_search_batches_only(self, monkeypatch):
+        env = make_environment("barrier")
+        cfg = PlannerConfig()  # paper defaults: 10 x 5 replan, G = 10, J = 8
+        calls = []
+        for module in (cem_mod, gradplanner_mod, core_mod):
+            def counting(model, reward, s0, seqs, *args, _real=module.rollout_batch,
+                         _name=module.__name__, **kwargs):
+                calls.append((_name, len(seqs)))
+                return _real(model, reward, s0, seqs, *args, **kwargs)
+            monkeypatch.setattr(module, "rollout_batch", counting)
+        monkeypatch.setattr(gradplanner_mod, "rollout", None)  # must not be called
+        state = PlannerState(previous_optimal=np.zeros((cfg.horizon, 2)), timestep=1)
+        out, _ = plan(state, env.start_state, env.dynamics, env.reward, cfg, env.bounds,
+                      np.random.default_rng(10))
+        assert calls == ([("trajplan.cem", cfg.n_r)] * cfg.m_r
+                         + [("trajplan.gradplanner", cfg.J)] * cfg.G)
+        assert out.diagnostics.gradient_evals == 1 + cfg.G * cfg.J + 1

@@ -1,3 +1,4 @@
+import argparse
 import csv
 import json
 import shlex
@@ -6,7 +7,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from trajplan.cli import PRESETS, build_parser, load_config, main, planner_config_from
+from trajplan.cli import (CONFIG_KEYS, PRESETS, _grid_config, build_parser, load_config, main,
+                          planner_config_from)
 from trajplan.dynamics import MlpModel
 
 
@@ -34,11 +36,35 @@ def diverging_model(tmp_path):
     return {"path": str(path)}
 
 
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
 class TestConfig:
     def test_presets_load(self):
         for name in PRESETS:
             config = load_config(name)
             assert config["version"] == 1
+            _grid_config(argparse.Namespace(config=name))
+
+    def test_readme_configs_load(self, tmp_path):
+        blocks = [part.split("```", 1)[0] for part in README.read_text().split("```json")[1:]]
+        assert len(blocks) == 2
+        for i, block in enumerate(blocks):
+            path = tmp_path / f"readme{i}.json"
+            path.write_text(block)
+            assert load_config(str(path))["version"] == 1
+            _grid_config(argparse.Namespace(config=str(path)))
+
+    def test_unknown_top_level_key_named_before_any_output(self, tmp_path, capsys):
+        path = run_config(tmp_path, planer_config={"horizon": 3})
+        assert main(["run", "--config", path, "--out", str(tmp_path / "r")]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err == (
+            f"error: config field 'planer_config': expected a config key "
+            f"({', '.join(CONFIG_KEYS)}), got 'planer_config'\n")
+        assert CONFIG_KEYS == ("version", "steps", "seeds", "env", "planner", "model", "envs",
+                               "planners", "planner_config", "models", "cells", "table")
+        assert not (tmp_path / "r").exists()
 
     def test_unknown_source(self):
         with pytest.raises(ValueError, match="preset"):
@@ -270,6 +296,10 @@ class TestConfigErrors:
         ("env", {"env": {"name": "barrier", "radius": "wide"}}),
         *[("planner_config", {"planner_config": {"horizon": value}})
           for value in ("3", 3.5, True, None)],
+        # json writes these as the NaN/Infinity/-Infinity literals it also parses.
+        *[("planner_config", {"planner_config": {name: value}})
+          for name in ("alpha", "eta_init", "rho")
+          for value in (float("nan"), float("inf"), float("-inf"))],
         ("table.columns.r", {"cells": [dict(CELL, row={"budget": 50})],
                              "table": {"file": "t.csv", "columns": {"r": "reward"}}}),
         ("cells[1].row", {"cells": [dict(CELL, row={"budget": 50}), dict(CELL, id="b")],
@@ -305,8 +335,7 @@ def test_numeric_flag_named_before_any_output(tmp_path, capsys, argv):
 def test_readme_cli_lines_parse():
     """Every `trajplan ...` line in README's CLI block names a subcommand and
     flags that exist (the commands are parsed, not run)."""
-    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
-    block = readme.split("## CLI", 1)[1].split("```sh", 1)[1].split("```", 1)[0]
+    block = README.read_text().split("## CLI", 1)[1].split("```sh", 1)[1].split("```", 1)[0]
     lines = [line for line in block.splitlines() if line.startswith("trajplan ")]
     assert lines
     for line in lines:

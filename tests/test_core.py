@@ -308,6 +308,12 @@ class TestPlannerConfig:
         with pytest.raises(ValueError, match=f"^{name} must be (an integer >= [01]|a number), got "):
             PlannerConfig(**{name: value})
 
+    @pytest.mark.parametrize("name", ["alpha", "eta_init", "rho"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+    def test_rejects_non_finite_float_by_name(self, name, value):
+        with pytest.raises(ValueError, match=f"^{name} must be finite, got "):
+            PlannerConfig(**{name: value})
+
     def test_accepts_numpy_integers_and_unset_k_elite(self):
         cfg = PlannerConfig(horizon=np.int64(3), k_elite=None, eta_init=1)
         assert cfg.horizon == 3 and cfg.k_elite is None

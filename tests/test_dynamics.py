@@ -204,6 +204,20 @@ def test_batched_step_matches_single():
             assert batched_r[i] == env.reward.reward(ss[i], aa[i])
 
 
+@pytest.mark.parametrize("name", ["barrier", "cartpole"])
+def test_linearize_is_per_step_backward_bitwise(name):
+    env = make_environment(name)
+    rng = np.random.default_rng(7)
+    d_s = env.start_state.shape[0]
+    ss = rng.normal(size=(10, d_s))
+    aa = rng.uniform(env.bounds.low, env.bounds.high, size=(10, env.bounds.d_a))
+    vjp = env.dynamics.linearize(ss, aa)
+    for t in range(10):
+        g = rng.normal(size=d_s)
+        for got, want in zip(vjp(t, g), env.dynamics.backward(ss[t], aa[t], g)):
+            assert got.tobytes() == want.tobytes()
+
+
 # The kernels below were rewritten for speed (ndarray.sum instead of the
 # np.sum wrapper, an out= buffer instead of np.stack). The earlier formulas
 # are kept here as references that the kernels must equal bit for bit.

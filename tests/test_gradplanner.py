@@ -1,14 +1,15 @@
 import numpy as np
 import pytest
 
-from trajplan.core import ActionBounds, DivergedError, PlannerConfig, rollout
-from trajplan.dynamics import make_environment
+import trajplan.gradplanner as gradplanner_mod
+from trajplan.core import ActionBounds, DivergedError, PlannerConfig, project, rollout
+from trajplan.dynamics import DynamicsModel, make_environment
 from trajplan.gradplanner import (eta_schedule, line_search_update, optimize,
                                   reward_gradient)
 from trajplan.harness import make_policy
 
 
-class FrozenDynamics:
+class FrozenDynamics(DynamicsModel):
     """State stays put, so the reward is a pure function of actions."""
 
     d_s = d_a = 1
@@ -32,7 +33,7 @@ class ActionQuadReward:
         return np.zeros(1), -2.0 * (np.asarray(a, dtype=float) - self.target)
 
 
-class VjpOverflowDynamics:
+class VjpOverflowDynamics(DynamicsModel):
     """s' = s + 0.1 a; the VJP at each step in ``bad_steps`` overflows to inf.
 
     ``part`` picks which VJP overflows: the state adjoint or the action's.
@@ -145,6 +146,26 @@ class TestLineSearch:
         assert record.eta_used == 0.01
         # Closed form: the step eta*2*(c - a) improves whenever eta < 1.
         assert out[0, 0] == 0.01 * 2.0 * 0.5
+
+    def test_candidates_equal_per_eta_formula_bitwise(self, monkeypatch):
+        env = make_environment("barrier")
+        cfg = PlannerConfig()
+        rng = np.random.default_rng(12)
+        seq = project(rng.normal(0.0, 0.4, size=(45, 2)), env.bounds)
+        grad = rng.normal(0.0, 30.0, size=(45, 2))  # large enough that some entries clamp
+        seen = []
+        real = gradplanner_mod.rollout_batch
+
+        def spy(model, reward, s0, seqs, **kwargs):
+            seen.append(seqs.copy())
+            return real(model, reward, s0, seqs, **kwargs)
+
+        monkeypatch.setattr(gradplanner_mod, "rollout_batch", spy)
+        line_search_update(seq, grad, env.dynamics, env.reward, env.start_state, cfg,
+                           env.bounds)
+        want = np.stack([project(seq + eta * grad, env.bounds) for eta in eta_schedule(cfg)])
+        assert len(seen) == 1 and seen[0].tobytes() == want.tobytes()
+        assert np.any(np.abs(want) == 0.5) and np.any(np.abs(want) < 0.5)
 
     def test_candidates_respect_bounds(self):
         cfg = PlannerConfig(eta_init=10.0, J=3)

@@ -110,6 +110,36 @@ class TestBackward:
                 assert abs(num - grad_a[j]) / max(1.0, abs(num)) < 1e-4
 
 
+def per_sample_vjp(model, s, a, g):
+    """The MLP's VJP at one (s, a), from a forward pass of that sample alone."""
+    z = (np.concatenate([s, a]) - model.in_mean) / model.in_std
+    _, pres, _ = model._forward(z)
+    gh = g * model.out_std
+    for i in range(len(model.weights) - 1, -1, -1):
+        if i < len(model.weights) - 1:
+            gh = gh * silu_prime(pres[i])
+        gh = gh @ model.weights[i][0].T
+    gx = gh / model.in_std
+    return np.concatenate([g + gx[: model.d_s], gx[model.d_s :]])
+
+
+class TestLinearize:
+    def test_matches_per_sample_vjp(self):
+        rng = np.random.default_rng(4)
+        model = MlpModel.initialize(4, 2, hidden=(64, 64, 64), rng=rng,
+                                    in_std=rng.uniform(0.5, 2.0, size=6),
+                                    out_std=rng.uniform(0.5, 2.0, size=4))
+        T = 30
+        states, actions = rng.normal(size=(T, 4)), rng.normal(size=(T, 2))
+        vjp = model.linearize(states, actions)
+        for t in range(T):
+            g = rng.normal(size=4)
+            want = per_sample_vjp(model, states[t], actions[t], g)
+            for got in (vjp(t, g), model.backward(states[t], actions[t], g)):
+                err = np.linalg.norm(np.concatenate(got) - want)
+                assert err <= 1e-12 * np.linalg.norm(want)
+
+
 class TestFit:
     def linear_data(self, n=4000, seed=3):
         rng = np.random.default_rng(seed)
