@@ -97,12 +97,21 @@ def rollout(model, reward, s0: Array, seq: Array) -> Trajectory:
                       total_reward=float(totals[0]))
 
 
+# Rows of a rollout batch scored by one reward call: the reward's
+# temporaries stay O(rows * T) at any batch size.
+REWARD_BLOCK_ROWS = 128
+
+
 def rollout_batch(model, reward, s0: Array, seqs: Array, return_full: bool = False):
     """Roll out a batch of action sequences (B, T, d_a) from a shared state.
 
     Returns the (B,) vector of cumulative rewards; with ``return_full``
-    also the (B, T+1, d_s) state array and (B, T) step rewards. Rewards
-    accumulate in ascending step order; reruns are bit-identical. Row i
+    also the (B, T+1, d_s) state array and (B, T) step rewards. The loop
+    over steps only calls ``model.step``; the rewards are scored after it,
+    one ``reward.reward`` call per block of up to REWARD_BLOCK_ROWS rows
+    (one call for B <= 128) on (rows, T, d_s) states and (rows, T, d_a)
+    actions. Rewards accumulate in ascending step order, bit for bit as a
+    per-step ``totals += r`` from 0.0; reruns are bit-identical. Row i
     versus ``rollout(seqs[i])`` (which is this function at B=1): bitwise
     equal for the analytic models (barrier, cartpole: elementwise
     arithmetic) at any B; for ``MlpModel`` at B>1 equal only to rounding,
@@ -124,16 +133,18 @@ def rollout_batch(model, reward, s0: Array, seqs: Array, return_full: bool = Fal
     states = np.empty((B, T + 1, s0.shape[0]))
     states[:, 0] = s0
     rewards = np.empty((B, T))
-    totals = np.zeros(B)
     s = states[:, 0]
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         for t in range(T):
-            a = seqs[:, t]
-            s = model.step(s, a)
+            s = model.step(s, seqs[:, t])
             states[:, t + 1] = s
-            r = reward.reward(s, a)
-            rewards[:, t] = r
-            totals += r
+        totals = np.zeros(B)
+        for lo in range(0, B if T else 0, REWARD_BLOCK_ROWS):   # T = 0: nothing to score
+            rows = slice(lo, lo + REWARD_BLOCK_ROWS)
+            rewards[rows] = reward.reward(states[rows, 1:], seqs[rows])
+            # Running sums in step order: bit for bit ``totals += rewards[:, t]``
+            # for each t, including the 0.0 start that turns a -0.0 sum into 0.0.
+            totals[rows] += np.add.accumulate(rewards[rows], axis=1)[:, -1]
     if not (np.isfinite(totals).all() and np.isfinite(states[:, 1:]).all()):
         for t in range(T):
             for what, value in (("state", states[:, t + 1]), ("reward", rewards[:, t])):

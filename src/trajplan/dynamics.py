@@ -13,12 +13,16 @@ Every dynamics model subclasses DynamicsModel and exposes
 where backward computes the vector-Jacobian products of step, and
 linearize fixes a whole (T, d_s) / (T, d_a) trajectory once so that
 vjp(t, g) equals backward(states[t], actions[t], g): the default calls
-backward step by step, and MlpModel runs one time-batched forward pass
-instead of one per step (equal to the per-step VJP to rounding). Reward
-models expose reward(s_next, a) and backward(s_next, a). step and reward
-accept a single sample or a batch stacked along a leading axis; backward
-operates on single samples. All models are pure functions of their inputs
-and safe to call concurrently.
+backward step by step, BarrierDynamics calls it only at steps within the
+barrier's rim (elsewhere the VJP is the identity plus dt), and MlpModel
+runs one time-batched forward pass instead of one per step (equal to the
+per-step VJP to rounding). Reward models expose reward(s_next, a) and
+backward(s_next, a). step accepts a single sample or a batch stacked
+along a leading axis; reward and the reward's backward accept any leading
+shape, such as a whole (B, T) block of rollout steps, and equal their
+per-sample values bit for bit; the dynamics' backward operates on single
+samples. All models are pure functions of their inputs and safe to call
+concurrently.
 """
 
 from __future__ import annotations
@@ -55,7 +59,8 @@ class DynamicsModel:
 
 
 class RewardModel:
-    """Interface: known reward r(s_next, a) with gradients."""
+    """Interface: known reward r(s_next, a) with gradients, on any leading
+    shape (..., d_s) / (..., d_a), elementwise over the leading axes."""
 
     def reward(self, s_next: Array, a: Array):
         raise NotImplementedError
@@ -162,6 +167,24 @@ class BarrierDynamics(DynamicsModel):
             grad_s = grad_s + w.dt * (jac_f @ grad_next)
         grad_a = w.dt * grad_next
         return grad_s, grad_a
+
+    def linearize(self, states, actions):
+        """Only steps within the rim, plus a 1e-9 relative margin for the
+        ulp by which this batched distance and backward's may differ, call
+        backward; elsewhere the force is zero and vjp returns what backward
+        returns there, (grad_next, dt * grad_next)."""
+        w = self.world
+        u = np.asarray(states, dtype=float) - self._center
+        d = np.sqrt(np.add.reduce(u * u, axis=-1) + w.smooth_eps**2)
+        near = (d < w.radius * (1.0 + 1e-9)).tolist()
+
+        def vjp(t, grad_next):
+            if near[t]:
+                return self.backward(states[t], actions[t], grad_next)
+            g = np.asarray(grad_next, dtype=float)
+            return g.copy(), w.dt * g
+
+        return vjp
 
 
 # ---------------------------------------------------------------------------
@@ -288,11 +311,11 @@ class CartpoleReward(RewardModel):
 
     def backward(self, s_next, a):
         w = self.world
-        grad_s = np.zeros(4)
-        grad_s[0] = -2.0 * w.x_cost * float(s_next[0])
-        grad_s[2] = -math.sin(float(s_next[2]))
-        grad_a = np.array([-2.0 * w.action_cost * float(np.asarray(a).reshape(-1)[0])])
-        return grad_s, grad_a
+        s_next = np.asarray(s_next, dtype=float)
+        grad_s = np.zeros(s_next.shape)
+        grad_s[..., 0] = -2.0 * w.x_cost * s_next[..., 0]
+        grad_s[..., 2] = -np.sin(s_next[..., 2])
+        return grad_s, -2.0 * w.action_cost * np.asarray(a, dtype=float)
 
 
 # ---------------------------------------------------------------------------

@@ -52,8 +52,11 @@ def reward_gradient(model, reward, s0: Array, seq: Array,
     reward gradient at each visited state plus the dynamics VJP from the
     following step, and each action collects its reward gradient plus the
     dynamics VJP routed through the next state. ``trajectory``, the rollout
-    of ``seq`` from ``s0``, saves rolling it out again; the dynamics are
-    linearized along it once per sweep (``DynamicsModel.linearize``).
+    of ``seq`` from ``s0``, saves rolling it out again. Per sweep there is
+    one ``reward.backward`` call, on the (T, d_s) states and (T, d_a)
+    actions, and one ``model.linearize`` call
+    (``DynamicsModel.linearize``); the loop over steps takes only the
+    dynamics VJPs.
 
     Raises DivergedError naming the first step, in sweep order (the last
     step first), whose action gradient or state adjoint is non-finite. As
@@ -68,12 +71,12 @@ def reward_gradient(model, reward, s0: Array, seq: Array,
     state_adjoint = np.zeros(traj.states.shape[1])
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         vjp = model.linearize(traj.states[:-1], seq)
+        r_gs, r_ga = reward.backward(traj.states[1:], seq)
         for t in range(T - 1, -1, -1):
-            r_gs, r_ga = reward.backward(traj.states[t + 1], seq[t])
-            state_adjoint = state_adjoint + r_gs
-            f_gs, f_ga = vjp(t, state_adjoint)
-            grad[t] = r_ga + f_ga
+            state_adjoint = state_adjoint + r_gs[t]
+            f_gs, grad[t] = vjp(t, state_adjoint)
             adjoints[t] = state_adjoint = f_gs
+        grad += r_ga   # addition commutes: bit for bit r_ga[t] + f_ga per step
     if not (np.isfinite(grad).all() and np.isfinite(adjoints).all()):
         for t in range(T - 1, -1, -1):
             if not (np.isfinite(grad[t]).all() and np.isfinite(adjoints[t]).all()):

@@ -63,7 +63,12 @@ class RowOverflowModel:
 
 
 class RowOverflowReward:
-    """NegSquaredNorm whose row 1 overflows to -inf at call ``bad_step``."""
+    """NegSquaredNorm whose row 1 overflows to -inf at step ``bad_step``.
+
+    On a (B, T, d) block the step is the block's index along T; called one
+    step at a time on (B, d), as the per-step reference loop does, it is
+    the call count.
+    """
 
     def __init__(self, bad_step):
         self.bad_step = bad_step
@@ -71,7 +76,10 @@ class RowOverflowReward:
 
     def reward(self, s_next, a):
         r = -np.sum(np.asarray(s_next) ** 2, axis=-1)
-        if self.count == self.bad_step:
+        if r.ndim == 2:
+            if 0 <= self.bad_step < r.shape[1]:
+                r[1, self.bad_step] = r[1, self.bad_step] * 1e300 * 1e300
+        elif self.count == self.bad_step:
             r[1] = r[1] * 1e300 * 1e300
         self.count += 1
         return r
@@ -260,12 +268,11 @@ class TestTotalReward:
 
     def test_arithmetic(self):
         class CountingReward:
-            def __init__(self):
-                self.val = 0.0
+            """Step t of the block scores t + 1."""
 
             def reward(self, s_next, a):
-                self.val += 1.0
-                return self.val
+                steps = np.arange(1.0, s_next.shape[-2] + 1.0)
+                return np.zeros(s_next.shape[:-1]) + steps
 
         traj = rollout(PointMass(), CountingReward(), np.zeros(2), np.zeros((3, 2)))
         assert np.array_equal(traj.step_rewards, [1.0, 2.0, 3.0])

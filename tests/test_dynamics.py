@@ -204,15 +204,44 @@ def test_batched_step_matches_single():
             assert batched_r[i] == env.reward.reward(ss[i], aa[i])
 
 
+def barrier_rim_states(world):
+    """The smoothed centre, and in several directions the pair of states one
+    ulp apart on either side of the rim by the distance backward computes."""
+    center = np.asarray(world.center, dtype=float)
+
+    def inside(s):
+        u = s - center
+        return math.sqrt(float(u @ u) + world.smooth_eps**2) < world.radius
+
+    states = [center.copy()]
+    for angle in np.linspace(0.0, 2.0 * np.pi, 8, endpoint=False) + 0.1:
+        rho = math.sqrt(world.radius**2 - world.smooth_eps**2)
+        s = center + rho * np.array([math.cos(angle), math.sin(angle)])
+        i = int(np.argmax(np.abs(s - center)))   # walk the longer coordinate
+        outward = math.copysign(math.inf, s[i] - center[i])
+        while inside(s):
+            s[i] = np.nextafter(s[i], outward)
+        while not inside(s):
+            s[i] = np.nextafter(s[i], -outward)
+        beyond = s.copy()
+        beyond[i] = np.nextafter(s[i], outward)
+        assert not inside(beyond)
+        states += [s, beyond]
+    return np.array(states)
+
+
 @pytest.mark.parametrize("name", ["barrier", "cartpole"])
 def test_linearize_is_per_step_backward_bitwise(name):
     env = make_environment(name)
     rng = np.random.default_rng(7)
     d_s = env.start_state.shape[0]
     ss = rng.normal(size=(10, d_s))
-    aa = rng.uniform(env.bounds.low, env.bounds.high, size=(10, env.bounds.d_a))
+    if name == "barrier":
+        # The rim is where linearize's distance test and backward's meet.
+        ss = np.concatenate([ss, barrier_rim_states(env.world)])
+    aa = rng.uniform(env.bounds.low, env.bounds.high, size=(len(ss), env.bounds.d_a))
     vjp = env.dynamics.linearize(ss, aa)
-    for t in range(10):
+    for t in range(len(ss)):
         g = rng.normal(size=d_s)
         for got, want in zip(vjp(t, g), env.dynamics.backward(ss[t], aa[t], g)):
             assert got.tobytes() == want.tobytes()

@@ -30,7 +30,8 @@ class ActionQuadReward:
         return -np.sum((np.asarray(a) - self.target) ** 2, axis=-1)
 
     def backward(self, s_next, a):
-        return np.zeros(1), -2.0 * (np.asarray(a, dtype=float) - self.target)
+        return (np.zeros_like(np.asarray(s_next, dtype=float)),
+                -2.0 * (np.asarray(a, dtype=float) - self.target))
 
 
 class VjpOverflowDynamics(DynamicsModel):
@@ -63,7 +64,7 @@ class NegSquaredNorm:
         return -np.sum(np.asarray(s_next) ** 2, axis=-1)
 
     def backward(self, s_next, a):
-        return -2.0 * np.asarray(s_next, dtype=float), np.zeros(2)
+        return -2.0 * np.asarray(s_next, dtype=float), np.zeros_like(np.asarray(a, dtype=float))
 
 
 bounds1 = ActionBounds.symmetric(1.0, 1)
