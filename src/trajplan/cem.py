@@ -111,16 +111,19 @@ def run_cem(model, reward, s0, init_dist: SamplingDistribution, n: int, m: int,
             top_k: int | None = None) -> CemResult:
     """Run m CEM iterations of n samples each and return the pooled best.
 
-    Per iteration the top k_elite samples (ties broken by sample order)
-    drive the distribution update; the returned top_k (default k_elite)
-    and best sequence are pooled over all n*m evaluated samples, so the
-    best reward seen is a running maximum over iterations. Only the rows
-    that enter the pool are copied out of an iteration's rollout buffers.
+    Each iteration but the last refits the distribution to its top k_elite
+    samples, ties broken by sample order (a refit after the last would go
+    unread); the returned top_k (default k_elite) and best sequence are
+    pooled over all n*m evaluated samples, so the best reward seen is a
+    running maximum over iterations. Only the rows that enter the pool are
+    copied out of an iteration's rollout buffers.
     """
     if not 1 <= k_elite <= n:
         raise ValueError("k_elite must satisfy 1 <= k_elite <= n")
     if m < 1:
         raise ValueError("m must be at least 1")
+    if not 0.0 <= alpha <= 1.0:
+        raise ValueError("alpha must lie in [0, 1]")   # update_distribution's check
     pool_size = k_elite if top_k is None else int(top_k)
     keep = max(pool_size, 1)
     dist = init_dist
@@ -133,7 +136,8 @@ def run_cem(model, reward, s0, init_dist: SamplingDistribution, n: int, m: int,
         except DivergedError as err:
             raise DivergedError(f"cem iteration {it}: {err}", step=err.step) from err
         order = np.argsort(-totals, kind="stable")
-        dist = update_distribution(dist, seqs[order[:k_elite]], alpha)
+        if it < m - 1:
+            dist = update_distribution(dist, seqs[order[:k_elite]], alpha)
         base = it * n
         # Beyond this iteration's best `keep` no sample can enter the pool.
         pool = _merge_top(pool, [(float(totals[i]), base + int(i), int(i))

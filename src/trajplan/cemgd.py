@@ -35,7 +35,7 @@ class PlanDiagnostics:
     cem_best_reward: float
     post_gradient_rewards: list[float]
     samples_used: int
-    gradient_evals: int                       # 1 + line-search trials + 1 per refined sequence
+    gradient_evals: int                       # refinement budget: 1 + G*J + 1 per refined sequence
     memory_proxy: int                         # sequences resident: n, plus k when G > 0
     traces: list[OptimizeTrace] = field(default_factory=list)
 
@@ -66,8 +66,10 @@ def plan(state: PlannerState, s_t: Array, model, reward, cfg: PlannerConfig,
     Refinement starts from CEM's pooled trajectories and the winner's
     reward is the one its last rollout gave, so plan() rolls out nothing
     beyond CEM's samples and the line-search candidates. ``gradient_evals``
-    still counts 1 + trials + 1 per refined sequence: the seed's score
-    (from CEM's rollout) and the winner's score (from the line search's).
+    is the refinement budget, 1 + G*J + 1 per refined sequence (the seed's
+    score, every trial of every update, the winner's score), which is what
+    it counted when every update rolled out all J trials; the rollouts
+    actually made are in ``traces`` (``OptimizeTrace.rollout_evaluations``).
     """
     first = state.timestep == 0
     if first != (state.previous_optimal is None):
@@ -88,7 +90,6 @@ def plan(state: PlannerState, s_t: Array, model, reward, cfg: PlannerConfig,
                      bounds, rng, top_k=cfg.k)
 
     refined, traces, rewards = [], [], []
-    evals = 0
     for i, seed in enumerate(result.top_k if cfg.G > 0 else []):
         try:
             opt_seq, trace = optimize(seed.actions, model, reward, s_t, cfg, bounds,
@@ -99,7 +100,6 @@ def plan(state: PlannerState, s_t: Array, model, reward, cfg: PlannerConfig,
         refined.append(opt_seq)
         traces.append(trace)
         rewards.append(trace.final_reward)
-        evals += 1 + trace.rollout_evaluations + 1  # seed score + trials + winner score
 
     if cfg.G == 0:
         best_seq, best_reward = result.best_sequence, result.best_reward
@@ -109,7 +109,7 @@ def plan(state: PlannerState, s_t: Array, model, reward, cfg: PlannerConfig,
     diagnostics = PlanDiagnostics(cem_best_reward=result.best_reward,
                                   post_gradient_rewards=rewards,
                                   samples_used=result.samples_used,
-                                  gradient_evals=evals,
+                                  gradient_evals=len(refined) * (1 + cfg.G * cfg.J + 1),
                                   memory_proxy=n + (cfg.k if cfg.G > 0 else 0),
                                   traces=traces)
     output = PlanOutput(action=best_seq[0].copy(), optimal_sequence=best_seq,

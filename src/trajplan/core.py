@@ -190,7 +190,7 @@ class PlannerConfig:
     alpha: float = 0.3         # distribution update smoothing
     k_elite: int | None = None  # per-iteration elites; None -> max(ceil(0.1 n), 1)
     k: int = 1                 # sequences refined by gradient updates
-    G: int = 10                # gradient updates per sequence; 0 returns CEM's best
+    G: int = 10                # most gradient updates per sequence; 0 returns CEM's best
     J: int = 8                 # line search trials per update
     eta_init: float = 0.01     # initial line search step size
     rho: float = 0.67          # line search step decay

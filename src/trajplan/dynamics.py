@@ -324,12 +324,23 @@ class CartpoleReward(RewardModel):
 
 def _sigmoid(x):
     # tanh is bounded, so no input overflows and no sign branch is needed.
-    return 0.5 * (1.0 + np.tanh(0.5 * x))
+    t = np.tanh(0.5 * x)
+    t += 1.0
+    t *= 0.5
+    return t
 
 
 def silu(x: Array) -> Array:
-    """x * sigmoid(x)."""
-    return x * _sigmoid(x)
+    """x * sigmoid(x), computed as h * (1 + tanh(h)) with h = x/2.
+
+    Scaling by a power of two commutes with rounding, so this equals
+    x * (0.5 * (1 + tanh(0.5 * x))) bit for bit, in four numpy calls.
+    """
+    h = 0.5 * x
+    t = np.tanh(h)
+    t += 1.0
+    t *= h
+    return t
 
 
 def silu_prime(x: Array) -> Array:
@@ -379,7 +390,8 @@ class MlpModel(DynamicsModel):
         pres, acts = [], [z]
         h = z
         for i, (W, b) in enumerate(self.weights):
-            pre = h @ W + b
+            pre = h @ W
+            pre += b
             if i < len(self.weights) - 1:
                 pres.append(pre)
                 h = silu(pre)
@@ -408,8 +420,14 @@ class MlpModel(DynamicsModel):
         BLAS may sum a row's products in another order for another T."""
         x = np.concatenate([np.asarray(states, dtype=float),
                             np.asarray(actions, dtype=float)], axis=-1)
-        _, pres, _ = self._forward((x - self.in_mean) / self.in_std)
-        slopes = [silu_prime(pre) for pre in pres]
+        h = (x - self.in_mean) / self.in_std
+        slopes = []
+        for W, b in self.weights[:-1]:   # the output layer's value is not needed
+            pre = h @ W
+            pre += b
+            sig = _sigmoid(pre)          # once for both: bit for bit silu and silu_prime
+            h = pre * sig
+            slopes.append(sig * (1.0 + pre * (1.0 - sig)))
         layers = [W.T for W, _ in self.weights]
 
         def vjp(t, grad_next):

@@ -5,7 +5,7 @@ rollout (chaining the dynamics and reward VJPs), and sequences are
 improved by projected gradient ascent with a backtracking line search:
 each update tries step sizes eta_init, eta_init*rho, ... for up to J
 trials and accepts the first candidate whose rolled-out reward strictly
-increases.
+increases. Refinement stops at the first update that accepts none.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ class UpdateRecord:
     trials_used: int       # 1-based index of the accepted trial, or J if none accepted
     eta_used: float        # step size of the accepted trial (0.0 if rejected)
     reward_after: float
-    evaluations: int       # candidate rollouts evaluated this update
+    evaluations: int       # candidate rollouts made: 1, or J when trial 1 fails
 
 
 @dataclass
@@ -40,7 +40,8 @@ class OptimizeTrace:
 
     @property
     def rollout_evaluations(self) -> int:
-        """Candidate rollouts across all updates (gradient sweeps reuse cached states)."""
+        """Candidate rollouts made across the updates that ran (gradient
+        sweeps reuse the trajectories, so they roll nothing out)."""
         return sum(rec.evaluations for rec in self.updates)
 
 
@@ -89,50 +90,63 @@ def line_search_update(seq: Array, grad: Array, model, reward, s0: Array,
                        current: Trajectory | None = None):
     """One projected-ascent update with backtracking on the step size.
 
-    Candidates project(seq + eta * grad) are rolled out for the eta
-    schedule and the first one with strictly greater reward than the
-    current sequence wins; if none improves within J trials the input
-    sequence is returned unchanged. Returns (sequence, accepted, record,
-    trajectory) where the trajectory matches the returned sequence.
+    Candidates project(seq + eta * grad) are tried in eta-schedule order
+    and the first one with strictly greater reward than the current
+    sequence wins; if none improves within J trials the input sequence is
+    returned unchanged. Returns (sequence, accepted, record, trajectory)
+    where the trajectory matches the returned sequence.
 
     The J candidates are built by one broadcast over the step sizes
-    (elementwise, so bit for bit the per-eta formula) and evaluated as one
-    batched rollout, and acceptance inspects them in schedule order. For
-    the analytic models that is bit-identical to trying them one at a
-    time; for ``MlpModel`` the candidate rewards agree with single
-    rollouts only to rounding (see ``rollout_batch``), so a near-tie can
-    be decided differently.
+    (elementwise, so bit for bit the per-eta formula), but only the
+    rollouts that can decide the update are made: candidate 0 alone, then,
+    only if it does not improve, candidates 1..J-1 as one batch. The
+    record's ``evaluations`` is 1 or J accordingly. For the analytic models
+    this is bit-identical to rolling all J out at once or one at a time;
+    for ``MlpModel`` the candidate rewards agree across batch sizes only
+    to rounding (see ``rollout_batch``), so a near-tie can be decided
+    differently. A candidate that is not rolled out raises no
+    DivergedError.
     """
     if current is None:
         current = rollout(model, reward, s0, seq)
     etas = eta_schedule(cfg)
     candidates = project(seq + np.asarray(etas)[:, None, None] * grad, bounds)
-    totals, states, step_rewards = rollout_batch(model, reward, s0, candidates,
-                                                 return_full=True)
-    better = np.nonzero(totals > current.total_reward)[0]
-    if better.size == 0:
-        record = UpdateRecord(accepted=False, trials_used=cfg.J, eta_used=0.0,
-                              reward_after=current.total_reward, evaluations=len(etas))
-        return seq, False, record, current
-    j = int(better[0])
-    accepted_traj = Trajectory(states=states[j], actions=candidates[j],
-                               step_rewards=step_rewards[j], total_reward=float(totals[j]))
-    record = UpdateRecord(accepted=True, trials_used=j + 1, eta_used=etas[j],
-                          reward_after=float(totals[j]), evaluations=len(etas))
-    return candidates[j], True, record, accepted_traj
+    for lo, hi in ((0, 1), (1, len(etas))):   # trial 1 alone, then trials 2..J
+        if lo == hi:
+            break
+        totals, states, step_rewards = rollout_batch(model, reward, s0, candidates[lo:hi],
+                                                     return_full=True)
+        better = np.nonzero(totals > current.total_reward)[0]
+        if better.size:
+            i = int(better[0])
+            j = lo + i
+            accepted_traj = Trajectory(states=states[i], actions=candidates[j],
+                                       step_rewards=step_rewards[i],
+                                       total_reward=float(totals[i]))
+            record = UpdateRecord(accepted=True, trials_used=j + 1, eta_used=etas[j],
+                                  reward_after=float(totals[i]), evaluations=hi)
+            return candidates[j], True, record, accepted_traj
+    record = UpdateRecord(accepted=False, trials_used=len(etas), eta_used=0.0,
+                          reward_after=current.total_reward, evaluations=len(etas))
+    return seq, False, record, current
 
 
 def optimize(seq: Array, model, reward, s0: Array, cfg: PlannerConfig,
              bounds: ActionBounds, initial_trajectory: Trajectory | None = None):
-    """Apply G gradient updates with line search; reward never decreases.
+    """Apply up to G gradient updates with line search; reward never decreases.
 
     The step size schedule restarts at eta_init for each update, and the
     gradient is recomputed once per update (trials only rescale the step).
     ``initial_trajectory``, the rollout of ``seq`` from ``s0`` (as CEM's
     pooled top-k holds it), saves the first rollout; each sweep then runs
     on the trajectory the last update returned, so optimize itself rolls
-    out only the line-search candidates. Returns (sequence, trace), with
-    the returned sequence's rolled-out reward in ``trace.final_reward``.
+    out only the line-search candidates. The loop stops at the first
+    rejected update: that update left the sequence and its trajectory as
+    they were, so each later one would recompute the same gradient and
+    candidates and reject again, bit for bit, for every model. The result
+    equals running all G updates; ``trace.updates`` holds only the updates
+    that ran. Returns (sequence, trace), with the returned sequence's
+    rolled-out reward in ``trace.final_reward``.
     """
     seq = np.asarray(seq, dtype=float)
     traj = initial_trajectory if initial_trajectory is not None \
@@ -140,8 +154,10 @@ def optimize(seq: Array, model, reward, s0: Array, cfg: PlannerConfig,
     trace = OptimizeTrace(initial_reward=traj.total_reward)
     for _ in range(cfg.G):
         grad = reward_gradient(model, reward, s0, seq, trajectory=traj)
-        seq, _, record, traj = line_search_update(seq, grad, model, reward, s0,
-                                                  cfg, bounds, current=traj)
+        seq, accepted, record, traj = line_search_update(seq, grad, model, reward, s0,
+                                                         cfg, bounds, current=traj)
         trace.updates.append(record)
+        if not accepted:
+            break
     trace.final_reward = traj.total_reward
     return seq, trace

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import trajplan.cem as cem_mod
 from trajplan.cem import (VARIANCE_FLOOR, SamplingDistribution, default_elite_count,
                           run_cem, sample, update_distribution)
 from trajplan.core import ActionBounds, rollout, rollout_batch
@@ -179,6 +180,49 @@ class TestRunCem:
             self.run(n=5, m=1, k_elite=6)
         with pytest.raises(ValueError):
             self.run(n=5, m=0, k_elite=2)
+
+    @pytest.mark.parametrize("alpha", [-0.1, 1.5, float("nan")])
+    @pytest.mark.parametrize("m", [1, 3])
+    def test_invalid_alpha_raises_before_any_rollout(self, monkeypatch, alpha, m):
+        # update_distribution's check, made up front: with m = 1 no refit runs.
+        monkeypatch.setattr(cem_mod, "rollout_batch", None)   # must not be called
+        dist = SamplingDistribution.initial(1, 1)
+        with pytest.raises(ValueError, match="alpha must lie in"):
+            run_cem(StaticDynamics(), ActionQuadReward(), np.zeros(1), dist, 5, m, 2,
+                    alpha, bounds1, np.random.default_rng(0))
+
+    def test_no_refit_after_last_iteration(self, monkeypatch):
+        # m - 1 refits, and the result equals the recipe that refit after
+        # every iteration, bit for bit (the last refit was never read).
+        env = make_environment("barrier")
+        refits = []
+        real = cem_mod.update_distribution
+
+        def spy(dist, elites, alpha, *args):
+            refits.append(elites.copy())
+            return real(dist, elites, alpha, *args)
+
+        monkeypatch.setattr(cem_mod, "update_distribution", spy)
+        n, m, k_elite = 20, 4, 3
+        dist = SamplingDistribution.initial(6, 2)
+        result = run_cem(env.dynamics, env.reward, env.start_state, dist, n, m, k_elite,
+                         0.3, env.bounds, np.random.default_rng(3), top_k=2)
+        assert len(refits) == m - 1
+
+        rng = np.random.default_rng(3)
+        pooled = []
+        for it in range(m):   # refit after every iteration, the last included
+            seqs = sample(dist, n, env.bounds, rng)
+            totals = rollout_batch(env.dynamics, env.reward, env.start_state, seqs)
+            order = np.argsort(-totals, kind="stable")
+            if it < m - 1:
+                assert refits[it].tobytes() == seqs[order[:k_elite]].tobytes()
+            dist = real(dist, seqs[order[:k_elite]], 0.3)
+            pooled += [(float(totals[i]), it * n + int(i), seqs[i]) for i in range(n)]
+        pooled.sort(key=lambda entry: (-entry[0], entry[1]))
+        assert [traj.total_reward for traj in result.top_k] == [r for r, _, _ in pooled[:2]]
+        for traj, (_, _, seq) in zip(result.top_k, pooled):
+            assert traj.actions.tobytes() == seq.tobytes()
 
 
 def test_default_elite_count():

@@ -210,7 +210,7 @@ def reference_plan(state, s_t, model, reward, cfg, bounds, rng):
     diagnostics = PlanDiagnostics(
         cem_best_reward=result.best_reward, post_gradient_rewards=rewards,
         samples_used=result.samples_used,
-        gradient_evals=sum(1 + trace.rollout_evaluations + 1 for trace in traces),
+        gradient_evals=len(traces) * (1 + cfg.G * cfg.J + 1),
         memory_proxy=n + cfg.k, traces=traces)
     best = refined[winner]
     return (PlanOutput(best[0].copy(), best, rewards[winner], diagnostics),
@@ -249,6 +249,36 @@ class TestRolloutReuse:
         state = PlannerState(previous_optimal=np.zeros((cfg.horizon, 2)), timestep=1)
         out, _ = plan(state, env.start_state, env.dynamics, env.reward, cfg, env.bounds,
                       np.random.default_rng(10))
+        # Every update here is accepted at trial 1, so each line search
+        # rolls out its first candidate alone.
+        (trace,) = out.diagnostics.traces
+        assert [(rec.accepted, rec.trials_used, rec.evaluations)
+                for rec in trace.updates] == [(True, 1, 1)] * cfg.G
         assert calls == ([("trajplan.cem", cfg.n_r)] * cfg.m_r
-                         + [("trajplan.gradplanner", cfg.J)] * cfg.G)
+                         + [("trajplan.gradplanner", 1)] * cfg.G)
+        assert out.diagnostics.gradient_evals == 1 + cfg.G * cfg.J + 1
+
+    def test_replan_rolls_out_rest_of_line_search_only_after_trial_1_fails(
+            self, monkeypatch):
+        # Cartpole near upright with a warm start of zeros: the first update
+        # is accepted at trial J, the second rejects all J, and refinement
+        # stops there.
+        env = make_environment("cartpole")
+        cfg = PlannerConfig(horizon=30)
+        calls = []
+        real = gradplanner_mod.rollout_batch
+
+        def counting(model, reward, s0, seqs, *args, **kwargs):
+            calls.append(len(seqs))
+            return real(model, reward, s0, seqs, *args, **kwargs)
+
+        monkeypatch.setattr(gradplanner_mod, "rollout_batch", counting)
+        state = PlannerState(previous_optimal=np.zeros((cfg.horizon, 1)), timestep=1)
+        out, _ = plan(state, np.array([-0.2, 1.0, 0.18, -1.4]), env.dynamics, env.reward,
+                      cfg, env.bounds, np.random.default_rng(0))
+        (trace,) = out.diagnostics.traces
+        assert [(rec.accepted, rec.trials_used, rec.evaluations)
+                for rec in trace.updates] == [(True, cfg.J, cfg.J), (False, cfg.J, cfg.J)]
+        assert calls == [1, cfg.J - 1] * 2
+        assert trace.rollout_evaluations == 2 * cfg.J
         assert out.diagnostics.gradient_evals == 1 + cfg.G * cfg.J + 1

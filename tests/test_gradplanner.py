@@ -2,10 +2,11 @@ import numpy as np
 import pytest
 
 import trajplan.gradplanner as gradplanner_mod
-from trajplan.core import ActionBounds, DivergedError, PlannerConfig, project, rollout
-from trajplan.dynamics import DynamicsModel, make_environment
-from trajplan.gradplanner import (eta_schedule, line_search_update, optimize,
-                                  reward_gradient)
+from trajplan.core import (ActionBounds, DivergedError, PlannerConfig, Trajectory,
+                           project, rollout, rollout_batch)
+from trajplan.dynamics import DynamicsModel, MlpModel, make_environment
+from trajplan.gradplanner import (OptimizeTrace, UpdateRecord, eta_schedule,
+                                  line_search_update, optimize, reward_gradient)
 from trajplan.harness import make_policy
 
 
@@ -149,6 +150,8 @@ class TestLineSearch:
         assert out[0, 0] == 0.01 * 2.0 * 0.5
 
     def test_candidates_equal_per_eta_formula_bitwise(self, monkeypatch):
+        # This random direction fails at trial 1, so trial 1 is rolled out
+        # alone and trials 2..J follow as one batch.
         env = make_environment("barrier")
         cfg = PlannerConfig()
         rng = np.random.default_rng(12)
@@ -162,10 +165,12 @@ class TestLineSearch:
             return real(model, reward, s0, seqs, **kwargs)
 
         monkeypatch.setattr(gradplanner_mod, "rollout_batch", spy)
-        line_search_update(seq, grad, env.dynamics, env.reward, env.start_state, cfg,
-                           env.bounds)
+        _, _, record, _ = line_search_update(seq, grad, env.dynamics, env.reward,
+                                             env.start_state, cfg, env.bounds)
         want = np.stack([project(seq + eta * grad, env.bounds) for eta in eta_schedule(cfg)])
-        assert len(seen) == 1 and seen[0].tobytes() == want.tobytes()
+        assert [len(batch) for batch in seen] == [1, cfg.J - 1]
+        assert record.evaluations == cfg.J
+        assert np.concatenate(seen).tobytes() == want.tobytes()
         assert np.any(np.abs(want) == 0.5) and np.any(np.abs(want) < 0.5)
 
     def test_candidates_respect_bounds(self):
@@ -214,11 +219,135 @@ class TestOptimize:
             assert np.all(out >= env.bounds.low) and np.all(out <= env.bounds.high)
 
     def test_evaluation_accounting(self):
+        # Every update of this concave quadratic is accepted at trial 1, so
+        # each rolls out one candidate.
         cfg = PlannerConfig(J=8, G=10)
         seq = np.array([[0.0]])
         _, trace = optimize(seq, FrozenDynamics(), ActionQuadReward(0.5),
                             np.zeros(1), cfg, bounds1)
-        assert trace.rollout_evaluations == cfg.G * cfg.J
+        assert [(rec.accepted, rec.trials_used, rec.evaluations)
+                for rec in trace.updates] == [(True, 1, 1)] * cfg.G
+        assert trace.rollout_evaluations == cfg.G
+
+    def test_evaluation_accounting_stops_at_rejection(self):
+        # At the optimum the first update rejects all J trials, and optimize
+        # stops there.
+        cfg = PlannerConfig(J=8, G=10)
+        seq = np.array([[0.25]])
+        _, trace = optimize(seq, FrozenDynamics(), ActionQuadReward(0.25),
+                            np.zeros(1), cfg, bounds1)
+        assert [(rec.accepted, rec.trials_used, rec.evaluations)
+                for rec in trace.updates] == [(False, cfg.J, cfg.J)]
+        assert trace.rollout_evaluations == cfg.J
+
+
+def all_j_line_search(seq, grad, model, reward, s0, cfg, bounds, current):
+    """line_search_update as it was when it rolled out all J candidates
+    as one batch and recorded J evaluations per update."""
+    etas = eta_schedule(cfg)
+    candidates = project(seq + np.asarray(etas)[:, None, None] * grad, bounds)
+    totals, states, step_rewards = rollout_batch(model, reward, s0, candidates,
+                                                 return_full=True)
+    better = np.nonzero(totals > current.total_reward)[0]
+    if better.size == 0:
+        return seq, False, UpdateRecord(False, cfg.J, 0.0, current.total_reward, cfg.J), current
+    j = int(better[0])
+    traj = Trajectory(states=states[j], actions=candidates[j],
+                      step_rewards=step_rewards[j], total_reward=float(totals[j]))
+    return (candidates[j], True,
+            UpdateRecord(True, j + 1, etas[j], float(totals[j]), cfg.J), traj)
+
+
+def full_g_optimize(seq, model, reward, s0, cfg, bounds):
+    """optimize as it was when it ran all G updates, rejected ones included."""
+    seq = np.asarray(seq, dtype=float)
+    traj = rollout(model, reward, s0, seq)
+    trace = OptimizeTrace(initial_reward=traj.total_reward)
+    for _ in range(cfg.G):
+        grad = reward_gradient(model, reward, s0, seq, trajectory=traj)
+        seq, _, record, traj = line_search_update(seq, grad, model, reward, s0,
+                                                  cfg, bounds, current=traj)
+        trace.updates.append(record)
+    trace.final_reward = traj.total_reward
+    return seq, trace
+
+
+def near_upright_starts(n):
+    """Cartpole (s0, sequence) pairs near upright, where long steps overshoot:
+    updates there are accepted at later trials or rejected."""
+    for seed in range(n):
+        rng = np.random.default_rng(seed)
+        s0 = rng.normal(0.0, [0.1, 0.5, 0.1, 0.5])
+        yield s0, np.clip(rng.normal(0.0, 0.3, size=(30, 1)), -1.0, 1.0)
+
+
+def barrier_starts(n):
+    for seed in range(n):
+        rng = np.random.default_rng(seed)
+        s0 = np.array([-1.0, 0.0]) + rng.normal(0.0, 0.05, size=2)
+        yield s0, np.clip(rng.normal(0.0, 0.3, size=(20, 2)), -0.5, 0.5)
+
+
+class TestStopAtRejection:
+    """optimize stops at the first rejected update; the full-G loop is the reference."""
+
+    @pytest.mark.parametrize("case", ["cartpole", "mlp"])
+    def test_matches_full_g_loop_bitwise(self, case):
+        if case == "cartpole":
+            env = make_environment("cartpole")
+            model, cfg, starts = env.dynamics, PlannerConfig(G=20), near_upright_starts(16)
+        else:   # a random MLP planned against the barrier world's reward
+            env = make_environment("barrier")
+            model = MlpModel.initialize(2, 2, hidden=(16, 16, 16), rng=np.random.default_rng(0),
+                                        out_std=np.full(2, 0.3))
+            cfg, starts = PlannerConfig(G=20, eta_init=0.3), barrier_starts(12)
+        stopped = 0
+        for s0, seq in starts:
+            out, trace = optimize(seq, model, env.reward, s0, cfg, env.bounds)
+            want, want_trace = full_g_optimize(seq, model, env.reward, s0, cfg, env.bounds)
+            n = len(trace.updates)
+            assert out.tobytes() == want.tobytes()
+            assert trace.final_reward == want_trace.final_reward
+            assert trace.initial_reward == want_trace.initial_reward
+            assert trace.updates == want_trace.updates[:n]
+            assert all(rec.accepted for rec in trace.updates[:-1])
+            if n < cfg.G:
+                stopped += 1
+                # The rejection is a fixed point: every later update repeats it.
+                assert not trace.updates[-1].accepted
+                assert want_trace.updates[n - 1:] == [trace.updates[-1]] * (cfg.G - n + 1)
+        assert stopped >= 2
+
+
+class TestFirstTrialAlone:
+    """line_search_update against the all-J batch it replaced, bit for bit."""
+
+    @pytest.mark.parametrize("name", ["barrier", "cartpole"])
+    def test_matches_all_j_batch_bitwise(self, name):
+        env = make_environment(name)
+        cfg = PlannerConfig()
+        kinds = set()
+        rng = np.random.default_rng(5)
+        for s0, seq in (near_upright_starts if name == "cartpole" else barrier_starts)(12):
+            current = rollout(env.dynamics, env.reward, s0, seq)
+            grad = reward_gradient(env.dynamics, env.reward, s0, seq, trajectory=current)
+            for direction in (grad, -grad, *rng.normal(0.0, 30.0, size=(3, *seq.shape))):
+                got = line_search_update(seq, direction, env.dynamics, env.reward, s0,
+                                         cfg, env.bounds, current=current)
+                want = all_j_line_search(seq, direction, env.dynamics, env.reward, s0,
+                                         cfg, env.bounds, current)
+                (out, accepted, record, traj), (w_out, w_acc, w_rec, w_traj) = got, want
+                assert out.tobytes() == w_out.tobytes() and accepted == w_acc
+                for field in ("states", "actions", "step_rewards"):
+                    assert getattr(traj, field).tobytes() == getattr(w_traj, field).tobytes()
+                assert traj.total_reward == w_traj.total_reward
+                assert (record.accepted, record.trials_used, record.eta_used,
+                        record.reward_after) == (w_rec.accepted, w_rec.trials_used,
+                                                 w_rec.eta_used, w_rec.reward_after)
+                first = accepted and record.trials_used == 1
+                assert record.evaluations == (1 if first else cfg.J)
+                kinds.add("first" if first else "later" if accepted else "rejected")
+        assert kinds == {"first", "later", "rejected"}
 
 
 class TestBaselinePlan:

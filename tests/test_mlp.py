@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 import trajplan
+import trajplan.dynamics as dynamics_mod
 from trajplan.dynamics import (MlpModel, TrainingDivergedError, collect_random_rollouts,
                                fit_mlp, make_environment, silu, silu_prime)
 
@@ -138,6 +139,113 @@ class TestLinearize:
             for got in (vjp(t, g), model.backward(states[t], actions[t], g)):
                 err = np.linalg.norm(np.concatenate(got) - want)
                 assert err <= 1e-12 * np.linalg.norm(want)
+
+
+def old_sigmoid(x):
+    return 0.5 * (1.0 + np.tanh(0.5 * x))
+
+
+def old_silu(x):
+    return x * old_sigmoid(x)
+
+
+def old_silu_prime(x):
+    sig = old_sigmoid(x)
+    return sig * (1.0 + x * (1.0 - sig))
+
+
+def old_forward(model, z):
+    """MlpModel._forward as first written: ``h @ W + b`` and ``x * sigmoid(x)``."""
+    pres, acts = [], [z]
+    h = z
+    for i, (W, b) in enumerate(model.weights):
+        pre = h @ W + b
+        if i < len(model.weights) - 1:
+            pres.append(pre)
+            h = old_silu(pre)
+            acts.append(h)
+        else:
+            h = pre
+    return h, pres, acts
+
+
+def old_linearize(model, states, actions):
+    """MlpModel.linearize as first written: a full forward, then silu_prime."""
+    x = np.concatenate([states, actions], axis=-1)
+    _, pres, _ = old_forward(model, (x - model.in_mean) / model.in_std)
+    slopes = [old_silu_prime(pre) for pre in pres]
+    layers = [W.T for W, _ in model.weights]
+
+    def vjp(t, g):
+        gh = (g * model.out_std) @ layers[-1]
+        for slope, W_T in zip(reversed(slopes), reversed(layers[:-1])):
+            gh = (gh * slope[t]) @ W_T
+        gx = gh / model.in_std
+        return g + gx[..., : model.d_s], gx[..., model.d_s :]
+
+    return vjp
+
+
+def bits(a):
+    return np.asarray(a, dtype=float).view(np.uint64)
+
+
+class TestSameBitsAsOldFormulas:
+    """The lean SiLU, in-place bias and shared sigmoid change no bit."""
+
+    def test_silu_and_slope_bitwise(self):
+        rng = np.random.default_rng(0)
+        mags = 10.0 ** rng.uniform(-3.0, 3.0, size=200_000)
+        tiny = np.finfo(float).tiny
+        special = np.array([0.0, -0.0, 5e-324, -5e-324, 1e-310, -1e-310, tiny, -tiny,
+                            1e-300, 1e308, -1e308, 40.0, -40.0, 710.0, -710.0,
+                            np.inf, -np.inf, np.nan])
+        x = np.concatenate([mags, -mags, special])
+        with np.errstate(invalid="ignore", over="ignore"):
+            assert np.array_equal(bits(silu(x)), bits(old_silu(x)))
+            assert np.array_equal(bits(silu_prime(x)), bits(old_silu_prime(x)))
+
+    def model(self, rng):
+        return MlpModel.initialize(4, 2, hidden=(32, 32, 32), rng=rng,
+                                   in_mean=rng.normal(size=6),
+                                   in_std=rng.uniform(0.5, 2.0, size=6),
+                                   out_mean=rng.normal(size=4),
+                                   out_std=rng.uniform(0.5, 2.0, size=4))
+
+    @pytest.mark.parametrize("rows", [None, 1, 10, 30])
+    def test_forward_bitwise(self, rows):
+        rng = np.random.default_rng(1)
+        model = self.model(rng)
+        z = rng.normal(size=6 if rows is None else (rows, 6))
+        got, want = model._forward(z), old_forward(model, z)
+        assert bits(got[0]).tobytes() == bits(want[0]).tobytes()
+        for part in (1, 2):
+            assert [a.tobytes() for a in got[part]] == [a.tobytes() for a in want[part]]
+
+    def test_linearize_bitwise(self):
+        rng = np.random.default_rng(2)
+        model = self.model(rng)
+        T = 30
+        states, actions = rng.normal(size=(T, 4)), rng.normal(size=(T, 2))
+        got, want = model.linearize(states, actions), old_linearize(model, states, actions)
+        for t in range(T):
+            g = rng.normal(size=4)
+            for a, b in zip(got(t, g), want(t, g)):
+                assert a.tobytes() == b.tobytes()
+
+    def test_fit_mlp_weights_bitwise(self, monkeypatch):
+        env = make_environment("barrier")
+        data = collect_random_rollouts(env.dynamics, env.bounds, env.start_state,
+                                       episodes=4, steps=50, rng=3)
+        got, got_hist = fit_mlp(data, epochs=3, batch_size=32, hidden=(32, 32, 32), rng=4)
+        monkeypatch.setattr(dynamics_mod, "silu", old_silu)
+        monkeypatch.setattr(dynamics_mod, "silu_prime", old_silu_prime)
+        monkeypatch.setattr(dynamics_mod, "_sigmoid", old_sigmoid)
+        monkeypatch.setattr(MlpModel, "_forward", old_forward)
+        want, want_hist = fit_mlp(data, epochs=3, batch_size=32, hidden=(32, 32, 32), rng=4)
+        assert got_hist == want_hist
+        for (W, b), (Wo, bo) in zip(got.weights, want.weights):
+            assert W.tobytes() == Wo.tobytes() and b.tobytes() == bo.tobytes()
 
 
 class TestFit:
