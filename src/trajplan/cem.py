@@ -15,6 +15,7 @@ import numpy as np
 
 from .core import (ActionBounds, Array, DivergedError, Trajectory, project,
                    rollout_batch)
+from .core import default_elite_count  # noqa: F401  (still importable from here)
 
 # Keeps the sampling distribution from collapsing to a point.
 VARIANCE_FLOOR = 1e-6
@@ -49,13 +50,12 @@ class CemResult:
 
     ``top_k`` holds the best sequences as the trajectories CEM's batched
     rollouts produced (states, actions, step rewards, total), sorted by
-    total reward descending, earlier sample first on ties; for the
-    analytic models each equals ``rollout`` of its actions bit for bit,
-    for ``MlpModel`` to rounding.
+    total reward descending, earlier sample first on ties, so ``top_k[0]``
+    is the best sequence CEM saw; for the analytic models each equals
+    ``rollout`` of its actions bit for bit, for ``MlpModel`` to rounding.
+    ``samples_used`` is n * m.
     """
 
-    best_sequence: Array
-    best_reward: float
     top_k: list[Trajectory]
     samples_used: int
 
@@ -72,11 +72,6 @@ def sample(dist: SamplingDistribution, n: int, bounds: ActionBounds, rng) -> Arr
     noise = rng.standard_normal((n, *dist.mean.shape))
     draws = dist.mean + np.sqrt(dist.variance) * noise
     return project(draws, bounds)
-
-
-def default_elite_count(n: int) -> int:
-    """Conventional elite share: 10% of the samples, at least one."""
-    return max(int(np.ceil(0.1 * n)), 1)
 
 
 def update_distribution(dist: SamplingDistribution, elites, alpha: float,
@@ -113,10 +108,10 @@ def run_cem(model, reward, s0, init_dist: SamplingDistribution, n: int, m: int,
 
     Each iteration but the last refits the distribution to its top k_elite
     samples, ties broken by sample order (a refit after the last would go
-    unread); the returned top_k (default k_elite) and best sequence are
-    pooled over all n*m evaluated samples, so the best reward seen is a
-    running maximum over iterations. Only the rows that enter the pool are
-    copied out of an iteration's rollout buffers.
+    unread); the returned top_k (default k_elite) trajectories are pooled
+    over all n*m evaluated samples, so the best reward seen is a running
+    maximum over iterations. Only the rows that enter the pool are copied
+    out of an iteration's rollout buffers.
     """
     if not 1 <= k_elite <= n:
         raise ValueError("k_elite must satisfy 1 <= k_elite <= n")
@@ -124,15 +119,15 @@ def run_cem(model, reward, s0, init_dist: SamplingDistribution, n: int, m: int,
         raise ValueError("m must be at least 1")
     if not 0.0 <= alpha <= 1.0:
         raise ValueError("alpha must lie in [0, 1]")   # update_distribution's check
-    pool_size = k_elite if top_k is None else int(top_k)
-    keep = max(pool_size, 1)
+    keep = k_elite if top_k is None else int(top_k)
+    if keep < 1:
+        raise ValueError("top_k must be at least 1")
     dist = init_dist
     pool: list[tuple[float, int, Trajectory | int]] = []   # int: a row of this iteration
     for it in range(m):
         seqs = sample(dist, n, bounds, rng)
         try:
-            totals, states, step_rewards = rollout_batch(model, reward, s0, seqs,
-                                                         return_full=True)
+            totals, states, step_rewards = rollout_batch(model, reward, s0, seqs)
         except DivergedError as err:
             raise DivergedError(f"cem iteration {it}: {err}", step=err.step) from err
         order = np.argsort(-totals, kind="stable")
@@ -148,7 +143,4 @@ def run_cem(model, reward, s0, init_dist: SamplingDistribution, n: int, m: int,
                     states=states[entry].copy(), actions=seqs[entry].copy(),
                     step_rewards=step_rewards[entry].copy(), total_reward=r))
         del seqs, states, step_rewards
-    best = pool[0][2]
-    return CemResult(best_sequence=best.actions, best_reward=best.total_reward,
-                     top_k=[traj for _, _, traj in pool[:pool_size]],
-                     samples_used=n * m)
+    return CemResult(top_k=[traj for _, _, traj in pool], samples_used=n * m)

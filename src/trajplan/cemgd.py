@@ -17,8 +17,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .cem import SamplingDistribution, default_elite_count, run_cem
-from .core import ActionBounds, Array, DivergedError, PlannerConfig
+from .cem import SamplingDistribution, run_cem
+from .core import ActionBounds, Array, DivergedError, PlannerConfig, default_elite_count
 from .gradplanner import OptimizeTrace, optimize
 
 
@@ -63,10 +63,11 @@ def plan(state: PlannerState, s_t: Array, model, reward, cfg: PlannerConfig,
     variance resets to one at every step, and refinement never lowers a
     sequence's reward, so the output dominates everything CEM evaluated.
     With G=0 there is no refinement: the output is CEM's pooled best.
-    Refinement starts from CEM's pooled trajectories and the winner's
-    reward is the one its last rollout gave, so plan() rolls out nothing
-    beyond CEM's samples and the line-search candidates. ``gradient_evals``
-    is the refinement budget, 1 + G*J + 1 per refined sequence (the seed's
+    Refinement starts from CEM's pooled trajectories and returns refined
+    trajectories; the one with the highest total reward wins, the lowest
+    index on ties. So plan() rolls out nothing beyond CEM's samples and the
+    line-search candidates. ``gradient_evals`` is the refinement budget,
+    1 + G*J + 1 per refined sequence (the seed's
     score, every trial of every update, the winner's score), which is what
     it counted when every update rolled out all J trials; the rollouts
     actually made are in ``traces`` (``OptimizeTrace.rollout_evaluations``).
@@ -82,36 +83,29 @@ def plan(state: PlannerState, s_t: Array, model, reward, cfg: PlannerConfig,
         mean = warm_start_mean(state.previous_optimal)
         n, m = cfg.n_r, cfg.m_r
     k_elite = cfg.k_elite if cfg.k_elite is not None else default_elite_count(n)
-    if cfg.k > k_elite:
-        raise ValueError(f"k={cfg.k} exceeds the elite count {k_elite}")
 
     dist = SamplingDistribution.initial(cfg.horizon, bounds.d_a, mean)
     result = run_cem(model, reward, s_t, dist, n, m, k_elite, cfg.alpha,
                      bounds, rng, top_k=cfg.k)
 
-    refined, traces, rewards = [], [], []
+    finals, traces = [], []
     for i, seed in enumerate(result.top_k if cfg.G > 0 else []):
         try:
-            opt_seq, trace = optimize(seed.actions, model, reward, s_t, cfg, bounds,
-                                      initial_trajectory=seed)
+            final, trace = optimize(seed, model, reward, cfg, bounds)
         except DivergedError as err:
             raise DivergedError(f"gradient refinement of elite {i}: {err}",
                                 step=err.step) from err
-        refined.append(opt_seq)
+        finals.append(final)
         traces.append(trace)
-        rewards.append(trace.final_reward)
 
-    if cfg.G == 0:
-        best_seq, best_reward = result.best_sequence, result.best_reward
-    else:
-        winner = int(np.argmax(rewards))  # argmax keeps the lowest index on ties
-        best_seq, best_reward = refined[winner], rewards[winner]
-    diagnostics = PlanDiagnostics(cem_best_reward=result.best_reward,
-                                  post_gradient_rewards=rewards,
+    # max keeps the first of equal rewards: the lowest index wins ties.
+    best = max(finals or result.top_k[:1], key=lambda traj: traj.total_reward)
+    diagnostics = PlanDiagnostics(cem_best_reward=result.top_k[0].total_reward,
+                                  post_gradient_rewards=[f.total_reward for f in finals],
                                   samples_used=result.samples_used,
-                                  gradient_evals=len(refined) * (1 + cfg.G * cfg.J + 1),
+                                  gradient_evals=len(finals) * (1 + cfg.G * cfg.J + 1),
                                   memory_proxy=n + (cfg.k if cfg.G > 0 else 0),
                                   traces=traces)
-    output = PlanOutput(action=best_seq[0].copy(), optimal_sequence=best_seq,
-                        model_reward=best_reward, diagnostics=diagnostics)
-    return output, PlannerState(previous_optimal=best_seq, timestep=state.timestep + 1)
+    output = PlanOutput(action=best.actions[0].copy(), optimal_sequence=best.actions,
+                        model_reward=best.total_reward, diagnostics=diagnostics)
+    return output, PlannerState(previous_optimal=best.actions, timestep=state.timestep + 1)

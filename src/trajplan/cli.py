@@ -238,7 +238,7 @@ def _grid_config(args) -> tuple[dict, list[dict], PlannerConfig, dict]:
     return config, [cell for _, cell in cells], cfg, {
         name: model for name, section in models.items()
         if (model := _load_planning_model(
-            section, "model" if "model" in config else f"models.{name}")) is not None}
+            section, "model" if "model" in config else f"models.{name}", name)) is not None}
 
 
 def _out_dir(args) -> Path:
@@ -247,13 +247,19 @@ def _out_dir(args) -> Path:
     return out
 
 
-def _load_planning_model(section, field: str):
-    """None (ground truth) or an MLP dynamics model loaded from file."""
+def _load_planning_model(section, field: str, env_name: str):
+    """None (ground truth) or an MLP dynamics model, loaded from file, of
+    the environment's state and action sizes."""
     if section in (None, "analytic"):
         return None
     _require(isinstance(section, dict) and "path" in section, field,
              '"analytic" or {"path": ...}', section)
-    return MlpModel.load_binary(Path(section["path"]))
+    model = MlpModel.load_binary(Path(section["path"]))
+    true = make_environment(env_name).dynamics
+    _require((model.d_s, model.d_a) == (true.d_s, true.d_a), field,
+             f"a {env_name} model, with (d_s, d_a) = ({true.d_s}, {true.d_a})",
+             (model.d_s, model.d_a))
+    return model
 
 
 # ---------------------------------------------------------------------------

@@ -91,8 +91,7 @@ def rollout(model, reward, s0: Array, seq: Array) -> Trajectory:
     (next state, action) pairs; raises DivergedError like rollout_batch.
     """
     seq = np.asarray(seq, dtype=float)
-    totals, states, rewards = rollout_batch(model, reward, s0, seq[None],
-                                            return_full=True)
+    totals, states, rewards = rollout_batch(model, reward, s0, seq[None])
     return Trajectory(states=states[0], actions=seq, step_rewards=rewards[0],
                       total_reward=float(totals[0]))
 
@@ -102,11 +101,11 @@ def rollout(model, reward, s0: Array, seq: Array) -> Trajectory:
 REWARD_BLOCK_ROWS = 128
 
 
-def rollout_batch(model, reward, s0: Array, seqs: Array, return_full: bool = False):
+def rollout_batch(model, reward, s0: Array, seqs: Array):
     """Roll out a batch of action sequences (B, T, d_a) from a shared state.
 
-    Returns the (B,) vector of cumulative rewards; with ``return_full``
-    also the (B, T+1, d_s) state array and (B, T) step rewards. The loop
+    Returns (totals, states, rewards): the (B,) cumulative rewards, the
+    (B, T+1, d_s) states and the (B, T) step rewards. The loop
     over steps only calls ``model.step``; the rewards are scored after it,
     one ``reward.reward`` call per block of up to REWARD_BLOCK_ROWS rows
     (one call for B <= 128) on (rows, T, d_s) states and (rows, T, d_a)
@@ -150,9 +149,12 @@ def rollout_batch(model, reward, s0: Array, seqs: Array, return_full: bool = Fal
             for what, value in (("state", states[:, t + 1]), ("reward", rewards[:, t])):
                 if not np.isfinite(value).all():
                     raise DivergedError(f"non-finite {what} at rollout step {t}", step=t)
-    if return_full:
-        return totals, states, rewards
-    return totals
+    return totals, states, rewards
+
+
+def default_elite_count(n: int) -> int:
+    """Conventional elite share: 10% of the samples, at least one."""
+    return max(int(np.ceil(0.1 * n)), 1)
 
 
 def split_budget(total: int) -> tuple[int, int]:
@@ -214,16 +216,10 @@ class PlannerConfig:
             raise ValueError("rho must lie in (0, 1)")
         if self.eta_init <= 0.0:
             raise ValueError("eta_init must be positive")
-        if self.k_elite is not None:
-            if self.k_elite > min(self.n_init, self.n_r):
-                raise ValueError("k_elite must satisfy 1 <= k_elite <= samples per iteration")
-            if self.k > self.k_elite:
-                raise ValueError("k must not exceed k_elite")
-
-    @property
-    def total_init_samples(self) -> int:
-        return self.n_init * self.m_init
-
-    @property
-    def total_replan_samples(self) -> int:
-        return self.n_r * self.m_r
+        if self.k_elite is not None and self.k_elite > min(self.n_init, self.n_r):
+            raise ValueError("k_elite must satisfy 1 <= k_elite <= samples per iteration")
+        for name in ("n_init", "n_r"):   # plan() refines k of one budget's elites
+            n = getattr(self, name)
+            elites = self.k_elite if self.k_elite is not None else default_elite_count(n)
+            if self.k > elites:
+                raise ValueError(f"k={self.k} exceeds the elite count {elites} of {name}={n}")

@@ -28,6 +28,7 @@ concurrently.
 from __future__ import annotations
 
 import math
+import numbers
 import struct
 import warnings
 from dataclasses import dataclass, field
@@ -90,6 +91,20 @@ class QuadraticGoalReward(RewardModel):
 # Barrier world
 
 
+def _check_fields(world, size: int, vectors, positive) -> None:
+    """A world's vector fields must hold ``size`` finite numbers each, and
+    its ``positive`` fields be positive numbers."""
+    for name in vectors:
+        v = getattr(world, name)
+        if not (isinstance(v, (tuple, list, np.ndarray)) and len(v) == size and all(
+                isinstance(x, numbers.Real) and math.isfinite(x) for x in v)):
+            raise ValueError(f"{name} must be {size} finite numbers, got {v!r}")
+    for name in positive:
+        v = getattr(world, name)
+        if not (isinstance(v, numbers.Real) and v > 0.0):
+            raise ValueError(f"{name} must be a positive number, got {v!r}")
+
+
 @dataclass(frozen=True)
 class BarrierWorld:
     """2D velocity-controlled agent, repulsive circular barrier, quadratic goal reward.
@@ -111,10 +126,9 @@ class BarrierWorld:
     smooth_eps: float = 1e-6
 
     def __post_init__(self):
+        _check_fields(self, 2, ("center", "goal", "start"), ("radius", "kappa", "dt"))
         if not self.center[1] > 0.0:
             raise ValueError("barrier center must sit strictly above y = 0")
-        if self.radius <= 0.0 or self.kappa <= 0.0 or self.dt <= 0.0:
-            raise ValueError("radius, kappa and dt must be positive")
         if self.action_cost < 0.0:
             raise ValueError("action_cost must be nonnegative")
 
@@ -211,6 +225,9 @@ class CartpoleWorld:
     action_cost: float = 0.01
     action_limit: float = 1.0
     start: tuple[float, float, float, float] = (0.0, 0.0, math.pi, 0.0)
+
+    def __post_init__(self):
+        _check_fields(self, 4, ("start",), ("masscart", "masspole", "half_length", "dt"))
 
     def dynamics(self) -> "CartpoleDynamics":
         return CartpoleDynamics(self)

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .core import (ActionBounds, Array, DivergedError, PlannerConfig,
-                   Trajectory, project, rollout, rollout_batch)
+                   Trajectory, project, rollout_batch)
 
 
 def eta_schedule(cfg: PlannerConfig) -> list[float]:
@@ -45,17 +45,15 @@ class OptimizeTrace:
         return sum(rec.evaluations for rec in self.updates)
 
 
-def reward_gradient(model, reward, s0: Array, seq: Array,
-                    trajectory: Trajectory | None = None) -> Array:
+def reward_gradient(model, reward, traj: Trajectory) -> Array:
     """Exact gradient of the cumulative rollout reward w.r.t. every action entry.
 
-    Backward sweep over the rollout: the running state adjoint picks up the
-    reward gradient at each visited state plus the dynamics VJP from the
-    following step, and each action collects its reward gradient plus the
-    dynamics VJP routed through the next state. ``trajectory``, the rollout
-    of ``seq`` from ``s0``, saves rolling it out again. Per sweep there is
-    one ``reward.backward`` call, on the (T, d_s) states and (T, d_a)
-    actions, and one ``model.linearize`` call
+    Backward sweep over the rollout ``traj``: the running state adjoint
+    picks up the reward gradient at each visited state plus the dynamics
+    VJP from the following step, and each action collects its reward
+    gradient plus the dynamics VJP routed through the next state. Per
+    sweep there is one ``reward.backward`` call, on the (T, d_s) states and
+    (T, d_a) actions, and one ``model.linearize`` call
     (``DynamicsModel.linearize``); the loop over steps takes only the
     dynamics VJPs.
 
@@ -64,8 +62,7 @@ def reward_gradient(model, reward, s0: Array, seq: Array,
     in ``rollout_batch``, finiteness is checked once, after the sweep, and
     numpy's overflow, invalid and divide warnings inside it are suppressed.
     """
-    seq = np.asarray(seq, dtype=float)
-    traj = trajectory if trajectory is not None else rollout(model, reward, s0, seq)
+    seq = traj.actions
     T = seq.shape[0]
     grad = np.empty_like(seq)
     adjoints = np.empty((T, traj.states.shape[1]))
@@ -85,16 +82,15 @@ def reward_gradient(model, reward, s0: Array, seq: Array,
     return grad
 
 
-def line_search_update(seq: Array, grad: Array, model, reward, s0: Array,
-                       cfg: PlannerConfig, bounds: ActionBounds,
-                       current: Trajectory | None = None):
-    """One projected-ascent update with backtracking on the step size.
+def line_search_update(current: Trajectory, grad: Array, model, reward,
+                       cfg: PlannerConfig, bounds: ActionBounds):
+    """One projected-ascent update of the rollout ``current`` with backtracking.
 
-    Candidates project(seq + eta * grad) are tried in eta-schedule order
-    and the first one with strictly greater reward than the current
-    sequence wins; if none improves within J trials the input sequence is
-    returned unchanged. Returns (sequence, accepted, record, trajectory)
-    where the trajectory matches the returned sequence.
+    Candidates project(current.actions + eta * grad), rolled out from
+    ``current.states[0]``, are tried in eta-schedule order and the first
+    with strictly greater reward than ``current`` wins. Returns (sequence,
+    accepted, record, trajectory): the winner and its rollout, or, if none
+    improves within J trials, ``current.actions`` and ``current``.
 
     The J candidates are built by one broadcast over the step sizes
     (elementwise, so bit for bit the per-eta formula), but only the
@@ -107,15 +103,13 @@ def line_search_update(seq: Array, grad: Array, model, reward, s0: Array,
     differently. A candidate that is not rolled out raises no
     DivergedError.
     """
-    if current is None:
-        current = rollout(model, reward, s0, seq)
     etas = eta_schedule(cfg)
-    candidates = project(seq + np.asarray(etas)[:, None, None] * grad, bounds)
+    candidates = project(current.actions + np.asarray(etas)[:, None, None] * grad, bounds)
     for lo, hi in ((0, 1), (1, len(etas))):   # trial 1 alone, then trials 2..J
         if lo == hi:
             break
-        totals, states, step_rewards = rollout_batch(model, reward, s0, candidates[lo:hi],
-                                                     return_full=True)
+        totals, states, step_rewards = rollout_batch(model, reward, current.states[0],
+                                                     candidates[lo:hi])
         better = np.nonzero(totals > current.total_reward)[0]
         if better.size:
             i = int(better[0])
@@ -128,36 +122,31 @@ def line_search_update(seq: Array, grad: Array, model, reward, s0: Array,
             return candidates[j], True, record, accepted_traj
     record = UpdateRecord(accepted=False, trials_used=len(etas), eta_used=0.0,
                           reward_after=current.total_reward, evaluations=len(etas))
-    return seq, False, record, current
+    return current.actions, False, record, current
 
 
-def optimize(seq: Array, model, reward, s0: Array, cfg: PlannerConfig,
-             bounds: ActionBounds, initial_trajectory: Trajectory | None = None):
-    """Apply up to G gradient updates with line search; reward never decreases.
+def optimize(traj: Trajectory, model, reward, cfg: PlannerConfig, bounds: ActionBounds):
+    """Refine the rollout ``traj`` (as CEM's pooled top-k holds it) by up
+    to G gradient updates with line search; reward never decreases.
 
     The step size schedule restarts at eta_init for each update, and the
-    gradient is recomputed once per update (trials only rescale the step).
-    ``initial_trajectory``, the rollout of ``seq`` from ``s0`` (as CEM's
-    pooled top-k holds it), saves the first rollout; each sweep then runs
-    on the trajectory the last update returned, so optimize itself rolls
-    out only the line-search candidates. The loop stops at the first
-    rejected update: that update left the sequence and its trajectory as
-    they were, so each later one would recompute the same gradient and
-    candidates and reject again, bit for bit, for every model. The result
-    equals running all G updates; ``trace.updates`` holds only the updates
-    that ran. Returns (sequence, trace), with the returned sequence's
-    rolled-out reward in ``trace.final_reward``.
+    gradient is recomputed once per update (trials only rescale the step)
+    on the trajectory the last update returned, so optimize rolls out only
+    the line-search candidates. The loop stops at the first rejected
+    update: that update left the trajectory as it was, so each later one
+    would recompute the same gradient and candidates and reject again, bit
+    for bit, for every model. The result equals running all G updates;
+    ``trace.updates`` holds only the updates that ran. Returns (trajectory,
+    trace): the refined rollout (``traj`` itself if no update was accepted)
+    and the trace, whose ``final_reward`` is its total reward.
     """
-    seq = np.asarray(seq, dtype=float)
-    traj = initial_trajectory if initial_trajectory is not None \
-        else rollout(model, reward, s0, seq)
     trace = OptimizeTrace(initial_reward=traj.total_reward)
     for _ in range(cfg.G):
-        grad = reward_gradient(model, reward, s0, seq, trajectory=traj)
-        seq, accepted, record, traj = line_search_update(seq, grad, model, reward, s0,
-                                                         cfg, bounds, current=traj)
+        grad = reward_gradient(model, reward, traj)
+        _, accepted, record, traj = line_search_update(traj, grad, model, reward,
+                                                       cfg, bounds)
         trace.updates.append(record)
         if not accepted:
             break
     trace.final_reward = traj.total_reward
-    return seq, trace
+    return traj, trace

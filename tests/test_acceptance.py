@@ -18,9 +18,9 @@ import numpy as np
 import pytest
 
 from trajplan.cem import VARIANCE_FLOOR, SamplingDistribution, update_distribution
-from trajplan.core import ActionBounds, PlannerConfig, project, rollout, split_budget
-from trajplan.dynamics import MlpModel, QuadraticGoalReward, make_environment
-from trajplan.gradplanner import optimize, reward_gradient
+from trajplan.core import PlannerConfig, project, rollout, split_budget
+from trajplan.dynamics import make_environment
+from trajplan.gradplanner import optimize
 from trajplan import harness
 
 
@@ -34,48 +34,12 @@ def report(num, ok, detail):
 # Criterion 1: gradient correctness vs central finite differences
 
 
-def finite_difference_gradient(model, reward, s0, seq, h=1e-5):
-    grad = np.empty_like(seq)
-    for t in range(seq.shape[0]):
-        for j in range(seq.shape[1]):
-            bumped = seq.copy()
-            bumped[t, j] += h
-            up = rollout(model, reward, s0, bumped).total_reward
-            bumped[t, j] -= 2 * h
-            dn = rollout(model, reward, s0, bumped).total_reward
-            grad[t, j] = (up - dn) / (2 * h)
-    return grad
-
-
 def test_criterion_1_gradient_correctness():
     t0 = time.perf_counter()
-    rng = np.random.default_rng(2024)
-    horizon = 10
-    setups = []
-    for name in ("barrier", "cartpole"):
-        env = make_environment(name)
-        if name == "barrier":
-            sampler = lambda: rng.uniform(-1.2, 1.2, size=2)
-        else:
-            sampler = lambda: np.array([rng.uniform(-1, 1), rng.uniform(-1, 1),
-                                        rng.uniform(-np.pi, np.pi), rng.uniform(-2, 2)])
-        setups.append((name, env.dynamics, env.reward, env.bounds, sampler, 1e-5))
-    mlp = MlpModel.initialize(3, 2, hidden=(16, 16, 16), rng=rng)
-    setups.append(("mlp", mlp, QuadraticGoalReward(np.zeros(3), 0.01),
-                   ActionBounds.symmetric(1.0, 2),
-                   lambda: rng.normal(0.0, 1.0, size=3), 1e-4))
-
     details = []
     ok = True
-    for name, model, reward, bounds, sampler, tol in setups:
-        worst = 0.0
-        for _ in range(50):
-            s0 = sampler()
-            seq = project(rng.normal(0, 0.5, size=(horizon, bounds.d_a)), bounds)
-            analytic = reward_gradient(model, reward, s0, seq)
-            numeric = finite_difference_gradient(model, reward, s0, seq)
-            scale = np.maximum(1.0, np.maximum(np.abs(numeric), np.abs(analytic)))
-            worst = max(worst, float(np.max(np.abs(analytic - numeric) / scale)))
+    for name, tol in harness.GRADCHECK_TOLERANCES.items():
+        worst = harness.gradient_check(name, probes=50, horizon=10)
         details.append(f"{name} max rel err {worst:.2e} (tol {tol:.0e})")
         ok = ok and worst < tol
     elapsed = time.perf_counter() - t0
@@ -130,7 +94,8 @@ def test_criterion_3_monotone_improvement():
             rng = np.random.default_rng(seed)
             s0 = env.start_state + rng.normal(0, 0.05, size=env.start_state.shape)
             seq = project(rng.normal(0, 1.0, size=(20, env.bounds.d_a)), env.bounds)
-            _, trace = optimize(seq, env.dynamics, env.reward, s0, cfg, env.bounds)
+            _, trace = optimize(rollout(env.dynamics, env.reward, s0, seq), env.dynamics,
+                                env.reward, cfg, env.bounds)
             calls += 1
             last = trace.initial_reward
             for rec in trace.updates:

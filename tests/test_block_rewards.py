@@ -20,7 +20,7 @@ from trajplan.dynamics import (CartpoleReward, MlpModel, QuadraticGoalReward,
                                make_environment)
 
 
-def per_step_rollout_batch(model, reward, s0, seqs, return_full=False):
+def per_step_rollout_batch(model, reward, s0, seqs):
     """The step-then-score loop: one reward call per step, summed as it goes."""
     s0 = np.asarray(s0, dtype=float)
     seqs = np.asarray(seqs, dtype=float)
@@ -38,9 +38,7 @@ def per_step_rollout_batch(model, reward, s0, seqs, return_full=False):
             r = reward.reward(s, a)
             rewards[:, t] = r
             totals += r
-    if return_full:
-        return totals, states, rewards
-    return totals
+    return totals, states, rewards
 
 
 def per_sample_reward_backward(reward, s_next, a):
@@ -56,10 +54,9 @@ def per_sample_reward_backward(reward, s_next, a):
     return np.array(grad_s), np.array(grad_a)
 
 
-def per_step_reward_gradient(model, reward, s0, seq, trajectory=None):
+def per_step_reward_gradient(model, reward, traj):
     """The sweep with one reward VJP and one dynamics VJP per step."""
-    seq = np.asarray(seq, dtype=float)
-    traj = trajectory if trajectory is not None else core_mod.rollout(model, reward, s0, seq)
+    seq = traj.actions
     grad = np.empty_like(seq)
     state_adjoint = np.zeros(traj.states.shape[1])
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
@@ -90,8 +87,8 @@ def assert_bitwise(got, want):
 def test_rollout_matches_per_step_recipe_bitwise(name, B, T):
     env = make_environment(name)
     s0, seqs = start_and_actions(env, B, T, seed=B + T)
-    got = rollout_batch(env.dynamics, env.reward, s0, seqs, return_full=True)
-    want = per_step_rollout_batch(env.dynamics, env.reward, s0, seqs, return_full=True)
+    got = rollout_batch(env.dynamics, env.reward, s0, seqs)
+    want = per_step_rollout_batch(env.dynamics, env.reward, s0, seqs)
     for g, w in zip(got, want):
         assert_bitwise(g, w)
 
@@ -103,8 +100,8 @@ def test_negative_zero_rewards_sum_to_zero_like_the_per_step_recipe():
     s0 = np.array([2.0, 0.0])   # outside the barrier, so the state stays put
     reward = QuadraticGoalReward(s0, action_cost=0.01)
     seqs = np.zeros((3, 5, 2))
-    got = rollout_batch(env.dynamics, reward, s0, seqs, return_full=True)
-    want = per_step_rollout_batch(env.dynamics, reward, s0, seqs, return_full=True)
+    got = rollout_batch(env.dynamics, reward, s0, seqs)
+    want = per_step_rollout_batch(env.dynamics, reward, s0, seqs)
     assert np.signbit(got[2]).all()
     for g, w in zip(got, want):
         assert_bitwise(g, w)
@@ -117,8 +114,8 @@ def test_mlp_rollout_matches_per_step_recipe_to_rounding(B):
     reward = QuadraticGoalReward(np.zeros(4), action_cost=0.01)
     s0 = rng.normal(size=4)
     seqs = rng.uniform(-1.0, 1.0, size=(B, 45, 1))
-    got = rollout_batch(model, reward, s0, seqs, return_full=True)
-    want = per_step_rollout_batch(model, reward, s0, seqs, return_full=True)
+    got = rollout_batch(model, reward, s0, seqs)
+    want = per_step_rollout_batch(model, reward, s0, seqs)
     tol = 1e4 * np.finfo(np.float64).eps
     for g, w in zip(got, want):
         np.testing.assert_allclose(g, w, rtol=tol, atol=tol)
@@ -149,8 +146,9 @@ def test_reward_gradient_matches_per_step_recipe_bitwise(name):
     if name == "barrier":
         s0 = np.array([-0.3, 0.0])   # inside the barrier: both VJP branches run
     for seq in seqs:
-        got = gradplanner_mod.reward_gradient(env.dynamics, env.reward, s0, seq)
-        assert_bitwise(got, per_step_reward_gradient(env.dynamics, env.reward, s0, seq))
+        traj = core_mod.rollout(env.dynamics, env.reward, s0, seq)
+        got = gradplanner_mod.reward_gradient(env.dynamics, env.reward, traj)
+        assert_bitwise(got, per_step_reward_gradient(env.dynamics, env.reward, traj))
 
 
 def chained_plans(env, s0, cfg, calls=3):

@@ -127,29 +127,27 @@ class TestRunCem:
         # Reproduce the draws: same seed, same consumption order.
         dist = SamplingDistribution.initial(1, 1)
         draws = sample(dist, n, bounds1, np.random.default_rng(0))
-        rewards = rollout_batch(StaticDynamics(), ActionQuadReward(), np.zeros(1), draws)
+        rewards, _, _ = rollout_batch(StaticDynamics(), ActionQuadReward(), np.zeros(1), draws)
         assert len(result.top_k) == n
         want = sorted(rewards, reverse=True)
         got = [traj.total_reward for traj in result.top_k]
         assert got == want
-        assert result.best_reward == want[0]
         assert result.samples_used == n
 
     def test_quadratic_optimum_found(self):
         result = self.run(n=100, m=10, k_elite=10, seed=5)
-        assert abs(result.best_sequence[0, 0] - 0.3) < 0.05
+        assert abs(result.top_k[0].actions[0, 0] - 0.3) < 0.05
 
     def test_best_reward_nondecreasing_in_m(self):
         # Identical seeds share the iteration prefix, so the pooled best
         # is a running maximum.
-        rewards = [self.run(n=20, m=m, k_elite=4, seed=9).best_reward
+        rewards = [self.run(n=20, m=m, k_elite=4, seed=9).top_k[0].total_reward
                    for m in (1, 2, 4, 8)]
         assert all(b >= a for a, b in zip(rewards, rewards[1:]))
 
     def test_top_k_dominates_and_feasible(self):
         result = self.run(n=30, m=3, k_elite=5, seed=2)
         top_rewards = [traj.total_reward for traj in result.top_k]
-        assert result.best_reward == top_rewards[0]
         assert top_rewards == sorted(top_rewards, reverse=True)
         for traj in result.top_k:
             assert np.all(traj.actions >= -1.0) and np.all(traj.actions <= 1.0)
@@ -158,6 +156,12 @@ class TestRunCem:
         result = self.run(n=30, m=2, k_elite=5, seed=2, top_k=2)
         assert len(result.top_k) == 2
 
+    @pytest.mark.parametrize("top_k", [0, -1])
+    def test_top_k_below_one_raises_before_any_rollout(self, monkeypatch, top_k):
+        monkeypatch.setattr(cem_mod, "rollout_batch", None)   # must not be called
+        with pytest.raises(ValueError, match="^top_k must be at least 1$"):
+            self.run(n=5, m=1, k_elite=2, top_k=top_k)
+
     @pytest.mark.parametrize("name", ["barrier", "cartpole"])
     def test_top_k_trajectories_equal_single_rollouts_bitwise(self, name):
         env = make_environment(name)
@@ -165,8 +169,6 @@ class TestRunCem:
         result = run_cem(env.dynamics, env.reward, env.start_state, dist, 30, 3, 5, 0.3,
                          env.bounds, np.random.default_rng(4), top_k=4)
         assert len(result.top_k) == 4
-        assert result.best_sequence.tobytes() == result.top_k[0].actions.tobytes()
-        assert result.best_reward == result.top_k[0].total_reward
         for traj in result.top_k:
             want = rollout(env.dynamics, env.reward, env.start_state, traj.actions)
             assert traj.states.tobytes() == want.states.tobytes()
@@ -213,7 +215,7 @@ class TestRunCem:
         pooled = []
         for it in range(m):   # refit after every iteration, the last included
             seqs = sample(dist, n, env.bounds, rng)
-            totals = rollout_batch(env.dynamics, env.reward, env.start_state, seqs)
+            totals, _, _ = rollout_batch(env.dynamics, env.reward, env.start_state, seqs)
             order = np.argsort(-totals, kind="stable")
             if it < m - 1:
                 assert refits[it].tobytes() == seqs[order[:k_elite]].tobytes()

@@ -8,7 +8,7 @@ import trajplan.gradplanner as gradplanner_mod
 from trajplan.cem import SamplingDistribution, default_elite_count, run_cem
 from trajplan.cemgd import (PlanDiagnostics, PlannerState, PlanOutput, plan,
                             warm_start_mean)
-from trajplan.core import ActionBounds, PlannerConfig, rollout
+from trajplan.core import ActionBounds, PlannerConfig, Trajectory, rollout
 from trajplan.dynamics import DynamicsModel, make_environment
 from trajplan.gradplanner import optimize
 
@@ -124,9 +124,9 @@ class TestPlan:
         want = run_cem(env.dynamics, env.reward, env.start_state, dist, cfg.n_init,
                        cfg.m_init, default_elite_count(cfg.n_init), cfg.alpha,
                        env.bounds, np.random.default_rng(8), top_k=1)
-        assert np.array_equal(out.optimal_sequence, want.best_sequence)
-        assert np.array_equal(state.previous_optimal, want.best_sequence)
-        assert out.model_reward == want.best_reward
+        assert np.array_equal(out.optimal_sequence, want.top_k[0].actions)
+        assert np.array_equal(state.previous_optimal, want.top_k[0].actions)
+        assert out.model_reward == want.top_k[0].total_reward
         diag = out.diagnostics
         assert (diag.samples_used, diag.gradient_evals, diag.memory_proxy) == (120, 0, 40)
         assert diag.post_gradient_rewards == [] and diag.traces == []
@@ -181,17 +181,51 @@ class TestPlan:
         assert a1.model_reward == b1.model_reward
 
     def test_k_exceeding_elites_rejected(self):
+        # The default elite count for n_r=10 is 1; PlannerConfig checks it,
+        # so no plan() call is ever made with such a config.
+        with pytest.raises(ValueError, match="^k=3 exceeds the elite count 1 of n_r=10$"):
+            tiny_cfg(k=3)
+
+    def test_no_gradient_steps_returns_top_k_0_itself(self, monkeypatch):
         env = make_environment("barrier")
-        cfg = tiny_cfg(k=3)  # default elite count for n_r=10 is 1
-        with pytest.raises(ValueError, match="elite"):
-            state = PlannerState(previous_optimal=np.zeros((4, 2)), timestep=1)
-            plan(state, env.start_state, env.dynamics, env.reward, cfg,
-                 env.bounds, np.random.default_rng(7))
+        seen = []
+        real = cemgd_mod.run_cem
+
+        def spy(*args, **kwargs):
+            seen.append(real(*args, **kwargs))
+            return seen[-1]
+
+        monkeypatch.setattr(cemgd_mod, "run_cem", spy)
+        out, state = plan(PlannerState(), env.start_state, env.dynamics, env.reward,
+                          tiny_cfg(G=0), env.bounds, np.random.default_rng(8))
+        (result,) = seen
+        assert out.optimal_sequence is result.top_k[0].actions
+        assert state.previous_optimal is result.top_k[0].actions
+        assert out.model_reward == result.top_k[0].total_reward
+
+    def test_tied_refined_rewards_go_to_the_lowest_index(self, monkeypatch):
+        env = make_environment("barrier")
+        cfg = tiny_cfg(k=3, k_elite=5)
+        refined = []
+
+        def tied(seed, model, reward, cfg, bounds):
+            # Every refined trajectory scores the same; each keeps its own actions.
+            refined.append(Trajectory(seed.states, seed.actions.copy(), seed.step_rewards,
+                                      total_reward=-1.0))
+            return refined[-1], cemgd_mod.OptimizeTrace(-1.0, -1.0)
+
+        monkeypatch.setattr(cemgd_mod, "optimize", tied)
+        out, _ = plan(PlannerState(), env.start_state, env.dynamics, env.reward, cfg,
+                      env.bounds, np.random.default_rng(0))
+        assert len(refined) == cfg.k
+        assert out.optimal_sequence is refined[0].actions
+        assert out.diagnostics.post_gradient_rewards == [-1.0] * cfg.k
 
 
 def reference_plan(state, s_t, model, reward, cfg, bounds, rng):
-    """plan() as it was before refinement reused CEM's rollouts: optimize
-    rolls its seed sequence out again, and the winner is re-rolled."""
+    """plan() as it was before refinement reused CEM's rollouts: each seed
+    sequence is rolled out again before optimize, the winner is re-rolled,
+    and the winner is chosen by argmax over parallel lists."""
     if state.timestep == 0:
         mean, n, m = None, cfg.n_init, cfg.m_init
     else:
@@ -202,13 +236,14 @@ def reference_plan(state, s_t, model, reward, cfg, bounds, rng):
                      top_k=cfg.k)
     refined, traces, rewards = [], [], []
     for seed in result.top_k:
-        opt_seq, trace = optimize(seed.actions, model, reward, s_t, cfg, bounds)
-        refined.append(opt_seq)
+        final, trace = optimize(rollout(model, reward, s_t, seed.actions), model, reward,
+                                cfg, bounds)
+        refined.append(final.actions)
         traces.append(trace)
-        rewards.append(rollout(model, reward, s_t, opt_seq).total_reward)
+        rewards.append(rollout(model, reward, s_t, final.actions).total_reward)
     winner = int(np.argmax(rewards))
     diagnostics = PlanDiagnostics(
-        cem_best_reward=result.best_reward, post_gradient_rewards=rewards,
+        cem_best_reward=result.top_k[0].total_reward, post_gradient_rewards=rewards,
         samples_used=result.samples_used,
         gradient_evals=len(traces) * (1 + cfg.G * cfg.J + 1),
         memory_proxy=n + cfg.k, traces=traces)
@@ -245,7 +280,7 @@ class TestRolloutReuse:
                 calls.append((_name, len(seqs)))
                 return _real(model, reward, s0, seqs, *args, **kwargs)
             monkeypatch.setattr(module, "rollout_batch", counting)
-        monkeypatch.setattr(gradplanner_mod, "rollout", None)  # must not be called
+        assert not hasattr(gradplanner_mod, "rollout")   # refinement rolls out line searches only
         state = PlannerState(previous_optimal=np.zeros((cfg.horizon, 2)), timestep=1)
         out, _ = plan(state, env.start_state, env.dynamics, env.reward, cfg, env.bounds,
                       np.random.default_rng(10))

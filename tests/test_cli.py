@@ -304,6 +304,14 @@ class TestConfigErrors:
                              "table": {"file": "t.csv", "columns": {"r": "reward"}}}),
         ("cells[1].row", {"cells": [dict(CELL, row={"budget": 50}), dict(CELL, id="b")],
                           "table": {"file": "t.csv", "columns": {"r": "mean_reward"}}}),
+        # World vectors of the wrong length, and a nonpositive cartpole field.
+        ("env", {"env": {"name": "cartpole", "start": [0, 0]}}),
+        ("env", {"env": {"name": "barrier", "center": [0]}}),
+        ("env", {"env": {"name": "barrier", "start": [0, 0, 0]}}),
+        ("env", {"env": {"name": "barrier", "goal": [1]}}),
+        ("env", {"env": {"name": "cartpole", "half_length": 0}}),
+        # k above the default elite count of n_r = 10, whatever the planners.
+        ("planner_config", {"planner_config": {"k": 2}}),
     ])
     def test_named_before_any_output(self, tmp_path, capsys, field, overrides):
         config = {"version": 1, "planner_config": {"horizon": 3}, "steps": 2, "seeds": [0]}
@@ -315,6 +323,28 @@ class TestConfigErrors:
         assert main(["compare", "--config", str(path), "--out", str(tmp_path / "r")]) == 2
         err = capsys.readouterr().err
         assert err.startswith(f"error: config field '{field}': ") and err.count("\n") == 1
+        assert not (tmp_path / "r").exists()
+
+
+    @pytest.mark.parametrize("field, form", [
+        ("model", lambda path: {"env": "barrier", "planner": "cem-50",
+                                "model": {"path": path}}),
+        ("models.barrier", lambda path: {"envs": ["barrier", "cartpole"],
+                                         "planners": ["cem-50"],
+                                         "models": {"barrier": {"path": path}}}),
+    ])
+    def test_model_of_another_environment_named_before_any_output(self, tmp_path, capsys,
+                                                                 field, form):
+        path = tmp_path / "cartpole.bin"
+        MlpModel.initialize(4, 1, hidden=(4, 4, 4), rng=0).save_binary(path)
+        config = {"version": 1, "planner_config": {"horizon": 3}, "steps": 2, "seeds": [0],
+                  **form(str(path))}
+        (tmp_path / "cfg.json").write_text(json.dumps(config))
+        assert main(["compare", "--config", str(tmp_path / "cfg.json"),
+                     "--out", str(tmp_path / "r")]) == 2
+        err = capsys.readouterr().err
+        assert err == (f"error: config field '{field}': expected a barrier model, with "
+                       f"(d_s, d_a) = (2, 2), got (4, 1)\n")
         assert not (tmp_path / "r").exists()
 
 

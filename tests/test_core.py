@@ -220,8 +220,8 @@ class TestRollout:
             def step(self, s, a):
                 return np.zeros_like(np.asarray(s, dtype=float))
 
-        totals = rollout_batch(Reset(), NegSquaredNorm(), np.array([np.nan, 1.0]),
-                               np.zeros((2, 3, 2)))
+        totals, _, _ = rollout_batch(Reset(), NegSquaredNorm(), np.array([np.nan, 1.0]),
+                                     np.zeros((2, 3, 2)))
         assert np.array_equal(totals, [0.0, 0.0])
 
     @pytest.mark.parametrize("name", ["pointmass", "barrier", "cartpole"])
@@ -236,8 +236,7 @@ class TestRollout:
             model, reward, d_a = env.dynamics, env.reward, env.bounds.d_a
             s0 = env.start_state + rng.normal(0.0, 0.1, size=env.start_state.shape)
         seqs = rng.normal(size=(7, 10, d_a))
-        totals, states, step_rewards = rollout_batch(model, reward, s0, seqs,
-                                                     return_full=True)
+        totals, states, step_rewards = rollout_batch(model, reward, s0, seqs)
         for i in range(7):
             traj = rollout(model, reward, s0, seqs[i])
             assert totals[i] == traj.total_reward
@@ -253,7 +252,7 @@ class TestRollout:
         reward = QuadraticGoalReward(np.zeros(4), action_cost=0.01)
         s0 = rng.normal(size=4)
         seqs = rng.normal(size=(8, 10, 1))
-        totals, states, _ = rollout_batch(model, reward, s0, seqs, return_full=True)
+        totals, states, _ = rollout_batch(model, reward, s0, seqs)
         tol = 1e4 * np.finfo(np.float64).eps
         for i in range(8):
             traj = rollout(model, reward, s0, seqs[i])
@@ -293,8 +292,8 @@ class TestTotalReward:
 class TestPlannerConfig:
     def test_published_defaults(self):
         cfg = PlannerConfig()
-        assert cfg.total_init_samples == 15000
-        assert cfg.total_replan_samples == 50
+        assert cfg.n_init * cfg.m_init == 15000
+        assert cfg.n_r * cfg.m_r == 50
         assert (cfg.horizon, cfg.k, cfg.G, cfg.J) == (45, 1, 10, 8)
         assert (cfg.eta_init, cfg.rho) == (0.01, 0.67)
 
@@ -306,6 +305,21 @@ class TestPlannerConfig:
     def test_rejects_invalid(self, kwargs):
         with pytest.raises(ValueError):
             PlannerConfig(**kwargs)
+
+    @pytest.mark.parametrize("kwargs, budget", [
+        ({"k": 2}, "n_r=10"),                          # default elites: 100 at t = 0, 1 after
+        ({"k": 2, "n_init": 10, "n_r": 20}, "n_init=10"),
+        ({"k": 4, "n_r": 25}, "n_r=25"),                  # ceil(2.5) = 3 elites
+        ({"k": 3, "k_elite": 2}, "n_init=1000"),          # k_elite at either budget
+    ])
+    def test_k_checked_against_both_default_elite_counts(self, kwargs, budget):
+        with pytest.raises(ValueError, match=f"^k={kwargs['k']} exceeds the elite "
+                                             f"count \\d+ of {budget}$"):
+            PlannerConfig(**kwargs)
+
+    def test_k_within_both_default_elite_counts_accepted(self):
+        cfg = PlannerConfig(k=2, n_init=20, n_r=11)   # elites: 2 and 2
+        assert cfg.k == 2
 
     @pytest.mark.parametrize("name, value", [
         ("horizon", "3"), ("horizon", 3.5), ("G", True), ("n_init", None), ("k", 1.0),

@@ -7,7 +7,7 @@ from trajplan.core import (ActionBounds, DivergedError, PlannerConfig, Trajector
 from trajplan.dynamics import DynamicsModel, MlpModel, make_environment
 from trajplan.gradplanner import (OptimizeTrace, UpdateRecord, eta_schedule,
                                   line_search_update, optimize, reward_gradient)
-from trajplan.harness import make_policy
+from trajplan.harness import finite_difference_gradient, make_policy
 
 
 class FrozenDynamics(DynamicsModel):
@@ -75,8 +75,8 @@ class TestRewardGradient:
     def test_scalar_quadratic(self):
         target = 0.4
         seq = np.array([[0.1]])
-        grad = reward_gradient(FrozenDynamics(), ActionQuadReward(target),
-                               np.zeros(1), seq)
+        model, reward = FrozenDynamics(), ActionQuadReward(target)
+        grad = reward_gradient(model, reward, rollout(model, reward, np.zeros(1), seq))
         assert abs(grad[0, 0] - (-2.0 * (0.1 - target))) < 1e-14
 
     @pytest.mark.parametrize("name,tol", [("barrier", 1e-5), ("cartpole", 1e-5)])
@@ -84,22 +84,14 @@ class TestRewardGradient:
         env = make_environment(name)
         rng = np.random.default_rng(3)
         T = 10
-        h = 1e-5
         for _ in range(5):
             s0 = env.start_state + rng.normal(0, 0.1, size=env.start_state.shape)
             seq = np.clip(rng.normal(0, 0.4, size=(T, env.bounds.d_a)),
                           env.bounds.low, env.bounds.high)
-            grad = reward_gradient(env.dynamics, env.reward, s0, seq)
-            for t in range(T):
-                for j in range(env.bounds.d_a):
-                    bumped = seq.copy()
-                    bumped[t, j] += h
-                    up = rollout(env.dynamics, env.reward, s0, bumped).total_reward
-                    bumped[t, j] -= 2 * h
-                    dn = rollout(env.dynamics, env.reward, s0, bumped).total_reward
-                    num = (up - dn) / (2 * h)
-                    assert abs(num - grad[t, j]) / max(1.0, abs(num)) < tol
-
+            grad = reward_gradient(env.dynamics, env.reward,
+                                   rollout(env.dynamics, env.reward, s0, seq))
+            num = finite_difference_gradient(env.dynamics, env.reward, s0, seq, h=1e-5)
+            assert np.all(np.abs(num - grad) / np.maximum(1.0, np.abs(num)) < tol)
 
     @pytest.mark.parametrize("part", ["state", "action"])
     @pytest.mark.parametrize("bad_steps,want", [({5}, 5), ({2, 6}, 6), ({0}, 0)])
@@ -112,8 +104,9 @@ class TestRewardGradient:
         T = 8
         seq = np.column_stack([np.arange(T, dtype=float), np.zeros(T)])
         model = VjpOverflowDynamics(bad_steps, part)
+        traj = rollout(model, NegSquaredNorm(), np.array([1.0, -1.0]), seq)
         with pytest.raises(DivergedError) as err:
-            reward_gradient(model, NegSquaredNorm(), np.array([1.0, -1.0]), seq)
+            reward_gradient(model, NegSquaredNorm(), traj)
         assert err.value.step == want
         assert str(err.value) == f"non-finite gradient at rollout step {want}"
 
@@ -128,21 +121,23 @@ class TestLineSearch:
         cfg = PlannerConfig(J=4)
         seq = np.array([[0.3], [0.1]])
         model, reward = FrozenDynamics(), ActionQuadReward(0.0)
-        out, accepted, record, _ = line_search_update(
-            seq, np.zeros_like(seq), model, reward, np.zeros(1), cfg,
+        current = rollout(model, reward, np.zeros(1), seq)
+        out, accepted, record, traj = line_search_update(
+            current, np.zeros_like(seq), model, reward, cfg,
             ActionBounds.symmetric(1.0, 1))
         assert not accepted
         assert record.trials_used == 4
         assert record.eta_used == 0.0
-        assert out is seq
+        assert out is current.actions and traj is current
 
     def test_concave_quadratic_accepts_first_trial(self):
         cfg = PlannerConfig(eta_init=0.01, J=8)
         seq = np.array([[0.0]])
         model, reward = FrozenDynamics(), ActionQuadReward(0.5)
-        grad = reward_gradient(model, reward, np.zeros(1), seq)
-        out, accepted, record, _ = line_search_update(seq, grad, model, reward,
-                                                      np.zeros(1), cfg, bounds1)
+        current = rollout(model, reward, np.zeros(1), seq)
+        grad = reward_gradient(model, reward, current)
+        out, accepted, record, _ = line_search_update(current, grad, model, reward,
+                                                      cfg, bounds1)
         assert accepted
         assert record.trials_used == 1
         assert record.eta_used == 0.01
@@ -164,9 +159,10 @@ class TestLineSearch:
             seen.append(seqs.copy())
             return real(model, reward, s0, seqs, **kwargs)
 
+        current = rollout(env.dynamics, env.reward, env.start_state, seq)
         monkeypatch.setattr(gradplanner_mod, "rollout_batch", spy)
-        _, _, record, _ = line_search_update(seq, grad, env.dynamics, env.reward,
-                                             env.start_state, cfg, env.bounds)
+        _, _, record, _ = line_search_update(current, grad, env.dynamics, env.reward,
+                                             cfg, env.bounds)
         want = np.stack([project(seq + eta * grad, env.bounds) for eta in eta_schedule(cfg)])
         assert [len(batch) for batch in seen] == [1, cfg.J - 1]
         assert record.evaluations == cfg.J
@@ -177,9 +173,10 @@ class TestLineSearch:
         cfg = PlannerConfig(eta_init=10.0, J=3)
         seq = np.array([[0.9]])
         model, reward = FrozenDynamics(), ActionQuadReward(0.95)
-        grad = reward_gradient(model, reward, np.zeros(1), seq)
-        out, accepted, _, _ = line_search_update(seq, grad, model, reward,
-                                                 np.zeros(1), cfg, bounds1)
+        current = rollout(model, reward, np.zeros(1), seq)
+        grad = reward_gradient(model, reward, current)
+        out, accepted, _, _ = line_search_update(current, grad, model, reward,
+                                                 cfg, bounds1)
         assert np.all(out <= 1.0) and np.all(out >= -1.0)
 
 
@@ -188,8 +185,9 @@ class TestOptimize:
         cfg = PlannerConfig()
         seq = np.array([[0.25]])
         model, reward = FrozenDynamics(), ActionQuadReward(0.25)
-        out, trace = optimize(seq, model, reward, np.zeros(1), cfg, bounds1)
-        assert np.array_equal(out, seq)
+        start = rollout(model, reward, np.zeros(1), seq)
+        out, trace = optimize(start, model, reward, cfg, bounds1)
+        assert out is start
         assert all(not rec.accepted for rec in trace.updates)
         assert trace.final_reward == trace.initial_reward
 
@@ -198,8 +196,9 @@ class TestOptimize:
         cfg = PlannerConfig(eta_init=0.4, G=10)
         seq = np.array([[-0.6]])
         model, reward = FrozenDynamics(), ActionQuadReward(0.3)
-        out, trace = optimize(seq, model, reward, np.zeros(1), cfg, bounds1)
-        assert abs(out[0, 0] - 0.3) < 1e-3
+        out, trace = optimize(rollout(model, reward, np.zeros(1), seq), model, reward,
+                              cfg, bounds1)
+        assert abs(out.actions[0, 0] - 0.3) < 1e-3
         assert trace.final_reward >= trace.initial_reward
 
     def test_monotone_accepted_rewards_on_barrier(self):
@@ -208,23 +207,25 @@ class TestOptimize:
         rng = np.random.default_rng(11)
         for _ in range(5):
             seq = np.clip(rng.normal(0, 1, size=(15, 2)), env.bounds.low, env.bounds.high)
-            out, trace = optimize(seq, env.dynamics, env.reward, env.start_state,
-                                  cfg, env.bounds)
+            start = rollout(env.dynamics, env.reward, env.start_state, seq)
+            out, trace = optimize(start, env.dynamics, env.reward, cfg, env.bounds)
             assert trace.final_reward >= trace.initial_reward
             last = trace.initial_reward
             for rec in trace.updates:
                 if rec.accepted:
                     assert rec.reward_after > last
                     last = rec.reward_after
-            assert np.all(out >= env.bounds.low) and np.all(out <= env.bounds.high)
+            assert trace.final_reward == out.total_reward
+            assert np.all(out.actions >= env.bounds.low)
+            assert np.all(out.actions <= env.bounds.high)
 
     def test_evaluation_accounting(self):
         # Every update of this concave quadratic is accepted at trial 1, so
         # each rolls out one candidate.
         cfg = PlannerConfig(J=8, G=10)
-        seq = np.array([[0.0]])
-        _, trace = optimize(seq, FrozenDynamics(), ActionQuadReward(0.5),
-                            np.zeros(1), cfg, bounds1)
+        model, reward = FrozenDynamics(), ActionQuadReward(0.5)
+        start = rollout(model, reward, np.zeros(1), np.array([[0.0]]))
+        _, trace = optimize(start, model, reward, cfg, bounds1)
         assert [(rec.accepted, rec.trials_used, rec.evaluations)
                 for rec in trace.updates] == [(True, 1, 1)] * cfg.G
         assert trace.rollout_evaluations == cfg.G
@@ -233,21 +234,21 @@ class TestOptimize:
         # At the optimum the first update rejects all J trials, and optimize
         # stops there.
         cfg = PlannerConfig(J=8, G=10)
-        seq = np.array([[0.25]])
-        _, trace = optimize(seq, FrozenDynamics(), ActionQuadReward(0.25),
-                            np.zeros(1), cfg, bounds1)
+        model, reward = FrozenDynamics(), ActionQuadReward(0.25)
+        start = rollout(model, reward, np.zeros(1), np.array([[0.25]]))
+        _, trace = optimize(start, model, reward, cfg, bounds1)
         assert [(rec.accepted, rec.trials_used, rec.evaluations)
                 for rec in trace.updates] == [(False, cfg.J, cfg.J)]
         assert trace.rollout_evaluations == cfg.J
 
 
-def all_j_line_search(seq, grad, model, reward, s0, cfg, bounds, current):
+def all_j_line_search(current, grad, model, reward, cfg, bounds):
     """line_search_update as it was when it rolled out all J candidates
     as one batch and recorded J evaluations per update."""
+    seq, s0 = current.actions, current.states[0]
     etas = eta_schedule(cfg)
     candidates = project(seq + np.asarray(etas)[:, None, None] * grad, bounds)
-    totals, states, step_rewards = rollout_batch(model, reward, s0, candidates,
-                                                 return_full=True)
+    totals, states, step_rewards = rollout_batch(model, reward, s0, candidates)
     better = np.nonzero(totals > current.total_reward)[0]
     if better.size == 0:
         return seq, False, UpdateRecord(False, cfg.J, 0.0, current.total_reward, cfg.J), current
@@ -258,18 +259,15 @@ def all_j_line_search(seq, grad, model, reward, s0, cfg, bounds, current):
             UpdateRecord(True, j + 1, etas[j], float(totals[j]), cfg.J), traj)
 
 
-def full_g_optimize(seq, model, reward, s0, cfg, bounds):
+def full_g_optimize(traj, model, reward, cfg, bounds):
     """optimize as it was when it ran all G updates, rejected ones included."""
-    seq = np.asarray(seq, dtype=float)
-    traj = rollout(model, reward, s0, seq)
     trace = OptimizeTrace(initial_reward=traj.total_reward)
     for _ in range(cfg.G):
-        grad = reward_gradient(model, reward, s0, seq, trajectory=traj)
-        seq, _, record, traj = line_search_update(seq, grad, model, reward, s0,
-                                                  cfg, bounds, current=traj)
+        grad = reward_gradient(model, reward, traj)
+        _, _, record, traj = line_search_update(traj, grad, model, reward, cfg, bounds)
         trace.updates.append(record)
     trace.final_reward = traj.total_reward
-    return seq, trace
+    return traj, trace
 
 
 def near_upright_starts(n):
@@ -303,10 +301,12 @@ class TestStopAtRejection:
             cfg, starts = PlannerConfig(G=20, eta_init=0.3), barrier_starts(12)
         stopped = 0
         for s0, seq in starts:
-            out, trace = optimize(seq, model, env.reward, s0, cfg, env.bounds)
-            want, want_trace = full_g_optimize(seq, model, env.reward, s0, cfg, env.bounds)
+            start = rollout(model, env.reward, s0, seq)
+            out, trace = optimize(start, model, env.reward, cfg, env.bounds)
+            want, want_trace = full_g_optimize(start, model, env.reward, cfg, env.bounds)
             n = len(trace.updates)
-            assert out.tobytes() == want.tobytes()
+            assert out.actions.tobytes() == want.actions.tobytes()
+            assert out.states.tobytes() == want.states.tobytes()
             assert trace.final_reward == want_trace.final_reward
             assert trace.initial_reward == want_trace.initial_reward
             assert trace.updates == want_trace.updates[:n]
@@ -330,12 +330,12 @@ class TestFirstTrialAlone:
         rng = np.random.default_rng(5)
         for s0, seq in (near_upright_starts if name == "cartpole" else barrier_starts)(12):
             current = rollout(env.dynamics, env.reward, s0, seq)
-            grad = reward_gradient(env.dynamics, env.reward, s0, seq, trajectory=current)
+            grad = reward_gradient(env.dynamics, env.reward, current)
             for direction in (grad, -grad, *rng.normal(0.0, 30.0, size=(3, *seq.shape))):
-                got = line_search_update(seq, direction, env.dynamics, env.reward, s0,
-                                         cfg, env.bounds, current=current)
-                want = all_j_line_search(seq, direction, env.dynamics, env.reward, s0,
-                                         cfg, env.bounds, current)
+                got = line_search_update(current, direction, env.dynamics, env.reward,
+                                         cfg, env.bounds)
+                want = all_j_line_search(current, direction, env.dynamics, env.reward,
+                                         cfg, env.bounds)
                 (out, accepted, record, traj), (w_out, w_acc, w_rec, w_traj) = got, want
                 assert out.tobytes() == w_out.tobytes() and accepted == w_acc
                 for field in ("states", "actions", "step_rewards"):
@@ -361,8 +361,8 @@ class TestBaselinePlan:
             out = policy.plan_step(env.start_state)
             start = np.clip(starts.standard_normal((6, 2)),
                             env.bounds.low, env.bounds.high)
-            want, want_trace = optimize(start, env.dynamics, env.reward,
-                                        env.start_state,
-                                        cfg, env.bounds)
-            assert np.array_equal(out.optimal_sequence, want)
+            want, want_trace = optimize(
+                rollout(env.dynamics, env.reward, env.start_state, start),
+                env.dynamics, env.reward, cfg, env.bounds)
+            assert np.array_equal(out.optimal_sequence, want.actions)
             assert out.model_reward == want_trace.final_reward
