@@ -32,8 +32,6 @@ class PlannerState:
 
 @dataclass
 class PlanDiagnostics:
-    cem_best_reward: float
-    post_gradient_rewards: list[float]
     samples_used: int
     gradient_evals: int                       # refinement budget: 1 + G*J + 1 per refined sequence
     memory_proxy: int                         # sequences resident: n, plus k when G > 0
@@ -100,9 +98,7 @@ def plan(state: PlannerState, s_t: Array, model, reward, cfg: PlannerConfig,
 
     # max keeps the first of equal rewards: the lowest index wins ties.
     best = max(finals or result.top_k[:1], key=lambda traj: traj.total_reward)
-    diagnostics = PlanDiagnostics(cem_best_reward=result.top_k[0].total_reward,
-                                  post_gradient_rewards=[f.total_reward for f in finals],
-                                  samples_used=result.samples_used,
+    diagnostics = PlanDiagnostics(samples_used=result.samples_used,
                                   gradient_evals=len(finals) * (1 + cfg.G * cfg.J + 1),
                                   memory_proxy=n + (cfg.k if cfg.G > 0 else 0),
                                   traces=traces)

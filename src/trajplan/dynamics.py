@@ -4,25 +4,23 @@ Two analytic environments (a 2D goal-seeking world with a repulsive
 circular barrier, and cartpole swingup) plus a small deterministic MLP
 dynamics model trained on random-rollout transitions.
 
-Every dynamics model subclasses DynamicsModel and exposes
+Every dynamics model subclasses DynamicsModel and implements
 
     step(s, a) -> s_next
-    backward(s, a, grad_next) -> (grad_s, grad_a)
     linearize(states, actions) -> vjp, with vjp(t, grad_next) -> (grad_s, grad_a)
 
-where backward computes the vector-Jacobian products of step, and
-linearize fixes a whole (T, d_s) / (T, d_a) trajectory once so that
-vjp(t, g) equals backward(states[t], actions[t], g): the default calls
-backward step by step, BarrierDynamics calls it only at steps within the
-barrier's rim (elsewhere the VJP is the identity plus dt), and MlpModel
-runs one time-batched forward pass instead of one per step (equal to the
-per-step VJP to rounding). Reward models expose reward(s_next, a) and
-backward(s_next, a). step accepts a single sample or a batch stacked
-along a leading axis; reward and the reward's backward accept any leading
-shape, such as a whole (B, T) block of rollout steps, and equal their
-per-sample values bit for bit; the dynamics' backward operates on single
-samples. All models are pure functions of their inputs and safe to call
-concurrently.
+where linearize computes the Jacobian factors of every step of a (T, d_s)
+/ (T, d_a) trajectory in one vectorised pass, and vjp(t, g) only
+multiplies with them to give the vector-Jacobian products of step at
+step t. The single-sample VJP backward(s, a, grad_next) is derived:
+linearize at T = 1. For the analytic models vjp(t, g) equals backward at
+step t bit for bit; for MlpModel to rounding (BLAS may sum a row's
+products in another order for another T). Reward models expose
+reward(s_next, a) and backward(s_next, a). step accepts a single sample
+or a batch stacked along a leading axis; reward and the reward's backward
+accept any leading shape, such as a whole (B, T) block of rollout steps,
+and equal their per-sample values bit for bit. All models are pure
+functions of their inputs and safe to call concurrently.
 """
 
 from __future__ import annotations
@@ -49,14 +47,29 @@ class DynamicsModel:
     def step(self, s: Array, a: Array) -> Array:
         raise NotImplementedError
 
-    def backward(self, s: Array, a: Array, grad_next: Array) -> tuple[Array, Array]:
-        """VJPs (df/ds)^T grad_next and (df/da)^T grad_next at (s, a)."""
+    def linearize(self, states: Array, actions: Array):
+        """Fix the (T, d_s) states and (T, d_a) actions of a trajectory and
+        return vjp, where vjp(t, grad_next) is the VJPs (df/ds)^T grad_next
+        and (df/da)^T grad_next at (states[t], actions[t]) for a float
+        array grad_next."""
         raise NotImplementedError
 
-    def linearize(self, states: Array, actions: Array):
-        """The VJPs along a trajectory: vjp(t, grad_next) is
-        backward(states[t], actions[t], grad_next), bit for bit."""
-        return lambda t, grad_next: self.backward(states[t], actions[t], grad_next)
+    def backward(self, s: Array, a: Array, grad_next: Array) -> tuple[Array, Array]:
+        """The VJPs at a single sample (s, a): linearize at T = 1."""
+        vjp = self.linearize(np.asarray(s, dtype=float)[None], np.asarray(a, dtype=float)[None])
+        return vjp(0, np.asarray(grad_next, dtype=float))
+
+
+def _libm_power(x: Array, n: int) -> Array:
+    """x**n elementwise through libm's pow, as Python's float ** computes it.
+
+    numpy's array power rounds differently (its x**2 is x*x, and x**3 takes
+    its own path): it differs from libm in the last bit on a fraction of a
+    percent of squares and on about 5% of cubes. The analytic Jacobians
+    must equal the per-sample float formulas they were written from (kept
+    in tests/test_dynamics.py) bit for bit, or planner results change.
+    """
+    return np.power(np.asarray(x, dtype=float).astype(object), n).astype(float)
 
 
 class RewardModel:
@@ -166,37 +179,24 @@ class BarrierDynamics(DynamicsModel):
         s = np.asarray(s, dtype=float)
         return s + self.world.dt * (np.asarray(a, dtype=float) + self._force(s))
 
-    def backward(self, s, a, grad_next):
-        w = self.world
-        s = np.asarray(s, dtype=float)
-        grad_next = np.asarray(grad_next, dtype=float)
-        u = s - self._center
-        d = math.sqrt(float(u @ u) + w.smooth_eps**2)
-        grad_s = grad_next.copy()
-        if d < w.radius:
-            # dF/ds = c*I - (kappa*r/d^3) u u^T with c = kappa*(r - d)/d;
-            # symmetric, so the VJP is a plain matrix-vector product.
-            c = w.kappa * (w.radius - d) / d
-            jac_f = c * np.eye(2) - (w.kappa * w.radius / d**3) * np.outer(u, u)
-            grad_s = grad_s + w.dt * (jac_f @ grad_next)
-        grad_a = w.dt * grad_next
-        return grad_s, grad_a
-
     def linearize(self, states, actions):
-        """Only steps within the rim, plus a 1e-9 relative margin for the
-        ulp by which this batched distance and backward's may differ, call
-        backward; elsewhere the force is zero and vjp returns what backward
-        returns there, (grad_next, dt * grad_next)."""
+        """dF/ds = c*I - (kappa*r/d^3) u u^T within the rim, with
+        c = kappa*(r - d)/d, and zero beyond it; symmetric, so each step's
+        VJP is a plain matrix-vector product. Beyond the rim vjp's
+        g + dt * (0 @ g) is g, except that an entry of -0.0 may come back as
+        0.0. The distance is one ddot per row (np.vecdot), as a single
+        sample's u @ u is; an elementwise u0*u0 + u1*u1 rounds differently."""
         w = self.world
         u = np.asarray(states, dtype=float) - self._center
-        d = np.sqrt(np.add.reduce(u * u, axis=-1) + w.smooth_eps**2)
-        near = (d < w.radius * (1.0 + 1e-9)).tolist()
+        d = np.sqrt(np.vecdot(u, u) + w.smooth_eps**2)
+        c = w.kappa * (w.radius - d) / d
+        k = w.kappa * w.radius / _libm_power(d, 3)
+        jac = c[:, None, None] * np.eye(2) - k[:, None, None] * (u[:, :, None] * u[:, None, :])
+        jac *= (d < w.radius)[:, None, None]
+        dt = w.dt
 
-        def vjp(t, grad_next):
-            if near[t]:
-                return self.backward(states[t], actions[t], grad_next)
-            g = np.asarray(grad_next, dtype=float)
-            return g.copy(), w.dt * g
+        def vjp(t, g):
+            return g + dt * (jac[t] @ g), dt * g
 
         return vjp
 
@@ -274,27 +274,30 @@ class CartpoleDynamics(DynamicsModel):
         np.add(omega, w.dt * theta_acc, out=out[..., 3])
         return out
 
-    def backward(self, s, a, grad_next):
+    def linearize(self, states, actions):
+        """The Jacobians of every step in one pass. _accelerations is not
+        reused: its numpy squares round differently from libm's (see
+        _libm_power), and the products below must stay as written."""
         w = self.world
-        s = np.asarray(s, dtype=float)
-        g = np.asarray(grad_next, dtype=float)
-        theta, omega = float(s[2]), float(s[3])
-        force = w.force_scale * float(np.asarray(a).reshape(-1)[0])
+        states = np.asarray(states, dtype=float)
+        theta, omega = states[:, 2], states[:, 3]
+        force = w.force_scale * np.asarray(actions, dtype=float)[:, 0]
 
-        sin, cos = math.sin(theta), math.cos(theta)
+        sin, cos = np.sin(theta), np.cos(theta)
         total_mass = w.masscart + w.masspole
         pole_ml = w.masspole * w.half_length
-        temp = (force + pole_ml * omega**2 * sin) / total_mass
-        denom = w.half_length * (4.0 / 3.0 - w.masspole * cos**2 / total_mass)
+        omega_sq = _libm_power(omega, 2)
+        temp = (force + pole_ml * omega_sq * sin) / total_mass
+        denom = w.half_length * (4.0 / 3.0 - w.masspole * _libm_power(cos, 2) / total_mass)
         num = w.gravity * sin - cos * temp
         theta_acc = num / denom
 
-        dtemp_dtheta = pole_ml * omega**2 * cos / total_mass
+        dtemp_dtheta = pole_ml * omega_sq * cos / total_mass
         dtemp_domega = 2.0 * pole_ml * omega * sin / total_mass
         dtemp_dforce = 1.0 / total_mass
         ddenom_dtheta = w.half_length * 2.0 * w.masspole * cos * sin / total_mass
         dnum_dtheta = w.gravity * cos + sin * temp - cos * dtemp_dtheta
-        dtheta_acc_dtheta = (dnum_dtheta * denom - num * ddenom_dtheta) / denom**2
+        dtheta_acc_dtheta = (dnum_dtheta * denom - num * ddenom_dtheta) / _libm_power(denom, 2)
         dtheta_acc_domega = (-cos * dtemp_domega) / denom
         dtheta_acc_dforce = (-cos * dtemp_dforce) / denom
         ml_over_mass = pole_ml / total_mass
@@ -303,16 +306,20 @@ class CartpoleDynamics(DynamicsModel):
         dx_acc_dforce = dtemp_dforce - ml_over_mass * dtheta_acc_dforce * cos
 
         dt = w.dt
-        jac_s = np.array(
-            [
-                [1.0, dt, 0.0, 0.0],
-                [0.0, 1.0, dt * dx_acc_dtheta, dt * dx_acc_domega],
-                [0.0, 0.0, 1.0, dt],
-                [0.0, 0.0, dt * dtheta_acc_dtheta, 1.0 + dt * dtheta_acc_domega],
-            ]
-        )
-        jac_a = np.array([0.0, dt * dx_acc_dforce, 0.0, dt * dtheta_acc_dforce]) * w.force_scale
-        return jac_s.T @ g, np.array([jac_a @ g])
+        one, zero = np.ones(len(states)), np.zeros(len(states))
+        jac_s = np.stack([
+            one, dt * one, zero, zero,
+            zero, one, dt * dx_acc_dtheta, dt * dx_acc_domega,
+            zero, zero, one, dt * one,
+            zero, zero, dt * dtheta_acc_dtheta, 1.0 + dt * dtheta_acc_domega,
+        ], axis=-1).reshape(-1, 4, 4)
+        jac_a = np.stack([zero, dt * dx_acc_dforce, zero, dt * dtheta_acc_dforce],
+                         axis=-1) * w.force_scale
+
+        def vjp(t, g):
+            return jac_s[t].T @ g, np.array([jac_a[t] @ g])
+
+        return vjp
 
 
 class CartpoleReward(RewardModel):
@@ -426,10 +433,6 @@ class MlpModel(DynamicsModel):
     def step(self, s, a):
         return np.asarray(s, dtype=float) + self.predict_delta(s, a)
 
-    def backward(self, s, a, grad_next):
-        return self.linearize(np.asarray(s, dtype=float)[None],
-                              np.asarray(a, dtype=float)[None])(0, grad_next)
-
     def linearize(self, states, actions):
         """One batched forward pass over the (T, d_s) states and (T, d_a)
         actions keeps each hidden layer's SiLU slope, so vjp(t, g) only
@@ -447,8 +450,7 @@ class MlpModel(DynamicsModel):
             slopes.append(sig * (1.0 + pre * (1.0 - sig)))
         layers = [W.T for W, _ in self.weights]
 
-        def vjp(t, grad_next):
-            g = np.asarray(grad_next, dtype=float)
+        def vjp(t, g):
             gh = (g * self.out_std) @ layers[-1]
             for slope, W_T in zip(reversed(slopes), reversed(layers[:-1])):
                 gh = (gh * slope[t]) @ W_T

@@ -24,9 +24,8 @@ class ScalarLinearDynamics(DynamicsModel):
     def step(self, s, a):
         return self.A * np.asarray(s, dtype=float) + self.B * np.asarray(a, dtype=float)
 
-    def backward(self, s, a, g):
-        g = np.asarray(g, dtype=float)
-        return self.A * g, self.B * g
+    def linearize(self, states, actions):
+        return lambda t, g: (self.A * g, self.B * g)
 
 
 class StateActionQuadReward:
@@ -86,8 +85,9 @@ class TestPlan:
         cfg = tiny_cfg(k=1)
         out, _ = plan(PlannerState(), env.start_state, env.dynamics, env.reward,
                       cfg, env.bounds, np.random.default_rng(1))
-        assert out.model_reward >= out.diagnostics.cem_best_reward
-        assert out.model_reward == max(out.diagnostics.post_gradient_rewards)
+        traces = out.diagnostics.traces
+        assert out.model_reward >= traces[0].initial_reward   # CEM's pooled best
+        assert out.model_reward == max(t.final_reward for t in traces)
         assert np.array_equal(out.action, out.optimal_sequence[0])
 
     def test_paper_budget_accounting(self):
@@ -111,7 +111,6 @@ class TestPlan:
         bound = cfg.k * cfg.G * (cfg.J + 1) + cfg.k
         assert out.diagnostics.gradient_evals <= bound
         assert out.diagnostics.memory_proxy == cfg.n_init + cfg.k
-        assert len(out.diagnostics.post_gradient_rewards) == cfg.k
         assert len(out.diagnostics.traces) == cfg.k
 
     def test_no_gradient_steps_returns_cem_pooled_best(self, monkeypatch):
@@ -129,7 +128,7 @@ class TestPlan:
         assert out.model_reward == want.top_k[0].total_reward
         diag = out.diagnostics
         assert (diag.samples_used, diag.gradient_evals, diag.memory_proxy) == (120, 0, 40)
-        assert diag.post_gradient_rewards == [] and diag.traces == []
+        assert diag.traces == []
 
     def test_one_step_linear_quadratic_optimum(self):
         model = ScalarLinearDynamics(A=0.8, B=0.5)
@@ -212,14 +211,14 @@ class TestPlan:
             # Every refined trajectory scores the same; each keeps its own actions.
             refined.append(Trajectory(seed.states, seed.actions.copy(), seed.step_rewards,
                                       total_reward=-1.0))
-            return refined[-1], cemgd_mod.OptimizeTrace(-1.0, -1.0)
+            return refined[-1], cemgd_mod.OptimizeTrace(-1.0, refined[-1].total_reward)
 
         monkeypatch.setattr(cemgd_mod, "optimize", tied)
         out, _ = plan(PlannerState(), env.start_state, env.dynamics, env.reward, cfg,
                       env.bounds, np.random.default_rng(0))
         assert len(refined) == cfg.k
         assert out.optimal_sequence is refined[0].actions
-        assert out.diagnostics.post_gradient_rewards == [-1.0] * cfg.k
+        assert [t.final_reward for t in out.diagnostics.traces] == [-1.0] * cfg.k
 
 
 def reference_plan(state, s_t, model, reward, cfg, bounds, rng):
@@ -241,9 +240,11 @@ def reference_plan(state, s_t, model, reward, cfg, bounds, rng):
         refined.append(final.actions)
         traces.append(trace)
         rewards.append(rollout(model, reward, s_t, final.actions).total_reward)
+    # The traces, which plan() must reproduce, hold the re-rolled rewards.
+    assert [t.initial_reward for t in traces] == [seed.total_reward for seed in result.top_k]
+    assert [t.final_reward for t in traces] == rewards
     winner = int(np.argmax(rewards))
     diagnostics = PlanDiagnostics(
-        cem_best_reward=result.top_k[0].total_reward, post_gradient_rewards=rewards,
         samples_used=result.samples_used,
         gradient_evals=len(traces) * (1 + cfg.G * cfg.J + 1),
         memory_proxy=n + cfg.k, traces=traces)

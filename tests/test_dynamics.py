@@ -34,6 +34,12 @@ def assert_vjp_close(model, s, a, g, tol):
     assert np.max(np.abs(got_a - want_a) / scale_a) < tol
 
 
+def assert_bitwise(got, want):
+    got, want = np.asarray(got), np.asarray(want)
+    assert got.shape == want.shape and got.dtype == want.dtype
+    assert got.tobytes() == want.tobytes()
+
+
 class TestBarrier:
     world = BarrierWorld()
 
@@ -206,7 +212,7 @@ def test_batched_step_matches_single():
 
 def barrier_rim_states(world):
     """The smoothed centre, and in several directions the pair of states one
-    ulp apart on either side of the rim by the distance backward computes."""
+    ulp apart on either side of the rim by the distance u @ u computes."""
     center = np.asarray(world.center, dtype=float)
 
     def inside(s):
@@ -230,21 +236,113 @@ def barrier_rim_states(world):
     return np.array(states)
 
 
+# The analytic VJPs were first written per sample, in Python floats. They
+# are kept here as references that linearize and backward must equal bit
+# for bit: the planners' results were recorded with them.
+
+
+def scalar_barrier_backward(dyn, s, a, grad_next):
+    w = dyn.world
+    s = np.asarray(s, dtype=float)
+    grad_next = np.asarray(grad_next, dtype=float)
+    u = s - dyn._center
+    d = math.sqrt(float(u @ u) + w.smooth_eps**2)
+    grad_s = grad_next.copy()
+    if d < w.radius:
+        c = w.kappa * (w.radius - d) / d
+        jac_f = c * np.eye(2) - (w.kappa * w.radius / d**3) * np.outer(u, u)
+        grad_s = grad_s + w.dt * (jac_f @ grad_next)
+    grad_a = w.dt * grad_next
+    return grad_s, grad_a
+
+
+def scalar_cartpole_backward(dyn, s, a, grad_next):
+    w = dyn.world
+    s = np.asarray(s, dtype=float)
+    g = np.asarray(grad_next, dtype=float)
+    theta, omega = float(s[2]), float(s[3])
+    force = w.force_scale * float(np.asarray(a).reshape(-1)[0])
+
+    sin, cos = math.sin(theta), math.cos(theta)
+    total_mass = w.masscart + w.masspole
+    pole_ml = w.masspole * w.half_length
+    temp = (force + pole_ml * omega**2 * sin) / total_mass
+    denom = w.half_length * (4.0 / 3.0 - w.masspole * cos**2 / total_mass)
+    num = w.gravity * sin - cos * temp
+    theta_acc = num / denom
+
+    dtemp_dtheta = pole_ml * omega**2 * cos / total_mass
+    dtemp_domega = 2.0 * pole_ml * omega * sin / total_mass
+    dtemp_dforce = 1.0 / total_mass
+    ddenom_dtheta = w.half_length * 2.0 * w.masspole * cos * sin / total_mass
+    dnum_dtheta = w.gravity * cos + sin * temp - cos * dtemp_dtheta
+    dtheta_acc_dtheta = (dnum_dtheta * denom - num * ddenom_dtheta) / denom**2
+    dtheta_acc_domega = (-cos * dtemp_domega) / denom
+    dtheta_acc_dforce = (-cos * dtemp_dforce) / denom
+    ml_over_mass = pole_ml / total_mass
+    dx_acc_dtheta = dtemp_dtheta - ml_over_mass * (dtheta_acc_dtheta * cos - theta_acc * sin)
+    dx_acc_domega = dtemp_domega - ml_over_mass * dtheta_acc_domega * cos
+    dx_acc_dforce = dtemp_dforce - ml_over_mass * dtheta_acc_dforce * cos
+
+    dt = w.dt
+    jac_s = np.array(
+        [
+            [1.0, dt, 0.0, 0.0],
+            [0.0, 1.0, dt * dx_acc_dtheta, dt * dx_acc_domega],
+            [0.0, 0.0, 1.0, dt],
+            [0.0, 0.0, dt * dtheta_acc_dtheta, 1.0 + dt * dtheta_acc_domega],
+        ]
+    )
+    jac_a = np.array([0.0, dt * dx_acc_dforce, 0.0, dt * dtheta_acc_dforce]) * w.force_scale
+    return jac_s.T @ g, np.array([jac_a @ g])
+
+
+def cartpole_states_with_rounding_squares(world, rng, pool=100_000, each=40):
+    """Wide states where libm's pow(x, 2) and numpy's x*x differ for the
+    pole speed, the cosine of its angle or the reference's denominator:
+    ``each`` of every kind."""
+    theta = rng.uniform(-4.0 * np.pi, 4.0 * np.pi, pool)
+    omega = rng.normal(0.0, 4.0, pool)
+    cos = np.array([math.cos(x) for x in theta.tolist()])
+    total_mass = world.masscart + world.masspole
+    denom = np.array([world.half_length * (4.0 / 3.0 - world.masspole * c**2 / total_mass)
+                      for c in cos.tolist()])
+    rows = []
+    for x in (omega, cos, denom):
+        differ = np.square(x) != np.array([v**2 for v in x.tolist()])
+        rows.append(np.nonzero(differ)[0][:each])
+    rows = np.concatenate(rows)
+    assert len(rows) == 3 * each
+    x, v = rng.normal(0.0, 1.0, len(rows)), rng.normal(0.0, 2.0, len(rows))
+    return np.column_stack([x, v, theta[rows], omega[rows]])
+
+
 @pytest.mark.parametrize("name", ["barrier", "cartpole"])
-def test_linearize_is_per_step_backward_bitwise(name):
+def test_linearize_and_backward_match_scalar_references_bitwise(name):
     env = make_environment(name)
     rng = np.random.default_rng(7)
-    d_s = env.start_state.shape[0]
-    ss = rng.normal(size=(10, d_s))
+    n = 2000
     if name == "barrier":
-        # The rim is where linearize's distance test and backward's meet.
+        # Inside the barrier, off it, at the smoothed centre and on the rim.
+        ss = env.world.center + rng.uniform(-0.6, 0.6, size=(n, 2))
         ss = np.concatenate([ss, barrier_rim_states(env.world)])
+        reference = scalar_barrier_backward
+    else:
+        # Wide pole angles and speeds, and the states whose squares libm
+        # rounds otherwise than numpy's x*x (about 0.1% of random ones).
+        ss = np.column_stack([rng.normal(0.0, 1.0, n), rng.normal(0.0, 2.0, n),
+                              rng.uniform(-4.0 * np.pi, 4.0 * np.pi, n),
+                              rng.normal(0.0, 4.0, n)])
+        ss = np.concatenate([ss, cartpole_states_with_rounding_squares(env.world, rng)])
+        reference = scalar_cartpole_backward
     aa = rng.uniform(env.bounds.low, env.bounds.high, size=(len(ss), env.bounds.d_a))
+    gg = rng.normal(size=ss.shape)
     vjp = env.dynamics.linearize(ss, aa)
     for t in range(len(ss)):
-        g = rng.normal(size=d_s)
-        for got, want in zip(vjp(t, g), env.dynamics.backward(ss[t], aa[t], g)):
-            assert got.tobytes() == want.tobytes()
+        want = reference(env.dynamics, ss[t], aa[t], gg[t])
+        for got in (vjp(t, gg[t]), env.dynamics.backward(ss[t], aa[t], gg[t])):
+            for part, ref in zip(got, want):
+                assert_bitwise(part, ref)
 
 
 # The kernels below were rewritten for speed (ndarray.sum instead of the
@@ -276,12 +374,6 @@ def np_sum_barrier_step(dyn, s, a):
 def np_sum_quadratic_reward(reward, s_next, a):
     err = s_next - reward.goal
     return -np.sum(err * err, axis=-1) - reward.action_cost * np.sum(a * a, axis=-1)
-
-
-def assert_bitwise(got, want):
-    got, want = np.asarray(got), np.asarray(want)
-    assert got.shape == want.shape and got.dtype == want.dtype
-    assert got.tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("shape", [(), (257,)])

@@ -18,9 +18,8 @@ class FrozenDynamics(DynamicsModel):
     def step(self, s, a):
         return np.asarray(s, dtype=float).copy()
 
-    def backward(self, s, a, g):
-        g = np.asarray(g, dtype=float)
-        return g.copy(), np.zeros(1)
+    def linearize(self, states, actions):
+        return lambda t, g: (g.copy(), np.zeros(1))
 
 
 class ActionQuadReward:
@@ -51,13 +50,15 @@ class VjpOverflowDynamics(DynamicsModel):
     def step(self, s, a):
         return np.asarray(s, dtype=float) + 0.1 * np.asarray(a, dtype=float)
 
-    def backward(self, s, a, g):
-        grad_s, grad_a = np.array(g, dtype=float), 0.1 * np.asarray(g, dtype=float)
-        if int(a[0]) in self.bad_steps:
-            big = grad_s if self.part == "state" else grad_a
-            big *= 1e300
-            big *= 1e300   # numpy overflow: warns unless ignored
-        return grad_s, grad_a
+    def linearize(self, states, actions):
+        def vjp(t, g):
+            grad_s, grad_a = np.array(g, dtype=float), 0.1 * np.asarray(g, dtype=float)
+            if int(actions[t][0]) in self.bad_steps:
+                big = grad_s if self.part == "state" else grad_a
+                big *= 1e300
+                big *= 1e300   # numpy overflow: warns unless ignored
+            return grad_s, grad_a
+        return vjp
 
 
 class NegSquaredNorm:

@@ -21,7 +21,11 @@ from trajplan.dynamics import make_environment
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 
 KNOWN_STALE = {"trajplan.harness.run_cem", "trajplan.cemgd.rollout",
-               "trajplan.gradplanner.rollout"}
+               "trajplan.gradplanner.rollout",
+               # backward is inherited from DynamicsModel: linearize at T = 1
+               "trajplan.dynamics:BarrierDynamics.backward",
+               "trajplan.dynamics:CartpoleDynamics.backward",
+               "trajplan.dynamics:MlpModel.backward"}
 
 
 def load_tracing():
