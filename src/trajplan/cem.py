@@ -13,8 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (ActionBounds, Array, DivergedError, Trajectory, project,
-                   rollout_batch)
+from .core import ActionBounds, Array, DivergedError, Trajectory, rollout_batch
 from .core import default_elite_count  # noqa: F401  (still importable from here)
 
 # Keeps the sampling distribution from collapsing to a point.
@@ -65,13 +64,15 @@ def sample(dist: SamplingDistribution, n: int, bounds: ActionBounds, rng) -> Arr
 
     Entries are independent Gaussians; the (n, T, d_a) noise block is drawn
     in one call, so the draw order is sequence-major and reproducible from
-    the rng seed.
+    the rng seed. The block is scaled, shifted and clamped in place, which
+    equals project(mean + sqrt(variance) * noise, bounds) bit for bit.
     """
     if n < 1:
         raise ValueError("n must be at least 1")
-    noise = rng.standard_normal((n, *dist.mean.shape))
-    draws = dist.mean + np.sqrt(dist.variance) * noise
-    return project(draws, bounds)
+    draws = rng.standard_normal((n, *dist.mean.shape))
+    draws *= np.sqrt(dist.variance)
+    draws += dist.mean
+    return np.clip(draws, bounds.low, bounds.high, out=draws)
 
 
 def update_distribution(dist: SamplingDistribution, elites, alpha: float,

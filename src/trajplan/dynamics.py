@@ -21,6 +21,13 @@ or a batch stacked along a leading axis; reward and the reward's backward
 accept any leading shape, such as a whole (B, T) block of rollout steps,
 and equal their per-sample values bit for bit. All models are pure
 functions of their inputs and safe to call concurrently.
+
+MlpModel runs its network in one of two passes, by what the caller reads.
+The value pass (step, predict_delta, training_mse) keeps only the layer it
+is computing, so a batch of B rows holds about three (B, width) arrays at
+its peak. The recorded pass (linearize, and the training step's parameter
+gradients) keeps every layer's input and every hidden layer's SiLU slope,
+both from one sigmoid per layer, for the backward pass to multiply with.
 """
 
 from __future__ import annotations
@@ -182,21 +189,23 @@ class BarrierDynamics(DynamicsModel):
     def linearize(self, states, actions):
         """dF/ds = c*I - (kappa*r/d^3) u u^T within the rim, with
         c = kappa*(r - d)/d, and zero beyond it; symmetric, so each step's
-        VJP is a plain matrix-vector product. Beyond the rim vjp's
-        g + dt * (0 @ g) is g, except that an entry of -0.0 may come back as
-        0.0. The distance is one ddot per row (np.vecdot), as a single
-        sample's u @ u is; an elementwise u0*u0 + u1*u1 rounds differently."""
+        VJP within the rim is a plain matrix-vector product, and beyond it
+        is (g, dt * g) with no product at all. The distance is one ddot per
+        row (np.vecdot), as a single sample's u @ u is; an elementwise
+        u0*u0 + u1*u1 rounds differently."""
         w = self.world
         u = np.asarray(states, dtype=float) - self._center
         d = np.sqrt(np.vecdot(u, u) + w.smooth_eps**2)
         c = w.kappa * (w.radius - d) / d
         k = w.kappa * w.radius / _libm_power(d, 3)
         jac = c[:, None, None] * np.eye(2) - k[:, None, None] * (u[:, :, None] * u[:, None, :])
-        jac *= (d < w.radius)[:, None, None]
+        inside = (d < w.radius).tolist()
         dt = w.dt
 
         def vjp(t, g):
-            return g + dt * (jac[t] @ g), dt * g
+            if inside[t]:
+                return g + dt * (jac[t] @ g), dt * g
+            return g.copy(), dt * g
 
         return vjp
 
@@ -367,10 +376,11 @@ def silu(x: Array) -> Array:
     return t
 
 
-def silu_prime(x: Array) -> Array:
-    """sigmoid(x) * (1 + x * (1 - sigmoid(x)))."""
+def _silu_and_slope(x):
+    """silu(x) and its slope sigmoid(x) * (1 + x * (1 - sigmoid(x))) from
+    one sigmoid; x * sigmoid(x) equals silu(x) bit for bit."""
     sig = _sigmoid(x)
-    return sig * (1.0 + x * (1.0 - sig))
+    return x * sig, sig * (1.0 + x * (1.0 - sig))
 
 
 _MLP_MAGIC = b"TJPM"
@@ -409,45 +419,47 @@ class MlpModel(DynamicsModel):
             weights.append((W, np.zeros(fan_out)))
         return cls(d_s, d_a, weights, **stats)
 
-    def _forward(self, z):
-        """Forward pass on normalized input; returns (output, pre-activations, activations)."""
-        pres, acts = [], [z]
+    def _value_pass(self, z):
+        """The network's output on normalized input z, holding one hidden
+        layer at a time."""
         h = z
-        for i, (W, b) in enumerate(self.weights):
-            pre = h @ W
+        for W, b in self.weights[:-1]:
+            h = h @ W
+            h += b
+            h = silu(h)
+        W, b = self.weights[-1]
+        out = h @ W
+        out += b
+        return out
+
+    def _recorded_pass(self, z):
+        """Every layer's input (z first, the output layer's last) and every
+        hidden layer's SiLU slope; the output layer itself is not applied."""
+        inputs, slopes = [z], []
+        for W, b in self.weights[:-1]:
+            pre = inputs[-1] @ W
             pre += b
-            if i < len(self.weights) - 1:
-                pres.append(pre)
-                h = silu(pre)
-                acts.append(h)
-            else:
-                h = pre
-        return h, pres, acts
+            h, slope = _silu_and_slope(pre)
+            inputs.append(h)
+            slopes.append(slope)
+        return inputs, slopes
 
     def predict_delta(self, s, a):
         x = np.concatenate([np.asarray(s, dtype=float), np.asarray(a, dtype=float)], axis=-1)
         z = (x - self.in_mean) / self.in_std
-        y, _, _ = self._forward(z)
-        return self.out_mean + self.out_std * y
+        return self.out_mean + self.out_std * self._value_pass(z)
 
     def step(self, s, a):
         return np.asarray(s, dtype=float) + self.predict_delta(s, a)
 
     def linearize(self, states, actions):
-        """One batched forward pass over the (T, d_s) states and (T, d_a)
-        actions keeps each hidden layer's SiLU slope, so vjp(t, g) only
-        chains the weight products. Equals backward at step t to rounding:
-        BLAS may sum a row's products in another order for another T."""
+        """One recorded pass over the (T, d_s) states and (T, d_a) actions
+        keeps each hidden layer's SiLU slope, so vjp(t, g) only chains the
+        weight products. Equals backward at step t to rounding: BLAS may sum
+        a row's products in another order for another T."""
         x = np.concatenate([np.asarray(states, dtype=float),
                             np.asarray(actions, dtype=float)], axis=-1)
-        h = (x - self.in_mean) / self.in_std
-        slopes = []
-        for W, b in self.weights[:-1]:   # the output layer's value is not needed
-            pre = h @ W
-            pre += b
-            sig = _sigmoid(pre)          # once for both: bit for bit silu and silu_prime
-            h = pre * sig
-            slopes.append(sig * (1.0 + pre * (1.0 - sig)))
+        _, slopes = self._recorded_pass((x - self.in_mean) / self.in_std)
         layers = [W.T for W, _ in self.weights]
 
         def vjp(t, g):
@@ -461,21 +473,23 @@ class MlpModel(DynamicsModel):
 
     def _loss_and_grads(self, z, target):
         """Mean squared error on normalized targets plus parameter gradients."""
-        pred, pres, acts = self._forward(z)
+        inputs, slopes = self._recorded_pass(z)
+        W, b = self.weights[-1]
+        pred = inputs[-1] @ W
+        pred += b
         err = pred - target
         loss = float(np.mean(err * err))
         gh = 2.0 * err / err.size
         grads = [None] * len(self.weights)
         for i in range(len(self.weights) - 1, -1, -1):
             W, _ = self.weights[i]
-            grads[i] = (acts[i].T @ gh, gh.sum(axis=0))
+            grads[i] = (inputs[i].T @ gh, gh.sum(axis=0))
             if i > 0:
-                gh = (gh @ W.T) * silu_prime(pres[i - 1])
+                gh = (gh @ W.T) * slopes[i - 1]
         return loss, grads
 
     def training_mse(self, z, target):
-        pred, _, _ = self._forward(z)
-        err = pred - target
+        err = self._value_pass(z) - target
         return float(np.mean(err * err))
 
     # -- serialization ------------------------------------------------------

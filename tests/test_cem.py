@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -44,6 +46,34 @@ class TestSample:
         a = sample(dist, 7, bounds, np.random.default_rng(42))
         b = sample(dist, 7, bounds, np.random.default_rng(42))
         assert np.array_equal(a, b)
+
+    def test_in_place_draw_matches_old_formula_bitwise(self):
+        # sample scales, shifts and clamps its noise block in place; the draw
+        # must equal project(mean + sqrt(variance) * noise) as first written.
+        rng = np.random.default_rng(3)
+        mean = rng.normal(size=(45, 2))
+        variance = rng.uniform(0.0, 2.0, size=(45, 2))
+        variance[0] = 0.0
+        dist = SamplingDistribution(mean, variance)
+        bounds = ActionBounds.symmetric(1.0, 2)
+        got = sample(dist, 100, bounds, np.random.default_rng(11))
+        noise = np.random.default_rng(11).standard_normal((100, 45, 2))
+        want = np.clip(mean + np.sqrt(variance) * noise, bounds.low, bounds.high)
+        assert got.tobytes() == want.tobytes()
+
+    def test_draw_holds_one_buffer(self):
+        # The noise block is scaled, shifted and clamped where it was drawn.
+        dist = SamplingDistribution.initial(45, 128)
+        bounds = ActionBounds.symmetric(1.0, 128)
+        block = 100 * 45 * 128 * 8
+        tracemalloc.start()
+        try:
+            draws = sample(dist, 100, bounds, np.random.default_rng(0))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert draws.nbytes == block
+        assert peak < 1.5 * block
 
     def test_draws_respect_bounds(self):
         dist = SamplingDistribution.initial(5, 2)

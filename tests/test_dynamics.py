@@ -337,6 +337,9 @@ def test_linearize_and_backward_match_scalar_references_bitwise(name):
         reference = scalar_cartpole_backward
     aa = rng.uniform(env.bounds.low, env.bounds.high, size=(len(ss), env.bounds.d_a))
     gg = rng.normal(size=ss.shape)
+    # Signed zeros too: beyond the barrier's rim the reference passes g
+    # through as it is, so a -0.0 entry must come back as -0.0.
+    gg[rng.random(gg.shape) < 0.3] = -0.0
     vjp = env.dynamics.linearize(ss, aa)
     for t in range(len(ss)):
         want = reference(env.dynamics, ss[t], aa[t], gg[t])

@@ -4,6 +4,7 @@ import os
 import struct
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -13,7 +14,12 @@ import pytest
 import trajplan
 import trajplan.dynamics as dynamics_mod
 from trajplan.dynamics import (MlpModel, TrainingDivergedError, collect_random_rollouts,
-                               fit_mlp, make_environment, silu, silu_prime)
+                               fit_mlp, make_environment, silu)
+
+
+def silu_slope(x):
+    """The SiLU slope the recorded pass keeps."""
+    return dynamics_mod._silu_and_slope(x)[1]
 
 
 def zero_weight_model(d_s=3, d_a=2, hidden=(4, 4, 4)):
@@ -33,7 +39,7 @@ class TestForward:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             assert np.all(np.isfinite(silu(x)))
-            assert np.all(np.isfinite(silu_prime(x)))
+            assert np.all(np.isfinite(silu_slope(x)))
 
     def test_silu_matches_logistic_formula(self):
         # The tanh form of the sigmoid errs by about one ulp of 1, so silu
@@ -88,7 +94,7 @@ class TestBackward:
         xs = np.linspace(-4, 4, 33)
         h = 1e-6
         num = (silu(xs + h) - silu(xs - h)) / (2 * h)
-        np.testing.assert_allclose(silu_prime(xs), num, rtol=0, atol=1e-9)
+        np.testing.assert_allclose(silu_slope(xs), num, rtol=0, atol=1e-9)
 
     def test_matches_finite_differences(self):
         rng = np.random.default_rng(1)
@@ -114,11 +120,11 @@ class TestBackward:
 def per_sample_vjp(model, s, a, g):
     """The MLP's VJP at one (s, a), from a forward pass of that sample alone."""
     z = (np.concatenate([s, a]) - model.in_mean) / model.in_std
-    _, pres, _ = model._forward(z)
+    _, pres, _ = old_forward(model, z)
     gh = g * model.out_std
     for i in range(len(model.weights) - 1, -1, -1):
         if i < len(model.weights) - 1:
-            gh = gh * silu_prime(pres[i])
+            gh = gh * old_silu_prime(pres[i])
         gh = gh @ model.weights[i][0].T
     gx = gh / model.in_std
     return np.concatenate([g + gx[: model.d_s], gx[model.d_s :]])
@@ -186,12 +192,22 @@ def old_linearize(model, states, actions):
     return vjp
 
 
+def old_value_pass(model, z):
+    return old_forward(model, z)[0]
+
+
+def old_recorded_pass(model, z):
+    _, pres, acts = old_forward(model, z)
+    return acts, [old_silu_prime(pre) for pre in pres]
+
+
 def bits(a):
     return np.asarray(a, dtype=float).view(np.uint64)
 
 
 class TestSameBitsAsOldFormulas:
-    """The lean SiLU, in-place bias and shared sigmoid change no bit."""
+    """The lean SiLU, in-place bias, shared sigmoid and the value and
+    recorded passes change no bit."""
 
     def test_silu_and_slope_bitwise(self):
         rng = np.random.default_rng(0)
@@ -203,7 +219,9 @@ class TestSameBitsAsOldFormulas:
         x = np.concatenate([mags, -mags, special])
         with np.errstate(invalid="ignore", over="ignore"):
             assert np.array_equal(bits(silu(x)), bits(old_silu(x)))
-            assert np.array_equal(bits(silu_prime(x)), bits(old_silu_prime(x)))
+            act, slope = dynamics_mod._silu_and_slope(x)
+            assert np.array_equal(bits(act), bits(old_silu(x)))
+            assert np.array_equal(bits(slope), bits(old_silu_prime(x)))
 
     def model(self, rng):
         return MlpModel.initialize(4, 2, hidden=(32, 32, 32), rng=rng,
@@ -217,10 +235,11 @@ class TestSameBitsAsOldFormulas:
         rng = np.random.default_rng(1)
         model = self.model(rng)
         z = rng.normal(size=6 if rows is None else (rows, 6))
-        got, want = model._forward(z), old_forward(model, z)
-        assert bits(got[0]).tobytes() == bits(want[0]).tobytes()
-        for part in (1, 2):
-            assert [a.tobytes() for a in got[part]] == [a.tobytes() for a in want[part]]
+        out, (inputs, slopes) = model._value_pass(z), model._recorded_pass(z)
+        want_out, (want_inputs, want_slopes) = old_value_pass(model, z), old_recorded_pass(model, z)
+        assert bits(out).tobytes() == bits(want_out).tobytes()
+        for got, want in ((inputs, want_inputs), (slopes, want_slopes)):
+            assert [a.tobytes() for a in got] == [a.tobytes() for a in want]
 
     def test_linearize_bitwise(self):
         rng = np.random.default_rng(2)
@@ -239,13 +258,33 @@ class TestSameBitsAsOldFormulas:
                                        episodes=4, steps=50, rng=3)
         got, got_hist = fit_mlp(data, epochs=3, batch_size=32, hidden=(32, 32, 32), rng=4)
         monkeypatch.setattr(dynamics_mod, "silu", old_silu)
-        monkeypatch.setattr(dynamics_mod, "silu_prime", old_silu_prime)
         monkeypatch.setattr(dynamics_mod, "_sigmoid", old_sigmoid)
-        monkeypatch.setattr(MlpModel, "_forward", old_forward)
+        monkeypatch.setattr(MlpModel, "_value_pass", old_value_pass)
+        monkeypatch.setattr(MlpModel, "_recorded_pass", old_recorded_pass)
         want, want_hist = fit_mlp(data, epochs=3, batch_size=32, hidden=(32, 32, 32), rng=4)
         assert got_hist == want_hist
         for (W, b), (Wo, bo) in zip(got.weights, want.weights):
             assert W.tobytes() == Wo.tobytes() and b.tobytes() == bo.tobytes()
+
+
+class TestMemory:
+    def test_value_pass_holds_one_layer_at_a_time(self):
+        # A 1000-row step or training MSE at width 200 may hold a few
+        # (rows, width) arrays at once (the layer in hand and SiLU's
+        # temporaries), not every layer's pre-activation and activation.
+        rows, width = 1000, 200
+        rng = np.random.default_rng(0)
+        model = MlpModel.initialize(4, 2, hidden=(width,) * 3, rng=rng)
+        s, a = rng.normal(size=(rows, 4)), rng.normal(size=(rows, 2))
+        z, target = rng.normal(size=(rows, 6)), rng.normal(size=(rows, 4))
+        for call in (lambda: model.step(s, a), lambda: model.training_mse(z, target)):
+            tracemalloc.start()
+            try:
+                call()
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert peak < 4 * rows * width * 8
 
 
 class TestFit:
