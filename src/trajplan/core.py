@@ -113,7 +113,9 @@ def rollout_batch(model, reward, s0: Array, seqs: Array):
     per-step ``totals += r`` from 0.0; reruns are bit-identical. Row i
     versus ``rollout(seqs[i])`` (which is this function at B=1): bitwise
     equal for the analytic models (barrier, cartpole: elementwise
-    arithmetic) at any B; for ``MlpModel`` at B>1 equal only to rounding,
+    arithmetic) at any B, although for the barrier B = 1 and B > 1 run two
+    code paths (one row is stepped on Python floats, see
+    ``BarrierDynamics.step``); for ``MlpModel`` at B>1 equal only to rounding,
     because BLAS may sum a row's products in another order for another B.
     Across BLAS threads an MLP-planned episode is bitwise equal: tested with
     OpenBLAS 0.3.31 at 1 and 2 threads, whose threads split a product's

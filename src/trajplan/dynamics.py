@@ -22,6 +22,12 @@ accept any leading shape, such as a whole (B, T) block of rollout steps,
 and equal their per-sample values bit for bit. All models are pure
 functions of their inputs and safe to call concurrently.
 
+BarrierDynamics.step takes one state and one action, shape (2,) or
+(1, 2) each, on Python floats rather than numpy arrays, since a one-row
+rollout pays mostly numpy's per-call cost. It does the batched formula's
+IEEE operations in the same order and returns the batched formula's
+shape, so it equals the batched formula bit for bit.
+
 MlpModel runs its network in one of two passes, by what the caller reads.
 The value pass (step, predict_delta, training_mse) keeps only the layer it
 is computing, so a batch of B rows holds about three (B, width) arrays at
@@ -36,7 +42,7 @@ import math
 import numbers
 import struct
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -111,18 +117,28 @@ class QuadraticGoalReward(RewardModel):
 # Barrier world
 
 
+def _finite_real(x) -> bool:
+    """x is a finite real number and not a bool."""
+    try:
+        return isinstance(x, numbers.Real) and not isinstance(x, bool) and math.isfinite(x)
+    except OverflowError:   # an int too large for a float
+        return False
+
+
 def _check_fields(world, size: int, vectors, positive) -> None:
-    """A world's vector fields must hold ``size`` finite numbers each, and
-    its ``positive`` fields be positive numbers."""
-    for name in vectors:
-        v = getattr(world, name)
-        if not (isinstance(v, (tuple, list, np.ndarray)) and len(v) == size and all(
-                isinstance(x, numbers.Real) and math.isfinite(x) for x in v)):
-            raise ValueError(f"{name} must be {size} finite numbers, got {v!r}")
-    for name in positive:
-        v = getattr(world, name)
-        if not (isinstance(v, numbers.Real) and v > 0.0):
-            raise ValueError(f"{name} must be a positive number, got {v!r}")
+    """A world's vector fields must hold ``size`` finite numbers each, every
+    other field be a finite number, and its ``positive`` fields be positive."""
+    for f in fields(world):
+        v = getattr(world, f.name)
+        if f.name in vectors:
+            if not (isinstance(v, (tuple, list, np.ndarray)) and len(v) == size
+                    and all(_finite_real(x) for x in v)):
+                raise ValueError(f"{f.name} must be {size} finite numbers, got {v!r}")
+        elif f.name in positive:
+            if not (_finite_real(v) and v > 0.0):
+                raise ValueError(f"{f.name} must be a positive finite number, got {v!r}")
+        elif not _finite_real(v):
+            raise ValueError(f"{f.name} must be a finite number, got {v!r}")
 
 
 @dataclass(frozen=True)
@@ -146,7 +162,8 @@ class BarrierWorld:
     smooth_eps: float = 1e-6
 
     def __post_init__(self):
-        _check_fields(self, 2, ("center", "goal", "start"), ("radius", "kappa", "dt"))
+        _check_fields(self, 2, ("center", "goal", "start"),
+                      ("radius", "kappa", "dt", "smooth_eps"))
         if not self.center[1] > 0.0:
             raise ValueError("barrier center must sit strictly above y = 0")
         if self.action_cost < 0.0:
@@ -165,6 +182,10 @@ class BarrierWorld:
         return np.asarray(self.start, dtype=float)
 
 
+# The shapes of one barrier state or action, which step takes on floats.
+_ONE_ROW = ((2,), (1, 2))
+
+
 class BarrierDynamics(DynamicsModel):
     """s' = s + a*dt + F_rep(s)*dt with a radial in-barrier repulsion force."""
 
@@ -174,6 +195,7 @@ class BarrierDynamics(DynamicsModel):
     def __init__(self, world: BarrierWorld):
         self.world = world
         self._center = np.asarray(world.center, dtype=float)
+        self._center_xy = self._center.tolist()
 
     def _force(self, s):
         w = self.world
@@ -184,7 +206,32 @@ class BarrierDynamics(DynamicsModel):
 
     def step(self, s, a):
         s = np.asarray(s, dtype=float)
-        return s + self.world.dt * (np.asarray(a, dtype=float) + self._force(s))
+        a = np.asarray(a, dtype=float)
+        if s.shape in _ONE_ROW and a.shape in _ONE_ROW:
+            return self._step_row(s, a)
+        return s + self.world.dt * (a + self._force(s))
+
+    def _step_row(self, s, a):
+        """step for one state and one action, on Python floats: the batched
+        formula's IEEE operations in its order, so bit for bit its result,
+        without numpy's per-call cost on (1, 2) arrays. Float ``**`` and
+        ``/`` can raise where numpy's give inf or nan, so u is squared as
+        u*u (smooth_eps**2 is the same float in both formulas), and a zero
+        distance (smooth_eps**2 underflowed, at the centre) takes the
+        batched formula."""
+        w = self.world
+        (s0, s1), (a0, a1) = s.ravel().tolist(), a.ravel().tolist()
+        cx, cy = self._center_xy
+        ux, uy = s0 - cx, s1 - cy
+        d = math.sqrt(ux * ux + uy * uy + w.smooth_eps**2)
+        if not d < w.radius:   # also a nan distance, as np.where takes it
+            c = 0.0
+        elif d == 0.0:
+            return s + w.dt * (a + self._force(s))
+        else:
+            c = w.kappa * (w.radius - d) / d
+        out = np.array((s0 + w.dt * (a0 + c * ux), s1 + w.dt * (a1 + c * uy)))
+        return out if s.ndim == a.ndim == 1 else out[None]
 
     def linearize(self, states, actions):
         """dF/ds = c*I - (kappa*r/d^3) u u^T within the rim, with

@@ -101,10 +101,13 @@ def line_search_update(current: Trajectory, grad: Array, model, reward,
     for ``MlpModel`` the candidate rewards agree across batch sizes only
     to rounding (see ``rollout_batch``), so a near-tie can be decided
     differently. A candidate that is not rolled out raises no
-    DivergedError.
+    DivergedError. A step eta * grad that overflows is +-inf, which the
+    projection clamps to the bound, without a warning.
     """
     etas = eta_schedule(cfg)
-    candidates = project(current.actions + np.asarray(etas)[:, None, None] * grad, bounds)
+    with np.errstate(over="ignore"):   # an overflowing step is +-inf: the bound
+        candidates = project(current.actions + np.asarray(etas)[:, None, None] * grad,
+                             bounds)
     for lo, hi in ((0, 1), (1, len(etas))):   # trial 1 alone, then trials 2..J
         if lo == hi:
             break

@@ -312,6 +312,14 @@ class TestConfigErrors:
         ("env", {"env": {"name": "cartpole", "half_length": 0}}),
         # k above the default elite count of n_r = 10, whatever the planners.
         ("planner_config", {"planner_config": {"k": 2}}),
+        # Every world scalar is a finite number; a NaN smooth_eps would
+        # make every distance NaN, a world with no barrier.
+        ("cells[0].env", {"cells": [dict(CELL, env={"name": "barrier", "smooth_eps": "abc"})]}),
+        ("cells[0].env", {"cells": [dict(CELL, env={"name": "cartpole", "force_scale": "x"})]}),
+        ("cells[0].env", {"cells": [dict(CELL, env={"name": "barrier",
+                                                    "smooth_eps": float("nan")})]}),
+        ("cells[0].env", {"cells": [dict(CELL, env={"name": "barrier", "smooth_eps": 0})]}),
+        ("cells[0].env", {"cells": [dict(CELL, env={"name": "cartpole", "gravity": True})]}),
     ])
     def test_named_before_any_output(self, tmp_path, capsys, field, overrides):
         config = {"version": 1, "planner_config": {"horizon": 3}, "steps": 2, "seeds": [0]}

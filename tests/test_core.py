@@ -224,19 +224,27 @@ class TestRollout:
                                      np.zeros((2, 3, 2)))
         assert np.array_equal(totals, [0.0, 0.0])
 
-    @pytest.mark.parametrize("name", ["pointmass", "barrier", "cartpole"])
+    @pytest.mark.parametrize("name", ["pointmass", "barrier", "cartpole", "barrier_in_rim"])
     def test_batch_matches_single_bitwise(self, name):
         # Models with elementwise arithmetic give the same row at any batch size.
+        # barrier_in_rim starts 0.2 from the barrier's centre, within its
+        # 0.4 rim, so the one-row steps take the repulsion branch too.
         rng = np.random.default_rng(11)
         if name == "pointmass":
             model, reward, d_a = PointMass(), NegSquaredNorm(), 2
             s0 = rng.normal(size=2)
         else:
-            env = make_environment(name)
+            env = make_environment(name.removesuffix("_in_rim"))
             model, reward, d_a = env.dynamics, env.reward, env.bounds.d_a
-            s0 = env.start_state + rng.normal(0.0, 0.1, size=env.start_state.shape)
+            start = env.start_state
+            if name == "barrier_in_rim":
+                start = np.asarray(env.world.center) + np.array([0.2, 0.0])
+            s0 = start + rng.normal(0.0, 0.1, size=start.shape)
         seqs = rng.normal(size=(7, 10, d_a))
         totals, states, step_rewards = rollout_batch(model, reward, s0, seqs)
+        if name == "barrier_in_rim":
+            distance = np.linalg.norm(states - env.world.center, axis=-1)
+            assert (distance < env.world.radius).sum() > 7
         for i in range(7):
             traj = rollout(model, reward, s0, seqs[i])
             assert totals[i] == traj.total_reward

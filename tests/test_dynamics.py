@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -119,6 +120,25 @@ class TestBarrier:
             BarrierWorld(center=(0.0, -0.1))
 
 
+BARRIER_SCALARS = ("radius", "kappa", "dt", "action_limit", "action_cost", "smooth_eps")
+CARTPOLE_SCALARS = ("masscart", "masspole", "half_length", "gravity", "dt", "force_scale",
+                    "x_cost", "action_cost", "action_limit")
+
+
+@pytest.mark.parametrize("world, name", [(BarrierWorld, name) for name in BARRIER_SCALARS]
+                         + [(CartpoleWorld, name) for name in CARTPOLE_SCALARS])
+@pytest.mark.parametrize("value", ["x", math.nan, -math.inf, True, 10**400])
+def test_world_scalars_must_be_finite_numbers(world, name, value):
+    with pytest.raises(ValueError, match=f"^{name} must be"):
+        world(**{name: value})
+
+
+@pytest.mark.parametrize("value", [0.0, -1e-6])
+def test_smooth_eps_must_be_positive(value):
+    with pytest.raises(ValueError, match="^smooth_eps must be a positive"):
+        BarrierWorld(smooth_eps=value)
+
+
 class TestCartpole:
     world = CartpoleWorld()
 
@@ -234,6 +254,93 @@ def barrier_rim_states(world):
         assert not inside(beyond)
         states += [s, beyond]
     return np.array(states)
+
+
+def assert_bits_or_nans(got, want):
+    """Equal shapes, dtypes and bits, but any NaN matches any NaN: numpy and
+    Python floats need not make the same NaN payload or sign."""
+    got, want = np.asarray(got), np.asarray(want)
+    assert got.shape == want.shape and got.dtype == want.dtype == np.float64
+    nan = np.isnan(want)
+    assert np.array_equal(np.isnan(got), nan)
+    assert np.array_equal(got.view(np.uint64)[~nan], want.view(np.uint64)[~nan])
+
+
+ONE_ROW_SHAPES = [((2,), (2,)), ((1, 2), (1, 2)), ((2,), (1, 2)), ((1, 2), (2,))]
+
+
+class TestBarrierOneRowStep:
+    """step takes one state and one action on Python floats. The batched
+    formula, step on a batch of two rows, is the reference it must equal bit
+    for bit, in the shape the batched formula gives the one-row inputs."""
+
+    @staticmethod
+    def batched(dyn, s, a):
+        with np.errstate(all="ignore"):   # non-finite states warn in numpy
+            return dyn.step(np.tile(s, (2, 1)), np.tile(a, (2, 1)))[0]
+
+    def assert_rows_match(self, dyn, states, actions, monkeypatch):
+        def batched_force(s):
+            raise AssertionError("the one-row step took the batched formula")
+
+        want = [self.batched(dyn, s, a) for s, a in zip(states, actions)]
+        monkeypatch.setattr(dyn, "_force", batched_force)
+        for shape_s, shape_a in ONE_ROW_SHAPES:
+            shape = np.broadcast_shapes(shape_s, shape_a)
+            for s, a, row in zip(states, actions, want):
+                got = dyn.step(s.reshape(shape_s), a.reshape(shape_a))
+                assert_bits_or_nans(got, row.reshape(shape))
+
+    # The default kappa is 8.0, whose products are exact; the second world's
+    # scalars round, so an operation order other than the formula's shows.
+    @pytest.mark.parametrize("world", [
+        BarrierWorld(),
+        BarrierWorld(center=(0.1, 0.2), radius=0.45, kappa=7.3, dt=0.03, smooth_eps=1e-3),
+    ])
+    def test_rim_centre_and_random_states(self, world, monkeypatch):
+        rng = np.random.default_rng(21)
+        center = np.asarray(world.center)
+        ss = np.concatenate([
+            barrier_rim_states(world),      # the centre, and one ulp either side of the rim
+            center + rng.uniform(-0.6, 0.6, size=(300, 2)),
+            [np.nextafter(center, math.inf), np.nextafter(center, -math.inf)],
+        ])
+        aa = rng.uniform(-0.5, 0.5, size=ss.shape)
+        u = ss - center
+        inside = np.sqrt(np.add.reduce(u * u, axis=-1) + world.smooth_eps**2) < world.radius
+        assert inside.any() and not inside.all()
+        self.assert_rows_match(world.dynamics(), ss, aa, monkeypatch)
+
+    def test_signed_zeros(self, monkeypatch):
+        # The centre's x is 0.0, so a -0.0 state entry gives u = -0.0 there.
+        dyn = BarrierWorld().dynamics()
+        zeros = list(itertools.product((0.0, -0.0), repeat=2))
+        states = zeros + [(x, dyn.world.center[1]) for x in (0.0, -0.0)]
+        ss, aa = (np.array(v) for v in zip(*itertools.product(states, zeros)))
+        self.assert_rows_match(dyn, ss, aa, monkeypatch)
+
+    def test_non_finite_states_and_actions(self, monkeypatch):
+        dyn = BarrierWorld().dynamics()
+        values = (math.nan, math.inf, -math.inf, 0.15, 1e308)
+        pairs = np.array(list(itertools.product(values, repeat=2)))
+        finite = np.full_like(pairs, 0.1)
+        self.assert_rows_match(dyn, np.concatenate([pairs, finite]),
+                               np.concatenate([finite, pairs]), monkeypatch)
+
+    def test_underflowed_smoothing_at_the_centre(self):
+        # smooth_eps**2 underflows to 0.0, so the distance at the exact
+        # centre is 0.0: the batched formula's kappa*r/0 = inf, times u = 0,
+        # is nan, where a float division would raise ZeroDivisionError.
+        world = BarrierWorld(smooth_eps=1e-170)
+        assert world.smooth_eps**2 == 0.0
+        dyn = world.dynamics()
+        s, a = np.asarray(world.center, dtype=float), np.zeros(2)
+        want = self.batched(dyn, s, a)
+        assert np.isnan(want).all()
+        for shape_s, shape_a in ONE_ROW_SHAPES:
+            with np.errstate(divide="ignore", invalid="ignore"):
+                got = dyn.step(s.reshape(shape_s), a.reshape(shape_a))
+            assert_bits_or_nans(got, want.reshape(np.broadcast_shapes(shape_s, shape_a)))
 
 
 # The analytic VJPs were first written per sample, in Python floats. They

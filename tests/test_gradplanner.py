@@ -180,6 +180,17 @@ class TestLineSearch:
                                                  cfg, bounds1)
         assert np.all(out <= 1.0) and np.all(out >= -1.0)
 
+    def test_overflowing_step_clamps_to_bounds_without_warning(self):
+        # 1e308 * grad overflows to +-inf, which the projection takes to the
+        # bound; a leaked overflow warning fails under the suite's
+        # error::RuntimeWarning filter.
+        env = make_environment("barrier")
+        cfg = PlannerConfig(horizon=10, eta_init=1e308, G=1)
+        policy = make_policy("gradient", env.dynamics, env.reward, cfg, env.bounds)
+        policy.reset(np.random.default_rng(0))
+        out = policy.plan_step(env.start_state)
+        assert np.all(np.abs(out.optimal_sequence) <= env.bounds.high)
+
 
 class TestOptimize:
     def test_stationary_at_global_max(self):
