@@ -105,17 +105,21 @@ def rollout_batch(model, reward, s0: Array, seqs: Array):
     """Roll out a batch of action sequences (B, T, d_a) from a shared state.
 
     Returns (totals, states, rewards): the (B,) cumulative rewards, the
-    (B, T+1, d_s) states and the (B, T) step rewards. The loop
-    over steps only calls ``model.step``; the rewards are scored after it,
+    (B, T+1, d_s) states and the (B, T) step rewards. The states come
+    from ``model.rollout_states`` (a ``DynamicsModel`` method: by default a
+    loop over ``model.step``); the rewards are scored after it,
     one ``reward.reward`` call per block of up to REWARD_BLOCK_ROWS rows
     (one call for B <= 128) on (rows, T, d_s) states and (rows, T, d_a)
     actions. Rewards accumulate in ascending step order, bit for bit as a
     per-step ``totals += r`` from 0.0; reruns are bit-identical. Row i
     versus ``rollout(seqs[i])`` (which is this function at B=1): bitwise
     equal for the analytic models (barrier, cartpole: elementwise
-    arithmetic) at any B, although for the barrier B = 1 and B > 1 run two
-    code paths (one row is stepped on Python floats, see
-    ``BarrierDynamics.step``); for ``MlpModel`` at B>1 equal only to rounding,
+    arithmetic) at any B. The barrier rolls a batch of at most
+    ``dynamics.FLOAT_ROWS`` rows out on Python floats, where numpy's
+    per-call cost would dominate, and a larger one by the batched numpy
+    formula; both do the same IEEE operations in the same order (see
+    ``BarrierDynamics.rollout_states``).
+    For ``MlpModel`` at B>1 rows are equal only to rounding,
     because BLAS may sum a row's products in another order for another B.
     Across BLAS threads an MLP-planned episode is bitwise equal: tested with
     OpenBLAS 0.3.31 at 1 and 2 threads, whose threads split a product's
@@ -131,14 +135,9 @@ def rollout_batch(model, reward, s0: Array, seqs: Array):
     s0 = np.asarray(s0, dtype=float)
     seqs = np.asarray(seqs, dtype=float)
     B, T, _ = seqs.shape
-    states = np.empty((B, T + 1, s0.shape[0]))
-    states[:, 0] = s0
     rewards = np.empty((B, T))
-    s = states[:, 0]
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        for t in range(T):
-            s = model.step(s, seqs[:, t])
-            states[:, t + 1] = s
+        states = model.rollout_states(s0, seqs)
         totals = np.zeros(B)
         for lo in range(0, B if T else 0, REWARD_BLOCK_ROWS):   # T = 0: nothing to score
             rows = slice(lo, lo + REWARD_BLOCK_ROWS)

@@ -22,11 +22,16 @@ accept any leading shape, such as a whole (B, T) block of rollout steps,
 and equal their per-sample values bit for bit. All models are pure
 functions of their inputs and safe to call concurrently.
 
-BarrierDynamics.step takes one state and one action, shape (2,) or
-(1, 2) each, on Python floats rather than numpy arrays, since a one-row
-rollout pays mostly numpy's per-call cost. It does the batched formula's
-IEEE operations in the same order and returns the batched formula's
-shape, so it equals the batched formula bit for bit.
+A rollout's loop over steps is the model's rollout_states(s0, actions):
+by default a loop over step that fills the (B, T+1, d_s) states.
+BarrierDynamics rolls a batch of at most FLOAT_ROWS rows out on Python
+floats instead, the whole horizon in one loop, because at the planner's
+small batches (10-row CEM replans, the line search's 1- and 7-row trials)
+a numpy step costs mostly per-call overhead: about 14 ufunc calls per
+step whatever B. Above FLOAT_ROWS rows the float loop's per-row cost
+overtakes numpy's per-call cost, so larger batches take the batched
+formula. The float loop does the batched formula's IEEE operations in its
+order, so it equals the batched formula bit for bit.
 
 MlpModel runs its network in one of two passes, by what the caller reads.
 The value pass (step, predict_delta, training_mse) keeps only the layer it
@@ -66,6 +71,19 @@ class DynamicsModel:
         and (df/da)^T grad_next at (states[t], actions[t]) for a float
         array grad_next."""
         raise NotImplementedError
+
+    def rollout_states(self, s0: Array, actions: Array) -> Array:
+        """The (B, T+1, d_s) states of rolling the (B, T, d_a) actions out
+        from the shared state s0: states[:, 0] = s0 and states[:, t+1] =
+        step(states[:, t], actions[:, t])."""
+        B, T, _ = actions.shape
+        states = np.empty((B, T + 1, len(s0)))
+        states[:, 0] = s0
+        s = states[:, 0]
+        for t in range(T):
+            s = self.step(s, actions[:, t])
+            states[:, t + 1] = s
+        return states
 
     def backward(self, s: Array, a: Array, grad_next: Array) -> tuple[Array, Array]:
         """The VJPs at a single sample (s, a): linearize at T = 1."""
@@ -164,6 +182,13 @@ class BarrierWorld:
     def __post_init__(self):
         _check_fields(self, 2, ("center", "goal", "start"),
                       ("radius", "kappa", "dt", "smooth_eps"))
+        try:   # the models square it, and Python's float ** raises on overflow
+            float(self.smooth_eps) ** 2
+        except OverflowError:
+            raise ValueError(f"smooth_eps must have a finite square, got {self.smooth_eps!r}")
+        if not self.smooth_eps < self.radius:   # every distance would reach the rim
+            raise ValueError(f"smooth_eps must be below radius {self.radius!r} or the world "
+                             f"has no barrier, got {self.smooth_eps!r}")
         if not self.center[1] > 0.0:
             raise ValueError("barrier center must sit strictly above y = 0")
         if self.action_cost < 0.0:
@@ -182,8 +207,12 @@ class BarrierWorld:
         return np.asarray(self.start, dtype=float)
 
 
-# The shapes of one barrier state or action, which step takes on floats.
-_ONE_ROW = ((2,), (1, 2))
+# Barrier batches of up to this many rows are rolled out on Python floats
+# (BarrierDynamics.rollout_states); larger ones take the batched formula.
+# At horizon 45 the float loop takes about half numpy's time at B = 16 and
+# as long at B = 32 (see CHANGES.md): half the break-even batch leaves a
+# margin for hosts where Python's float arithmetic costs relatively more.
+FLOAT_ROWS = 16
 
 
 class BarrierDynamics(DynamicsModel):
@@ -206,32 +235,43 @@ class BarrierDynamics(DynamicsModel):
 
     def step(self, s, a):
         s = np.asarray(s, dtype=float)
-        a = np.asarray(a, dtype=float)
-        if s.shape in _ONE_ROW and a.shape in _ONE_ROW:
-            return self._step_row(s, a)
-        return s + self.world.dt * (a + self._force(s))
+        return s + self.world.dt * (np.asarray(a, dtype=float) + self._force(s))
 
-    def _step_row(self, s, a):
-        """step for one state and one action, on Python floats: the batched
-        formula's IEEE operations in its order, so bit for bit its result,
-        without numpy's per-call cost on (1, 2) arrays. Float ``**`` and
-        ``/`` can raise where numpy's give inf or nan, so u is squared as
-        u*u (smooth_eps**2 is the same float in both formulas), and a zero
-        distance (smooth_eps**2 underflowed, at the centre) takes the
-        batched formula."""
+    def rollout_states(self, s0, actions):
+        """Up to FLOAT_ROWS rows, each row's whole horizon in one loop on
+        Python floats: the batched formula's IEEE operations in its order
+        (smooth_eps**2 is the same float in both), so bit for bit its
+        states, without numpy's per-call cost at every step. Float ``**``
+        and ``/`` can raise where numpy's give inf or nan, so u is squared
+        as u*u, and a zero distance (smooth_eps**2 underflowed, at the
+        centre) takes the batched formula for that row and step."""
+        if len(actions) > FLOAT_ROWS:
+            return super().rollout_states(s0, actions)
         w = self.world
-        (s0, s1), (a0, a1) = s.ravel().tolist(), a.ravel().tolist()
         cx, cy = self._center_xy
-        ux, uy = s0 - cx, s1 - cy
-        d = math.sqrt(ux * ux + uy * uy + w.smooth_eps**2)
-        if not d < w.radius:   # also a nan distance, as np.where takes it
-            c = 0.0
-        elif d == 0.0:
-            return s + w.dt * (a + self._force(s))
-        else:
-            c = w.kappa * (w.radius - d) / d
-        out = np.array((s0 + w.dt * (a0 + c * ux), s1 + w.dt * (a1 + c * uy)))
-        return out if s.ndim == a.ndim == 1 else out[None]
+        dt, radius, kappa, eps2 = w.dt, w.radius, w.kappa, w.smooth_eps**2
+        sqrt = math.sqrt
+        start = np.asarray(s0, dtype=float).tolist()
+        rows = []
+        for seq in actions.tolist():
+            x, y = start
+            row = [x, y]
+            for ax, ay in seq:
+                ux, uy = x - cx, y - cy
+                d = sqrt(ux * ux + uy * uy + eps2)
+                if not d < radius:   # also a nan distance, as np.where takes it
+                    c = 0.0
+                elif d == 0.0:
+                    (x, y), = self.step([[x, y]], [[ax, ay]]).tolist()
+                    row += (x, y)
+                    continue
+                else:
+                    c = kappa * (radius - d) / d
+                x = x + dt * (ax + c * ux)
+                y = y + dt * (ay + c * uy)
+                row += (x, y)
+            rows.append(row)
+        return np.array(rows).reshape(actions.shape[0], actions.shape[1] + 1, 2)
 
     def linearize(self, states, actions):
         """dF/ds = c*I - (kappa*r/d^3) u u^T within the rim, with

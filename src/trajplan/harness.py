@@ -177,7 +177,8 @@ def run_episode(env: Environment, policy, steps: int, seed: int) -> EpisodeResul
                                f"step {t}: {err}", step=t) from err
         plan_times[t] = time.perf_counter() - t0
         a = np.asarray(out.action, dtype=float)
-        s_next = env.dynamics.step(s, a)
+        # One row and one step of rollout_states: the barrier's float loop.
+        s_next = env.dynamics.rollout_states(s, a[None, None])[0, 1]
         r = float(env.reward.reward(s_next, a))
         states[t + 1] = s_next
         actions[t] = a

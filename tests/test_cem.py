@@ -7,10 +7,10 @@ import trajplan.cem as cem_mod
 from trajplan.cem import (VARIANCE_FLOOR, SamplingDistribution, default_elite_count,
                           run_cem, sample, update_distribution)
 from trajplan.core import ActionBounds, rollout, rollout_batch
-from trajplan.dynamics import make_environment
+from trajplan.dynamics import DynamicsModel, make_environment
 
 
-class StaticDynamics:
+class StaticDynamics(DynamicsModel):
     """State never changes; rewards depend on actions only."""
 
     d_s = d_a = 1

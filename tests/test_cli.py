@@ -320,6 +320,10 @@ class TestConfigErrors:
                                                     "smooth_eps": float("nan")})]}),
         ("cells[0].env", {"cells": [dict(CELL, env={"name": "barrier", "smooth_eps": 0})]}),
         ("cells[0].env", {"cells": [dict(CELL, env={"name": "cartpole", "gravity": True})]}),
+        # A smooth_eps whose square overflows a float (was an OverflowError
+        # traceback), and one at the rim, which leaves a world with no barrier.
+        ("cells[0].env", {"cells": [dict(CELL, env={"name": "barrier", "smooth_eps": 1e200})]}),
+        ("cells[0].env", {"cells": [dict(CELL, env={"name": "barrier", "smooth_eps": 0.4})]}),
     ])
     def test_named_before_any_output(self, tmp_path, capsys, field, overrides):
         config = {"version": 1, "planner_config": {"horizon": 3}, "steps": 2, "seeds": [0]}

@@ -5,10 +5,11 @@ from hypothesis import strategies as st
 
 from trajplan.core import (ActionBounds, DivergedError, PlannerConfig, project,
                            rollout, rollout_batch, split_budget)
-from trajplan.dynamics import MlpModel, QuadraticGoalReward, make_environment
+from trajplan.dynamics import (FLOAT_ROWS, DynamicsModel, MlpModel, QuadraticGoalReward,
+                               make_environment)
 
 
-class PointMass:
+class PointMass(DynamicsModel):
     """s' = s + a * dt; the simplest differentiable test dynamics."""
 
     def __init__(self, d=2, dt=0.1):
@@ -30,7 +31,7 @@ class NegSquaredNorm:
         return -2.0 * np.asarray(s_next, dtype=float), np.zeros_like(np.asarray(a, dtype=float))
 
 
-class ExplodingModel:
+class ExplodingModel(DynamicsModel):
     d_s = d_a = 1
 
     def __init__(self, bad_step):
@@ -45,7 +46,7 @@ class ExplodingModel:
         return out
 
 
-class RowOverflowModel:
+class RowOverflowModel(DynamicsModel):
     """PointMass whose row 1 overflows to inf at call ``bad_step`` of step."""
 
     d_s = d_a = 2
@@ -216,7 +217,7 @@ class TestRollout:
 
     def test_nonfinite_start_with_finite_steps_passes(self):
         # Only the stepped states are checked, as before: s0 itself is not.
-        class Reset:
+        class Reset(DynamicsModel):
             def step(self, s, a):
                 return np.zeros_like(np.asarray(s, dtype=float))
 
@@ -228,7 +229,9 @@ class TestRollout:
     def test_batch_matches_single_bitwise(self, name):
         # Models with elementwise arithmetic give the same row at any batch size.
         # barrier_in_rim starts 0.2 from the barrier's centre, within its
-        # 0.4 rim, so the one-row steps take the repulsion branch too.
+        # 0.4 rim, so the steps take the repulsion branch too. The barrier
+        # rolls out up to FLOAT_ROWS rows on Python floats and more by the
+        # batched formula: rows equal rollout's on both sides of that switch.
         rng = np.random.default_rng(11)
         if name == "pointmass":
             model, reward, d_a = PointMass(), NegSquaredNorm(), 2
@@ -240,16 +243,17 @@ class TestRollout:
             if name == "barrier_in_rim":
                 start = np.asarray(env.world.center) + np.array([0.2, 0.0])
             s0 = start + rng.normal(0.0, 0.1, size=start.shape)
-        seqs = rng.normal(size=(7, 10, d_a))
-        totals, states, step_rewards = rollout_batch(model, reward, s0, seqs)
-        if name == "barrier_in_rim":
-            distance = np.linalg.norm(states - env.world.center, axis=-1)
-            assert (distance < env.world.radius).sum() > 7
-        for i in range(7):
-            traj = rollout(model, reward, s0, seqs[i])
-            assert totals[i] == traj.total_reward
-            assert np.array_equal(states[i], traj.states)
-            assert np.array_equal(step_rewards[i], traj.step_rewards)
+        seqs = rng.normal(size=(FLOAT_ROWS + 1, 10, d_a))
+        for rows in (7, FLOAT_ROWS, FLOAT_ROWS + 1):
+            totals, states, step_rewards = rollout_batch(model, reward, s0, seqs[:rows])
+            if name == "barrier_in_rim":
+                distance = np.linalg.norm(states - env.world.center, axis=-1)
+                assert (distance < env.world.radius).sum() > rows
+            for i in range(rows):
+                traj = rollout(model, reward, s0, seqs[i])
+                assert totals[i] == traj.total_reward
+                assert states[i].tobytes() == traj.states.tobytes()
+                assert step_rewards[i].tobytes() == traj.step_rewards.tobytes()
 
     def test_mlp_batch_matches_single_to_rounding(self):
         # BLAS may order a row's dot products differently for B=8 than for

@@ -1,10 +1,12 @@
 import itertools
 import math
+from functools import partial
 
 import numpy as np
 import pytest
 
-from trajplan.dynamics import (BarrierWorld, CartpoleWorld, make_environment)
+from trajplan.dynamics import (FLOAT_ROWS, BarrierWorld, CartpoleWorld, DynamicsModel,
+                               make_environment)
 
 
 def central_diff_vjp(model, s, a, g, h=1e-5):
@@ -139,6 +141,17 @@ def test_smooth_eps_must_be_positive(value):
         BarrierWorld(smooth_eps=value)
 
 
+@pytest.mark.parametrize("overrides, message", [
+    ({"smooth_eps": 1e200}, "smooth_eps must have a finite square"),
+    ({"smooth_eps": 1e200, "radius": 1e300}, "smooth_eps must have a finite square"),
+    ({"smooth_eps": 0.4}, "smooth_eps must be below radius"),
+    ({"smooth_eps": 1.0, "radius": 0.5}, "smooth_eps must be below radius"),
+])
+def test_smooth_eps_must_leave_a_barrier_and_square_finitely(overrides, message):
+    with pytest.raises(ValueError, match=f"^{message}"):
+        BarrierWorld(**overrides)
+
+
 class TestCartpole:
     world = CartpoleWorld()
 
@@ -266,30 +279,50 @@ def assert_bits_or_nans(got, want):
     assert np.array_equal(got.view(np.uint64)[~nan], want.view(np.uint64)[~nan])
 
 
-ONE_ROW_SHAPES = [((2,), (2,)), ((1, 2), (1, 2)), ((2,), (1, 2)), ((1, 2), (2,))]
+# The batch sizes of the float rollout tests: one row, more than one, and
+# the most that take the float loop.
+FLOAT_BATCHES = (1, 2, FLOAT_ROWS)
 
 
-class TestBarrierOneRowStep:
-    """step takes one state and one action on Python floats. The batched
-    formula, step on a batch of two rows, is the reference it must equal bit
-    for bit, in the shape the batched formula gives the one-row inputs."""
+class TestBarrierFloatRollout:
+    """A batch of at most FLOAT_ROWS rows is rolled out on Python floats.
+    The batched formula, DynamicsModel's default loop over step, is the
+    reference it must equal bit for bit. Each given state is the shared
+    start of a batch whose first step pairs it with the given actions in
+    turn; the later steps carry the float states on."""
 
     @staticmethod
-    def batched(dyn, s, a):
-        with np.errstate(all="ignore"):   # non-finite states warn in numpy
-            return dyn.step(np.tile(s, (2, 1)), np.tile(a, (2, 1)))[0]
+    def rollouts(rollout_states, s0, actions, steps):
+        """rollout_states of every batch size, from s0, its rows starting at
+        each action in turn (cyclically)."""
+        out = []
+        for rows in FLOAT_BATCHES:
+            take = np.arange(rows * steps) % len(actions)
+            with np.errstate(all="ignore"):   # non-finite states warn in numpy
+                out.append(rollout_states(s0, actions[take].reshape(rows, steps, 2)))
+        return out
 
-    def assert_rows_match(self, dyn, states, actions, monkeypatch):
-        def batched_force(s):
-            raise AssertionError("the one-row step took the batched formula")
+    @staticmethod
+    def allow_batched_formula_only_at_zero_distance(dyn, monkeypatch):
+        force = dyn._force
 
-        want = [self.batched(dyn, s, a) for s, a in zip(states, actions)]
-        monkeypatch.setattr(dyn, "_force", batched_force)
-        for shape_s, shape_a in ONE_ROW_SHAPES:
-            shape = np.broadcast_shapes(shape_s, shape_a)
-            for s, a, row in zip(states, actions, want):
-                got = dyn.step(s.reshape(shape_s), a.reshape(shape_a))
-                assert_bits_or_nans(got, row.reshape(shape))
+        def zero_distance_force(s):
+            u = np.asarray(s) - dyn._center
+            if not (np.add.reduce(u * u, axis=-1) + dyn.world.smooth_eps**2 == 0.0).all():
+                raise AssertionError("the float loop took the batched formula")
+            return force(s)
+
+        monkeypatch.setattr(dyn, "_force", zero_distance_force)
+
+    def assert_rollouts_match(self, dyn, states, actions, monkeypatch, steps=3):
+        batched = partial(DynamicsModel.rollout_states, dyn)
+        want = [self.rollouts(batched, s, np.roll(actions, -i, axis=0), steps)
+                for i, s in enumerate(states)]
+        self.allow_batched_formula_only_at_zero_distance(dyn, monkeypatch)
+        for i, s in enumerate(states):
+            got = self.rollouts(dyn.rollout_states, s, np.roll(actions, -i, axis=0), steps)
+            for g, w in zip(got, want[i]):
+                assert_bits_or_nans(g, w)
 
     # The default kappa is 8.0, whose products are exact; the second world's
     # scalars round, so an operation order other than the formula's shows.
@@ -309,7 +342,7 @@ class TestBarrierOneRowStep:
         u = ss - center
         inside = np.sqrt(np.add.reduce(u * u, axis=-1) + world.smooth_eps**2) < world.radius
         assert inside.any() and not inside.all()
-        self.assert_rows_match(world.dynamics(), ss, aa, monkeypatch)
+        self.assert_rollouts_match(world.dynamics(), ss, aa, monkeypatch)
 
     def test_signed_zeros(self, monkeypatch):
         # The centre's x is 0.0, so a -0.0 state entry gives u = -0.0 there.
@@ -317,30 +350,44 @@ class TestBarrierOneRowStep:
         zeros = list(itertools.product((0.0, -0.0), repeat=2))
         states = zeros + [(x, dyn.world.center[1]) for x in (0.0, -0.0)]
         ss, aa = (np.array(v) for v in zip(*itertools.product(states, zeros)))
-        self.assert_rows_match(dyn, ss, aa, monkeypatch)
+        self.assert_rollouts_match(dyn, ss, aa, monkeypatch)
 
     def test_non_finite_states_and_actions(self, monkeypatch):
         dyn = BarrierWorld().dynamics()
         values = (math.nan, math.inf, -math.inf, 0.15, 1e308)
         pairs = np.array(list(itertools.product(values, repeat=2)))
         finite = np.full_like(pairs, 0.1)
-        self.assert_rows_match(dyn, np.concatenate([pairs, finite]),
-                               np.concatenate([finite, pairs]), monkeypatch)
+        self.assert_rollouts_match(dyn, np.concatenate([pairs, finite]),
+                                   np.concatenate([finite, pairs]), monkeypatch)
 
-    def test_underflowed_smoothing_at_the_centre(self):
+    def test_underflowed_smoothing_at_the_centre(self, monkeypatch):
         # smooth_eps**2 underflows to 0.0, so the distance at the exact
         # centre is 0.0: the batched formula's kappa*r/0 = inf, times u = 0,
         # is nan, where a float division would raise ZeroDivisionError.
         world = BarrierWorld(smooth_eps=1e-170)
         assert world.smooth_eps**2 == 0.0
         dyn = world.dynamics()
-        s, a = np.asarray(world.center, dtype=float), np.zeros(2)
-        want = self.batched(dyn, s, a)
-        assert np.isnan(want).all()
-        for shape_s, shape_a in ONE_ROW_SHAPES:
-            with np.errstate(divide="ignore", invalid="ignore"):
-                got = dyn.step(s.reshape(shape_s), a.reshape(shape_a))
-            assert_bits_or_nans(got, want.reshape(np.broadcast_shapes(shape_s, shape_a)))
+        s0 = np.asarray(world.center, dtype=float)
+        want = self.rollouts(partial(DynamicsModel.rollout_states, dyn), s0, np.zeros((1, 2)), 3)
+        assert all(np.isnan(w[:, 1:]).all() for w in want)
+        self.allow_batched_formula_only_at_zero_distance(dyn, monkeypatch)
+        for got, w in zip(self.rollouts(dyn.rollout_states, s0, np.zeros((1, 2)), 3), want):
+            assert_bits_or_nans(got, w)
+
+    def test_zero_distance_mid_rollout_takes_the_batched_formula_for_that_row(self, monkeypatch):
+        # Row 0 steps from (0, 0) onto the exact centre (0.05 * 5.0 rounds
+        # to 0.25), whose distance is 0.0 at step 1; row 1 never reaches it.
+        world = BarrierWorld(center=(0.0, 0.25), radius=0.1, smooth_eps=1e-170)
+        dyn = world.dynamics()
+        s0, seqs = np.zeros(2), np.zeros((2, 3, 2))
+        seqs[:, 0, 1] = 5.0, 1.0
+        with np.errstate(all="ignore"):
+            want = DynamicsModel.rollout_states(dyn, s0, seqs)
+        assert np.array_equal(want[0, 1], world.center)
+        assert np.isnan(want[0, 2:]).all() and np.isfinite(want[1]).all()
+        self.allow_batched_formula_only_at_zero_distance(dyn, monkeypatch)
+        with np.errstate(all="ignore"):
+            assert_bits_or_nans(dyn.rollout_states(s0, seqs), want)
 
 
 # The analytic VJPs were first written per sample, in Python floats. They
