@@ -7,7 +7,7 @@ schedules of it. A harness runs them under MPC on analytic or learned-MLP
 dynamics and writes reproducible CSV results.
 """
 
-from .cem import CemResult, SamplingDistribution, run_cem, sample, update_distribution
+from .cem import SamplingDistribution, run_cem, sample, update_distribution
 from .cemgd import PlanOutput, PlannerState, plan, warm_start_mean
 from .core import (ActionBounds, DivergedError, PlannerConfig, Trajectory,
                    project, rollout, rollout_batch, split_budget)
@@ -18,7 +18,7 @@ from .gradplanner import (OptimizeTrace, line_search_update, optimize,
                           reward_gradient)
 
 __all__ = [
-    "ActionBounds", "BarrierWorld", "CartpoleWorld", "CemResult", "DivergedError",
+    "ActionBounds", "BarrierWorld", "CartpoleWorld", "DivergedError",
     "Environment", "MlpModel", "OptimizeTrace",
     "PlanOutput", "PlannerConfig", "PlannerState", "QuadraticGoalReward",
     "SamplingDistribution", "Trajectory", "collect_random_rollouts", "fit_mlp",

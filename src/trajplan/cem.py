@@ -14,7 +14,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import ActionBounds, Array, DivergedError, Trajectory, rollout_batch
-from .core import default_elite_count  # noqa: F401  (still importable from here)
 
 # Keeps the sampling distribution from collapsing to a point.
 VARIANCE_FLOOR = 1e-6
@@ -43,22 +42,6 @@ class SamplingDistribution:
         return cls(np.asarray(mean, dtype=float).copy(), np.ones((horizon, d_a)))
 
 
-@dataclass
-class CemResult:
-    """The pooled best of a CEM run.
-
-    ``top_k`` holds the best sequences as the trajectories CEM's batched
-    rollouts produced (states, actions, step rewards, total), sorted by
-    total reward descending, earlier sample first on ties, so ``top_k[0]``
-    is the best sequence CEM saw; for the analytic models each equals
-    ``rollout`` of its actions bit for bit, for ``MlpModel`` to rounding.
-    ``samples_used`` is n * m.
-    """
-
-    top_k: list[Trajectory]
-    samples_used: int
-
-
 def sample(dist: SamplingDistribution, n: int, bounds: ActionBounds, rng) -> Array:
     """Draw n action sequences and clamp them into bounds.
 
@@ -75,13 +58,12 @@ def sample(dist: SamplingDistribution, n: int, bounds: ActionBounds, rng) -> Arr
     return np.clip(draws, bounds.low, bounds.high, out=draws)
 
 
-def update_distribution(dist: SamplingDistribution, elites, alpha: float,
-                        variance_floor: float = VARIANCE_FLOOR) -> SamplingDistribution:
+def update_distribution(dist: SamplingDistribution, elites, alpha: float) -> SamplingDistribution:
     """Moving-average refit of mean and variance to the elite set.
 
     new = (1 - alpha) * old + alpha * elite statistic, entrywise, with the
     population variance of the elites and the result floored at
-    variance_floor. alpha is nominally in (0, 1); the endpoints are
+    VARIANCE_FLOOR. alpha is nominally in (0, 1); the endpoints are
     accepted for testing (0 is a no-op, 1 reproduces the elite statistics
     exactly, up to the floor).
     """
@@ -92,27 +74,22 @@ def update_distribution(dist: SamplingDistribution, elites, alpha: float,
         raise ValueError("alpha must lie in [0, 1]")
     new_mean = (1.0 - alpha) * dist.mean + alpha * elites.mean(axis=0)
     new_var = (1.0 - alpha) * dist.variance + alpha * elites.var(axis=0)
-    return SamplingDistribution(new_mean, np.maximum(new_var, variance_floor))
-
-
-def _merge_top(pool, candidates, size):
-    """Keep the best `size` (reward, index, payload) entries; earlier index wins ties."""
-    pool = pool + candidates
-    pool.sort(key=lambda entry: (-entry[0], entry[1]))
-    return pool[:size]
+    return SamplingDistribution(new_mean, np.maximum(new_var, VARIANCE_FLOOR))
 
 
 def run_cem(model, reward, s0, init_dist: SamplingDistribution, n: int, m: int,
             k_elite: int, alpha: float, bounds: ActionBounds, rng,
-            top_k: int | None = None) -> CemResult:
+            top_k: int | None = None) -> list[Trajectory]:
     """Run m CEM iterations of n samples each and return the pooled best.
 
     Each iteration but the last refits the distribution to its top k_elite
     samples, ties broken by sample order (a refit after the last would go
-    unread); the returned top_k (default k_elite) trajectories are pooled
-    over all n*m evaluated samples, so the best reward seen is a running
-    maximum over iterations. Only the rows that enter the pool are copied
-    out of an iteration's rollout buffers.
+    unread). The result is the best top_k (default k_elite) of all n*m
+    evaluated samples, as the trajectories CEM's batched rollouts produced
+    (states, actions, step rewards, total), sorted by total reward
+    descending, earlier sample first on ties; so the best reward seen is a
+    running maximum over iterations. For the analytic models each equals
+    ``rollout`` of its actions bit for bit, for ``MlpModel`` to rounding.
     """
     if not 1 <= k_elite <= n:
         raise ValueError("k_elite must satisfy 1 <= k_elite <= n")
@@ -124,7 +101,7 @@ def run_cem(model, reward, s0, init_dist: SamplingDistribution, n: int, m: int,
     if keep < 1:
         raise ValueError("top_k must be at least 1")
     dist = init_dist
-    pool: list[tuple[float, int, Trajectory | int]] = []   # int: a row of this iteration
+    pool: list[tuple[float, int, Trajectory]] = []   # (total, index over the run, trajectory)
     for it in range(m):
         seqs = sample(dist, n, bounds, rng)
         try:
@@ -134,14 +111,13 @@ def run_cem(model, reward, s0, init_dist: SamplingDistribution, n: int, m: int,
         order = np.argsort(-totals, kind="stable")
         if it < m - 1:
             dist = update_distribution(dist, seqs[order[:k_elite]], alpha)
-        base = it * n
         # Beyond this iteration's best `keep` no sample can enter the pool.
-        pool = _merge_top(pool, [(float(totals[i]), base + int(i), int(i))
-                                 for i in order[:keep]], keep)
-        for j, (r, idx, entry) in enumerate(pool):
-            if idx >= base:
-                pool[j] = (r, idx, Trajectory(
-                    states=states[entry].copy(), actions=seqs[entry].copy(),
-                    step_rewards=step_rewards[entry].copy(), total_reward=r))
+        for i in order[:keep]:
+            r = float(totals[i])
+            pool.append((r, it * n + int(i), Trajectory(
+                states=states[i].copy(), actions=seqs[i].copy(),
+                step_rewards=step_rewards[i].copy(), total_reward=r)))
+        pool.sort(key=lambda entry: (-entry[0], entry[1]))
+        del pool[keep:]
         del seqs, states, step_rewards
-    return CemResult(top_k=[traj for _, _, traj in pool], samples_used=n * m)
+    return [traj for _, _, traj in pool]

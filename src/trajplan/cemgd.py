@@ -83,11 +83,11 @@ def plan(state: PlannerState, s_t: Array, model, reward, cfg: PlannerConfig,
     k_elite = cfg.k_elite if cfg.k_elite is not None else default_elite_count(n)
 
     dist = SamplingDistribution.initial(cfg.horizon, bounds.d_a, mean)
-    result = run_cem(model, reward, s_t, dist, n, m, k_elite, cfg.alpha,
+    pooled = run_cem(model, reward, s_t, dist, n, m, k_elite, cfg.alpha,
                      bounds, rng, top_k=cfg.k)
 
     finals, traces = [], []
-    for i, seed in enumerate(result.top_k if cfg.G > 0 else []):
+    for i, seed in enumerate(pooled if cfg.G > 0 else []):
         try:
             final, trace = optimize(seed, model, reward, cfg, bounds)
         except DivergedError as err:
@@ -97,8 +97,8 @@ def plan(state: PlannerState, s_t: Array, model, reward, cfg: PlannerConfig,
         traces.append(trace)
 
     # max keeps the first of equal rewards: the lowest index wins ties.
-    best = max(finals or result.top_k[:1], key=lambda traj: traj.total_reward)
-    diagnostics = PlanDiagnostics(samples_used=result.samples_used,
+    best = max(finals or pooled[:1], key=lambda traj: traj.total_reward)
+    diagnostics = PlanDiagnostics(samples_used=n * m,
                                   gradient_evals=len(finals) * (1 + cfg.G * cfg.J + 1),
                                   memory_proxy=n + (cfg.k if cfg.G > 0 else 0),
                                   traces=traces)

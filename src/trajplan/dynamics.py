@@ -558,14 +558,14 @@ class MlpModel(DynamicsModel):
 
         return vjp
 
-    def _loss_and_grads(self, z, target):
-        """Mean squared error on normalized targets plus parameter gradients."""
+    def _mse_grads(self, z, target):
+        """Gradients of the mean squared error on normalized targets, one
+        (dW, db) pair per layer."""
         inputs, slopes = self._recorded_pass(z)
         W, b = self.weights[-1]
         pred = inputs[-1] @ W
         pred += b
         err = pred - target
-        loss = float(np.mean(err * err))
         gh = 2.0 * err / err.size
         grads = [None] * len(self.weights)
         for i in range(len(self.weights) - 1, -1, -1):
@@ -573,7 +573,7 @@ class MlpModel(DynamicsModel):
             grads[i] = (inputs[i].T @ gh, gh.sum(axis=0))
             if i > 0:
                 gh = (gh @ W.T) * slopes[i - 1]
-        return loss, grads
+        return grads
 
     def training_mse(self, z, target):
         err = self._value_pass(z) - target
@@ -678,7 +678,7 @@ def fit_mlp(transitions, epochs=50, batch_size=64, lr=1e-3,
             order = rng.permutation(n)
             for lo in range(0, n, batch_size):
                 idx = order[lo : lo + batch_size]
-                _, grads = model._loss_and_grads(Z[idx], Yn[idx])
+                grads = model._mse_grads(Z[idx], Yn[idx])
                 model.weights = [(W - lr * gW, b - lr * gb)
                                  for (W, b), (gW, gb) in zip(model.weights, grads)]
             history.append(model.training_mse(Z, Yn))
@@ -692,21 +692,17 @@ def fit_mlp(transitions, epochs=50, batch_size=64, lr=1e-3,
 def collect_random_rollouts(dynamics, bounds, start_state, episodes, steps=200, rng=None):
     """Gather (s, a, s') transitions by applying uniform random actions.
 
-    All episodes step together as one batch, and the transitions come out
-    episode by episode. The one (episodes, steps, d_a) action draw holds the
-    same numbers as one (steps, d_a) draw per episode and leaves ``rng`` in
-    the same state, so the result equals a per-episode loop's bit for bit
-    for models that are bitwise at any batch size (the analytic ones); an
-    MlpModel agrees only to rounding.
+    All episodes step together as one ``rollout_states`` batch, and the
+    transitions come out episode by episode. The one (episodes, steps, d_a)
+    action draw holds the same numbers as one (steps, d_a) draw per episode
+    and leaves ``rng`` in the same state, so the result equals a per-episode
+    loop's bit for bit for models that are bitwise at any batch size (the
+    analytic ones); an MlpModel agrees only to rounding.
     """
     rng = np.random.default_rng(rng)
     actions = rng.uniform(bounds.low, bounds.high, size=(episodes, steps, bounds.d_a))
-    s0 = np.asarray(start_state, dtype=float)
-    d_s = s0.shape[0]
-    states = np.empty((episodes, steps + 1, d_s))
-    states[:, 0] = s0
-    for t in range(steps):
-        states[:, t + 1] = dynamics.step(states[:, t], actions[:, t])
+    states = dynamics.rollout_states(np.asarray(start_state, dtype=float), actions)
+    d_s = states.shape[-1]
     return (states[:, :-1].reshape(-1, d_s), actions.reshape(-1, bounds.d_a),
             states[:, 1:].reshape(-1, d_s))
 

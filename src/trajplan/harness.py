@@ -118,10 +118,10 @@ class BarrierOutcome:
         return self.reached_goal and self.went_below
 
 
-def classify_barrier(states: Array, world, goal_eps: float = GOAL_EPS) -> BarrierOutcome:
+def classify_barrier(states: Array, world) -> BarrierOutcome:
     goal = np.asarray(world.goal, dtype=float)
     cx, cy = world.center
-    reached = bool(np.linalg.norm(states[-1] - goal) < goal_eps)
+    reached = bool(np.linalg.norm(states[-1] - goal) < GOAL_EPS)
     in_band = np.abs(states[:, 0] - cx) <= world.radius
     ys = states[in_band, 1]
     below = bool(np.all(ys < cy)) if ys.size else True

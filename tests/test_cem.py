@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 
 import trajplan.cem as cem_mod
-from trajplan.cem import (VARIANCE_FLOOR, SamplingDistribution, default_elite_count,
-                          run_cem, sample, update_distribution)
-from trajplan.core import ActionBounds, rollout, rollout_batch
+from trajplan.cem import (VARIANCE_FLOOR, SamplingDistribution, run_cem, sample,
+                          update_distribution)
+from trajplan.core import ActionBounds, default_elite_count, rollout, rollout_batch
 from trajplan.dynamics import DynamicsModel, make_environment
 
 
@@ -27,6 +27,13 @@ class ActionQuadReward:
 
     def reward(self, s_next, a):
         return -np.sum((np.asarray(a) - self.target) ** 2, axis=-1)
+
+
+class ZeroReward:
+    """r = 0 for every transition: every sequence ties."""
+
+    def reward(self, s_next, a):
+        return np.zeros(np.shape(a)[:-1])
 
 
 bounds1 = ActionBounds.symmetric(1.0, 1)
@@ -153,38 +160,37 @@ class TestRunCem:
 
     def test_single_iteration_all_samples_ranked(self):
         n = 6
-        result = self.run(n=n, m=1, k_elite=n)
+        pooled = self.run(n=n, m=1, k_elite=n)
         # Reproduce the draws: same seed, same consumption order.
         dist = SamplingDistribution.initial(1, 1)
         draws = sample(dist, n, bounds1, np.random.default_rng(0))
         rewards, _, _ = rollout_batch(StaticDynamics(), ActionQuadReward(), np.zeros(1), draws)
-        assert len(result.top_k) == n
+        assert len(pooled) == n
         want = sorted(rewards, reverse=True)
-        got = [traj.total_reward for traj in result.top_k]
+        got = [traj.total_reward for traj in pooled]
         assert got == want
-        assert result.samples_used == n
 
     def test_quadratic_optimum_found(self):
-        result = self.run(n=100, m=10, k_elite=10, seed=5)
-        assert abs(result.top_k[0].actions[0, 0] - 0.3) < 0.05
+        pooled = self.run(n=100, m=10, k_elite=10, seed=5)
+        assert abs(pooled[0].actions[0, 0] - 0.3) < 0.05
 
     def test_best_reward_nondecreasing_in_m(self):
         # Identical seeds share the iteration prefix, so the pooled best
         # is a running maximum.
-        rewards = [self.run(n=20, m=m, k_elite=4, seed=9).top_k[0].total_reward
+        rewards = [self.run(n=20, m=m, k_elite=4, seed=9)[0].total_reward
                    for m in (1, 2, 4, 8)]
         assert all(b >= a for a, b in zip(rewards, rewards[1:]))
 
     def test_top_k_dominates_and_feasible(self):
-        result = self.run(n=30, m=3, k_elite=5, seed=2)
-        top_rewards = [traj.total_reward for traj in result.top_k]
+        pooled = self.run(n=30, m=3, k_elite=5, seed=2)
+        top_rewards = [traj.total_reward for traj in pooled]
         assert top_rewards == sorted(top_rewards, reverse=True)
-        for traj in result.top_k:
+        for traj in pooled:
             assert np.all(traj.actions >= -1.0) and np.all(traj.actions <= 1.0)
 
     def test_top_k_parameter_truncates(self):
-        result = self.run(n=30, m=2, k_elite=5, seed=2, top_k=2)
-        assert len(result.top_k) == 2
+        pooled = self.run(n=30, m=2, k_elite=5, seed=2, top_k=2)
+        assert len(pooled) == 2
 
     @pytest.mark.parametrize("top_k", [0, -1])
     def test_top_k_below_one_raises_before_any_rollout(self, monkeypatch, top_k):
@@ -196,16 +202,25 @@ class TestRunCem:
     def test_top_k_trajectories_equal_single_rollouts_bitwise(self, name):
         env = make_environment(name)
         dist = SamplingDistribution.initial(6, env.bounds.d_a)
-        result = run_cem(env.dynamics, env.reward, env.start_state, dist, 30, 3, 5, 0.3,
+        pooled = run_cem(env.dynamics, env.reward, env.start_state, dist, 30, 3, 5, 0.3,
                          env.bounds, np.random.default_rng(4), top_k=4)
-        assert len(result.top_k) == 4
-        for traj in result.top_k:
+        assert len(pooled) == 4
+        for traj in pooled:
             want = rollout(env.dynamics, env.reward, env.start_state, traj.actions)
             assert traj.states.tobytes() == want.states.tobytes()
             assert traj.step_rewards.tobytes() == want.step_rewards.tobytes()
             assert traj.total_reward == want.total_reward
             # Copied out of the iteration's buffers, which are not kept alive.
             assert traj.states.base is None and traj.actions.base is None
+
+    def test_equal_rewards_keep_the_earliest_samples_across_iterations(self):
+        # Every total is 0.0, so no later sample may displace an earlier one.
+        dist = SamplingDistribution.initial(2, 1)
+        pooled = run_cem(StaticDynamics(), ZeroReward(), np.zeros(1), dist, 5, 3, 2, 0.1,
+                         bounds1, np.random.default_rng(7), top_k=3)
+        first = sample(dist, 5, bounds1, np.random.default_rng(7))
+        assert [traj.actions.tobytes() for traj in pooled] == [seq.tobytes() for seq in first[:3]]
+        assert [traj.total_reward for traj in pooled] == [0.0] * 3
 
     def test_invalid_arguments(self):
         with pytest.raises(ValueError):
@@ -237,8 +252,8 @@ class TestRunCem:
         monkeypatch.setattr(cem_mod, "update_distribution", spy)
         n, m, k_elite = 20, 4, 3
         dist = SamplingDistribution.initial(6, 2)
-        result = run_cem(env.dynamics, env.reward, env.start_state, dist, n, m, k_elite,
-                         0.3, env.bounds, np.random.default_rng(3), top_k=2)
+        got = run_cem(env.dynamics, env.reward, env.start_state, dist, n, m, k_elite,
+                      0.3, env.bounds, np.random.default_rng(3), top_k=2)
         assert len(refits) == m - 1
 
         rng = np.random.default_rng(3)
@@ -252,8 +267,8 @@ class TestRunCem:
             dist = real(dist, seqs[order[:k_elite]], 0.3)
             pooled += [(float(totals[i]), it * n + int(i), seqs[i]) for i in range(n)]
         pooled.sort(key=lambda entry: (-entry[0], entry[1]))
-        assert [traj.total_reward for traj in result.top_k] == [r for r, _, _ in pooled[:2]]
-        for traj, (_, _, seq) in zip(result.top_k, pooled):
+        assert [traj.total_reward for traj in got] == [r for r, _, _ in pooled[:2]]
+        for traj, (_, _, seq) in zip(got, pooled):
             assert traj.actions.tobytes() == seq.tobytes()
 
 

@@ -5,10 +5,11 @@ import trajplan.cem as cem_mod
 import trajplan.cemgd as cemgd_mod
 import trajplan.core as core_mod
 import trajplan.gradplanner as gradplanner_mod
-from trajplan.cem import SamplingDistribution, default_elite_count, run_cem
+from trajplan.cem import SamplingDistribution, run_cem
 from trajplan.cemgd import (PlanDiagnostics, PlannerState, PlanOutput, plan,
                             warm_start_mean)
-from trajplan.core import ActionBounds, PlannerConfig, Trajectory, rollout
+from trajplan.core import (ActionBounds, PlannerConfig, Trajectory, default_elite_count,
+                           rollout)
 from trajplan.dynamics import DynamicsModel, make_environment
 from trajplan.gradplanner import optimize
 
@@ -123,9 +124,9 @@ class TestPlan:
         want = run_cem(env.dynamics, env.reward, env.start_state, dist, cfg.n_init,
                        cfg.m_init, default_elite_count(cfg.n_init), cfg.alpha,
                        env.bounds, np.random.default_rng(8), top_k=1)
-        assert np.array_equal(out.optimal_sequence, want.top_k[0].actions)
-        assert np.array_equal(state.previous_optimal, want.top_k[0].actions)
-        assert out.model_reward == want.top_k[0].total_reward
+        assert np.array_equal(out.optimal_sequence, want[0].actions)
+        assert np.array_equal(state.previous_optimal, want[0].actions)
+        assert out.model_reward == want[0].total_reward
         diag = out.diagnostics
         assert (diag.samples_used, diag.gradient_evals, diag.memory_proxy) == (120, 0, 40)
         assert diag.traces == []
@@ -197,10 +198,10 @@ class TestPlan:
         monkeypatch.setattr(cemgd_mod, "run_cem", spy)
         out, state = plan(PlannerState(), env.start_state, env.dynamics, env.reward,
                           tiny_cfg(G=0), env.bounds, np.random.default_rng(8))
-        (result,) = seen
-        assert out.optimal_sequence is result.top_k[0].actions
-        assert state.previous_optimal is result.top_k[0].actions
-        assert out.model_reward == result.top_k[0].total_reward
+        (pooled,) = seen
+        assert out.optimal_sequence is pooled[0].actions
+        assert state.previous_optimal is pooled[0].actions
+        assert out.model_reward == pooled[0].total_reward
 
     def test_tied_refined_rewards_go_to_the_lowest_index(self, monkeypatch):
         env = make_environment("barrier")
@@ -231,21 +232,21 @@ def reference_plan(state, s_t, model, reward, cfg, bounds, rng):
         mean, n, m = warm_start_mean(state.previous_optimal), cfg.n_r, cfg.m_r
     k_elite = cfg.k_elite if cfg.k_elite is not None else default_elite_count(n)
     dist = SamplingDistribution.initial(cfg.horizon, bounds.d_a, mean)
-    result = run_cem(model, reward, s_t, dist, n, m, k_elite, cfg.alpha, bounds, rng,
+    pooled = run_cem(model, reward, s_t, dist, n, m, k_elite, cfg.alpha, bounds, rng,
                      top_k=cfg.k)
     refined, traces, rewards = [], [], []
-    for seed in result.top_k:
+    for seed in pooled:
         final, trace = optimize(rollout(model, reward, s_t, seed.actions), model, reward,
                                 cfg, bounds)
         refined.append(final.actions)
         traces.append(trace)
         rewards.append(rollout(model, reward, s_t, final.actions).total_reward)
     # The traces, which plan() must reproduce, hold the re-rolled rewards.
-    assert [t.initial_reward for t in traces] == [seed.total_reward for seed in result.top_k]
+    assert [t.initial_reward for t in traces] == [seed.total_reward for seed in pooled]
     assert [t.final_reward for t in traces] == rewards
     winner = int(np.argmax(rewards))
     diagnostics = PlanDiagnostics(
-        samples_used=result.samples_used,
+        samples_used=n * m,
         gradient_evals=len(traces) * (1 + cfg.G * cfg.J + 1),
         memory_proxy=n + cfg.k, traces=traces)
     best = refined[winner]

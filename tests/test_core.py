@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import trajplan
 from trajplan.core import (ActionBounds, DivergedError, PlannerConfig, project,
                            rollout, rollout_batch, split_budget)
 from trajplan.dynamics import (FLOAT_ROWS, DynamicsModel, MlpModel, QuadraticGoalReward,
@@ -360,3 +361,8 @@ def test_split_budget(total, expected):
     n, m = split_budget(total)
     assert (n, m) == expected
     assert n * m == total
+
+
+def test_every_public_name_resolves():
+    missing = [name for name in trajplan.__all__ if not hasattr(trajplan, name)]
+    assert missing == []
