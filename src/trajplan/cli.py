@@ -2,8 +2,7 @@
 
 Configs are JSON with a version field; `--config` accepts a file path or
 the name of a built-in preset. Outputs are CSV files in the directory
-given by `--out` (default `results`, overridable via the TRAJPLAN_OUT
-environment variable).
+given by `--out` (default `results`).
 """
 
 from __future__ import annotations
@@ -11,7 +10,6 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
-import os
 import sys
 from pathlib import Path
 
@@ -57,10 +55,9 @@ PRESETS = {
                   "columns": {"mean_reward": "mean_reward", "std_reward": "std_reward"}}},
 }
 
-CONFIG_KEYS = ("version", "steps", "seeds", "env", "planner", "model", "envs", "planners",
-               "planner_config", "models", "cells", "table")
+CONFIG_KEYS = ("version", "steps", "seeds", "envs", "planners", "planner_config", "models",
+               "cells", "table")
 CELL_KEYS = ("env", "id", "planner", "planner_config", "row")
-GRID_FORMS = (("cells",), ("env", "planner", "model"), ("envs", "planners"))
 
 
 def _require(ok: bool, field: str, expected: str, got) -> None:
@@ -82,7 +79,7 @@ def load_config(source: str) -> dict:
                               f"(presets: {names})")
         try:
             config = json.loads(path.read_text())
-        except json.JSONDecodeError as err:
+        except ValueError as err:  # invalid JSON, or bytes that are not UTF-8
             raise ConfigError(f"config field parse error in {source}: {err}") from None
     if not isinstance(config, dict):
         raise ConfigError("config root must be a JSON object")
@@ -122,32 +119,14 @@ def planner_config_from(overrides, field: str = "planner_config") -> PlannerConf
         raise ConfigError(f"config field '{field}': {err}") from None
 
 
-def _named_section(config: dict, key: str, field: str | None = None) -> tuple[str, dict]:
-    """Accept "name" or {"name": ..., <extra keys>} for the env/planner
-    sections; ``field`` is the section's path in errors (default ``key``)."""
-    section = config.get(key)
-    if isinstance(section, str):
-        return section, {}
-    _require(isinstance(section, dict) and isinstance(section.get("name"), str),
-             field or key, 'a name or {"name": ..., <options>}', section)
-    rest = dict(section)
-    return rest.pop("name"), rest
-
-
 def _config_cells(config: dict) -> list[tuple[str, dict]]:
     """The config's grid as (field path prefix, cell) pairs: the ``cells``
-    list, a run config's one cell, or a compare config's envs x planners."""
-    given = [next(key for key in form if key in config)
-             for form in GRID_FORMS if any(key in config for key in form)]
-    if len(given) > 1:
-        raise ConfigError(f"config field '{given[1]}': cannot be combined with '{given[0]}'")
+    list, or one cell per pair of the ``envs`` x ``planners`` shorthand."""
     if "cells" in config:
+        for key in ("envs", "planners"):
+            if key in config:
+                raise ConfigError(f"config field '{key}': cannot be combined with 'cells'")
         return [(f"cells[{i}].", cell) for i, cell in enumerate(config["cells"])]
-    if any(key in config for key in GRID_FORMS[1]):
-        name, section = _named_section(config, "planner")
-        _require(section.keys() <= {"config"}, "planner", "only 'name' and 'config'", section)
-        return [("", {"env": config.get("env"), "planner": name,
-                      "planner_config": section.get("config") or {}})]
     return [("", {"env": env, "planner": planner})
             for env in config.get("envs", ["barrier", "cartpole"])
             for planner in config.get("planners", harness.PLANNER_NAMES)]
@@ -158,7 +137,12 @@ def _check_cell(where: str, cell: dict, shared: dict) -> dict:
     <overrides>}, ``id`` defaulted to the planner id, ``row`` or None."""
     for key in cell:
         _require(key in CELL_KEYS, where + key, f"a cell key ({', '.join(CELL_KEYS)})", key)
-    env_name, env_overrides = _named_section(cell, "env", where + "env")
+    env = cell.get("env")
+    env = {"name": env} if isinstance(env, str) else env
+    _require(isinstance(env, dict) and isinstance(env.get("name"), str), where + "env",
+             'a name or {"name": ..., <options>}', env)
+    env_overrides = dict(env)
+    env_name = env_overrides.pop("name")
     _require(env_name in ENVIRONMENTS, where + "env",
              f"an environment name ({', '.join(sorted(ENVIRONMENTS))})", env_name)
     valid = [f.name for f in dataclasses.fields(ENVIRONMENTS[env_name])]
@@ -195,7 +179,7 @@ def _check_table(config: dict, cells: list[tuple[str, dict]]) -> None:
              'an object {"file": ..., "columns": ...} beside a \'cells\' list', table)
     name, columns = table["file"], table["columns"]
     _require(isinstance(name, str) and name and Path(name).name == name
-             and name not in ("raw.csv", "summary.csv", "failures.csv"), "table.file",
+             and name not in ("..", "raw.csv", "summary.csv", "failures.csv"), "table.file",
              "a file name other than raw.csv, summary.csv and failures.csv", name)
     where, first = cells[0]
     _require(first["row"] is not None, where + "row", "a row, as 'table' needs", None)
@@ -213,9 +197,9 @@ def _check_table(config: dict, cells: list[tuple[str, dict]]) -> None:
 
 
 def _grid_config(args) -> tuple[dict, list[dict], PlannerConfig, dict]:
-    """What every grid subcommand runs, all checked before any episode: the
-    config, its cells, the shared planner config and the planning models
-    by environment name (a run config's ``model`` is its env's)."""
+    """What ``compare`` runs, all checked before any episode: the config,
+    its cells, the shared planner config and the planning models by
+    environment name."""
     config = load_config(args.config)
     shared = config.get("planner_config") or {}
     cfg = planner_config_from(shared)
@@ -229,29 +213,26 @@ def _grid_config(args) -> tuple[dict, list[dict], PlannerConfig, dict]:
     _check_table(config, cells)
     models = config.get("models", {})
     _require(isinstance(models, dict), "models", "an object of environment names", models)
-    if "model" in config:
-        _require("models" not in config, "models", "no 'model' beside it", models)
-        models = {cells[0][1]["env"]["name"]: config["model"]}
     for name in models:
         _require(name in envs, f"models.{name}",
                  f"an environment of the grid ({', '.join(sorted(envs))})", name)
     return config, [cell for _, cell in cells], cfg, {
         name: model for name, section in models.items()
-        if (model := _load_planning_model(
-            section, "model" if "model" in config else f"models.{name}", name)) is not None}
+        if (model := _load_planning_model(section, name)) is not None}
 
 
 def _out_dir(args) -> Path:
-    out = Path(args.out or os.environ.get("TRAJPLAN_OUT", "results"))
+    out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     return out
 
 
-def _load_planning_model(section, field: str, env_name: str):
+def _load_planning_model(section, env_name: str):
     """None (ground truth) or an MLP dynamics model, loaded from file, of
     the environment's state and action sizes."""
     if section in (None, "analytic"):
         return None
+    field = f"models.{env_name}"
     _require(isinstance(section, dict) and "path" in section, field,
              '"analytic" or {"path": ...}', section)
     model = MlpModel.load_binary(Path(section["path"]))
@@ -267,20 +248,20 @@ def _load_planning_model(section, field: str, env_name: str):
 
 
 def cmd_grid(args) -> int:
-    """``run`` and ``compare``: every config form is a list of cells."""
+    """``compare``: check the config, make ``--out``, then run the grid."""
     config, cells, cfg, models = _grid_config(args)
+    out = _out_dir(args)
     seeds = [args.seed] if args.seed is not None else config.get("seeds", list(range(20)))
     result = harness.run_cells(cells, seeds, config.get("steps", harness.DEFAULT_STEPS),
                                cfg, models)
-    return _write_grid(args, result, cells, config.get("table"))
+    return _write_grid(out, result, cells, config.get("table"))
 
 
-def _write_grid(args, result: harness.CompareResult, cells: list[dict], table) -> int:
+def _write_grid(out: Path, result: harness.CompareResult, cells: list[dict], table) -> int:
     """Write a grid's raw.csv, summary.csv, failures.csv (only when an episode
-    failed) and ``table`` (one row per cell with a summary row) to ``--out``,
+    failed) and ``table`` (one row per cell with a summary row) to ``out``,
     print one line per summary row, and return the exit code: 1 when an
     episode failed, else 0."""
-    out = _out_dir(args)
     harness.write_raw_csv(result.results, out / "raw.csv")
     harness.write_csv(result.summary, harness.SUMMARY_COLUMNS, out / "summary.csv")
     if table is not None:
@@ -356,15 +337,12 @@ def build_parser() -> argparse.ArgumentParser:
         description="Trajectory-optimization planners and MPC experiments.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
+    def common(p, out=True):
         p.add_argument("--seed", type=int, default=None,
-                       help="the seed; for run and compare, run it only")
-        p.add_argument("--out", default=None, help="output directory")
+                       help="the seed; for compare, run it only")
+        if out:
+            p.add_argument("--out", default="results", help="output directory")
         return p
-
-    p = common(sub.add_parser("run", help="run one experiment config"))
-    p.add_argument("--config", required=True, help="experiment JSON file or preset name")
-    p.set_defaults(func=cmd_grid)
 
     p = common(sub.add_parser("compare", help="run a grid, by default the planner lineup"))
     p.add_argument("--config", default="paper_defaults",
@@ -383,7 +361,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_train_model)
 
     p = common(sub.add_parser("gradcheck",
-                              help="finite-difference check of rollout gradients"))
+                              help="finite-difference check of rollout gradients"), out=False)
     p.add_argument("--env", default="barrier")
     p.add_argument("--probes", type=int, default=50)
     p.add_argument("--horizon", type=int, default=12)
@@ -403,8 +381,10 @@ def main(argv=None) -> int:
     except ValueError as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
-    except FileNotFoundError as err:
-        print(f"error: file not found: {err.filename}", file=sys.stderr)
+    except OSError as err:
+        if err.filename is None:  # not a path the user named
+            raise
+        print(f"error: {err.filename}: {err.strerror}", file=sys.stderr)
         return 2
 
 

@@ -7,23 +7,26 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from trajplan import harness
 from trajplan.cli import (CONFIG_KEYS, PRESETS, _grid_config, build_parser, load_config, main,
                           planner_config_from)
 from trajplan.dynamics import MlpModel
 
 
-def run_config(tmp_path, **overrides):
+def run_config(tmp_path, cell=None, **overrides):
+    """A one-cell barrier cemgd grid at test scale: ``cell`` updates its
+    cell, ``overrides`` the config's top-level keys (None drops a key)."""
     config = {
         "version": 1,
-        "env": "barrier",
-        "planner": {"name": "cemgd", "config": {"horizon": 4, "n_init": 20,
-                                                "m_init": 1, "n_r": 10, "m_r": 1}},
+        "cells": [{"env": "barrier", "planner": "cemgd",
+                   "planner_config": {"horizon": 4, "n_init": 20, "m_init": 1,
+                                      "n_r": 10, "m_r": 1}, **(cell or {})}],
         "steps": 3,
         "seeds": [0, 1],
     }
     config.update(overrides)
     path = tmp_path / "config.json"
-    path.write_text(json.dumps(config))
+    path.write_text(json.dumps({k: v for k, v in config.items() if v is not None}))
     return str(path)
 
 
@@ -55,15 +58,24 @@ class TestConfig:
             assert load_config(str(path))["version"] == 1
             _grid_config(argparse.Namespace(config=str(path)))
 
-    def test_unknown_top_level_key_named_before_any_output(self, tmp_path, capsys):
-        path = run_config(tmp_path, planer_config={"horizon": 3})
-        assert main(["run", "--config", path, "--out", str(tmp_path / "r")]) == 2
+    @pytest.mark.parametrize("key, config", [
+        ("planer_config", {"planer_config": {"horizon": 3}}),
+        # A one-cell grid given by top-level env/planner/model keys, which
+        # are cell keys and no config keys.
+        ("env", {"cells": None, "env": "barrier",
+                 "planner": {"name": "cemgd", "config": {"horizon": 4}},
+                 "model": "analytic"}),
+    ], ids=["misspelt", "cell-keys-at-top-level"])
+    def test_unknown_top_level_key_named_before_any_output(self, tmp_path, capsys, key,
+                                                           config):
+        path = run_config(tmp_path, **config)
+        assert main(["compare", "--config", path, "--out", str(tmp_path / "r")]) == 2
         out, err = capsys.readouterr()
         assert out == "" and err == (
-            f"error: config field 'planer_config': expected a config key "
-            f"({', '.join(CONFIG_KEYS)}), got 'planer_config'\n")
-        assert CONFIG_KEYS == ("version", "steps", "seeds", "env", "planner", "model", "envs",
-                               "planners", "planner_config", "models", "cells", "table")
+            f"error: config field '{key}': expected a config key "
+            f"({', '.join(CONFIG_KEYS)}), got '{key}'\n")
+        assert CONFIG_KEYS == ("version", "steps", "seeds", "envs", "planners",
+                               "planner_config", "models", "cells", "table")
         assert not (tmp_path / "r").exists()
 
     def test_unknown_source(self):
@@ -84,21 +96,20 @@ class TestConfig:
         ("planners", ["cem-50", "cem-50"]),
     ])
     def test_bad_list_field_named_before_any_output(self, tmp_path, capsys, field, value):
-        cfg = run_config(tmp_path, **{"envs": ["barrier"], "planners": ["cem-50"],
-                                      field: value})
-        for command in ("run", "compare"):
-            code = main([command, "--config", cfg, "--out", str(tmp_path / "r")])
-            assert code == 2
-            err = capsys.readouterr().err
-            assert err.startswith(f"error: config field '{field}': ")
-            assert err.count("\n") == 1
+        cfg = run_config(tmp_path, **{"cells": None, "envs": ["barrier"],
+                                      "planners": ["cem-50"], field: value})
+        code = main(["compare", "--config", cfg, "--out", str(tmp_path / "r")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: config field '{field}': ")
+        assert err.count("\n") == 1
         assert not (tmp_path / "r").exists()
 
-    @pytest.mark.parametrize("command", ["run", "compare", "train-model", "gradcheck"])
+    @pytest.mark.parametrize("command", ["compare", "train-model", "gradcheck"])
     def test_negative_seed_named_before_any_output(self, tmp_path, capsys, command):
-        argv = [command, "--seed", "-1", "--out", str(tmp_path / "r")]
-        if command == "run":
-            argv += ["--config", run_config(tmp_path)]
+        argv = [command, "--seed", "-1"]
+        if command != "gradcheck":
+            argv += ["--out", str(tmp_path / "r")]
         assert main(argv) == 2
         assert capsys.readouterr().err == \
             "error: --seed: expected a nonnegative integer, got -1\n"
@@ -109,9 +120,9 @@ class TestConfig:
             planner_config_from({"krypton": 3})
 
 
-class TestRunCommand:
+class TestOneCellGrid:
     def test_writes_csvs(self, tmp_path, capsys):
-        code = main(["run", "--config", run_config(tmp_path),
+        code = main(["compare", "--config", run_config(tmp_path),
                      "--out", str(tmp_path / "results")])
         assert code == 0
         with open(tmp_path / "results" / "raw.csv") as f:
@@ -120,14 +131,14 @@ class TestRunCommand:
         assert (tmp_path / "results" / "summary.csv").exists()
 
     def test_unknown_env_lists_valid(self, tmp_path, capsys):
-        code = main(["run", "--config", run_config(tmp_path, env="halfcheetah"),
+        code = main(["compare", "--config", run_config(tmp_path, cell={"env": "halfcheetah"}),
                      "--out", str(tmp_path / "r")])
         assert code != 0
         err = capsys.readouterr().err
         assert "barrier" in err and "cartpole" in err
 
     def test_seed_override(self, tmp_path):
-        code = main(["run", "--config", run_config(tmp_path), "--seed", "7",
+        code = main(["compare", "--config", run_config(tmp_path), "--seed", "7",
                      "--out", str(tmp_path / "r")])
         assert code == 0
         with open(tmp_path / "r" / "raw.csv") as f:
@@ -135,19 +146,18 @@ class TestRunCommand:
         assert {row["seed"] for row in rows} == {"7"}
 
     def test_missing_model_file_names_path(self, tmp_path, capsys):
-        cfg = run_config(tmp_path, model={"path": str(tmp_path / "absent.bin")})
-        code = main(["run", "--config", cfg, "--out", str(tmp_path / "r")])
+        cfg = run_config(tmp_path, models={"barrier": {"path": str(tmp_path / "absent.bin")}})
+        code = main(["compare", "--config", cfg, "--out", str(tmp_path / "r")])
         assert code != 0
         assert "absent.bin" in capsys.readouterr().err
 
     @pytest.mark.parametrize("steps", [0, -3])
     def test_nonpositive_steps_rejected(self, tmp_path, capsys, steps):
-        for command in ("run", "compare"):
-            cfg = run_config(tmp_path, steps=steps, envs=["barrier"], planners=["cem-50"])
-            code = main([command, "--config", cfg, "--out", str(tmp_path / "r")])
-            assert code == 2
-            err = capsys.readouterr().err
-            assert err.startswith("error: config field 'steps'") and err.count("\n") == 1
+        cfg = run_config(tmp_path, steps=steps)
+        code = main(["compare", "--config", cfg, "--out", str(tmp_path / "r")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: config field 'steps'") and err.count("\n") == 1
         assert not (tmp_path / "r").exists()
 
     def test_corrupt_model_file_exits_2_naming_path(self, tmp_path, capsys):
@@ -155,15 +165,15 @@ class TestRunCommand:
         MlpModel.initialize(2, 2, hidden=(4, 4, 4), rng=0).save_binary(model_path)
         data = model_path.read_bytes()
         model_path.write_bytes(data[:16] + (9).to_bytes(4, "little") + data[20:])
-        cfg = run_config(tmp_path, model={"path": str(model_path)})
-        code = main(["run", "--config", cfg, "--out", str(tmp_path / "r")])
+        cfg = run_config(tmp_path, models={"barrier": {"path": str(model_path)}})
+        code = main(["compare", "--config", cfg, "--out", str(tmp_path / "r")])
         assert code == 2
         err = capsys.readouterr().err
         assert "model.bin: unknown activation code 9" in err and err.count("\n") == 1
 
     def test_diverged_episodes_written_as_failures(self, tmp_path, capsys):
-        cfg = run_config(tmp_path, model=diverging_model(tmp_path))
-        code = main(["run", "--config", cfg, "--out", str(tmp_path / "r")])
+        cfg = run_config(tmp_path, models={"barrier": diverging_model(tmp_path)})
+        code = main(["compare", "--config", cfg, "--out", str(tmp_path / "r")])
         assert code == 1
         with open(tmp_path / "r" / "failures.csv") as f:
             rows = list(csv.DictReader(f))
@@ -177,8 +187,8 @@ class TestRunCommand:
         model = MlpModel.initialize(2, 2, hidden=(4, 4, 4), rng=0)
         model_path = tmp_path / "model.bin"
         model.save_binary(model_path)
-        cfg = run_config(tmp_path, model={"path": str(model_path)})
-        code = main(["run", "--config", cfg, "--out", str(tmp_path / "r")])
+        cfg = run_config(tmp_path, models={"barrier": {"path": str(model_path)}})
+        code = main(["compare", "--config", cfg, "--out", str(tmp_path / "r")])
         assert code == 0
 
 
@@ -283,7 +293,7 @@ class TestConfigErrors:
     CELL = {"env": "barrier", "planner": "cem-50"}
 
     @pytest.mark.parametrize("field, overrides", [
-        ("env.bogus", {"env": {"name": "barrier", "bogus": 1}}),
+        ("cells[0].env.bogus", {"cells": [dict(CELL, env={"name": "barrier", "bogus": 1})]}),
         ("cells[1].env.bogus", {"cells": [CELL, dict(CELL, id="b", env={"name": "barrier",
                                                                          "bogus": 1})]}),
         ("cells[0].planner_config", {"cells": [dict(CELL, planner_config={"k": "2"})]}),
@@ -293,7 +303,7 @@ class TestConfigErrors:
         ("table", {"table": {"file": "t.csv", "columns": {"r": "mean_reward"}}}),
         ("cells[0].row", {"cells": [CELL], "table": {"file": "t.csv",
                                                      "columns": {"r": "mean_reward"}}}),
-        ("env", {"env": {"name": "barrier", "radius": "wide"}}),
+        ("cells[0].env", {"cells": [dict(CELL, env={"name": "barrier", "radius": "wide"})]}),
         *[("planner_config", {"planner_config": {"horizon": value}})
           for value in ("3", 3.5, True, None)],
         # json writes these as the NaN/Infinity/-Infinity literals it also parses.
@@ -305,11 +315,11 @@ class TestConfigErrors:
         ("cells[1].row", {"cells": [dict(CELL, row={"budget": 50}), dict(CELL, id="b")],
                           "table": {"file": "t.csv", "columns": {"r": "mean_reward"}}}),
         # World vectors of the wrong length, and a nonpositive cartpole field.
-        ("env", {"env": {"name": "cartpole", "start": [0, 0]}}),
-        ("env", {"env": {"name": "barrier", "center": [0]}}),
-        ("env", {"env": {"name": "barrier", "start": [0, 0, 0]}}),
-        ("env", {"env": {"name": "barrier", "goal": [1]}}),
-        ("env", {"env": {"name": "cartpole", "half_length": 0}}),
+        ("cells[0].env", {"cells": [dict(CELL, env={"name": "cartpole", "start": [0, 0]})]}),
+        ("cells[0].env", {"cells": [dict(CELL, env={"name": "barrier", "center": [0]})]}),
+        ("cells[0].env", {"cells": [dict(CELL, env={"name": "barrier", "start": [0, 0, 0]})]}),
+        ("cells[0].env", {"cells": [dict(CELL, env={"name": "barrier", "goal": [1]})]}),
+        ("cells[0].env", {"cells": [dict(CELL, env={"name": "cartpole", "half_length": 0})]}),
         # k above the default elite count of n_r = 10, whatever the planners.
         ("planner_config", {"planner_config": {"k": 2}}),
         # Every world scalar is a finite number; a NaN smooth_eps would
@@ -324,11 +334,14 @@ class TestConfigErrors:
         # traceback), and one at the rim, which leaves a world with no barrier.
         ("cells[0].env", {"cells": [dict(CELL, env={"name": "barrier", "smooth_eps": 1e200})]}),
         ("cells[0].env", {"cells": [dict(CELL, env={"name": "barrier", "smooth_eps": 0.4})]}),
+        # ".." passes as its own base name but names a directory.
+        ("table.file", {"cells": [dict(CELL, row={"budget": 50})],
+                        "table": {"file": "..", "columns": {"r": "mean_reward"}}}),
     ])
     def test_named_before_any_output(self, tmp_path, capsys, field, overrides):
         config = {"version": 1, "planner_config": {"horizon": 3}, "steps": 2, "seeds": [0]}
         if not {"cells", "envs", "planners"} & set(overrides):
-            config.update(env="barrier", planner="cem-50")
+            config.update(envs=["barrier"], planners=["cem-50"])
         config.update(overrides)
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps(config))
@@ -339,8 +352,6 @@ class TestConfigErrors:
 
 
     @pytest.mark.parametrize("field, form", [
-        ("model", lambda path: {"env": "barrier", "planner": "cem-50",
-                                "model": {"path": path}}),
         ("models.barrier", lambda path: {"envs": ["barrier", "cartpole"],
                                          "planners": ["cem-50"],
                                          "models": {"barrier": {"path": path}}}),
@@ -368,9 +379,38 @@ class TestConfigErrors:
     ["gradcheck", "--probes", "0"], ["gradcheck", "--horizon", "0"],
 ])
 def test_numeric_flag_named_before_any_output(tmp_path, capsys, argv):
-    assert main(argv + ["--out", str(tmp_path / "r")]) == 2
+    if argv[0] == "train-model":
+        argv = argv + ["--out", str(tmp_path / "r")]
+    assert main(argv) == 2
     out, err = capsys.readouterr()
     assert out == "" and err.startswith(f"error: {argv[1]}: ") and err.count("\n") == 1
+    assert not (tmp_path / "r").exists()
+
+
+@pytest.mark.parametrize("make, argv", [
+    (Path.mkdir, lambda tmp_path, bad: ["--config", str(bad)]),
+    (Path.mkdir, lambda tmp_path, bad: [
+        "--config", run_config(tmp_path, models={"barrier": {"path": str(bad)}})]),
+    (lambda bad: bad.write_text("kept"), lambda tmp_path, bad: [
+        "--config", run_config(tmp_path), "--out", str(bad)]),
+    (lambda bad: bad.write_bytes(b'{"version": 1, "steps": "\xff"}'),
+     lambda tmp_path, bad: ["--config", str(bad)]),
+], ids=["config-is-directory", "model-is-directory", "out-is-file", "config-not-utf8"])
+def test_path_error_named_before_any_episode(tmp_path, capsys, monkeypatch, make, argv):
+    """A path the user named that cannot be read or made a directory ends
+    in one line naming it and exit 2, and no episode runs."""
+    episodes = []
+    run_episode = harness.run_episode
+    monkeypatch.setattr(harness, "run_episode",
+                        lambda *args: episodes.append(args) or run_episode(*args))
+    bad = tmp_path / "bad"
+    make(bad)
+    argv = ["compare", "--out", str(tmp_path / "r")] + argv(tmp_path, bad)
+    assert main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: ") and err.count("\n") == 1
+    assert str(bad) in err
+    assert episodes == []
     assert not (tmp_path / "r").exists()
 
 

@@ -355,11 +355,11 @@ class TestBlasThreads:
         model.save_binary(tmp_path / "model.bin")
         config = tmp_path / "run.json"
         config.write_text(json.dumps({
-            "version": 1, "env": "barrier",
-            "planner": {"name": "cemgd",
-                        "config": {"n_init": 1000, "m_init": 5, "horizon": 30}},
+            "version": 1,
+            "cells": [{"env": "barrier", "planner": "cemgd",
+                       "planner_config": {"n_init": 1000, "m_init": 5, "horizon": 30}}],
             "steps": 3, "seeds": [0],
-            "model": {"path": str(tmp_path / "model.bin")},
+            "models": {"barrier": {"path": str(tmp_path / "model.bin")}},
         }))
         src = str(Path(trajplan.__file__).resolve().parents[1])
         path = [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]
@@ -368,7 +368,7 @@ class TestBlasThreads:
             out = tmp_path / f"out{threads}"
             child_env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
                              PYTHONPATH=os.pathsep.join(path))
-            subprocess.run([sys.executable, "-m", "trajplan.cli", "run", "--config",
+            subprocess.run([sys.executable, "-m", "trajplan.cli", "compare", "--config",
                             str(config), "--out", str(out)], env=child_env, check=True,
                            capture_output=True, timeout=120)
             lines = (out / "raw.csv").read_text().splitlines()
