@@ -92,7 +92,7 @@ def load_config(source: str) -> dict:
     _check_list(config, "seeds", "nonnegative integers", lambda s: type(s) is int and s >= 0)
     _check_list(config, "envs", f"environment names ({', '.join(sorted(ENVIRONMENTS))})",
                 lambda e: isinstance(e, str) and e in ENVIRONMENTS)
-    _check_list(config, "planners", "planner names", lambda p: isinstance(p, str))
+    _check_list(config, "planners", "planner names", lambda p: isinstance(p, str) and p)
     _check_list(config, "cells", "cell objects", lambda c: isinstance(c, dict))
     return config
 
@@ -133,8 +133,8 @@ def _config_cells(config: dict) -> list[tuple[str, dict]]:
 
 
 def _check_cell(where: str, cell: dict, shared: dict) -> dict:
-    """Check one cell and return it in full: ``env`` as {"name": ...,
-    <overrides>}, ``id`` defaulted to the planner id, ``row`` or None."""
+    """Check one cell and build its ``env`` and merged planner ``cfg``; return
+    them with its ``planner``, ``id`` (the planner by default) and ``row``."""
     for key in cell:
         _require(key in CELL_KEYS, where + key, f"a cell key ({', '.join(CELL_KEYS)})", key)
     env = cell.get("env")
@@ -150,7 +150,7 @@ def _check_cell(where: str, cell: dict, shared: dict) -> dict:
         _require(key in valid, f"{where}env.{key}",
                  f"a {env_name} option ({', '.join(valid)})", key)
     try:
-        make_environment(env_name, **env_overrides)
+        env = make_environment(env_name, **env_overrides)
     except (TypeError, ValueError) as err:
         raise ConfigError(f"config field '{where}env': {err}") from None
     planner = cell.get("planner")
@@ -159,13 +159,12 @@ def _check_cell(where: str, cell: dict, shared: dict) -> dict:
         _require(isinstance(value, str) and value, where + key, "a nonempty string", value)
     overrides = cell.get("planner_config", {})
     _require(isinstance(overrides, dict), where + "planner_config", "an object", overrides)
-    planner_config_from({**shared, **overrides}, where + "planner_config")
+    cfg = planner_config_from({**shared, **overrides}, where + "planner_config")
     row = cell.get("row")
     _require(row is None or isinstance(row, dict) and row and all(
         isinstance(v, (str, int, float)) and not isinstance(v, bool) for v in row.values()),
         where + "row", "a nonempty object of strings and numbers", row)
-    return {"id": cell_id, "env": {"name": env_name, **env_overrides}, "planner": planner,
-            "planner_config": overrides, "row": row}
+    return {"env": env, "planner": planner, "id": cell_id, "cfg": cfg, "row": row}
 
 
 def _check_table(config: dict, cells: list[tuple[str, dict]]) -> None:
@@ -196,50 +195,62 @@ def _check_table(config: dict, cells: list[tuple[str, dict]]) -> None:
                  f"no row key", statistic)
 
 
-def _grid_config(args) -> tuple[dict, list[dict], PlannerConfig, dict]:
-    """What ``compare`` runs, all checked before any episode: the config,
-    its cells, the shared planner config and the planning models by
-    environment name."""
+def _grid_config(args) -> tuple[dict, list[dict]]:
+    """What ``compare`` runs, all checked before any episode by building
+    it: the config and its cells, each with its ``env``, its ``policy``
+    (planning with the env's model from ``models``, if any) and ``row``."""
     config = load_config(args.config)
     shared = config.get("planner_config") or {}
-    cfg = planner_config_from(shared)
+    planner_config_from(shared)
     cells = [(where, _check_cell(where, cell, shared)) for where, cell in _config_cells(config)]
     seen = set()
     for where, cell in cells:
-        key = (cell["env"]["name"], cell["id"])
+        key = (cell["env"].name, cell["id"])
         _require(key not in seen, where + "id", "one cell per (env, id)", cell["id"])
         seen.add(key)
-    envs = {env for env, _ in seen}
+    envs = {cell["env"].name: cell["env"] for _, cell in cells}
     _check_table(config, cells)
     models = config.get("models", {})
     _require(isinstance(models, dict), "models", "an object of environment names", models)
     for name in models:
         _require(name in envs, f"models.{name}",
                  f"an environment of the grid ({', '.join(sorted(envs))})", name)
-    return config, [cell for _, cell in cells], cfg, {
-        name: model for name, section in models.items()
-        if (model := _load_planning_model(section, name)) is not None}
+    planning = {name: model for name, section in models.items()
+                if (model := _load_planning_model(section, envs[name])) is not None}
+    for where, cell in cells:
+        env = cell["env"]
+        try:
+            policy = harness.make_policy(cell["planner"], planning.get(env.name, env.dynamics),
+                                         env.reward, cell["cfg"], env.bounds)
+        except ValueError as err:  # an unknown planner id
+            field = where + "planner" if where else "planners"   # the shorthand's list
+            raise ConfigError(f"config field '{field}': {err}") from None
+        cell["policy"] = dataclasses.replace(policy, planner_id=cell["id"])
+    return config, [cell for _, cell in cells]
 
 
-def _out_dir(args) -> Path:
+def _out_dir(args, *names: str) -> Path:
+    """Make ``--out``; none of the named files in it may be a directory."""
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
+    for name in names:
+        if (out / name).is_dir():
+            raise ConfigError(f"{out / name}: Is a directory")
     return out
 
 
-def _load_planning_model(section, env_name: str):
+def _load_planning_model(section, env):
     """None (ground truth) or an MLP dynamics model, loaded from file, of
     the environment's state and action sizes."""
     if section in (None, "analytic"):
         return None
-    field = f"models.{env_name}"
+    field = f"models.{env.name}"
     _require(isinstance(section, dict) and "path" in section, field,
              '"analytic" or {"path": ...}', section)
     model = MlpModel.load_binary(Path(section["path"]))
-    true = make_environment(env_name).dynamics
-    _require((model.d_s, model.d_a) == (true.d_s, true.d_a), field,
-             f"a {env_name} model, with (d_s, d_a) = ({true.d_s}, {true.d_a})",
-             (model.d_s, model.d_a))
+    sizes = (env.dynamics.d_s, env.dynamics.d_a)
+    _require((model.d_s, model.d_a) == sizes, field,
+             f"a {env.name} model, with (d_s, d_a) = {sizes}", (model.d_s, model.d_a))
     return model
 
 
@@ -249,12 +260,14 @@ def _load_planning_model(section, env_name: str):
 
 def cmd_grid(args) -> int:
     """``compare``: check the config, make ``--out``, then run the grid."""
-    config, cells, cfg, models = _grid_config(args)
-    out = _out_dir(args)
+    config, cells = _grid_config(args)
+    table = config.get("table")
+    out = _out_dir(args, "raw.csv", "summary.csv", "failures.csv",
+                   *([table["file"]] if table else []))
     seeds = [args.seed] if args.seed is not None else config.get("seeds", list(range(20)))
-    result = harness.run_cells(cells, seeds, config.get("steps", harness.DEFAULT_STEPS),
-                               cfg, models)
-    return _write_grid(out, result, cells, config.get("table"))
+    result = harness.run_grid([(cell["env"], cell["policy"]) for cell in cells], seeds,
+                              config.get("steps", harness.DEFAULT_STEPS))
+    return _write_grid(out, result, cells, table)
 
 
 def _write_grid(out: Path, result: harness.CompareResult, cells: list[dict], table) -> int:
@@ -269,7 +282,7 @@ def _write_grid(out: Path, result: harness.CompareResult, cells: list[dict], tab
         rows = [{**cell["row"], **{column: stats[statistic]
                                    for column, statistic in table["columns"].items()}}
                 for cell in cells
-                if (stats := summary.get((cell["env"]["name"], cell["id"]))) is not None]
+                if (stats := summary.get((cell["env"].name, cell["id"]))) is not None]
         harness.write_csv(rows, list(cells[0]["row"]) + list(table["columns"]),
                           out / table["file"])
     for row in result.summary:
@@ -303,6 +316,7 @@ def cmd_train_model(args) -> int:
                           f"got {args.hidden!r}")
     if not args.lr > 0:
         raise ConfigError(f"--lr: expected a positive number, got {args.lr}")
+    out = _out_dir(args, "model.bin")
     env = make_environment(args.env)
     rng = np.random.default_rng(args.seed or 0)
     data = collect_random_rollouts(env.dynamics, env.bounds, env.start_state,
@@ -313,7 +327,6 @@ def cmd_train_model(args) -> int:
                                  lr=args.lr, hidden=hidden, rng=rng)
     except TrainingDivergedError as err:
         raise ConfigError(f"--lr: {err}") from None
-    out = _out_dir(args)
     model.save_binary(out / "model.bin")
     print(f"trained on {data[0].shape[0]} transitions; normalized MSE "
           f"{history[0]:.4f} -> {history[-1]:.6f}")

@@ -1,4 +1,4 @@
-"""MPC experiment harness: episode runner, planner ids, grids of cells, CSV output.
+"""MPC experiment harness: episode runner, planner ids, (env, policy) grids, CSV output.
 
 An episode plans with a (possibly learned) model, executes the first
 action in the true environment, observes the next true state and replans.
@@ -272,7 +272,7 @@ def summarize(results: list[EpisodeResult]) -> list[dict]:
 
 
 # ---------------------------------------------------------------------------
-# Experiments: every one is a grid of cells over seeds
+# Experiments: every one is a grid of (env, policy) pairs over seeds
 
 
 @dataclass
@@ -282,8 +282,8 @@ class CompareResult:
     failures: list[dict] = field(default_factory=list)   # FAILURE_COLUMNS keys
 
 
-def run_grid(cells, seeds, steps: int) -> CompareResult:
-    """Run every (env, policy) cell for one episode per seed.
+def run_grid(pairs, seeds, steps: int) -> CompareResult:
+    """Run every (env, policy) pair for one episode per seed.
 
     An episode that raises EpisodeError becomes a failure row and the grid
     goes on; the summary covers the finished episodes only. A diverging
@@ -291,7 +291,7 @@ def run_grid(cells, seeds, steps: int) -> CompareResult:
     ``reward_gradient`` suppress them and raise DivergedError instead.
     """
     results, failures = [], []
-    for env, policy in cells:
+    for env, policy in pairs:
         for seed in seeds:
             try:
                 results.append(run_episode(env, policy, steps, seed))
@@ -301,38 +301,22 @@ def run_grid(cells, seeds, steps: int) -> CompareResult:
     return CompareResult(results=results, summary=summarize(results), failures=failures)
 
 
-def run_cells(cells, seeds, steps: int = DEFAULT_STEPS, cfg: PlannerConfig | None = None,
-              planning_models: dict | None = None) -> CompareResult:
-    """Run a grid given as data: one episode per cell and seed.
-
-    A cell is a dict: ``env`` (a name or ``{"name": ..., <overrides>}``),
-    ``planner`` (an id), and optionally ``planner_config`` (overrides on top
-    of ``cfg``) and ``id`` (the planner column; the planner id by default).
-    `planning_models` optionally maps an env name to the dynamics model its
-    planners use; the true environment still scores and advances episodes.
-    """
-    cfg = cfg or PlannerConfig()
-    pairs = []
-    for cell in cells:
-        spec = cell["env"] if isinstance(cell["env"], dict) else {"name": cell["env"]}
-        env = make_environment(**spec)
-        model = (planning_models or {}).get(env.name, env.dynamics)
-        policy = make_policy(cell["planner"], model, env.reward,
-                             replace(cfg, **cell.get("planner_config", {})), env.bounds)
-        if "id" in cell:
-            policy = replace(policy, planner_id=cell["id"])
-        pairs.append((env, policy))
-    return run_grid(pairs, seeds, steps)
-
-
 def compare_planners(envs, seeds, steps: int = DEFAULT_STEPS,
                      cfg: PlannerConfig | None = None,
                      planners=None, planning_models: dict | None = None) -> CompareResult:
-    """Run the planner lineup (``PLANNER_NAMES`` by default) on each
-    environment over the given seeds: the envs x planners cells."""
+    """Run the planner lineup (``PLANNER_NAMES`` by default) on each named
+    environment over the given seeds. `planning_models` optionally maps an
+    env name to the dynamics model its planners use; the true environment
+    still scores and advances episodes."""
+    cfg = cfg or PlannerConfig()
     planners = planners if planners is not None else PLANNER_NAMES
-    return run_cells([{"env": env, "planner": name} for env in envs for name in planners],
-                     seeds, steps, cfg, planning_models)
+    pairs = []
+    for name in envs:
+        env = make_environment(name)
+        model = (planning_models or {}).get(name, env.dynamics)
+        pairs += [(env, make_policy(planner, model, env.reward, cfg, env.bounds))
+                  for planner in planners]
+    return run_grid(pairs, seeds, steps)
 
 
 # ---------------------------------------------------------------------------

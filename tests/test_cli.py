@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from trajplan import harness
+from trajplan import cli, harness
 from trajplan.cli import (CONFIG_KEYS, PRESETS, _grid_config, build_parser, load_config, main,
                           planner_config_from)
 from trajplan.dynamics import MlpModel
@@ -40,6 +40,16 @@ def diverging_model(tmp_path):
 
 
 README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+@pytest.fixture
+def episodes(monkeypatch):
+    """The arguments of every harness.run_episode call the test makes."""
+    calls = []
+    run_episode = harness.run_episode
+    monkeypatch.setattr(harness, "run_episode",
+                        lambda *args: calls.append(args) or run_episode(*args))
+    return calls
 
 
 class TestConfig:
@@ -192,6 +202,69 @@ class TestOneCellGrid:
         assert code == 0
 
 
+class TestGridCells:
+    """A ``cells`` list, checked and built by ``_grid_config``, runs through
+    ``harness.run_grid``."""
+
+    TINY = {"horizon": 5, "n_init": 20, "m_init": 2, "n_r": 10, "m_r": 1}
+
+    def grid(self, tmp_path, cells, seeds, steps):
+        path = tmp_path / "cells.json"
+        path.write_text(json.dumps({"version": 1, "planner_config": self.TINY, "cells": cells}))
+        _, built = _grid_config(argparse.Namespace(config=str(path)))
+        return harness.run_grid([(cell["env"], cell["policy"]) for cell in built], seeds, steps)
+
+    def test_single_seed_fraction_is_zero_or_one(self, tmp_path):
+        cell = {"id": "cemgd-ninit20", "env": "barrier", "planner": "cemgd",
+                "planner_config": {"n_init": 4, "m_init": 5}}
+        [row] = self.grid(tmp_path, [cell], seeds=[0], steps=5).summary
+        assert row["planner"] == "cemgd-ninit20" and row["success_rate"] in (0.0, 1.0)
+
+    def test_success_rate_matches_reaggregation(self, tmp_path):
+        cells = [{"id": f"cemgd-ninit{b}", "env": "barrier", "planner": "cemgd",
+                  "planner_config": {"n_init": b, "m_init": 1}} for b in (10, 20)]
+        grid = self.grid(tmp_path, cells, seeds=[0, 1], steps=5)
+        assert [row["planner"] for row in grid.summary] == ["cemgd-ninit10", "cemgd-ninit20"]
+        for row in grid.summary:
+            successes = [r.success for r in grid.results if r.planner_id == row["planner"]]
+            assert len(successes) == 2 and row["success_rate"] == np.mean(successes)
+
+    def test_cell_budgets_ids_and_env_overrides(self, tmp_path):
+        cells = [{"env": "cartpole", "planner": "cem-10"},
+                 {"env": "cartpole", "planner": "cem-20"},
+                 {"id": "cemgd-nr10", "env": {"name": "cartpole"}, "planner": "cemgd",
+                  "planner_config": {"n_r": 2, "m_r": 5}},
+                 {"id": "moved", "env": {"name": "barrier", "start": [-0.5, 0.0]},
+                  "planner": "cem-10"}]
+        grid = self.grid(tmp_path, cells, seeds=[0, 1], steps=3)
+        assert [(row["env"], row["planner"]) for row in grid.summary] == \
+            [("barrier", "moved"), ("cartpole", "cem-10"), ("cartpole", "cem-20"),
+             ("cartpole", "cemgd-nr10")]
+        cem = [r for r in grid.results if r.planner_id == "cem-10"]
+        assert all(list(r.samples_used) == [10, 10, 10] for r in cem)
+        hybrid = [r for r in grid.results if r.planner_id == "cemgd-nr10"]
+        assert all(list(r.samples_used) == [40, 10, 10] for r in hybrid)
+        row = next(row for row in grid.summary if row["planner"] == "cem-10")
+        rewards = [r.episode_reward for r in cem]
+        assert row["mean_reward"] == np.mean(rewards) and row["std_reward"] == np.std(rewards)
+        moved = [r for r in grid.results if r.planner_id == "moved"]
+        assert all(list(r.states[0]) == [-0.5, 0.0] for r in moved)
+
+    def test_each_cell_built_once(self, tmp_path, monkeypatch, episodes):
+        built = []
+        for module, name in ((cli, "make_environment"), (harness, "make_environment"),
+                             (harness, "make_policy")):
+            original = getattr(module, name)
+            monkeypatch.setattr(module, name, lambda *args, original=original, **kw:
+                                built.append(original.__name__) or original(*args, **kw))
+        cfg = run_config(tmp_path, cells=[{"env": "barrier", "planner": "cem-50"},
+                                          {"env": "cartpole", "planner": "cemgd"}],
+                         planner_config={"horizon": 4, "n_init": 20, "m_init": 1})
+        assert main(["compare", "--config", cfg, "--out", str(tmp_path / "r")]) == 0
+        assert sorted(built) == ["make_environment"] * 2 + ["make_policy"] * 2
+        assert len(episodes) == 2 * 2
+
+
 class TestGradcheck:
     def test_barrier_passes(self, capsys):
         code = main(["gradcheck", "--env", "barrier", "--seed", "7",
@@ -292,7 +365,11 @@ class TestConfigErrors:
 
     CELL = {"env": "barrier", "planner": "cem-50"}
 
-    @pytest.mark.parametrize("field, overrides", [
+    UNKNOWN = "unknown planner {!r}; valid planners: cemgd, gradient, cem-<budget>"
+
+    @pytest.mark.parametrize("field, overrides, detail", [*[
+        pytest.param(field, overrides, None, id=f"{field}-overrides{i}")
+        for i, (field, overrides) in enumerate([
         ("cells[0].env.bogus", {"cells": [dict(CELL, env={"name": "barrier", "bogus": 1})]}),
         ("cells[1].env.bogus", {"cells": [CELL, dict(CELL, id="b", env={"name": "barrier",
                                                                          "bogus": 1})]}),
@@ -337,8 +414,19 @@ class TestConfigErrors:
         # ".." passes as its own base name but names a directory.
         ("table.file", {"cells": [dict(CELL, row={"budget": 50})],
                         "table": {"file": "..", "columns": {"r": "mean_reward"}}}),
+    ])],
+        # Planner ids are checked by building each cell's policy.
+        *[pytest.param(field, overrides, detail, id=f"{field}-{planner}")
+          for field, overrides, planner, detail in [
+              ("cells[0].planner", {"cells": [dict(CELL, planner="bogus")]}, "bogus",
+               UNKNOWN.format("bogus")),
+              ("cells[0].planner", {"cells": [dict(CELL, planner="cem-0")]}, "cem-0",
+               UNKNOWN.format("cem-0")),
+              ("planners", {"planners": ["cem-abc"]}, "cem-abc", UNKNOWN.format("cem-abc")),
+              ("planners", {"planners": [""]}, "empty",
+               "expected a nonempty list of planner names, got ['']")]],
     ])
-    def test_named_before_any_output(self, tmp_path, capsys, field, overrides):
+    def test_named_before_any_output(self, tmp_path, capsys, field, overrides, detail):
         config = {"version": 1, "planner_config": {"horizon": 3}, "steps": 2, "seeds": [0]}
         if not {"cells", "envs", "planners"} & set(overrides):
             config.update(envs=["barrier"], planners=["cem-50"])
@@ -348,8 +436,9 @@ class TestConfigErrors:
         assert main(["compare", "--config", str(path), "--out", str(tmp_path / "r")]) == 2
         err = capsys.readouterr().err
         assert err.startswith(f"error: config field '{field}': ") and err.count("\n") == 1
+        if detail is not None:
+            assert err == f"error: config field '{field}': {detail}\n"
         assert not (tmp_path / "r").exists()
-
 
     @pytest.mark.parametrize("field, form", [
         ("models.barrier", lambda path: {"envs": ["barrier", "cartpole"],
@@ -396,13 +485,9 @@ def test_numeric_flag_named_before_any_output(tmp_path, capsys, argv):
     (lambda bad: bad.write_bytes(b'{"version": 1, "steps": "\xff"}'),
      lambda tmp_path, bad: ["--config", str(bad)]),
 ], ids=["config-is-directory", "model-is-directory", "out-is-file", "config-not-utf8"])
-def test_path_error_named_before_any_episode(tmp_path, capsys, monkeypatch, make, argv):
+def test_path_error_named_before_any_episode(tmp_path, capsys, episodes, make, argv):
     """A path the user named that cannot be read or made a directory ends
     in one line naming it and exit 2, and no episode runs."""
-    episodes = []
-    run_episode = harness.run_episode
-    monkeypatch.setattr(harness, "run_episode",
-                        lambda *args: episodes.append(args) or run_episode(*args))
     bad = tmp_path / "bad"
     make(bad)
     argv = ["compare", "--out", str(tmp_path / "r")] + argv(tmp_path, bad)
@@ -412,6 +497,41 @@ def test_path_error_named_before_any_episode(tmp_path, capsys, monkeypatch, make
     assert str(bad) in err
     assert episodes == []
     assert not (tmp_path / "r").exists()
+
+
+@pytest.mark.parametrize("name, config", [
+    ("raw.csv", {}), ("summary.csv", {}), ("failures.csv", {}),
+    ("t.csv", {"cell": {"row": {"budget": 1}},
+               "table": {"file": "t.csv", "columns": {"r": "mean_reward"}}}),
+])
+def test_output_path_that_is_a_directory_named_before_any_episode(tmp_path, capsys, episodes,
+                                                                  name, config):
+    out = tmp_path / "r"
+    (out / name).mkdir(parents=True)
+    assert main(["compare", "--config", run_config(tmp_path, **config), "--out", str(out)]) == 2
+    stdout, err = capsys.readouterr()
+    assert stdout == "" and err == f"error: {out / name}: Is a directory\n"
+    assert episodes == []
+    assert sorted(p.name for p in out.iterdir()) == [name]
+
+
+@pytest.mark.parametrize("make, bad, strerror", [
+    (lambda out: out.write_text("kept"), "", "File exists"),
+    (lambda out: (out / "model.bin").mkdir(parents=True), "model.bin", "Is a directory"),
+], ids=["out-is-file", "model-is-directory"])
+def test_train_model_output_path_named_before_training(tmp_path, capsys, monkeypatch, make,
+                                                        bad, strerror):
+    fits = []
+    fit_mlp = cli.fit_mlp
+    monkeypatch.setattr(cli, "fit_mlp", lambda *args, **kw: fits.append(args) or
+                        fit_mlp(*args, **kw))
+    out = tmp_path / "m"
+    make(out)
+    assert main(["train-model", "--episodes", "2", "--steps", "30", "--epochs", "1",
+                 "--hidden", "6,6", "--out", str(out)]) == 2
+    stdout, err = capsys.readouterr()
+    assert stdout == "" and err == f"error: {out / bad}: {strerror}\n"
+    assert fits == []
 
 
 def test_readme_cli_lines_parse():
