@@ -85,8 +85,9 @@ def load_config(source: str) -> dict:
         raise ConfigError("config root must be a JSON object")
     for key in config:
         _require(key in CONFIG_KEYS, key, f"a config key ({', '.join(CONFIG_KEYS)})", key)
-    _require(config.get("version") == CONFIG_VERSION, "version", CONFIG_VERSION,
-             config.get("version"))
+    version = config.get("version")
+    _require(type(version) is int and version == CONFIG_VERSION, "version", CONFIG_VERSION,
+             version)
     steps = config.get("steps", harness.DEFAULT_STEPS)
     _require(type(steps) is int and steps >= 1, "steps", "a positive integer", steps)
     _check_list(config, "seeds", "nonnegative integers", lambda s: type(s) is int and s >= 0)
@@ -245,9 +246,10 @@ def _load_planning_model(section, env):
     if section in (None, "analytic"):
         return None
     field = f"models.{env.name}"
-    _require(isinstance(section, dict) and "path" in section, field,
-             '"analytic" or {"path": ...}', section)
-    model = MlpModel.load_binary(Path(section["path"]))
+    path = section.get("path") if isinstance(section, dict) else None
+    _require(isinstance(path, str) and path, field, '"analytic" or {"path": "<model file>"}',
+             section)
+    model = MlpModel.load_binary(Path(path))
     sizes = (env.dynamics.d_s, env.dynamics.d_a)
     _require((model.d_s, model.d_a) == sizes, field,
              f"a {env.name} model, with (d_s, d_a) = {sizes}", (model.d_s, model.d_a))

@@ -35,6 +35,14 @@ class DivergedError(RuntimeError):
         self.step = step
 
 
+def _finite_real(x) -> bool:
+    """x is a finite real number and not a bool."""
+    try:
+        return isinstance(x, numbers.Real) and not isinstance(x, bool) and math.isfinite(x)
+    except OverflowError:   # an int too large for a float
+        return False
+
+
 @dataclass(frozen=True)
 class ActionBounds:
     """Per-dimension box constraints on actions."""
@@ -207,10 +215,8 @@ class PlannerConfig:
                 raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")
         for name in ("alpha", "eta_init", "rho"):
             value = getattr(self, name)
-            if not isinstance(value, numbers.Real):
-                raise ValueError(f"{name} must be a number, got {value!r}")
-            if not math.isfinite(value):
-                raise ValueError(f"{name} must be finite, got {value!r}")
+            if not _finite_real(value):
+                raise ValueError(f"{name} must be a finite number, got {value!r}")
         if not 0.0 < self.alpha < 1.0:
             raise ValueError("alpha must lie in (0, 1)")
         if not 0.0 < self.rho < 1.0:

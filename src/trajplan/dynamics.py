@@ -44,14 +44,13 @@ both from one sigmoid per layer, for the backward pass to multiply with.
 from __future__ import annotations
 
 import math
-import numbers
 import struct
 import warnings
 from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .core import ActionBounds, Array
+from .core import ActionBounds, Array, _finite_real
 
 STD_FLOOR = 1e-8
 
@@ -135,14 +134,6 @@ class QuadraticGoalReward(RewardModel):
 # Barrier world
 
 
-def _finite_real(x) -> bool:
-    """x is a finite real number and not a bool."""
-    try:
-        return isinstance(x, numbers.Real) and not isinstance(x, bool) and math.isfinite(x)
-    except OverflowError:   # an int too large for a float
-        return False
-
-
 def _check_fields(world, size: int, vectors, positive) -> None:
     """A world's vector fields must hold ``size`` finite numbers each, every
     other field be a finite number, and its ``positive`` fields be positive."""
@@ -157,6 +148,9 @@ def _check_fields(world, size: int, vectors, positive) -> None:
                 raise ValueError(f"{f.name} must be a positive finite number, got {v!r}")
         elif not _finite_real(v):
             raise ValueError(f"{f.name} must be a finite number, got {v!r}")
+
+
+GOAL_EPS = 0.1   # barrier success: final distance to the goal below this
 
 
 @dataclass(frozen=True)
@@ -205,6 +199,14 @@ class BarrierWorld:
 
     def start_state(self) -> Array:
         return np.asarray(self.start, dtype=float)
+
+    def success(self, states: Array) -> bool:
+        """An episode's (H+1, 2) states end within GOAL_EPS of the goal and
+        stay below the center's y wherever |x - cx| <= radius."""
+        cx, cy = self.center
+        in_band = np.abs(states[:, 0] - cx) <= self.radius
+        return bool(np.linalg.norm(states[-1] - self.goal) < GOAL_EPS
+                    and np.all(states[in_band, 1] < cy))
 
 
 # Barrier batches of up to this many rows are rolled out on Python floats
@@ -336,6 +338,10 @@ class CartpoleWorld:
 
     def start_state(self) -> Array:
         return np.asarray(self.start, dtype=float)
+
+    def success(self, states: Array) -> None:
+        """Swingup has no success verdict, only reward."""
+        return None
 
 
 class CartpoleDynamics(DynamicsModel):
@@ -713,14 +719,15 @@ def collect_random_rollouts(dynamics, bounds, start_state, episodes, steps=200, 
 
 @dataclass(frozen=True)
 class Environment:
-    """A named (dynamics, reward, bounds, start state) bundle."""
+    """A named (dynamics, reward, bounds, start state) bundle, with the
+    world that made it; ``world.success(states)`` judges an episode."""
 
     name: str
     dynamics: DynamicsModel
     reward: RewardModel
     bounds: ActionBounds
     start_state: Array
-    world: object = None
+    world: BarrierWorld | CartpoleWorld
 
 
 # Environment name -> world class; a world's dataclass fields are its options.

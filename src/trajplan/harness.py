@@ -13,6 +13,7 @@ same config, seeds and model file reproduces the raw CSV byte for byte
 from __future__ import annotations
 
 import csv
+import re
 import time
 from dataclasses import dataclass, field, replace
 
@@ -24,7 +25,6 @@ from .core import (ActionBounds, Array, DivergedError, PlannerConfig,
 from .dynamics import Environment, MlpModel, QuadraticGoalReward, make_environment
 from .gradplanner import reward_gradient
 
-GOAL_EPS = 0.1          # barrier success: final distance to goal below this
 DEFAULT_STEPS = 100     # episode length H
 
 RAW_COLUMNS = ["env", "planner", "seed", "step", "true_reward", "model_reward",
@@ -37,7 +37,8 @@ FAILURE_COLUMNS = ["env", "planner", "seed", "step", "error"]
 
 
 class EpisodeError(RuntimeError):
-    """A planner failed mid-episode; ``step`` records where."""
+    """A planner or the true environment diverged mid-episode; ``step``
+    records where."""
 
     def __init__(self, message: str, step: int):
         super().__init__(message)
@@ -77,16 +78,16 @@ class Policy:
 
 def make_policy(name: str, model, reward, cfg: PlannerConfig, bounds: ActionBounds):
     """Build a planner policy by id: cemgd (``cfg`` as given), cem-<budget>
-    (the split budget at every step, G=0) or gradient (a 1x1 CEM seed
+    (the split budget at every step, G=0; the budget in ASCII digits with no
+    leading zero, so each budget has one id) or gradient (a 1x1 CEM seed
     refined from a fresh state every step)."""
     if name == "cemgd":
         return Policy(name, model, reward, cfg, bounds)
     if name == "gradient":
         cfg = replace(cfg, n_init=1, m_init=1, k=1, k_elite=None)
         return Policy(name, model, reward, cfg, bounds, warm_start=False)
-    budget = name.removeprefix("cem-")
-    if name.startswith("cem-") and budget.isdecimal() and int(budget) > 0:
-        n, m = split_budget(int(budget))
+    if re.fullmatch(r"cem-[1-9][0-9]*", name):
+        n, m = split_budget(int(name.removeprefix("cem-")))
         cfg = replace(cfg, n_init=n, m_init=m, n_r=n, m_r=m, G=0, k=1, k_elite=None)
         return Policy(name, model, reward, cfg, bounds)
     raise ValueError(f"unknown planner {name!r}; valid planners: "
@@ -98,35 +99,6 @@ PLANNER_NAMES = ["cemgd", "gradient", "cem-50", "cem-500", "cem-5000"]
 
 # ---------------------------------------------------------------------------
 # Episodes
-
-
-@dataclass
-class BarrierOutcome:
-    """Geometric verdict on a barrier-world trajectory.
-
-    went_below holds when the agent stays under the barrier center line at
-    every time its x coordinate lies within the barrier band; went_above
-    holds when it was at or over the line inside the band at least once.
-    """
-
-    reached_goal: bool
-    went_below: bool
-    went_above: bool
-
-    @property
-    def success(self) -> bool:
-        return self.reached_goal and self.went_below
-
-
-def classify_barrier(states: Array, world) -> BarrierOutcome:
-    goal = np.asarray(world.goal, dtype=float)
-    cx, cy = world.center
-    reached = bool(np.linalg.norm(states[-1] - goal) < GOAL_EPS)
-    in_band = np.abs(states[:, 0] - cx) <= world.radius
-    ys = states[in_band, 1]
-    below = bool(np.all(ys < cy)) if ys.size else True
-    above = bool(np.any(ys >= cy))
-    return BarrierOutcome(reached_goal=reached, went_below=below, went_above=above)
 
 
 @dataclass
@@ -143,15 +115,15 @@ class EpisodeResult:
     memory_proxy: Array       # (H,) int, sequences resident per plan call
     states: Array             # (H+1, d_s) true states
     actions: Array            # (H, d_a) executed actions
-    outcome: BarrierOutcome | None = None
-
-    @property
-    def success(self) -> bool | None:
-        return self.outcome.success if self.outcome is not None else None
+    success: bool | None      # the world's verdict; None where it has none
 
 
 def run_episode(env: Environment, policy, steps: int, seed: int) -> EpisodeResult:
-    """Run one seeded MPC episode of `steps` true-environment steps."""
+    """Run one seeded MPC episode of `steps` true-environment steps.
+
+    The true step is ``rollout`` at one row and one step, and the world
+    judges the states; a DivergedError in a plan call or a true step
+    becomes an EpisodeError naming the episode step."""
     rng = np.random.default_rng(seed)
     policy.reset(rng)
     d_s = env.start_state.shape[0]
@@ -177,10 +149,14 @@ def run_episode(env: Environment, policy, steps: int, seed: int) -> EpisodeResul
                                f"step {t}: {err}", step=t) from err
         plan_times[t] = time.perf_counter() - t0
         a = np.asarray(out.action, dtype=float)
-        # One row and one step of rollout_states: the barrier's float loop.
-        s_next = env.dynamics.rollout_states(s, a[None, None])[0, 1]
-        r = float(env.reward.reward(s_next, a))
-        states[t + 1] = s_next
+        try:
+            traj = rollout(env.dynamics, env.reward, s, a[None])
+        except DivergedError as err:
+            raise EpisodeError(f"environment {env.name} diverged at episode "
+                               f"step {t}: {err}", step=t) from err
+        s = traj.states[1]
+        r = float(traj.step_rewards[0])   # not total_reward: a -0.0 keeps its sign
+        states[t + 1] = s
         actions[t] = a
         true_rewards[t] = r
         model_rewards[t] = out.model_reward
@@ -188,17 +164,13 @@ def run_episode(env: Environment, policy, steps: int, seed: int) -> EpisodeResul
         gevals[t] = out.diagnostics.gradient_evals
         proxy[t] = out.diagnostics.memory_proxy
         total += r
-        s = s_next
 
-    outcome = None
-    if env.name == "barrier" and env.world is not None:
-        outcome = classify_barrier(states, env.world)
     return EpisodeResult(env_id=env.name, planner_id=policy.planner_id, seed=seed,
                          episode_reward=total, true_rewards=true_rewards,
                          model_rewards=model_rewards, plan_times=plan_times,
                          samples_used=samples, gradient_evals=gevals,
                          memory_proxy=proxy, states=states, actions=actions,
-                         outcome=outcome)
+                         success=env.world.success(states))
 
 
 # ---------------------------------------------------------------------------

@@ -424,7 +424,23 @@ class TestConfigErrors:
                UNKNOWN.format("cem-0")),
               ("planners", {"planners": ["cem-abc"]}, "cem-abc", UNKNOWN.format("cem-abc")),
               ("planners", {"planners": [""]}, "empty",
-               "expected a nonempty list of planner names, got ['']")]],
+               "expected a nonempty list of planner names, got ['']"),
+              # One id per budget: no leading zeros, ASCII digits only.
+              ("cells[0].planner", {"cells": [dict(CELL, planner="cem-050")]}, "cem-050",
+               UNKNOWN.format("cem-050")),
+              ("planners", {"planners": ["cem-\u0665\u0660"]}, "cem-arabic-indic",
+               UNKNOWN.format("cem-\u0665\u0660"))]],
+        # Planner numbers are finite reals, not bools, and fit a float.
+        *[pytest.param("planner_config", {"planner_config": {"eta_init": value}},
+                       f"eta_init must be a finite number, got {value!r}",
+                       id=f"planner_config-eta_init-{label}")
+          for label, value in (("true", True), ("400-digit-int", 10**399))],
+        *[pytest.param("version", {"version": value}, f"expected 1, got {value!r}",
+                       id=f"version-{value!r}") for value in (True, 1.0)],
+        *[pytest.param("models.barrier", {"models": {"barrier": {"path": value}}},
+                       f'expected "analytic" or {{"path": "<model file>"}}, '
+                       f'got {{\'path\': {value!r}}}', id=f"models.barrier-path-{value!r}")
+          for value in (5, "")],
     ])
     def test_named_before_any_output(self, tmp_path, capsys, field, overrides, detail):
         config = {"version": 1, "planner_config": {"horizon": 3}, "steps": 2, "seeds": [0]}

@@ -336,16 +336,18 @@ class TestPlannerConfig:
 
     @pytest.mark.parametrize("name, value", [
         ("horizon", "3"), ("horizon", 3.5), ("G", True), ("n_init", None), ("k", 1.0),
-        ("k_elite", "2"), ("alpha", "0.3"), ("rho", None),
+        ("k_elite", "2"), ("alpha", "0.3"), ("rho", None), ("eta_init", True),
+        ("eta_init", 10**400),
     ])
     def test_rejects_mistyped_field_by_name(self, name, value):
-        with pytest.raises(ValueError, match=f"^{name} must be (an integer >= [01]|a number), got "):
+        with pytest.raises(ValueError,
+                           match=f"^{name} must be (an integer >= [01]|a finite number), got "):
             PlannerConfig(**{name: value})
 
     @pytest.mark.parametrize("name", ["alpha", "eta_init", "rho"])
     @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
     def test_rejects_non_finite_float_by_name(self, name, value):
-        with pytest.raises(ValueError, match=f"^{name} must be finite, got "):
+        with pytest.raises(ValueError, match=f"^{name} must be a finite number, got "):
             PlannerConfig(**{name: value})
 
     def test_accepts_numpy_integers_and_unset_k_elite(self):

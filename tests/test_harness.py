@@ -1,14 +1,15 @@
 import csv
+import re
 
 import numpy as np
 import pytest
 
 from trajplan.core import PlannerConfig
-from trajplan.dynamics import (BarrierWorld, MlpModel, collect_random_rollouts,
-                               fit_mlp, make_environment)
-from trajplan.harness import (RAW_COLUMNS, SUMMARY_COLUMNS, classify_barrier,
-                              compare_planners, episode_rows, make_policy,
-                              run_episode, run_grid, write_csv, write_raw_csv)
+from trajplan.dynamics import (GOAL_EPS, BarrierWorld, CartpoleWorld, MlpModel,
+                               collect_random_rollouts, fit_mlp, make_environment)
+from trajplan.harness import (RAW_COLUMNS, SUMMARY_COLUMNS, compare_planners,
+                              episode_rows, make_policy, run_episode, run_grid,
+                              write_csv, write_raw_csv)
 
 TINY = PlannerConfig(horizon=5, n_init=20, m_init=2, n_r=10, m_r=1)
 
@@ -48,6 +49,26 @@ class TestRunEpisode:
             assert res.true_rewards[t] == want
         assert res.episode_reward == sum(float(r) for r in res.true_rewards)
 
+    @pytest.mark.parametrize("name", ["barrier", "cartpole"])
+    def test_true_step_equals_one_step_of_rollout_states_then_reward(self, name):
+        """The true step is ``rollout`` at B = 1, T = 1; it must give what the
+        model's rollout_states and one reward call on the next state give."""
+        env = make_environment(name)
+        policy = make_policy("cemgd", env.dynamics, env.reward, TINY, env.bounds)
+        res = run_episode(env, policy, steps=8, seed=2)
+        for t in range(8):
+            s, a = res.states[t], res.actions[t]
+            s_next = env.dynamics.rollout_states(s, a[None, None])[0, 1]
+            r = float(env.reward.reward(s_next, a))
+            assert np.array_equal(res.states[t + 1], s_next)
+            assert repr(float(res.true_rewards[t])) == repr(r)   # -0.0 too
+
+    def test_cartpole_has_no_success_verdict(self):
+        assert CartpoleWorld().success(np.zeros((5, 4))) is None
+        env = make_environment("cartpole")
+        policy = make_policy("cem-50", env.dynamics, env.reward, TINY, env.bounds)
+        assert run_episode(env, policy, steps=2, seed=0).success is None
+
     def test_memory_proxy_schedule(self):
         env = make_environment("barrier")
         cfg = PlannerConfig(horizon=4, n_init=30, m_init=1, n_r=10, m_r=1, k=1)
@@ -69,6 +90,8 @@ class TestRunEpisode:
 
 
 class TestBarrierOutcome:
+    """The barrier world's success verdict on an episode's states."""
+
     world = BarrierWorld()
 
     def path(self, ys, x_from=-1.0, x_to=1.0, n=60, end=(1.0, 0.0)):
@@ -78,28 +101,23 @@ class TestBarrierOutcome:
         return states
 
     def test_below_path_succeeds(self):
-        states = self.path([0.0, -0.3, 0.0])
-        out = classify_barrier(states, self.world)
-        assert out.reached_goal and out.went_below and not out.went_above
-        assert out.success
+        assert self.world.success(self.path([0.0, -0.3, 0.0])) is True
 
     def test_above_path_fails_even_reaching_goal(self):
         states = self.path([0.0, 0.6, 0.0])
-        out = classify_barrier(states, self.world)
-        assert out.reached_goal and not out.went_below and out.went_above
-        assert not out.success
+        assert np.linalg.norm(states[-1] - self.world.goal) < GOAL_EPS
+        assert self.world.success(states) is False
 
     def test_short_path_fails_goal(self):
         states = self.path([0.0, -0.3, 0.0], x_to=0.5, end=(0.5, 0.0))
-        out = classify_barrier(states, self.world)
-        assert not out.reached_goal and not out.success
-        assert out.went_below
+        assert self.world.success(states) is False
 
     def test_success_implies_reached(self):
         for ys in ([0.0, -0.3, 0.0], [0.0, 0.5, 0.0], [0.0, 0.1, 0.0]):
-            out = classify_barrier(self.path(ys), self.world)
-            if out.success:
-                assert out.reached_goal
+            for end in ((1.0, 0.0), (1.0, GOAL_EPS), (1.05, -0.05), (0.5, 0.0)):
+                states = self.path(ys, end=end)
+                if self.world.success(states):
+                    assert np.linalg.norm(states[-1] - self.world.goal) < GOAL_EPS
 
 
 class TestRunGrid:
@@ -118,6 +136,20 @@ class TestRunGrid:
             [("cem-50", seed) for seed in (0, 1, 2)]
         assert [(row["planner"], row["episodes"]) for row in result.summary] == \
             [("cem-50", 3)]
+
+    def test_diverging_true_environment_is_one_failure_row(self):
+        """A world whose true step overflows ends its episode in one failure
+        row naming the environment, with no result and no numpy warning."""
+        env = make_environment("barrier", kappa=1e308)
+        cfg = PlannerConfig(horizon=10, n_init=100, m_init=2, G=3)
+        model = make_environment("barrier").dynamics
+        policy = make_policy("cemgd", model, env.reward, cfg, env.bounds)
+        result = run_grid([(env, policy)], seeds=[3], steps=38)
+        assert result.failures == [{
+            "env": "barrier", "planner": "cemgd", "seed": 3, "step": 37,
+            "error": "environment barrier diverged at episode step 37: "
+                     "non-finite reward at rollout step 0"}]
+        assert result.results == [] and result.summary == []
 
     def test_empty_grid(self):
         grid = run_grid([], seeds=[0], steps=3)
@@ -172,6 +204,7 @@ class TestCompareAndCsv:
 
     def test_unknown_planner_rejected(self):
         env = make_environment("barrier")
-        for name in ("mppi", "cem-abc", "cem-0"):
-            with pytest.raises(ValueError, match=f"unknown planner '{name}'; valid"):
+        for name in ("mppi", "cem-abc", "cem-0", "cem-050", "cem-\u0665\u0660", "cem-+5",
+                     "cem-5 ", "cem-"):
+            with pytest.raises(ValueError, match=re.escape(f"unknown planner {name!r}; valid")):
                 make_policy(name, env.dynamics, env.reward, TINY, env.bounds)
