@@ -79,16 +79,16 @@ def update_distribution(dist: SamplingDistribution, elites, alpha: float) -> Sam
 
 def run_cem(model, reward, s0, init_dist: SamplingDistribution, n: int, m: int,
             k_elite: int, alpha: float, bounds: ActionBounds, rng,
-            top_k: int | None = None) -> list[Trajectory]:
+            top_k: int) -> list[Trajectory]:
     """Run m CEM iterations of n samples each and return the pooled best.
 
     Each iteration but the last refits the distribution to its top k_elite
     samples, ties broken by sample order (a refit after the last would go
-    unread). The result is the best top_k (default k_elite) of all n*m
-    evaluated samples, as the trajectories CEM's batched rollouts produced
-    (states, actions, step rewards, total), sorted by total reward
-    descending, earlier sample first on ties; so the best reward seen is a
-    running maximum over iterations. For the analytic models each equals
+    unread). The result is the best top_k of all n*m evaluated samples, as
+    the trajectories CEM's batched rollouts produced (states, actions, step
+    rewards, total), sorted by total reward descending, earlier sample
+    first on ties; so the best reward seen is a running maximum over
+    iterations. For the analytic models each equals
     ``rollout`` of its actions bit for bit, for ``MlpModel`` to rounding.
     """
     if not 1 <= k_elite <= n:
@@ -97,7 +97,7 @@ def run_cem(model, reward, s0, init_dist: SamplingDistribution, n: int, m: int,
         raise ValueError("m must be at least 1")
     if not 0.0 <= alpha <= 1.0:
         raise ValueError("alpha must lie in [0, 1]")   # update_distribution's check
-    keep = k_elite if top_k is None else int(top_k)
+    keep = int(top_k)
     if keep < 1:
         raise ValueError("top_k must be at least 1")
     dist = init_dist

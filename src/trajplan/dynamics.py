@@ -12,9 +12,8 @@ Every dynamics model subclasses DynamicsModel and implements
 where linearize computes the Jacobian factors of every step of a (T, d_s)
 / (T, d_a) trajectory in one vectorised pass, and vjp(t, g) only
 multiplies with them to give the vector-Jacobian products of step at
-step t. The single-sample VJP backward(s, a, grad_next) is derived:
-linearize at T = 1. For the analytic models vjp(t, g) equals backward at
-step t bit for bit; for MlpModel to rounding (BLAS may sum a row's
+step t. For the analytic models vjp(t, g) equals linearize of that one
+step (T = 1) bit for bit; for MlpModel to rounding (BLAS may sum a row's
 products in another order for another T). Reward models expose
 reward(s_next, a) and backward(s_next, a). step accepts a single sample
 or a batch stacked along a leading axis; reward and the reward's backward
@@ -84,11 +83,6 @@ class DynamicsModel:
             states[:, t + 1] = s
         return states
 
-    def backward(self, s: Array, a: Array, grad_next: Array) -> tuple[Array, Array]:
-        """The VJPs at a single sample (s, a): linearize at T = 1."""
-        vjp = self.linearize(np.asarray(s, dtype=float)[None], np.asarray(a, dtype=float)[None])
-        return vjp(0, np.asarray(grad_next, dtype=float))
-
 
 def _libm_power(x: Array, n: int) -> Array:
     """x**n elementwise through libm's pow, as Python's float ** computes it.
@@ -152,6 +146,11 @@ def _check_fields(world, size: int, vectors, positive) -> None:
 
 GOAL_EPS = 0.1   # barrier success: final distance to the goal below this
 
+# The barrier's distance to its centre is sqrt(|u|^2 + SMOOTH_EPS**2), so
+# the force and its Jacobian stay defined at the centre. SMOOTH_EPS**2 is a
+# normal float, so every distance is at least SMOOTH_EPS (or NaN).
+SMOOTH_EPS = 1e-6
+
 
 @dataclass(frozen=True)
 class BarrierWorld:
@@ -171,18 +170,12 @@ class BarrierWorld:
     start: tuple[float, float] = (-1.0, 0.0)
     action_limit: float = 0.5
     action_cost: float = 0.01
-    smooth_eps: float = 1e-6
 
     def __post_init__(self):
-        _check_fields(self, 2, ("center", "goal", "start"),
-                      ("radius", "kappa", "dt", "smooth_eps"))
-        try:   # the models square it, and Python's float ** raises on overflow
-            float(self.smooth_eps) ** 2
-        except OverflowError:
-            raise ValueError(f"smooth_eps must have a finite square, got {self.smooth_eps!r}")
-        if not self.smooth_eps < self.radius:   # every distance would reach the rim
-            raise ValueError(f"smooth_eps must be below radius {self.radius!r} or the world "
-                             f"has no barrier, got {self.smooth_eps!r}")
+        _check_fields(self, 2, ("center", "goal", "start"), ("radius", "kappa", "dt"))
+        if not self.radius > SMOOTH_EPS:   # every distance would reach the rim
+            raise ValueError(f"radius must exceed the smoothing distance {SMOOTH_EPS!r} or "
+                             f"the world has no barrier, got {self.radius!r}")
         if not self.center[1] > 0.0:
             raise ValueError("barrier center must sit strictly above y = 0")
         if self.action_cost < 0.0:
@@ -228,30 +221,26 @@ class BarrierDynamics(DynamicsModel):
         self._center = np.asarray(world.center, dtype=float)
         self._center_xy = self._center.tolist()
 
-    def _force(self, s):
-        w = self.world
-        u = s - self._center
-        d = np.sqrt(np.add.reduce(u * u, axis=-1, keepdims=True) + w.smooth_eps**2)
-        coeff = np.where(d < w.radius, w.kappa * (w.radius - d) / d, 0.0)
-        return coeff * u
-
     def step(self, s, a):
+        w = self.world
         s = np.asarray(s, dtype=float)
-        return s + self.world.dt * (np.asarray(a, dtype=float) + self._force(s))
+        u = s - self._center
+        d = np.sqrt(np.add.reduce(u * u, axis=-1, keepdims=True) + SMOOTH_EPS**2)
+        coeff = np.where(d < w.radius, w.kappa * (w.radius - d) / d, 0.0)
+        return s + w.dt * (np.asarray(a, dtype=float) + coeff * u)
 
     def rollout_states(self, s0, actions):
         """Up to FLOAT_ROWS rows, each row's whole horizon in one loop on
         Python floats: the batched formula's IEEE operations in its order
-        (smooth_eps**2 is the same float in both), so bit for bit its
+        (SMOOTH_EPS**2 is the same float in both), so bit for bit its
         states, without numpy's per-call cost at every step. Float ``**``
-        and ``/`` can raise where numpy's give inf or nan, so u is squared
-        as u*u, and a zero distance (smooth_eps**2 underflowed, at the
-        centre) takes the batched formula for that row and step."""
+        can raise where numpy's gives inf, so u is squared as u*u; the
+        distance is never zero, so ``/ d`` cannot raise."""
         if len(actions) > FLOAT_ROWS:
             return super().rollout_states(s0, actions)
         w = self.world
         cx, cy = self._center_xy
-        dt, radius, kappa, eps2 = w.dt, w.radius, w.kappa, w.smooth_eps**2
+        dt, radius, kappa, eps2 = w.dt, w.radius, w.kappa, SMOOTH_EPS**2
         sqrt = math.sqrt
         start = np.asarray(s0, dtype=float).tolist()
         rows = []
@@ -261,14 +250,8 @@ class BarrierDynamics(DynamicsModel):
             for ax, ay in seq:
                 ux, uy = x - cx, y - cy
                 d = sqrt(ux * ux + uy * uy + eps2)
-                if not d < radius:   # also a nan distance, as np.where takes it
-                    c = 0.0
-                elif d == 0.0:
-                    (x, y), = self.step([[x, y]], [[ax, ay]]).tolist()
-                    row += (x, y)
-                    continue
-                else:
-                    c = kappa * (radius - d) / d
+                # A nan distance takes 0.0, as np.where takes it.
+                c = kappa * (radius - d) / d if d < radius else 0.0
                 x = x + dt * (ax + c * ux)
                 y = y + dt * (ay + c * uy)
                 row += (x, y)
@@ -284,7 +267,7 @@ class BarrierDynamics(DynamicsModel):
         u0*u0 + u1*u1 rounds differently."""
         w = self.world
         u = np.asarray(states, dtype=float) - self._center
-        d = np.sqrt(np.vecdot(u, u) + w.smooth_eps**2)
+        d = np.sqrt(np.vecdot(u, u) + SMOOTH_EPS**2)
         c = w.kappa * (w.radius - d) / d
         k = w.kappa * w.radius / _libm_power(d, 3)
         jac = c[:, None, None] * np.eye(2) - k[:, None, None] * (u[:, :, None] * u[:, None, :])
@@ -548,8 +531,9 @@ class MlpModel(DynamicsModel):
     def linearize(self, states, actions):
         """One recorded pass over the (T, d_s) states and (T, d_a) actions
         keeps each hidden layer's SiLU slope, so vjp(t, g) only chains the
-        weight products. Equals backward at step t to rounding: BLAS may sum
-        a row's products in another order for another T."""
+        weight products. vjp(t, g) equals linearize of step t alone to
+        rounding: BLAS may sum a row's products in another order for
+        another T."""
         x = np.concatenate([np.asarray(states, dtype=float),
                             np.asarray(actions, dtype=float)], axis=-1)
         _, slopes = self._recorded_pass((x - self.in_mean) / self.in_std)

@@ -87,9 +87,13 @@ def make_policy(name: str, model, reward, cfg: PlannerConfig, bounds: ActionBoun
         cfg = replace(cfg, n_init=1, m_init=1, k=1, k_elite=None)
         return Policy(name, model, reward, cfg, bounds, warm_start=False)
     if re.fullmatch(r"cem-[1-9][0-9]*", name):
-        n, m = split_budget(int(name.removeprefix("cem-")))
-        cfg = replace(cfg, n_init=n, m_init=m, n_r=n, m_r=m, G=0, k=1, k_elite=None)
-        return Policy(name, model, reward, cfg, bounds)
+        try:
+            n, m = split_budget(int(name.removeprefix("cem-")))
+        except ValueError:   # more digits than Python's int-conversion limit
+            pass
+        else:
+            cfg = replace(cfg, n_init=n, m_init=m, n_r=n, m_r=m, G=0, k=1, k_elite=None)
+            return Policy(name, model, reward, cfg, bounds)
     raise ValueError(f"unknown planner {name!r}; valid planners: "
                      f"cemgd, gradient, cem-<budget>")
 

@@ -63,7 +63,7 @@ def per_step_reward_gradient(model, reward, traj):
         for t in range(seq.shape[0] - 1, -1, -1):
             r_gs, r_ga = per_sample_reward_backward(reward, traj.states[t + 1], seq[t])
             state_adjoint = state_adjoint + r_gs
-            f_gs, f_ga = model.backward(traj.states[t], seq[t], state_adjoint)
+            f_gs, f_ga = model.linearize(traj.states[t][None], seq[t][None])(0, state_adjoint)
             grad[t] = r_ga + f_ga
             state_adjoint = f_gs
     return grad

@@ -152,7 +152,7 @@ class TestUpdateDistribution:
 
 
 class TestRunCem:
-    def run(self, n, m, k_elite, seed=0, horizon=1, top_k=None):
+    def run(self, n, m, k_elite, top_k, seed=0, horizon=1):
         dist = SamplingDistribution.initial(horizon, 1)
         return run_cem(StaticDynamics(), ActionQuadReward(), np.zeros(1), dist,
                        n, m, k_elite, 0.1, bounds1, np.random.default_rng(seed),
@@ -160,7 +160,7 @@ class TestRunCem:
 
     def test_single_iteration_all_samples_ranked(self):
         n = 6
-        pooled = self.run(n=n, m=1, k_elite=n)
+        pooled = self.run(n=n, m=1, k_elite=n, top_k=n)
         # Reproduce the draws: same seed, same consumption order.
         dist = SamplingDistribution.initial(1, 1)
         draws = sample(dist, n, bounds1, np.random.default_rng(0))
@@ -171,26 +171,32 @@ class TestRunCem:
         assert got == want
 
     def test_quadratic_optimum_found(self):
-        pooled = self.run(n=100, m=10, k_elite=10, seed=5)
+        pooled = self.run(n=100, m=10, k_elite=10, top_k=1, seed=5)
         assert abs(pooled[0].actions[0, 0] - 0.3) < 0.05
 
     def test_best_reward_nondecreasing_in_m(self):
         # Identical seeds share the iteration prefix, so the pooled best
         # is a running maximum.
-        rewards = [self.run(n=20, m=m, k_elite=4, seed=9)[0].total_reward
+        rewards = [self.run(n=20, m=m, k_elite=4, top_k=1, seed=9)[0].total_reward
                    for m in (1, 2, 4, 8)]
         assert all(b >= a for a, b in zip(rewards, rewards[1:]))
 
     def test_top_k_dominates_and_feasible(self):
-        pooled = self.run(n=30, m=3, k_elite=5, seed=2)
+        pooled = self.run(n=30, m=3, k_elite=5, top_k=5, seed=2)
         top_rewards = [traj.total_reward for traj in pooled]
         assert top_rewards == sorted(top_rewards, reverse=True)
         for traj in pooled:
             assert np.all(traj.actions >= -1.0) and np.all(traj.actions <= 1.0)
 
     def test_top_k_parameter_truncates(self):
-        pooled = self.run(n=30, m=2, k_elite=5, seed=2, top_k=2)
+        pooled = self.run(n=30, m=2, k_elite=5, top_k=2, seed=2)
         assert len(pooled) == 2
+
+    def test_top_k_is_required(self):
+        dist = SamplingDistribution.initial(1, 1)
+        with pytest.raises(TypeError, match="top_k"):
+            run_cem(StaticDynamics(), ActionQuadReward(), np.zeros(1), dist, 5, 1, 2, 0.1,
+                    bounds1, np.random.default_rng(0))
 
     @pytest.mark.parametrize("top_k", [0, -1])
     def test_top_k_below_one_raises_before_any_rollout(self, monkeypatch, top_k):
@@ -224,9 +230,9 @@ class TestRunCem:
 
     def test_invalid_arguments(self):
         with pytest.raises(ValueError):
-            self.run(n=5, m=1, k_elite=6)
+            self.run(n=5, m=1, k_elite=6, top_k=1)
         with pytest.raises(ValueError):
-            self.run(n=5, m=0, k_elite=2)
+            self.run(n=5, m=0, k_elite=2, top_k=1)
 
     @pytest.mark.parametrize("alpha", [-0.1, 1.5, float("nan")])
     @pytest.mark.parametrize("m", [1, 3])
@@ -236,7 +242,7 @@ class TestRunCem:
         dist = SamplingDistribution.initial(1, 1)
         with pytest.raises(ValueError, match="alpha must lie in"):
             run_cem(StaticDynamics(), ActionQuadReward(), np.zeros(1), dist, 5, m, 2,
-                    alpha, bounds1, np.random.default_rng(0))
+                    alpha, bounds1, np.random.default_rng(0), top_k=1)
 
     def test_no_refit_after_last_iteration(self, monkeypatch):
         # m - 1 refits, and the result equals the recipe that refit after

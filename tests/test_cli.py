@@ -267,8 +267,7 @@ class TestGridCells:
 
 class TestGradcheck:
     def test_barrier_passes(self, capsys):
-        code = main(["gradcheck", "--env", "barrier", "--seed", "7",
-                     "--probes", "5", "--horizon", "6"])
+        code = main(["gradcheck", "--env", "barrier", "--seed", "7"])
         assert code == 0
         out = capsys.readouterr().out
         assert "max relative gradient error" in out
@@ -399,18 +398,9 @@ class TestConfigErrors:
         ("cells[0].env", {"cells": [dict(CELL, env={"name": "cartpole", "half_length": 0})]}),
         # k above the default elite count of n_r = 10, whatever the planners.
         ("planner_config", {"planner_config": {"k": 2}}),
-        # Every world scalar is a finite number; a NaN smooth_eps would
-        # make every distance NaN, a world with no barrier.
-        ("cells[0].env", {"cells": [dict(CELL, env={"name": "barrier", "smooth_eps": "abc"})]}),
+        # Every world scalar is a finite number.
         ("cells[0].env", {"cells": [dict(CELL, env={"name": "cartpole", "force_scale": "x"})]}),
-        ("cells[0].env", {"cells": [dict(CELL, env={"name": "barrier",
-                                                    "smooth_eps": float("nan")})]}),
-        ("cells[0].env", {"cells": [dict(CELL, env={"name": "barrier", "smooth_eps": 0})]}),
         ("cells[0].env", {"cells": [dict(CELL, env={"name": "cartpole", "gravity": True})]}),
-        # A smooth_eps whose square overflows a float (was an OverflowError
-        # traceback), and one at the rim, which leaves a world with no barrier.
-        ("cells[0].env", {"cells": [dict(CELL, env={"name": "barrier", "smooth_eps": 1e200})]}),
-        ("cells[0].env", {"cells": [dict(CELL, env={"name": "barrier", "smooth_eps": 0.4})]}),
         # ".." passes as its own base name but names a directory.
         ("table.file", {"cells": [dict(CELL, row={"budget": 50})],
                         "table": {"file": "..", "columns": {"r": "mean_reward"}}}),
@@ -429,12 +419,25 @@ class TestConfigErrors:
               ("cells[0].planner", {"cells": [dict(CELL, planner="cem-050")]}, "cem-050",
                UNKNOWN.format("cem-050")),
               ("planners", {"planners": ["cem-\u0665\u0660"]}, "cem-arabic-indic",
-               UNKNOWN.format("cem-\u0665\u0660"))]],
+               UNKNOWN.format("cem-\u0665\u0660")),
+              # More digits than Python's int-conversion limit.
+              ("planners", {"planners": ["cem-" + "9" * 5000]}, "cem-5000-digits",
+               UNKNOWN.format("cem-" + "9" * 5000))]],
         # Planner numbers are finite reals, not bools, and fit a float.
         *[pytest.param("planner_config", {"planner_config": {"eta_init": value}},
                        f"eta_init must be a finite number, got {value!r}",
                        id=f"planner_config-eta_init-{label}")
           for label, value in (("true", True), ("400-digit-int", 10**399))],
+        # The barrier's smoothing distance is a constant, not an option, and
+        # a radius within it leaves a world with no barrier.
+        pytest.param("cells[0].env.smooth_eps",
+                     {"cells": [dict(CELL, env={"name": "barrier", "smooth_eps": 1e-6})]},
+                     "expected a barrier option (center, radius, kappa, goal, dt, start, "
+                     "action_limit, action_cost), got 'smooth_eps'", id="smooth_eps-key"),
+        pytest.param("cells[0].env",
+                     {"cells": [dict(CELL, env={"name": "barrier", "radius": 1e-7})]},
+                     "radius must exceed the smoothing distance 1e-06 or the world has no "
+                     "barrier, got 1e-07", id="radius-within-smoothing"),
         *[pytest.param("version", {"version": value}, f"expected 1, got {value!r}",
                        id=f"version-{value!r}") for value in (True, 1.0)],
         *[pytest.param("models.barrier", {"models": {"barrier": {"path": value}}},
@@ -481,15 +484,35 @@ class TestConfigErrors:
     ["train-model", "--batch", "0"], ["train-model", "--epochs", "-1"],
     ["train-model", "--episodes", "0"], ["train-model", "--steps", "0"],
     ["train-model", "--lr", "0"],
-    ["gradcheck", "--probes", "0"], ["gradcheck", "--horizon", "0"],
 ])
 def test_numeric_flag_named_before_any_output(tmp_path, capsys, argv):
-    if argv[0] == "train-model":
-        argv = argv + ["--out", str(tmp_path / "r")]
-    assert main(argv) == 2
+    assert main(argv + ["--out", str(tmp_path / "r")]) == 2
     out, err = capsys.readouterr()
     assert out == "" and err.startswith(f"error: {argv[1]}: ") and err.count("\n") == 1
     assert not (tmp_path / "r").exists()
+
+
+def test_gradcheck_has_no_probes_flag(capsys):
+    # gradcheck runs at gradient_check's defaults: 50 probes of horizon 12.
+    with pytest.raises(SystemExit) as exit_info:
+        main(["gradcheck", "--probes", "5"])
+    assert exit_info.value.code == 2
+    assert "unrecognized arguments: --probes 5" in capsys.readouterr().err
+
+
+def test_failed_allocation_is_one_line(tmp_path, capsys, monkeypatch):
+    # As numpy's MemoryError for a huge "steps" reads; no real request is
+    # made, since a host that overcommits memory could grant it.
+    message = ("Unable to allocate 1.46 TiB for an array with shape (100000000001, 2) "
+               "and data type float64")
+
+    def run_episode(*args):
+        raise MemoryError(message)
+
+    monkeypatch.setattr(harness, "run_episode", run_episode)
+    assert main(["compare", "--config", run_config(tmp_path), "--out", str(tmp_path / "r")]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err == f"error: {message}\n"
 
 
 @pytest.mark.parametrize("make, argv", [

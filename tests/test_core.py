@@ -20,9 +20,6 @@ class PointMass(DynamicsModel):
     def step(self, s, a):
         return np.asarray(s, dtype=float) + self.dt * np.asarray(a, dtype=float)
 
-    def backward(self, s, a, g):
-        return np.asarray(g, dtype=float).copy(), self.dt * np.asarray(g, dtype=float)
-
 
 class NegSquaredNorm:
     def reward(self, s_next, a):

@@ -5,8 +5,8 @@ from functools import partial
 import numpy as np
 import pytest
 
-from trajplan.dynamics import (FLOAT_ROWS, BarrierWorld, CartpoleWorld, DynamicsModel,
-                               make_environment)
+from trajplan.dynamics import (FLOAT_ROWS, SMOOTH_EPS, BarrierWorld, CartpoleWorld,
+                               DynamicsModel, make_environment)
 
 
 def central_diff_vjp(model, s, a, g, h=1e-5):
@@ -28,8 +28,13 @@ def central_diff_vjp(model, s, a, g, h=1e-5):
     return grad_s, grad_a
 
 
+def one_step_vjp(model, s, a, g):
+    """The VJPs at the single sample (s, a): linearize at T = 1."""
+    return model.linearize(s[None], a[None])(0, g)
+
+
 def assert_vjp_close(model, s, a, g, tol):
-    got_s, got_a = model.backward(s, a, g)
+    got_s, got_a = one_step_vjp(model, s, a, g)
     want_s, want_a = central_diff_vjp(model, s, a, g)
     scale_s = np.maximum(1.0, np.maximum(np.abs(want_s), np.abs(got_s)))
     scale_a = np.maximum(1.0, np.maximum(np.abs(want_a), np.abs(got_a)))
@@ -51,7 +56,7 @@ class TestBarrier:
         # vectorized implementation.
         w = self.world
         ux, uy = s[0] - w.center[0], s[1] - w.center[1]
-        d = math.sqrt(ux * ux + uy * uy + w.smooth_eps**2)
+        d = math.sqrt(ux * ux + uy * uy + SMOOTH_EPS**2)
         if d >= w.radius:
             return 0.0, 0.0
         c = w.kappa * (w.radius - d) / d
@@ -122,7 +127,7 @@ class TestBarrier:
             BarrierWorld(center=(0.0, -0.1))
 
 
-BARRIER_SCALARS = ("radius", "kappa", "dt", "action_limit", "action_cost", "smooth_eps")
+BARRIER_SCALARS = ("radius", "kappa", "dt", "action_limit", "action_cost")
 CARTPOLE_SCALARS = ("masscart", "masspole", "half_length", "gravity", "dt", "force_scale",
                     "x_cost", "action_cost", "action_limit")
 
@@ -135,21 +140,14 @@ def test_world_scalars_must_be_finite_numbers(world, name, value):
         world(**{name: value})
 
 
-@pytest.mark.parametrize("value", [0.0, -1e-6])
-def test_smooth_eps_must_be_positive(value):
-    with pytest.raises(ValueError, match="^smooth_eps must be a positive"):
-        BarrierWorld(smooth_eps=value)
-
-
-@pytest.mark.parametrize("overrides, message", [
-    ({"smooth_eps": 1e200}, "smooth_eps must have a finite square"),
-    ({"smooth_eps": 1e200, "radius": 1e300}, "smooth_eps must have a finite square"),
-    ({"smooth_eps": 0.4}, "smooth_eps must be below radius"),
-    ({"smooth_eps": 1.0, "radius": 0.5}, "smooth_eps must be below radius"),
-])
-def test_smooth_eps_must_leave_a_barrier_and_square_finitely(overrides, message):
-    with pytest.raises(ValueError, match=f"^{message}"):
-        BarrierWorld(**overrides)
+def test_radius_must_exceed_the_fixed_smoothing_distance():
+    # Every distance is at least SMOOTH_EPS, so a radius at or below it
+    # leaves no state within the rim, a world with no barrier.
+    for radius in (SMOOTH_EPS, SMOOTH_EPS / 10):
+        with pytest.raises(ValueError, match="^radius must exceed the smoothing distance"):
+            BarrierWorld(radius=radius)
+    with pytest.raises(TypeError, match="smooth_eps"):
+        BarrierWorld(smooth_eps=1e-6)
 
 
 class TestCartpole:
@@ -250,11 +248,11 @@ def barrier_rim_states(world):
 
     def inside(s):
         u = s - center
-        return math.sqrt(float(u @ u) + world.smooth_eps**2) < world.radius
+        return math.sqrt(float(u @ u) + SMOOTH_EPS**2) < world.radius
 
     states = [center.copy()]
     for angle in np.linspace(0.0, 2.0 * np.pi, 8, endpoint=False) + 0.1:
-        rho = math.sqrt(world.radius**2 - world.smooth_eps**2)
+        rho = math.sqrt(world.radius**2 - SMOOTH_EPS**2)
         s = center + rho * np.array([math.cos(angle), math.sin(angle)])
         i = int(np.argmax(np.abs(s - center)))   # walk the longer coordinate
         outward = math.copysign(math.inf, s[i] - center[i])
@@ -303,22 +301,17 @@ class TestBarrierFloatRollout:
         return out
 
     @staticmethod
-    def allow_batched_formula_only_at_zero_distance(dyn, monkeypatch):
-        force = dyn._force
+    def forbid_the_batched_formula(dyn, monkeypatch):
+        def step(s, a):
+            raise AssertionError("the float loop took the batched formula")
 
-        def zero_distance_force(s):
-            u = np.asarray(s) - dyn._center
-            if not (np.add.reduce(u * u, axis=-1) + dyn.world.smooth_eps**2 == 0.0).all():
-                raise AssertionError("the float loop took the batched formula")
-            return force(s)
-
-        monkeypatch.setattr(dyn, "_force", zero_distance_force)
+        monkeypatch.setattr(dyn, "step", step)
 
     def assert_rollouts_match(self, dyn, states, actions, monkeypatch, steps=3):
         batched = partial(DynamicsModel.rollout_states, dyn)
         want = [self.rollouts(batched, s, np.roll(actions, -i, axis=0), steps)
                 for i, s in enumerate(states)]
-        self.allow_batched_formula_only_at_zero_distance(dyn, monkeypatch)
+        self.forbid_the_batched_formula(dyn, monkeypatch)
         for i, s in enumerate(states):
             got = self.rollouts(dyn.rollout_states, s, np.roll(actions, -i, axis=0), steps)
             for g, w in zip(got, want[i]):
@@ -328,7 +321,7 @@ class TestBarrierFloatRollout:
     # scalars round, so an operation order other than the formula's shows.
     @pytest.mark.parametrize("world", [
         BarrierWorld(),
-        BarrierWorld(center=(0.1, 0.2), radius=0.45, kappa=7.3, dt=0.03, smooth_eps=1e-3),
+        BarrierWorld(center=(0.1, 0.2), radius=0.45, kappa=7.3, dt=0.03),
     ])
     def test_rim_centre_and_random_states(self, world, monkeypatch):
         rng = np.random.default_rng(21)
@@ -340,7 +333,7 @@ class TestBarrierFloatRollout:
         ])
         aa = rng.uniform(-0.5, 0.5, size=ss.shape)
         u = ss - center
-        inside = np.sqrt(np.add.reduce(u * u, axis=-1) + world.smooth_eps**2) < world.radius
+        inside = np.sqrt(np.add.reduce(u * u, axis=-1) + SMOOTH_EPS**2) < world.radius
         assert inside.any() and not inside.all()
         self.assert_rollouts_match(world.dynamics(), ss, aa, monkeypatch)
 
@@ -360,39 +353,11 @@ class TestBarrierFloatRollout:
         self.assert_rollouts_match(dyn, np.concatenate([pairs, finite]),
                                    np.concatenate([finite, pairs]), monkeypatch)
 
-    def test_underflowed_smoothing_at_the_centre(self, monkeypatch):
-        # smooth_eps**2 underflows to 0.0, so the distance at the exact
-        # centre is 0.0: the batched formula's kappa*r/0 = inf, times u = 0,
-        # is nan, where a float division would raise ZeroDivisionError.
-        world = BarrierWorld(smooth_eps=1e-170)
-        assert world.smooth_eps**2 == 0.0
-        dyn = world.dynamics()
-        s0 = np.asarray(world.center, dtype=float)
-        want = self.rollouts(partial(DynamicsModel.rollout_states, dyn), s0, np.zeros((1, 2)), 3)
-        assert all(np.isnan(w[:, 1:]).all() for w in want)
-        self.allow_batched_formula_only_at_zero_distance(dyn, monkeypatch)
-        for got, w in zip(self.rollouts(dyn.rollout_states, s0, np.zeros((1, 2)), 3), want):
-            assert_bits_or_nans(got, w)
-
-    def test_zero_distance_mid_rollout_takes_the_batched_formula_for_that_row(self, monkeypatch):
-        # Row 0 steps from (0, 0) onto the exact centre (0.05 * 5.0 rounds
-        # to 0.25), whose distance is 0.0 at step 1; row 1 never reaches it.
-        world = BarrierWorld(center=(0.0, 0.25), radius=0.1, smooth_eps=1e-170)
-        dyn = world.dynamics()
-        s0, seqs = np.zeros(2), np.zeros((2, 3, 2))
-        seqs[:, 0, 1] = 5.0, 1.0
-        with np.errstate(all="ignore"):
-            want = DynamicsModel.rollout_states(dyn, s0, seqs)
-        assert np.array_equal(want[0, 1], world.center)
-        assert np.isnan(want[0, 2:]).all() and np.isfinite(want[1]).all()
-        self.allow_batched_formula_only_at_zero_distance(dyn, monkeypatch)
-        with np.errstate(all="ignore"):
-            assert_bits_or_nans(dyn.rollout_states(s0, seqs), want)
-
 
 # The analytic VJPs were first written per sample, in Python floats. They
-# are kept here as references that linearize and backward must equal bit
-# for bit: the planners' results were recorded with them.
+# are kept here as references that linearize, over a whole trajectory and
+# at one step, must equal bit for bit: the planners' results were recorded
+# with them.
 
 
 def scalar_barrier_backward(dyn, s, a, grad_next):
@@ -400,7 +365,7 @@ def scalar_barrier_backward(dyn, s, a, grad_next):
     s = np.asarray(s, dtype=float)
     grad_next = np.asarray(grad_next, dtype=float)
     u = s - dyn._center
-    d = math.sqrt(float(u @ u) + w.smooth_eps**2)
+    d = math.sqrt(float(u @ u) + SMOOTH_EPS**2)
     grad_s = grad_next.copy()
     if d < w.radius:
         c = w.kappa * (w.radius - d) / d
@@ -472,7 +437,7 @@ def cartpole_states_with_rounding_squares(world, rng, pool=100_000, each=40):
 
 
 @pytest.mark.parametrize("name", ["barrier", "cartpole"])
-def test_linearize_and_backward_match_scalar_references_bitwise(name):
+def test_linearize_matches_scalar_references_bitwise(name):
     env = make_environment(name)
     rng = np.random.default_rng(7)
     n = 2000
@@ -497,7 +462,7 @@ def test_linearize_and_backward_match_scalar_references_bitwise(name):
     vjp = env.dynamics.linearize(ss, aa)
     for t in range(len(ss)):
         want = reference(env.dynamics, ss[t], aa[t], gg[t])
-        for got in (vjp(t, gg[t]), env.dynamics.backward(ss[t], aa[t], gg[t])):
+        for got in (vjp(t, gg[t]), one_step_vjp(env.dynamics, ss[t], aa[t], gg[t])):
             for part, ref in zip(got, want):
                 assert_bitwise(part, ref)
 
@@ -523,7 +488,7 @@ def np_sum_barrier_step(dyn, s, a):
     w = dyn.world
     s = np.asarray(s, dtype=float)
     u = s - dyn._center
-    d = np.sqrt(np.sum(u * u, axis=-1, keepdims=True) + w.smooth_eps**2)
+    d = np.sqrt(np.sum(u * u, axis=-1, keepdims=True) + SMOOTH_EPS**2)
     force = np.where(d < w.radius, w.kappa * (w.radius - d) / d, 0.0) * u
     return s + w.dt * (np.asarray(a, dtype=float) + force)
 

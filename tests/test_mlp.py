@@ -82,11 +82,16 @@ class TestForward:
                                        rtol=1e-12, atol=0)
 
 
+def one_step_vjp(model, s, a, g):
+    """The VJPs at the single sample (s, a): linearize at T = 1."""
+    return model.linearize(s[None], a[None])(0, g)
+
+
 class TestBackward:
     def test_zero_weights_residual_path_only(self):
         model = zero_weight_model()
         g = np.array([1.0, -2.0, 0.5])
-        grad_s, grad_a = model.backward(np.zeros(3), np.zeros(2), g)
+        grad_s, grad_a = one_step_vjp(model, np.zeros(3), np.zeros(2), g)
         assert np.array_equal(grad_s, g)
         assert np.array_equal(grad_a, np.zeros(2))
 
@@ -102,7 +107,7 @@ class TestBackward:
         h = 1e-5
         for _ in range(25):
             s, a, g = rng.normal(size=3), rng.normal(size=2), rng.normal(size=3)
-            grad_s, grad_a = model.backward(s, a, g)
+            grad_s, grad_a = one_step_vjp(model, s, a, g)
             for i in range(3):
                 sp, sm = s.copy(), s.copy()
                 sp[i] += h
@@ -142,7 +147,7 @@ class TestLinearize:
         for t in range(T):
             g = rng.normal(size=4)
             want = per_sample_vjp(model, states[t], actions[t], g)
-            for got in (vjp(t, g), model.backward(states[t], actions[t], g)):
+            for got in (vjp(t, g), one_step_vjp(model, states[t], actions[t], g)):
                 err = np.linalg.norm(np.concatenate(got) - want)
                 assert err <= 1e-12 * np.linalg.norm(want)
 

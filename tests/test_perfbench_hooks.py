@@ -22,7 +22,7 @@ TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 
 KNOWN_STALE = {"trajplan.harness.run_cem", "trajplan.cemgd.rollout",
                "trajplan.gradplanner.rollout",
-               # backward is inherited from DynamicsModel: linearize at T = 1
+               # the models' backward is deleted: linearize is each model's VJP
                "trajplan.dynamics:BarrierDynamics.backward",
                "trajplan.dynamics:CartpoleDynamics.backward",
                "trajplan.dynamics:MlpModel.backward"}
