@@ -492,12 +492,13 @@ def test_numeric_flag_named_before_any_output(tmp_path, capsys, argv):
     assert not (tmp_path / "r").exists()
 
 
-def test_gradcheck_has_no_probes_flag(capsys):
+@pytest.mark.parametrize("flag", ["--probes", "--horizon"])
+def test_gradcheck_has_no_probes_flag(capsys, flag):
     # gradcheck runs at gradient_check's defaults: 50 probes of horizon 12.
     with pytest.raises(SystemExit) as exit_info:
-        main(["gradcheck", "--probes", "5"])
+        main(["gradcheck", flag, "5"])
     assert exit_info.value.code == 2
-    assert "unrecognized arguments: --probes 5" in capsys.readouterr().err
+    assert f"unrecognized arguments: {flag} 5" in capsys.readouterr().err
 
 
 def test_failed_allocation_is_one_line(tmp_path, capsys, monkeypatch):

@@ -140,12 +140,30 @@ def test_world_scalars_must_be_finite_numbers(world, name, value):
         world(**{name: value})
 
 
-def test_radius_must_exceed_the_fixed_smoothing_distance():
+@pytest.mark.parametrize("world, name, size", [(BarrierWorld, name, 2)
+                                                for name in ("center", "goal", "start")]
+                         + [(CartpoleWorld, "start", 4)])
+@pytest.mark.parametrize("make", [
+    lambda size: "x" * size,                              # a string is not a vector
+    lambda size: (0.5,) * (size - 1),
+    lambda size: (math.nan,) + (0.5,) * (size - 1),
+    lambda size: (0.5,) * (size - 1) + (-math.inf,),
+    lambda size: (True,) + (0.5,) * (size - 1),
+], ids=["string", "short", "nan", "inf", "bool"])
+def test_world_vectors_must_hold_finite_numbers(world, name, size, make):
+    with pytest.raises(ValueError, match=f"^{name} must be {size} finite numbers"):
+        world(**{name: make(size)})
+
+
+@pytest.mark.parametrize("radius", [SMOOTH_EPS, SMOOTH_EPS / 10])
+def test_radius_must_exceed_the_fixed_smoothing_distance(radius):
     # Every distance is at least SMOOTH_EPS, so a radius at or below it
     # leaves no state within the rim, a world with no barrier.
-    for radius in (SMOOTH_EPS, SMOOTH_EPS / 10):
-        with pytest.raises(ValueError, match="^radius must exceed the smoothing distance"):
-            BarrierWorld(radius=radius)
+    with pytest.raises(ValueError, match="^radius must exceed the smoothing distance"):
+        BarrierWorld(radius=radius)
+
+
+def test_smooth_eps_is_not_an_option():
     with pytest.raises(TypeError, match="smooth_eps"):
         BarrierWorld(smooth_eps=1e-6)
 
