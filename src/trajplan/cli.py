@@ -17,8 +17,8 @@ import numpy as np
 
 from . import harness
 from .core import PlannerConfig, split_budget
-from .dynamics import (ENVIRONMENTS, MlpModel, TrainingDivergedError,
-                       collect_random_rollouts, fit_mlp, make_environment)
+from .dynamics import (ENVIRONMENTS, MlpModel, collect_random_rollouts, fit_mlp,
+                       make_environment)
 
 CONFIG_VERSION = 1
 
@@ -29,7 +29,8 @@ class ConfigError(ValueError):
 
 # Every preset runs 20 seeded episodes of 100 steps per cell.
 _EPISODES = {"version": 1, "steps": 100, "seeds": list(range(20))}
-_LINEUP = {**_EPISODES, "envs": ["barrier", "cartpole"], "planners": harness.PLANNER_NAMES}
+_LINEUP = {**_EPISODES, "cells": [{"env": e, "planner": p} for e in ("barrier", "cartpole")
+                                   for p in harness.PLANNER_NAMES]}
 PRESETS = {
     # Published hyperparameters throughout.
     "paper_defaults": {**_LINEUP, "planner_config": {}},
@@ -55,8 +56,7 @@ PRESETS = {
                   "columns": {"mean_reward": "mean_reward", "std_reward": "std_reward"}}},
 }
 
-CONFIG_KEYS = ("version", "steps", "seeds", "envs", "planners", "planner_config", "models",
-               "cells", "table")
+CONFIG_KEYS = ("version", "steps", "seeds", "planner_config", "models", "cells", "table")
 CELL_KEYS = ("env", "id", "planner", "planner_config", "row")
 
 
@@ -90,22 +90,19 @@ def load_config(source: str) -> dict:
              version)
     steps = config.get("steps", harness.DEFAULT_STEPS)
     _require(type(steps) is int and steps >= 1, "steps", "a positive integer", steps)
-    _check_list(config, "seeds", "nonnegative integers", lambda s: type(s) is int and s >= 0)
-    _check_list(config, "envs", f"environment names ({', '.join(sorted(ENVIRONMENTS))})",
-                lambda e: isinstance(e, str) and e in ENVIRONMENTS)
-    _check_list(config, "planners", "planner names", lambda p: isinstance(p, str) and p)
-    _check_list(config, "cells", "cell objects", lambda c: isinstance(c, dict))
+    if "seeds" in config:
+        _check_list(config["seeds"], "seeds", "nonnegative integers",
+                    lambda s: type(s) is int and s >= 0)
+    _check_list(config.get("cells"), "cells", "cell objects", lambda c: isinstance(c, dict))
     return config
 
 
-def _check_list(config: dict, key: str, what: str, valid) -> None:
-    """A list field, when present, must be nonempty and hold distinct valid items."""
-    if key in config:
-        value = config[key]
-        _require(isinstance(value, list) and value and all(map(valid, value)), key,
-                 f"a nonempty list of {what}", value)
-        for i, item in enumerate(value):
-            _require(item not in value[:i], key, "no duplicate entries", item)
+def _check_list(value, key: str, what: str, valid) -> None:
+    """A list field must be nonempty and hold distinct valid items."""
+    _require(isinstance(value, list) and value and all(map(valid, value)), key,
+             f"a nonempty list of {what}", value)
+    for i, item in enumerate(value):
+        _require(item not in value[:i], key, "no duplicate entries", item)
 
 
 def planner_config_from(overrides, field: str = "planner_config") -> PlannerConfig:
@@ -118,19 +115,6 @@ def planner_config_from(overrides, field: str = "planner_config") -> PlannerConf
         return PlannerConfig(**overrides)
     except ValueError as err:
         raise ConfigError(f"config field '{field}': {err}") from None
-
-
-def _config_cells(config: dict) -> list[tuple[str, dict]]:
-    """The config's grid as (field path prefix, cell) pairs: the ``cells``
-    list, or one cell per pair of the ``envs`` x ``planners`` shorthand."""
-    if "cells" in config:
-        for key in ("envs", "planners"):
-            if key in config:
-                raise ConfigError(f"config field '{key}': cannot be combined with 'cells'")
-        return [(f"cells[{i}].", cell) for i, cell in enumerate(config["cells"])]
-    return [("", {"env": env, "planner": planner})
-            for env in config.get("envs", ["barrier", "cartpole"])
-            for planner in config.get("planners", harness.PLANNER_NAMES)]
 
 
 def _check_cell(where: str, cell: dict, shared: dict) -> dict:
@@ -169,14 +153,13 @@ def _check_cell(where: str, cell: dict, shared: dict) -> dict:
 
 
 def _check_table(config: dict, cells: list[tuple[str, dict]]) -> None:
-    """A ``table`` goes with a ``cells`` list whose rows all have the first
-    row's keys; its columns name summary statistics."""
+    """A ``table`` goes with cells whose rows all have the first row's keys;
+    its columns name summary statistics."""
     table = config.get("table")
     if table is None:
         return
-    _require("cells" in config and isinstance(table, dict)
-             and table.keys() == {"file", "columns"}, "table",
-             'an object {"file": ..., "columns": ...} beside a \'cells\' list', table)
+    _require(isinstance(table, dict) and table.keys() == {"file", "columns"}, "table",
+             'an object {"file": ..., "columns": ...}', table)
     name, columns = table["file"], table["columns"]
     _require(isinstance(name, str) and name and Path(name).name == name
              and name not in ("..", "raw.csv", "summary.csv", "failures.csv"), "table.file",
@@ -203,29 +186,29 @@ def _grid_config(args) -> tuple[dict, list[dict]]:
     config = load_config(args.config)
     shared = config.get("planner_config") or {}
     planner_config_from(shared)
-    cells = [(where, _check_cell(where, cell, shared)) for where, cell in _config_cells(config)]
+    cells = [(f"cells[{i}].", _check_cell(f"cells[{i}].", cell, shared))
+             for i, cell in enumerate(config["cells"])]
     seen = set()
     for where, cell in cells:
         key = (cell["env"].name, cell["id"])
         _require(key not in seen, where + "id", "one cell per (env, id)", cell["id"])
         seen.add(key)
-    envs = {cell["env"].name: cell["env"] for _, cell in cells}
+    grid = {cell["env"].name: cell["env"] for _, cell in cells}
     _check_table(config, cells)
     models = config.get("models", {})
     _require(isinstance(models, dict), "models", "an object of environment names", models)
     for name in models:
-        _require(name in envs, f"models.{name}",
-                 f"an environment of the grid ({', '.join(sorted(envs))})", name)
-    planning = {name: model for name, section in models.items()
-                if (model := _load_planning_model(section, envs[name])) is not None}
+        _require(name in grid, f"models.{name}",
+                 f"an environment of the grid ({', '.join(sorted(grid))})", name)
+    planning = {name: _load_planning_model(section, grid[name])
+                for name, section in models.items()}
     for where, cell in cells:
         env = cell["env"]
         try:
             policy = harness.make_policy(cell["planner"], planning.get(env.name, env.dynamics),
                                          env.reward, cell["cfg"], env.bounds)
         except ValueError as err:  # an unknown planner id
-            field = where + "planner" if where else "planners"   # the shorthand's list
-            raise ConfigError(f"config field '{field}': {err}") from None
+            raise ConfigError(f"config field '{where}planner': {err}") from None
         cell["policy"] = dataclasses.replace(policy, planner_id=cell["id"])
     return config, [cell for _, cell in cells]
 
@@ -241,14 +224,11 @@ def _out_dir(args, *names: str) -> Path:
 
 
 def _load_planning_model(section, env):
-    """None (ground truth) or an MLP dynamics model, loaded from file, of
-    the environment's state and action sizes."""
-    if section in (None, "analytic"):
-        return None
+    """The MLP dynamics model of ``{"path": "<model file>"}``, of the
+    environment's state and action sizes."""
     field = f"models.{env.name}"
     path = section.get("path") if isinstance(section, dict) else None
-    _require(isinstance(path, str) and path, field, '"analytic" or {"path": "<model file>"}',
-             section)
+    _require(isinstance(path, str) and path, field, '{"path": "<model file>"}', section)
     model = MlpModel.load_binary(Path(path))
     sizes = (env.dynamics.d_s, env.dynamics.d_a)
     _require((model.d_s, model.d_a) == sizes, field,
@@ -311,24 +291,18 @@ def _check_positive(args, *flags) -> None:
 
 
 def cmd_train_model(args) -> int:
-    _check_positive(args, "episodes", "steps", "epochs", "batch")
+    _check_positive(args, "episodes", "steps", "epochs")
     widths = args.hidden.split(",")
     if not all(w.isdecimal() and int(w) > 0 for w in widths):
         raise ConfigError(f"--hidden: expected comma-separated positive integers, "
                           f"got {args.hidden!r}")
-    if not args.lr > 0:
-        raise ConfigError(f"--lr: expected a positive number, got {args.lr}")
     out = _out_dir(args, "model.bin")
     env = make_environment(args.env)
     rng = np.random.default_rng(args.seed or 0)
     data = collect_random_rollouts(env.dynamics, env.bounds, env.start_state,
                                    episodes=args.episodes, steps=args.steps, rng=rng)
     hidden = tuple(int(w) for w in widths)
-    try:
-        model, history = fit_mlp(data, epochs=args.epochs, batch_size=args.batch,
-                                 lr=args.lr, hidden=hidden, rng=rng)
-    except TrainingDivergedError as err:
-        raise ConfigError(f"--lr: {err}") from None
+    model, history = fit_mlp(data, epochs=args.epochs, hidden=hidden, rng=rng)
     model.save_binary(out / "model.bin")
     print(f"trained on {data[0].shape[0]} transitions; normalized MSE "
           f"{history[0]:.4f} -> {history[-1]:.6f}")
@@ -368,8 +342,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--episodes", type=int, default=500)
     p.add_argument("--steps", type=int, default=200)
     p.add_argument("--epochs", type=int, default=50)
-    p.add_argument("--batch", type=int, default=64)
-    p.add_argument("--lr", type=float, default=1e-3)
     p.add_argument("--hidden", default="200,200,200")
     p.set_defaults(func=cmd_train_model)
 

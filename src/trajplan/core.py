@@ -163,7 +163,7 @@ def rollout_batch(model, reward, s0: Array, seqs: Array):
 
 def default_elite_count(n: int) -> int:
     """Conventional elite share: 10% of the samples, at least one."""
-    return max(int(np.ceil(0.1 * n)), 1)
+    return max(-(-n // 10), 1)
 
 
 def split_budget(total: int) -> tuple[int, int]:

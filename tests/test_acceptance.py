@@ -122,8 +122,8 @@ def test_criterion_8_csv_determinism(tmp_path):
     config = tmp_path / "compare.json"
     config.write_text(json.dumps({
         "version": 1,
-        "envs": ["barrier", "cartpole"],
-        "planners": list(harness.PLANNER_NAMES),
+        "cells": [{"env": env, "planner": planner} for env in ("barrier", "cartpole")
+                  for planner in harness.PLANNER_NAMES],
         "planner_config": {"horizon": 8, "n_init": 100, "m_init": 2, "G": 3},
         "steps": 4,
         "seeds": [0, 1],

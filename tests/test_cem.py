@@ -283,3 +283,7 @@ def test_default_elite_count():
     assert default_elite_count(100) == 10
     assert default_elite_count(1000) == 100
     assert default_elite_count(3) == 1
+
+
+def test_default_elite_count_is_exact_past_the_float_range():
+    assert default_elite_count(10**400) == 10**399

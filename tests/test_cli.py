@@ -10,7 +10,7 @@ import pytest
 from trajplan import cli, harness
 from trajplan.cli import (CONFIG_KEYS, PRESETS, _grid_config, build_parser, load_config, main,
                           planner_config_from)
-from trajplan.dynamics import MlpModel
+from trajplan.dynamics import MlpModel, TrainingDivergedError
 
 
 def run_config(tmp_path, cell=None, **overrides):
@@ -41,6 +41,8 @@ def diverging_model(tmp_path):
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
+CELL = {"env": "barrier", "planner": "cem-50"}
+
 
 @pytest.fixture
 def episodes(monkeypatch):
@@ -59,6 +61,13 @@ class TestConfig:
             assert config["version"] == 1
             _grid_config(argparse.Namespace(config=name))
 
+    @pytest.mark.parametrize("preset", ["paper_defaults", "desk"])
+    def test_lineup_presets_are_ten_cells_env_major(self, preset):
+        # The desk results hash depends on this cell order.
+        assert PRESETS[preset]["cells"] == [
+            {"env": env, "planner": planner} for env in ("barrier", "cartpole")
+            for planner in ("cemgd", "gradient", "cem-50", "cem-500", "cem-5000")]
+
     def test_readme_configs_load(self, tmp_path):
         blocks = [part.split("```", 1)[0] for part in README.read_text().split("```json")[1:]]
         assert len(blocks) == 2
@@ -70,12 +79,14 @@ class TestConfig:
 
     @pytest.mark.parametrize("key, config", [
         ("planer_config", {"planer_config": {"horizon": 3}}),
-        # A one-cell grid given by top-level env/planner/model keys, which
-        # are cell keys and no config keys.
+        # A one-cell grid given by top-level env/planner keys, which are
+        # cell keys and no config keys.
         ("env", {"cells": None, "env": "barrier",
-                 "planner": {"name": "cemgd", "config": {"horizon": 4}},
-                 "model": "analytic"}),
-    ], ids=["misspelt", "cell-keys-at-top-level"])
+                 "planner": {"name": "cemgd", "config": {"horizon": 4}}}),
+        # The grid has one form, a cells list; envs x planners is no config.
+        ("envs", {"envs": ["barrier"]}),
+        ("planners", {"planners": ["cem-50"]}),
+    ], ids=["misspelt", "cell-keys-at-top-level", "envs", "planners"])
     def test_unknown_top_level_key_named_before_any_output(self, tmp_path, capsys, key,
                                                            config):
         path = run_config(tmp_path, **config)
@@ -84,8 +95,8 @@ class TestConfig:
         assert out == "" and err == (
             f"error: config field '{key}': expected a config key "
             f"({', '.join(CONFIG_KEYS)}), got '{key}'\n")
-        assert CONFIG_KEYS == ("version", "steps", "seeds", "envs", "planners",
-                               "planner_config", "models", "cells", "table")
+        assert CONFIG_KEYS == ("version", "steps", "seeds", "planner_config", "models",
+                               "cells", "table")
         assert not (tmp_path / "r").exists()
 
     def test_unknown_source(self):
@@ -99,15 +110,13 @@ class TestConfig:
             load_config(str(path))
 
     @pytest.mark.parametrize("field, value", [
-        ("envs", "barrier"), ("envs", ["barrier", "halfcheetah"]),
-        ("planners", "cemgd"), ("planners", [50]),
+        ("cells", "barrier"), ("cells", [CELL, "halfcheetah"]),
+        ("cells", CELL), ("cells", [50]),
         ("seeds", ["a"]), ("seeds", [True]), ("seeds", [1.5]), ("seeds", [-1]),
-        ("seeds", []), ("seeds", [0, 0]), ("envs", ["barrier", "barrier"]),
-        ("planners", ["cem-50", "cem-50"]),
+        ("seeds", []), ("seeds", [0, 0]), ("cells", []), ("cells", [CELL, CELL]),
     ])
     def test_bad_list_field_named_before_any_output(self, tmp_path, capsys, field, value):
-        cfg = run_config(tmp_path, **{"cells": None, "envs": ["barrier"],
-                                      "planners": ["cem-50"], field: value})
+        cfg = run_config(tmp_path, **{"cells": [CELL], field: value})
         code = main(["compare", "--config", cfg, "--out", str(tmp_path / "r")])
         assert code == 2
         err = capsys.readouterr().err
@@ -124,6 +133,12 @@ class TestConfig:
         assert capsys.readouterr().err == \
             "error: --seed: expected a nonnegative integer, got -1\n"
         assert not (tmp_path / "r").exists()
+
+    def test_integer_planner_option_past_the_float_range_is_accepted(self, tmp_path):
+        # Its elite count is exact integer arithmetic; the grid is not run.
+        cfg = run_config(tmp_path, cell={"planner_config": {"n_r": 10**400}})
+        _, [cell] = _grid_config(argparse.Namespace(config=cfg))
+        assert cell["cfg"].n_r == 10**400
 
     def test_unknown_planner_field_named(self):
         with pytest.raises(ValueError, match="planner_config.krypton"):
@@ -362,8 +377,6 @@ class TestConfigErrors:
     """Each bad config ends in one `error: config field '<field>': ...` line,
     exit 2 and no output directory."""
 
-    CELL = {"env": "barrier", "planner": "cem-50"}
-
     UNKNOWN = "unknown planner {!r}; valid planners: cemgd, gradient, cem-<budget>"
 
     @pytest.mark.parametrize("field, overrides, detail", [*[
@@ -375,8 +388,8 @@ class TestConfigErrors:
         ("cells[0].planner_config", {"cells": [dict(CELL, planner_config={"k": "2"})]}),
         ("envs", {"cells": [CELL], "envs": ["barrier"]}),
         ("cells[1].id", {"cells": [CELL, dict(CELL, planner_config={"G": 0})]}),
-        ("models.cartpole", {"envs": ["barrier"], "models": {"cartpole": "analytic"}}),
-        ("table", {"table": {"file": "t.csv", "columns": {"r": "mean_reward"}}}),
+        ("models.cartpole", {"models": {"cartpole": {"path": "cartpole.bin"}}}),
+        ("table", {"table": {"file": "t.csv"}}),
         ("cells[0].row", {"cells": [CELL], "table": {"file": "t.csv",
                                                      "columns": {"r": "mean_reward"}}}),
         ("cells[0].env", {"cells": [dict(CELL, env={"name": "barrier", "radius": "wide"})]}),
@@ -412,17 +425,18 @@ class TestConfigErrors:
                UNKNOWN.format("bogus")),
               ("cells[0].planner", {"cells": [dict(CELL, planner="cem-0")]}, "cem-0",
                UNKNOWN.format("cem-0")),
-              ("planners", {"planners": ["cem-abc"]}, "cem-abc", UNKNOWN.format("cem-abc")),
-              ("planners", {"planners": [""]}, "empty",
-               "expected a nonempty list of planner names, got ['']"),
+              ("cells[0].planner", {"cells": [dict(CELL, planner="cem-abc")]}, "cem-abc",
+               UNKNOWN.format("cem-abc")),
+              ("cells[0].planner", {"cells": [dict(CELL, planner="")]}, "empty",
+               "expected a nonempty string, got ''"),
               # One id per budget: no leading zeros, ASCII digits only.
               ("cells[0].planner", {"cells": [dict(CELL, planner="cem-050")]}, "cem-050",
                UNKNOWN.format("cem-050")),
-              ("planners", {"planners": ["cem-\u0665\u0660"]}, "cem-arabic-indic",
-               UNKNOWN.format("cem-\u0665\u0660")),
+              ("cells[0].planner", {"cells": [dict(CELL, planner="cem-\u0665\u0660")]},
+               "cem-arabic-indic", UNKNOWN.format("cem-\u0665\u0660")),
               # More digits than Python's int-conversion limit.
-              ("planners", {"planners": ["cem-" + "9" * 5000]}, "cem-5000-digits",
-               UNKNOWN.format("cem-" + "9" * 5000))]],
+              ("cells[0].planner", {"cells": [dict(CELL, planner="cem-" + "9" * 5000)]},
+               "cem-5000-digits", UNKNOWN.format("cem-" + "9" * 5000))]],
         # Planner numbers are finite reals, not bools, and fit a float.
         *[pytest.param("planner_config", {"planner_config": {"eta_init": value}},
                        f"eta_init must be a finite number, got {value!r}",
@@ -440,18 +454,21 @@ class TestConfigErrors:
                      "barrier, got 1e-07", id="radius-within-smoothing"),
         *[pytest.param("version", {"version": value}, f"expected 1, got {value!r}",
                        id=f"version-{value!r}") for value in (True, 1.0)],
-        *[pytest.param("models.barrier", {"models": {"barrier": {"path": value}}},
-                       f'expected "analytic" or {{"path": "<model file>"}}, '
-                       f'got {{\'path\': {value!r}}}', id=f"models.barrier-path-{value!r}")
-          for value in (5, "")],
+        # A planning model is a model file; the world's own dynamics are
+        # the default, named by leaving the entry out.
+        *[pytest.param("models.barrier", {"models": {"barrier": section}},
+                       f'expected {{"path": "<model file>"}}, got {section!r}',
+                       id=f"models.barrier-{label}")
+          for label, section in (("path-5", {"path": 5}), ("path-''", {"path": ""}),
+                                 ("analytic", "analytic"), ("null", None))],
+        pytest.param("cells", {"cells": None}, "expected a nonempty list of cell objects, "
+                     "got None", id="no-cells"),
     ])
     def test_named_before_any_output(self, tmp_path, capsys, field, overrides, detail):
-        config = {"version": 1, "planner_config": {"horizon": 3}, "steps": 2, "seeds": [0]}
-        if not {"cells", "envs", "planners"} & set(overrides):
-            config.update(envs=["barrier"], planners=["cem-50"])
-        config.update(overrides)
+        config = {"version": 1, "planner_config": {"horizon": 3}, "steps": 2, "seeds": [0],
+                  "cells": [CELL], **overrides}
         path = tmp_path / "cfg.json"
-        path.write_text(json.dumps(config))
+        path.write_text(json.dumps({k: v for k, v in config.items() if v is not None}))
         assert main(["compare", "--config", str(path), "--out", str(tmp_path / "r")]) == 2
         err = capsys.readouterr().err
         assert err.startswith(f"error: config field '{field}': ") and err.count("\n") == 1
@@ -460,8 +477,8 @@ class TestConfigErrors:
         assert not (tmp_path / "r").exists()
 
     @pytest.mark.parametrize("field, form", [
-        ("models.barrier", lambda path: {"envs": ["barrier", "cartpole"],
-                                         "planners": ["cem-50"],
+        ("models.barrier", lambda path: {"cells": [{"env": "barrier", "planner": "cem-50"},
+                                                   {"env": "cartpole", "planner": "cem-50"}],
                                          "models": {"barrier": {"path": path}}}),
     ])
     def test_model_of_another_environment_named_before_any_output(self, tmp_path, capsys,
@@ -481,9 +498,8 @@ class TestConfigErrors:
 
 @pytest.mark.parametrize("argv", [
     ["train-model", "--hidden", "0"], ["train-model", "--hidden", "8,x"],
-    ["train-model", "--batch", "0"], ["train-model", "--epochs", "-1"],
-    ["train-model", "--episodes", "0"], ["train-model", "--steps", "0"],
-    ["train-model", "--lr", "0"],
+    ["train-model", "--epochs", "-1"], ["train-model", "--episodes", "0"],
+    ["train-model", "--steps", "0"],
 ])
 def test_numeric_flag_named_before_any_output(tmp_path, capsys, argv):
     assert main(argv + ["--out", str(tmp_path / "r")]) == 2
@@ -499,6 +515,17 @@ def test_gradcheck_has_no_probes_flag(capsys, flag):
         main(["gradcheck", flag, "5"])
     assert exit_info.value.code == 2
     assert f"unrecognized arguments: {flag} 5" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flag", ["--lr", "--batch"])
+def test_train_model_has_no_lr_or_batch_flag(tmp_path, capsys, flag):
+    # train-model fits at fit_mlp's defaults: batches of 64 at lr 1e-3.
+    with pytest.raises(SystemExit) as exit_info:
+        main(["train-model", "--episodes", "1", "--steps", "2", "--epochs", "0",
+              "--hidden", "2", flag, "1", "--out", str(tmp_path / "m")])
+    assert exit_info.value.code == 2
+    assert f"unrecognized arguments: {flag} 1" in capsys.readouterr().err
+    assert not (tmp_path / "m").exists()
 
 
 def test_failed_allocation_is_one_line(tmp_path, capsys, monkeypatch):
@@ -589,8 +616,8 @@ class TestCompareCommand:
         path = tmp_path / "compare.json"
         path.write_text(json.dumps({
             "version": 1,
-            "envs": ["barrier"],
-            "planners": ["cem-50", "cemgd"],
+            "cells": [{"env": "barrier", "planner": "cem-50"},
+                      {"env": "barrier", "planner": "cemgd"}],
             "planner_config": {"horizon": 4, "n_init": 20, "m_init": 1,
                                "n_r": 10, "m_r": 1},
             "steps": 3,
@@ -614,8 +641,8 @@ class TestCompareCommand:
         path = tmp_path / "cmp.json"
         path.write_text(json.dumps({
             "version": 1,
-            "envs": ["barrier", "cartpole"],
-            "planners": ["cem-50"],
+            "cells": [{"env": "barrier", "planner": "cem-50"},
+                      {"env": "cartpole", "planner": "cem-50"}],
             "planner_config": {"horizon": 3, "n_init": 10, "m_init": 1,
                                "n_r": 10, "m_r": 1},
             "steps": 2,
@@ -640,17 +667,21 @@ class TestCompareCommand:
         assert main(["compare", "--config", str(path), "--out", str(out)]) == 0
         assert not (out / "failures.csv").exists()
 
-    def test_train_model_diverging_lr_exits_2_and_writes_nothing(self, tmp_path, capsys):
-        # Under the suite's error::RuntimeWarning filter a leaked numpy
-        # overflow warning would surface here as an exception.
+    def test_train_model_diverging_fit_exits_2_and_writes_nothing(self, tmp_path, capsys,
+                                                                  monkeypatch):
+        # A real divergence (lr=1e6) is tested on fit_mlp in test_mlp.py.
+        message = ("training diverged in epoch 3 of 30 (normalized MSE nan); use a smaller "
+                   "learning rate than 0.001")
+
+        def fit_mlp(*args, **kw):
+            raise TrainingDivergedError(message)
+
+        monkeypatch.setattr(cli, "fit_mlp", fit_mlp)
         code = main(["train-model", "--env", "barrier", "--episodes", "2",
                      "--steps", "30", "--epochs", "30", "--hidden", "6,6",
-                     "--lr", "1e6", "--out", str(tmp_path / "m")])
+                     "--out", str(tmp_path / "m")])
         assert code == 2
-        out, err = capsys.readouterr()
-        assert out == ""
-        assert err.startswith("error: --lr: training diverged in epoch ") \
-            and err.count("\n") == 1
+        assert capsys.readouterr() == ("", f"error: {message}\n")
         assert not (tmp_path / "m" / "model.bin").exists()
 
     def test_train_model_then_compare_with_it(self, tmp_path):
@@ -661,13 +692,10 @@ class TestCompareCommand:
         model_path = tmp_path / "m" / "model.bin"
         assert model_path.exists()
         assert MlpModel.load_binary(model_path).d_s == 2
-        config = json.loads((tmp_path / "compare.json").read_text()
-                            if (tmp_path / "compare.json").exists() else "{}")
         path = tmp_path / "cmp.json"
         path.write_text(json.dumps({
             "version": 1,
-            "envs": ["barrier"],
-            "planners": ["cemgd"],
+            "cells": [{"env": "barrier", "planner": "cemgd"}],
             "planner_config": {"horizon": 3, "n_init": 10, "m_init": 1,
                                "n_r": 10, "m_r": 1},
             "steps": 2,
