@@ -210,7 +210,25 @@ def _grid_config(args) -> tuple[dict, list[dict]]:
         except ValueError as err:  # an unknown planner id
             raise ConfigError(f"config field '{where}planner': {err}") from None
         cell["policy"] = dataclasses.replace(policy, planner_id=cell["id"])
+        _check_sizes(where, cell, config.get("steps", harness.DEFAULT_STEPS))
     return config, [cell for _, cell in cells]
+
+
+def _check_sizes(where: str, cell: dict, steps: int) -> None:
+    """A cell's largest arrays, the CEM and line-search blocks and the
+    episode buffers, must fit numpy's own size limit, which the grid would
+    otherwise meet only once it runs (memory is still found short then)."""
+    cfg, env, limit = cell["policy"].cfg, cell["env"], np.iinfo(np.intp).max
+    width, length = max(env.dynamics.d_s, env.bounds.d_a), cfg.horizon + 1
+    rows = max(cfg.n_init, cfg.n_r, cfg.J if cfg.G else 1)
+    exceed = f"numpy's array size limit of {limit} bytes"
+    if 8 * rows * length * width > limit:
+        by_id = cell["planner"].startswith("cem-") and 8 * length * width <= limit
+        raise ConfigError(f"config field '{where}{'planner' if by_id else 'planner_config'}': "
+                          f"a block of {rows} x {length} x {width} floats exceeds {exceed}")
+    if 8 * (steps + 1) * width > limit:
+        raise ConfigError(f"config field 'steps': the episode buffers of {steps + 1} x "
+                          f"{width} floats exceed {exceed}")
 
 
 def _out_dir(args, *names: str) -> Path:

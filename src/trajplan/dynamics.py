@@ -32,6 +32,14 @@ overtakes numpy's per-call cost, so larger batches take the batched
 formula. The float loop does the batched formula's IEEE operations in its
 order, so it equals the batched formula bit for bit.
 
+A gradient sweep's loop over steps is the model's adjoint_sweep, by
+default a loop over linearize's vjp from the last step back. A sweep is
+one trajectory, where numpy's per-call cost dominates, so BarrierDynamics
+sweeps on Python floats at every T, in the default's IEEE operations and
+order, but for the steps within the rim: their jac @ g stays BLAS's 2x2
+product, which rounds with FMA (a float a*b + c*d differs in about a
+quarter of entries, with OpenBLAS on x86-64).
+
 MlpModel runs its network in one of two passes, by what the caller reads.
 The value pass (step, predict_delta, training_mse) keeps only the layer it
 is computing, so a batch of B rows holds about three (B, width) arrays at
@@ -82,6 +90,21 @@ class DynamicsModel:
             s = self.step(s, actions[:, t])
             states[:, t + 1] = s
         return states
+
+    def adjoint_sweep(self, states: Array, actions: Array, state_grads: Array):
+        """Sweep the (T, d_s) states and (T, d_a) actions of a trajectory back
+        from its last step, the adjoint taking state_grads[t] (the reward's
+        gradient at step t's next state), then step t's VJP. Returns the
+        dynamics' share of each action's gradient and each state's adjoint."""
+        action_grads = np.empty_like(actions)
+        adjoints = np.empty(state_grads.shape)
+        state_adjoint = np.zeros(state_grads.shape[1])
+        vjp = self.linearize(states, actions)
+        for t in range(len(actions) - 1, -1, -1):
+            state_adjoint = state_adjoint + state_grads[t]
+            f_gs, action_grads[t] = vjp(t, state_adjoint)
+            adjoints[t] = state_adjoint = f_gs
+        return action_grads, adjoints
 
 
 def _libm_power(x: Array, n: int) -> Array:
@@ -243,10 +266,10 @@ class BarrierDynamics(DynamicsModel):
         dt, radius, kappa, eps2 = w.dt, w.radius, w.kappa, SMOOTH_EPS**2
         sqrt = math.sqrt
         start = np.asarray(s0, dtype=float).tolist()
-        rows = []
+        flat = []
         for seq in actions.tolist():
             x, y = start
-            row = [x, y]
+            flat += (x, y)
             for ax, ay in seq:
                 ux, uy = x - cx, y - cy
                 d = sqrt(ux * ux + uy * uy + eps2)
@@ -254,25 +277,52 @@ class BarrierDynamics(DynamicsModel):
                 c = kappa * (radius - d) / d if d < radius else 0.0
                 x = x + dt * (ax + c * ux)
                 y = y + dt * (ay + c * uy)
-                row += (x, y)
-            rows.append(row)
-        return np.array(rows).reshape(actions.shape[0], actions.shape[1] + 1, 2)
+                flat += (x, y)
+        return np.array(flat).reshape(actions.shape[0], actions.shape[1] + 1, 2)
 
-    def linearize(self, states, actions):
-        """dF/ds = c*I - (kappa*r/d^3) u u^T within the rim, with
-        c = kappa*(r - d)/d, and zero beyond it; symmetric, so each step's
-        VJP within the rim is a plain matrix-vector product, and beyond it
-        is (g, dt * g) with no product at all. The distance is one ddot per
-        row (np.vecdot), as a single sample's u @ u is; an elementwise
-        u0*u0 + u1*u1 rounds differently."""
-        w = self.world
+    def adjoint_sweep(self, states, actions, state_grads):
+        """The default sweep on Python floats, bit for bit: beyond the rim a
+        step's VJP is (g, dt*g), and within it jac @ g stays a numpy product
+        on the Jacobians of just those steps (see the module docstring)."""
+        u, d = self._offsets(states)
+        rim = np.flatnonzero(d < self.world.radius)
+        jacs = dict(zip(rim.tolist(), self._jacobians(u[rim], d[rim]))) if rim.size else {}
+        dt = self.world.dt
+        gx = gy = 0.0
+        grads, adjoints = [], []
+        T = len(state_grads)
+        for t, (rx, ry) in zip(range(T - 1, -1, -1), reversed(state_grads.tolist())):
+            gx, gy = gx + rx, gy + ry
+            grads += (dt * gx, dt * gy)
+            if t in jacs:
+                px, py = (jacs[t] @ np.array([gx, gy])).tolist()
+                gx, gy = gx + dt * px, gy + dt * py
+            adjoints += (gx, gy)
+        # Built from the last step back, so read in reverse.
+        return np.array(grads).reshape(T, 2)[::-1], np.array(adjoints).reshape(T, 2)[::-1]
+
+    def _offsets(self, states):
+        """Offsets u from the centre and distances d, one ddot per row as a
+        single sample's u @ u is (an elementwise sum rounds differently)."""
         u = np.asarray(states, dtype=float) - self._center
-        d = np.sqrt(np.vecdot(u, u) + SMOOTH_EPS**2)
+        return u, np.sqrt(np.vecdot(u, u) + SMOOTH_EPS**2)
+
+    def _jacobians(self, u, d):
+        """dF/ds = c*I - (kappa*r/d^3) u u^T, c = kappa*(r - d)/d, within
+        the rim (d < radius) at offsets u and distances d; zero beyond it."""
+        w = self.world
         c = w.kappa * (w.radius - d) / d
         k = w.kappa * w.radius / _libm_power(d, 3)
-        jac = c[:, None, None] * np.eye(2) - k[:, None, None] * (u[:, :, None] * u[:, None, :])
-        inside = (d < w.radius).tolist()
-        dt = w.dt
+        return c[:, None, None] * np.eye(2) - k[:, None, None] * (u[:, :, None] * u[:, None, :])
+
+    def linearize(self, states, actions):
+        """dF/ds is symmetric, so each step's VJP within the rim is a plain
+        matrix-vector product, and beyond it is (g, dt * g) with no
+        product at all."""
+        u, d = self._offsets(states)
+        jac = self._jacobians(u, d)
+        inside = (d < self.world.radius).tolist()
+        dt = self.world.dt
 
         def vjp(t, g):
             if inside[t]:

@@ -53,9 +53,10 @@ def reward_gradient(model, reward, traj: Trajectory) -> Array:
     VJP from the following step, and each action collects its reward
     gradient plus the dynamics VJP routed through the next state. Per
     sweep there is one ``reward.backward`` call, on the (T, d_s) states and
-    (T, d_a) actions, and one ``model.linearize`` call
-    (``DynamicsModel.linearize``); the loop over steps takes only the
-    dynamics VJPs.
+    (T, d_a) actions, and one ``model.adjoint_sweep`` call, which owns the
+    loop over steps: by default a loop over ``model.linearize``'s VJPs;
+    the barrier's runs on Python floats, keeping only its within-rim
+    products in numpy (see ``BarrierDynamics.adjoint_sweep``).
 
     Raises DivergedError naming the first step, in sweep order (the last
     step first), whose action gradient or state adjoint is non-finite. As
@@ -63,20 +64,12 @@ def reward_gradient(model, reward, traj: Trajectory) -> Array:
     numpy's overflow, invalid and divide warnings inside it are suppressed.
     """
     seq = traj.actions
-    T = seq.shape[0]
-    grad = np.empty_like(seq)
-    adjoints = np.empty((T, traj.states.shape[1]))
-    state_adjoint = np.zeros(traj.states.shape[1])
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        vjp = model.linearize(traj.states[:-1], seq)
         r_gs, r_ga = reward.backward(traj.states[1:], seq)
-        for t in range(T - 1, -1, -1):
-            state_adjoint = state_adjoint + r_gs[t]
-            f_gs, grad[t] = vjp(t, state_adjoint)
-            adjoints[t] = state_adjoint = f_gs
+        grad, adjoints = model.adjoint_sweep(traj.states[:-1], seq, r_gs)
         grad += r_ga   # addition commutes: bit for bit r_ga[t] + f_ga per step
     if not (np.isfinite(grad).all() and np.isfinite(adjoints).all()):
-        for t in range(T - 1, -1, -1):
+        for t in range(seq.shape[0] - 1, -1, -1):
             if not (np.isfinite(grad[t]).all() and np.isfinite(adjoints[t]).all()):
                 raise DivergedError(f"non-finite gradient at rollout step {t}", step=t)
     return grad

@@ -15,9 +15,9 @@ import trajplan.cem as cem_mod
 import trajplan.core as core_mod
 import trajplan.gradplanner as gradplanner_mod
 from trajplan.cemgd import PlannerState, plan
-from trajplan.core import PlannerConfig, rollout_batch
-from trajplan.dynamics import (CartpoleReward, MlpModel, QuadraticGoalReward,
-                               make_environment)
+from trajplan.core import DivergedError, PlannerConfig, rollout_batch
+from trajplan.dynamics import (BarrierDynamics, BarrierWorld, CartpoleReward, DynamicsModel,
+                               MlpModel, QuadraticGoalReward, make_environment)
 
 
 def per_step_rollout_batch(model, reward, s0, seqs):
@@ -149,6 +149,32 @@ def test_reward_gradient_matches_per_step_recipe_bitwise(name):
         traj = core_mod.rollout(env.dynamics, env.reward, s0, seq)
         got = gradplanner_mod.reward_gradient(env.dynamics, env.reward, traj)
         assert_bitwise(got, per_step_reward_gradient(env.dynamics, env.reward, traj))
+
+
+@pytest.mark.parametrize("fault", ["huge-kappa", "nan-state"])
+def test_diverging_barrier_sweep_names_the_default_sweeps_step(fault, monkeypatch):
+    # A trajectory that crosses the rim, swept by a model whose rim
+    # Jacobian overflows, or with one state turned NaN.
+    world = BarrierWorld()
+    actions = np.column_stack([np.full(45, 0.5), np.zeros(45)])
+    traj = core_mod.rollout(world.dynamics(), world.reward_model(), np.array([-0.6, 0.0]),
+                            actions)
+    model = world.dynamics()
+    if fault == "huge-kappa":
+        model = BarrierWorld(kappa=1e308).dynamics()
+    else:
+        traj.states[30] = np.nan
+
+    def diverged():
+        with pytest.raises(DivergedError) as err:
+            gradplanner_mod.reward_gradient(model, world.reward_model(), traj)
+        return err.value.step, str(err.value)
+
+    got = diverged()
+    monkeypatch.setattr(BarrierDynamics, "adjoint_sweep", DynamicsModel.adjoint_sweep)
+    assert got == diverged()
+    assert got[0] == (29 if fault == "nan-state" else int(np.flatnonzero(
+        np.linalg.norm(traj.states[:-1] - world.center, axis=1) < world.radius)[-1]))
 
 
 def chained_plans(env, s0, cfg, calls=3):

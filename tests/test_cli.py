@@ -135,10 +135,13 @@ class TestConfig:
         assert not (tmp_path / "r").exists()
 
     def test_integer_planner_option_past_the_float_range_is_accepted(self, tmp_path):
-        # Its elite count is exact integer arithmetic; the grid is not run.
+        # Its elite count is exact integer arithmetic, so the option builds;
+        # the grid check then finds its block past numpy's size limit.
+        assert planner_config_from({"n_r": 10**400}).n_r == 10**400
         cfg = run_config(tmp_path, cell={"planner_config": {"n_r": 10**400}})
-        _, [cell] = _grid_config(argparse.Namespace(config=cfg))
-        assert cell["cfg"].n_r == 10**400
+        with pytest.raises(cli.ConfigError, match=r"^config field 'cells\[0\]\.planner_config': "
+                           r"a block of 10{400} x 46 x 2 floats exceeds numpy's"):
+            _grid_config(argparse.Namespace(config=cfg))
 
     def test_unknown_planner_field_named(self):
         with pytest.raises(ValueError, match="planner_config.krypton"):
@@ -463,6 +466,25 @@ class TestConfigErrors:
                                  ("analytic", "analytic"), ("null", None))],
         pytest.param("cells", {"cells": None}, "expected a nonempty list of cell objects, "
                      "got None", id="no-cells"),
+        # Arrays past numpy's own size limit, named by the field that sizes
+        # them (the test config's horizon is 3, so blocks of 4 steps).
+        *[pytest.param(field, overrides, f"{size} exceed{'s' * (field != 'steps')} numpy's "
+                       f"array size limit of {2**63 - 1} bytes", id=f"{field}-{label}")
+          for field, label, overrides, size in [
+              ("cells[0].planner", "cem-20-nines",
+               {"cells": [dict(CELL, planner="cem-" + "9" * 20)]},
+               f"a block of {'9' * 20} x 4 x 2 floats"),
+              ("cells[0].planner_config", "n_r",
+               {"cells": [dict(CELL, planner="cemgd", planner_config={"n_r": 10**20})]},
+               f"a block of {10**20} x 4 x 2 floats"),
+              ("cells[0].planner_config", "J",
+               {"cells": [dict(CELL, planner="cemgd", planner_config={"J": 10**18})]},
+               f"a block of {10**18} x 4 x 2 floats"),
+              ("cells[0].planner_config", "cem-horizon",
+               {"planner_config": {"horizon": 10**18}},
+               f"a block of 10 x {10**18 + 1} x 2 floats"),
+              ("steps", "steps", {"steps": 10**18},
+               f"the episode buffers of {10**18 + 1} x 2 floats")]],
     ])
     def test_named_before_any_output(self, tmp_path, capsys, field, overrides, detail):
         config = {"version": 1, "planner_config": {"horizon": 3}, "steps": 2, "seeds": [0],
@@ -494,6 +516,20 @@ class TestConfigErrors:
         assert err == (f"error: config field '{field}': expected a barrier model, with "
                        f"(d_s, d_a) = (2, 2), got (4, 1)\n")
         assert not (tmp_path / "r").exists()
+
+
+@pytest.mark.parametrize("budget, ok", [(2**57 - 1, True), (2**57, False)])
+def test_size_check_stops_at_numpys_limit(tmp_path, budget, ok):
+    # One CEM iteration of `budget` rows (neither is a multiple of 5): 4
+    # steps of 2 floats a row make 2**57 rows exactly 2**63 bytes, one byte
+    # past the limit. Only the check runs; nothing of that size is made.
+    path = run_config(tmp_path, {"planner": f"cem-{budget}", "planner_config": {"horizon": 3}})
+    args = argparse.Namespace(config=path)
+    if ok:
+        _grid_config(args)
+    else:
+        with pytest.raises(cli.ConfigError, match=r"^config field 'cells\[0\]\.planner': "):
+            _grid_config(args)
 
 
 @pytest.mark.parametrize("argv", [

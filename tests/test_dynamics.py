@@ -295,6 +295,14 @@ def assert_bits_or_nans(got, want):
     assert np.array_equal(got.view(np.uint64)[~nan], want.view(np.uint64)[~nan])
 
 
+# The second world's scalars round, so an operation order other than the
+# batched formula's shows (the default kappa of 8.0 makes exact products).
+BARRIER_WORLDS = [
+    BarrierWorld(),
+    BarrierWorld(center=(0.1, 0.2), radius=0.45, kappa=7.3, dt=0.03),
+]
+
+
 # The batch sizes of the float rollout tests: one row, more than one, and
 # the most that take the float loop.
 FLOAT_BATCHES = (1, 2, FLOAT_ROWS)
@@ -335,12 +343,7 @@ class TestBarrierFloatRollout:
             for g, w in zip(got, want[i]):
                 assert_bits_or_nans(g, w)
 
-    # The default kappa is 8.0, whose products are exact; the second world's
-    # scalars round, so an operation order other than the formula's shows.
-    @pytest.mark.parametrize("world", [
-        BarrierWorld(),
-        BarrierWorld(center=(0.1, 0.2), radius=0.45, kappa=7.3, dt=0.03),
-    ])
+    @pytest.mark.parametrize("world", BARRIER_WORLDS)
     def test_rim_centre_and_random_states(self, world, monkeypatch):
         rng = np.random.default_rng(21)
         center = np.asarray(world.center)
@@ -370,6 +373,87 @@ class TestBarrierFloatRollout:
         finite = np.full_like(pairs, 0.1)
         self.assert_rollouts_match(dyn, np.concatenate([pairs, finite]),
                                    np.concatenate([finite, pairs]), monkeypatch)
+
+
+class TestBarrierAdjointSweep:
+    """The barrier's sweep runs on Python floats but for the product within
+    the rim. DynamicsModel's default sweep, a loop over linearize's vjp,
+    is the reference it must equal bit for bit."""
+
+    @staticmethod
+    def assert_sweeps_match(dyn, states, actions, state_grads, same=assert_bitwise):
+        with np.errstate(all="ignore"):   # non-finite entries warn in numpy
+            got = dyn.adjoint_sweep(states, actions, state_grads)
+            want = DynamicsModel.adjoint_sweep(dyn, states, actions, state_grads)
+        for g, w in zip(got, want):
+            same(g, w)
+
+    @staticmethod
+    def inside(world, states):
+        u = states - np.asarray(world.center)
+        return np.sqrt(np.vecdot(u, u) + SMOOTH_EPS**2) < world.radius
+
+    @pytest.mark.parametrize("world", BARRIER_WORLDS)
+    @pytest.mark.parametrize("start", ["outside", "crossing", "centre"])
+    def test_rollouts(self, world, start):
+        dyn, reward = world.dynamics(), world.reward_model()
+        rng = np.random.default_rng(5)
+        center = np.asarray(world.center)
+        actions = rng.uniform(-0.5, 0.5, size=(45, 2))
+        s0 = {"outside": center + (3.0, 0.0), "centre": center,
+              "crossing": center - (world.radius + 0.05, 0.1)}[start]
+        if start == "crossing":
+            actions[:, 0] = 0.5
+        states = dyn.rollout_states(s0, actions[None])[0]
+        inside = self.inside(world, states[:-1])
+        assert {"outside": not inside.any(), "centre": inside[0],
+                "crossing": inside.any() and not inside.all()}[start]
+        state_grads, _ = reward.backward(states[1:], actions)
+        self.assert_sweeps_match(dyn, states[:-1], actions, state_grads)
+
+    @classmethod
+    def rim_flips(cls, world, rng, count=10):
+        """States by the rim that an elementwise u0*u0 + u1*u1 puts on the
+        other side of it than linearize's ddot does."""
+        center = np.asarray(world.center)
+        angle = rng.uniform(0.0, 2.0 * np.pi, 20_000)
+        rho = math.sqrt(world.radius**2 - SMOOTH_EPS**2)
+        s = center + rho * np.column_stack([np.cos(angle), np.sin(angle)])
+        s += rng.integers(-3, 4, s.shape) * np.spacing(s)
+        u = s - center
+        elementwise = np.sqrt(u[:, 0] * u[:, 0] + u[:, 1] * u[:, 1] + SMOOTH_EPS**2)
+        flips = s[(elementwise < world.radius) != cls.inside(world, s)][:count]
+        assert len(flips) == count
+        return flips
+
+    @pytest.mark.parametrize("world", BARRIER_WORLDS)
+    def test_rim_and_random_states(self, world):
+        rng = np.random.default_rng(21)
+        center = np.asarray(world.center)
+        states = np.concatenate([barrier_rim_states(world), self.rim_flips(world, rng),
+                                 center + rng.uniform(-0.6, 0.6, size=(40, 2))])
+        inside = self.inside(world, states)
+        assert inside.any() and not inside.all()
+        self.assert_sweeps_match(world.dynamics(), states, rng.uniform(-0.5, 0.5, states.shape),
+                                 rng.normal(0.0, 1.0, states.shape))
+
+    def test_signed_zero_adjoints(self):
+        # The centre's x is 0.0, so a -0.0 state entry gives u = -0.0 there.
+        dyn = BarrierWorld().dynamics()
+        zeros = list(itertools.product((0.0, -0.0), repeat=2))
+        states = zeros + [(x, dyn.world.center[1]) for x in (0.0, -0.0)] + [(3.0, 0.0)]
+        ss, gg = (np.array(v) for v in zip(*itertools.product(states, zeros)))
+        self.assert_sweeps_match(dyn, ss, np.zeros_like(ss), gg)
+
+    def test_non_finite_states_and_adjoints(self):
+        dyn = BarrierWorld().dynamics()
+        values = (math.nan, math.inf, -math.inf, 0.15, 1e308)
+        pairs = np.array(list(itertools.product(values, repeat=2)))
+        within = np.full_like(pairs, 0.1)   # within the rim, so the product sees them
+        states, state_grads = np.concatenate([pairs, within]), np.concatenate([within, pairs])
+        for order in (slice(None), slice(None, None, -1)):
+            self.assert_sweeps_match(dyn, states[order], np.zeros_like(states),
+                                     state_grads[order], same=assert_bits_or_nans)
 
 
 # The analytic VJPs were first written per sample, in Python floats. They
