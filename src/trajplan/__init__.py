@@ -11,7 +11,7 @@ from .cem import SamplingDistribution, run_cem, sample, update_distribution
 from .cemgd import PlanOutput, PlannerState, plan, warm_start_mean
 from .core import (ActionBounds, DivergedError, PlannerConfig, Trajectory,
                    project, rollout, rollout_batch, split_budget)
-from .dynamics import (BarrierWorld, CartpoleWorld, Environment, MlpModel,
+from .dynamics import (BarrierWorld, CartpoleWorld, MlpModel,
                        QuadraticGoalReward, collect_random_rollouts, fit_mlp,
                        make_environment)
 from .gradplanner import (OptimizeTrace, line_search_update, optimize,
@@ -19,7 +19,7 @@ from .gradplanner import (OptimizeTrace, line_search_update, optimize,
 
 __all__ = [
     "ActionBounds", "BarrierWorld", "CartpoleWorld", "DivergedError",
-    "Environment", "MlpModel", "OptimizeTrace",
+    "MlpModel", "OptimizeTrace",
     "PlanOutput", "PlannerConfig", "PlannerState", "QuadraticGoalReward",
     "SamplingDistribution", "Trajectory", "collect_random_rollouts", "fit_mlp",
     "line_search_update", "make_environment", "optimize", "plan", "project",

@@ -80,10 +80,9 @@ def plan(state: PlannerState, s_t: Array, model, reward, cfg: PlannerConfig,
     else:
         mean = warm_start_mean(state.previous_optimal)
         n, m = cfg.n_r, cfg.m_r
-    k_elite = cfg.k_elite if cfg.k_elite is not None else default_elite_count(n)
 
     dist = SamplingDistribution.initial(cfg.horizon, bounds.d_a, mean)
-    pooled = run_cem(model, reward, s_t, dist, n, m, k_elite, cfg.alpha,
+    pooled = run_cem(model, reward, s_t, dist, n, m, default_elite_count(n), cfg.alpha,
                      bounds, rng, top_k=cfg.k)
 
     finals, traces = [], []

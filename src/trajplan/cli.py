@@ -245,7 +245,7 @@ def _load_planning_model(section, env):
     """The MLP dynamics model of ``{"path": "<model file>"}``, of the
     environment's state and action sizes."""
     field = f"models.{env.name}"
-    path = section.get("path") if isinstance(section, dict) else None
+    path = section["path"] if isinstance(section, dict) and section.keys() == {"path"} else None
     _require(isinstance(path, str) and path, field, '{"path": "<model file>"}', section)
     model = MlpModel.load_binary(Path(path))
     sizes = (env.dynamics.d_s, env.dynamics.d_a)

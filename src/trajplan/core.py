@@ -190,7 +190,9 @@ class PlannerConfig:
 
     Sample budgets are recorded as explicit factorizations: the first-step
     budget is n_init * m_init (15000 by default) and the per-replan budget
-    is n_r * m_r (50 by default).
+    is n_r * m_r (50 by default). Each CEM iteration of n samples refits to
+    its top ``default_elite_count(n)``, so k is at most that count for both
+    n_init and n_r.
     """
 
     horizon: int = 45          # T, planning horizon length
@@ -199,7 +201,6 @@ class PlannerConfig:
     n_r: int = 10              # samples per CEM iteration at t > 0
     m_r: int = 5               # CEM iterations at t > 0
     alpha: float = 0.3         # distribution update smoothing
-    k_elite: int | None = None  # per-iteration elites; None -> max(ceil(0.1 n), 1)
     k: int = 1                 # sequences refined by gradient updates
     G: int = 10                # most gradient updates per sequence; 0 returns CEM's best
     J: int = 8                 # line search trials per update
@@ -207,10 +208,8 @@ class PlannerConfig:
     rho: float = 0.67          # line search step decay
 
     def __post_init__(self):
-        for name in ("horizon", "n_init", "m_init", "n_r", "m_r", "k", "J", "G", "k_elite"):
+        for name in ("horizon", "n_init", "m_init", "n_r", "m_r", "k", "J", "G"):
             value, low = getattr(self, name), 0 if name == "G" else 1
-            if value is None and name == "k_elite":
-                continue
             if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < low:
                 raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")
         for name in ("alpha", "eta_init", "rho"):
@@ -223,10 +222,7 @@ class PlannerConfig:
             raise ValueError("rho must lie in (0, 1)")
         if self.eta_init <= 0.0:
             raise ValueError("eta_init must be positive")
-        if self.k_elite is not None and self.k_elite > min(self.n_init, self.n_r):
-            raise ValueError("k_elite must satisfy 1 <= k_elite <= samples per iteration")
         for name in ("n_init", "n_r"):   # plan() refines k of one budget's elites
             n = getattr(self, name)
-            elites = self.k_elite if self.k_elite is not None else default_elite_count(n)
-            if self.k > elites:
+            if self.k > (elites := default_elite_count(n)):
                 raise ValueError(f"k={self.k} exceeds the elite count {elites} of {name}={n}")

@@ -4,6 +4,12 @@ Two analytic environments (a 2D goal-seeking world with a repulsive
 circular barrier, and cartpole swingup) plus a small deterministic MLP
 dynamics model trained on random-rollout transitions.
 
+An environment is its world, a frozen dataclass whose fields are its
+options. Making a world builds its parts once, as attributes beside the
+fields: ``dynamics``, ``reward``, ``bounds`` and ``start_state``; its
+``success(states)`` judges an episode. ``make_environment(name, **options)``
+makes the world of that ``name``.
+
 Every dynamics model subclasses DynamicsModel and implements
 
     step(s, a) -> s_next
@@ -151,6 +157,16 @@ class QuadraticGoalReward(RewardModel):
 # Barrier world
 
 
+def _set_parts(world, dynamics: DynamicsModel, reward: RewardModel, d_a: int) -> None:
+    """Give a checked world its parts, once: its ``dynamics`` and ``reward``
+    models, symmetric action ``bounds`` in ``d_a`` dimensions and its
+    ``start_state``. They are attributes, not fields, so not options."""
+    object.__setattr__(world, "dynamics", dynamics)
+    object.__setattr__(world, "reward", reward)
+    object.__setattr__(world, "bounds", ActionBounds.symmetric(world.action_limit, d_a))
+    object.__setattr__(world, "start_state", np.asarray(world.start, dtype=float))
+
+
 def _check_fields(world, size: int, vectors, positive) -> None:
     """A world's vector fields must hold ``size`` finite numbers each, every
     other field be a finite number, and its ``positive`` fields be positive."""
@@ -185,6 +201,8 @@ class BarrierWorld:
     defined everywhere.
     """
 
+    name = "barrier"   # not annotated, so not a field
+
     center: tuple[float, float] = (0.0, 0.15)
     radius: float = 0.4
     kappa: float = 8.0
@@ -203,18 +221,7 @@ class BarrierWorld:
             raise ValueError("barrier center must sit strictly above y = 0")
         if self.action_cost < 0.0:
             raise ValueError("action_cost must be nonnegative")
-
-    def dynamics(self) -> "BarrierDynamics":
-        return BarrierDynamics(self)
-
-    def reward_model(self) -> QuadraticGoalReward:
-        return QuadraticGoalReward(self.goal, self.action_cost)
-
-    def bounds(self) -> ActionBounds:
-        return ActionBounds.symmetric(self.action_limit, 2)
-
-    def start_state(self) -> Array:
-        return np.asarray(self.start, dtype=float)
+        _set_parts(self, BarrierDynamics(self), QuadraticGoalReward(self.goal, self.action_cost), 2)
 
     def success(self, states: Array) -> bool:
         """An episode's (H+1, 2) states end within GOAL_EPS of the goal and
@@ -346,6 +353,8 @@ class CartpoleWorld:
     horizontal force on the cart.
     """
 
+    name = "cartpole"   # not annotated, so not a field
+
     masscart: float = 1.0
     masspole: float = 0.1
     half_length: float = 0.5
@@ -359,18 +368,7 @@ class CartpoleWorld:
 
     def __post_init__(self):
         _check_fields(self, 4, ("start",), ("masscart", "masspole", "half_length", "dt"))
-
-    def dynamics(self) -> "CartpoleDynamics":
-        return CartpoleDynamics(self)
-
-    def reward_model(self) -> "CartpoleReward":
-        return CartpoleReward(self)
-
-    def bounds(self) -> ActionBounds:
-        return ActionBounds.symmetric(self.action_limit, 1)
-
-    def start_state(self) -> Array:
-        return np.asarray(self.start, dtype=float)
+        _set_parts(self, CartpoleDynamics(self), CartpoleReward(self), 1)
 
     def success(self, states: Array) -> None:
         """Swingup has no success verdict, only reward."""
@@ -652,6 +650,16 @@ class MlpModel(DynamicsModel):
         if act_code != _MLP_SILU:
             raise ValueError(f"{path}: unknown activation code {act_code}")
         d_in = d_s + d_a
+        if not shapes:
+            raise ValueError(f"{path}: no layers")
+        widths = [d_in] + [fan_out for _, fan_out in shapes]   # d_in, then each fan_out
+        for i, (fan_in, _) in enumerate(shapes):
+            if fan_in != widths[i]:
+                given = f"d_s + d_a = {d_in}" if i == 0 else f"layer {i - 1}'s {widths[i]} outputs"
+                raise ValueError(f"{path}: layer {i} takes {fan_in} inputs, expected {given}")
+        if widths[-1] != d_s:
+            raise ValueError(f"{path}: the last layer gives {widths[-1]} outputs, "
+                             f"expected d_s = {d_s}")
         offset = 24 + 8 * n_layers
         expected = offset + 8 * (2 * d_in + 2 * d_s + sum(i * o + o for i, o in shapes))
         if len(data) != expected:
@@ -748,30 +756,15 @@ def collect_random_rollouts(dynamics, bounds, start_state, episodes, steps=200, 
 
 
 # ---------------------------------------------------------------------------
-# Environment bundles
-
-
-@dataclass(frozen=True)
-class Environment:
-    """A named (dynamics, reward, bounds, start state) bundle, with the
-    world that made it; ``world.success(states)`` judges an episode."""
-
-    name: str
-    dynamics: DynamicsModel
-    reward: RewardModel
-    bounds: ActionBounds
-    start_state: Array
-    world: BarrierWorld | CartpoleWorld
+# Environments
 
 
 # Environment name -> world class; a world's dataclass fields are its options.
-ENVIRONMENTS = {"barrier": BarrierWorld, "cartpole": CartpoleWorld}
+ENVIRONMENTS = {world.name: world for world in (BarrierWorld, CartpoleWorld)}
 
 
-def make_environment(name: str, **overrides) -> Environment:
+def make_environment(name: str, **options) -> BarrierWorld | CartpoleWorld:
     if name not in ENVIRONMENTS:
         valid = ", ".join(sorted(ENVIRONMENTS))
         raise ValueError(f"unknown environment {name!r}; valid environments: {valid}")
-    world = ENVIRONMENTS[name](**overrides)
-    return Environment(name, world.dynamics(), world.reward_model(), world.bounds(),
-                       world.start_state(), world)
+    return ENVIRONMENTS[name](**options)

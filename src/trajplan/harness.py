@@ -22,7 +22,8 @@ import numpy as np
 from .cemgd import PlannerState, PlanOutput, plan
 from .core import (ActionBounds, Array, DivergedError, PlannerConfig,
                    project, rollout, split_budget)
-from .dynamics import Environment, MlpModel, QuadraticGoalReward, make_environment
+from .dynamics import (BarrierWorld, CartpoleWorld, MlpModel, QuadraticGoalReward,
+                       make_environment)
 from .gradplanner import reward_gradient
 
 DEFAULT_STEPS = 100     # episode length H
@@ -84,7 +85,7 @@ def make_policy(name: str, model, reward, cfg: PlannerConfig, bounds: ActionBoun
     if name == "cemgd":
         return Policy(name, model, reward, cfg, bounds)
     if name == "gradient":
-        cfg = replace(cfg, n_init=1, m_init=1, k=1, k_elite=None)
+        cfg = replace(cfg, n_init=1, m_init=1, k=1)
         return Policy(name, model, reward, cfg, bounds, warm_start=False)
     if re.fullmatch(r"cem-[1-9][0-9]*", name):
         try:
@@ -92,7 +93,7 @@ def make_policy(name: str, model, reward, cfg: PlannerConfig, bounds: ActionBoun
         except ValueError:   # more digits than Python's int-conversion limit
             pass
         else:
-            cfg = replace(cfg, n_init=n, m_init=m, n_r=n, m_r=m, G=0, k=1, k_elite=None)
+            cfg = replace(cfg, n_init=n, m_init=m, n_r=n, m_r=m, G=0, k=1)
             return Policy(name, model, reward, cfg, bounds)
     raise ValueError(f"unknown planner {name!r}; valid planners: "
                      f"cemgd, gradient, cem-<budget>")
@@ -122,7 +123,8 @@ class EpisodeResult:
     success: bool | None      # the world's verdict; None where it has none
 
 
-def run_episode(env: Environment, policy, steps: int, seed: int) -> EpisodeResult:
+def run_episode(env: BarrierWorld | CartpoleWorld, policy, steps: int,
+                seed: int) -> EpisodeResult:
     """Run one seeded MPC episode of `steps` true-environment steps.
 
     The true step is ``rollout`` at one row and one step, and the world
@@ -174,7 +176,7 @@ def run_episode(env: Environment, policy, steps: int, seed: int) -> EpisodeResul
                          model_rewards=model_rewards, plan_times=plan_times,
                          samples_used=samples, gradient_evals=gevals,
                          memory_proxy=proxy, states=states, actions=actions,
-                         success=env.world.success(states))
+                         success=env.success(states))
 
 
 # ---------------------------------------------------------------------------

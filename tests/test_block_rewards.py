@@ -157,17 +157,17 @@ def test_diverging_barrier_sweep_names_the_default_sweeps_step(fault, monkeypatc
     # Jacobian overflows, or with one state turned NaN.
     world = BarrierWorld()
     actions = np.column_stack([np.full(45, 0.5), np.zeros(45)])
-    traj = core_mod.rollout(world.dynamics(), world.reward_model(), np.array([-0.6, 0.0]),
+    traj = core_mod.rollout(world.dynamics, world.reward, np.array([-0.6, 0.0]),
                             actions)
-    model = world.dynamics()
+    model = world.dynamics
     if fault == "huge-kappa":
-        model = BarrierWorld(kappa=1e308).dynamics()
+        model = BarrierWorld(kappa=1e308).dynamics
     else:
         traj.states[30] = np.nan
 
     def diverged():
         with pytest.raises(DivergedError) as err:
-            gradplanner_mod.reward_gradient(model, world.reward_model(), traj)
+            gradplanner_mod.reward_gradient(model, world.reward, traj)
         return err.value.step, str(err.value)
 
     got = diverged()

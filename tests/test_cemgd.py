@@ -106,7 +106,7 @@ class TestPlan:
 
     def test_gradient_eval_budget(self):
         env = make_environment("barrier")
-        cfg = tiny_cfg(k=2, k_elite=5)
+        cfg = tiny_cfg(k=2, n_r=20)
         out, _ = plan(PlannerState(), env.start_state, env.dynamics, env.reward,
                       cfg, env.bounds, np.random.default_rng(3))
         bound = cfg.k * cfg.G * (cfg.J + 1) + cfg.k
@@ -205,7 +205,7 @@ class TestPlan:
 
     def test_tied_refined_rewards_go_to_the_lowest_index(self, monkeypatch):
         env = make_environment("barrier")
-        cfg = tiny_cfg(k=3, k_elite=5)
+        cfg = tiny_cfg(k=3, n_r=30)
         refined = []
 
         def tied(seed, model, reward, cfg, bounds):
@@ -230,10 +230,9 @@ def reference_plan(state, s_t, model, reward, cfg, bounds, rng):
         mean, n, m = None, cfg.n_init, cfg.m_init
     else:
         mean, n, m = warm_start_mean(state.previous_optimal), cfg.n_r, cfg.m_r
-    k_elite = cfg.k_elite if cfg.k_elite is not None else default_elite_count(n)
     dist = SamplingDistribution.initial(cfg.horizon, bounds.d_a, mean)
-    pooled = run_cem(model, reward, s_t, dist, n, m, k_elite, cfg.alpha, bounds, rng,
-                     top_k=cfg.k)
+    pooled = run_cem(model, reward, s_t, dist, n, m, default_elite_count(n), cfg.alpha,
+                     bounds, rng, top_k=cfg.k)
     refined, traces, rewards = [], [], []
     for seed in pooled:
         final, trace = optimize(rollout(model, reward, s_t, seed.actions), model, reward,
@@ -258,7 +257,7 @@ class TestRolloutReuse:
     @pytest.mark.parametrize("name", ["barrier", "cartpole"])
     def test_matches_rerolling_recipe_bitwise(self, name):
         env = make_environment(name)
-        cfg = tiny_cfg(k=2, k_elite=5)
+        cfg = tiny_cfg(k=2, n_r=20)
         s = env.start_state
         state, want_state = PlannerState(), PlannerState()
         rng, want_rng = np.random.default_rng(9), np.random.default_rng(9)

@@ -2,6 +2,7 @@ import argparse
 import csv
 import json
 import shlex
+import struct
 from pathlib import Path
 
 import numpy as np
@@ -198,6 +199,19 @@ class TestOneCellGrid:
         assert code == 2
         err = capsys.readouterr().err
         assert "model.bin: unknown activation code 9" in err and err.count("\n") == 1
+
+    def test_model_layers_that_do_not_chain_exit_2_naming_path(self, tmp_path, capsys):
+        # A right-sized barrier model file whose layers go 4 -> 8, then 7 -> 2.
+        model_path = tmp_path / "model.bin"
+        header = b"TJPM" + struct.pack("<9I", 1, 2, 2, 0, 2, 4, 8, 7, 2)
+        floats = 2 * 4 + 2 * 2 + (4 * 8 + 8) + (7 * 2 + 2)
+        model_path.write_bytes(header + np.ones(floats).tobytes())
+        cfg = run_config(tmp_path, models={"barrier": {"path": str(model_path)}})
+        code = main(["compare", "--config", cfg, "--out", str(tmp_path / "r")])
+        assert code == 2
+        assert capsys.readouterr().err == (f"error: {model_path}: layer 1 takes 7 inputs, "
+                                           "expected layer 0's 8 outputs\n")
+        assert not (tmp_path / "r").exists()
 
     def test_diverged_episodes_written_as_failures(self, tmp_path, capsys):
         cfg = run_config(tmp_path, models={"barrier": diverging_model(tmp_path)})
@@ -463,7 +477,17 @@ class TestConfigErrors:
                        f'expected {{"path": "<model file>"}}, got {section!r}',
                        id=f"models.barrier-{label}")
           for label, section in (("path-5", {"path": 5}), ("path-''", {"path": ""}),
-                                 ("analytic", "analytic"), ("null", None))],
+                                 ("analytic", "analytic"), ("null", None),
+                                 ("extra-key", {"path": "model.bin", "typo": 1}))],
+        # CEM's elite count is 10% of its samples, not an option.
+        pytest.param("planner_config.k_elite", {"planner_config": {"k_elite": 3}},
+                     "expected a planner option (G, J, alpha, eta_init, horizon, k, m_init, "
+                     "m_r, n_init, n_r, rho), got 'k_elite'", id="k_elite"),
+        # A world's bounds are built with it, so a bad action limit names
+        # the env, not the planner whose policy first reads the bounds.
+        pytest.param("cells[0].env",
+                     {"cells": [dict(CELL, env={"name": "barrier", "action_limit": -0.5})]},
+                     "lower bound exceeds upper bound", id="action_limit-negative"),
         pytest.param("cells", {"cells": None}, "expected a nonempty list of cell objects, "
                      "got None", id="no-cells"),
         # Arrays past numpy's own size limit, named by the field that sizes

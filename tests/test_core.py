@@ -239,14 +239,14 @@ class TestRollout:
             model, reward, d_a = env.dynamics, env.reward, env.bounds.d_a
             start = env.start_state
             if name == "barrier_in_rim":
-                start = np.asarray(env.world.center) + np.array([0.2, 0.0])
+                start = np.asarray(env.center) + np.array([0.2, 0.0])
             s0 = start + rng.normal(0.0, 0.1, size=start.shape)
         seqs = rng.normal(size=(FLOAT_ROWS + 1, 10, d_a))
         for rows in (7, FLOAT_ROWS, FLOAT_ROWS + 1):
             totals, states, step_rewards = rollout_batch(model, reward, s0, seqs[:rows])
             if name == "barrier_in_rim":
-                distance = np.linalg.norm(states - env.world.center, axis=-1)
-                assert (distance < env.world.radius).sum() > rows
+                distance = np.linalg.norm(states - env.center, axis=-1)
+                assert (distance < env.radius).sum() > rows
             for i in range(rows):
                 traj = rollout(model, reward, s0, seqs[i])
                 assert totals[i] == traj.total_reward
@@ -309,8 +309,7 @@ class TestPlannerConfig:
 
     @pytest.mark.parametrize("kwargs", [
         {"alpha": 0.0}, {"alpha": 1.0}, {"rho": 1.0}, {"eta_init": 0.0},
-        {"horizon": 0}, {"k": 0}, {"k_elite": 0},
-        {"k": 3, "k_elite": 2}, {"k_elite": 11}, {"G": -1},
+        {"horizon": 0}, {"k": 0}, {"G": -1},
     ])
     def test_rejects_invalid(self, kwargs):
         with pytest.raises(ValueError):
@@ -320,7 +319,6 @@ class TestPlannerConfig:
         ({"k": 2}, "n_r=10"),                          # default elites: 100 at t = 0, 1 after
         ({"k": 2, "n_init": 10, "n_r": 20}, "n_init=10"),
         ({"k": 4, "n_r": 25}, "n_r=25"),                  # ceil(2.5) = 3 elites
-        ({"k": 3, "k_elite": 2}, "n_init=1000"),          # k_elite at either budget
     ])
     def test_k_checked_against_both_default_elite_counts(self, kwargs, budget):
         with pytest.raises(ValueError, match=f"^k={kwargs['k']} exceeds the elite "
@@ -333,7 +331,7 @@ class TestPlannerConfig:
 
     @pytest.mark.parametrize("name, value", [
         ("horizon", "3"), ("horizon", 3.5), ("G", True), ("n_init", None), ("k", 1.0),
-        ("k_elite", "2"), ("alpha", "0.3"), ("rho", None), ("eta_init", True),
+        ("J", "2"), ("alpha", "0.3"), ("rho", None), ("eta_init", True),
         ("eta_init", 10**400),
     ])
     def test_rejects_mistyped_field_by_name(self, name, value):
@@ -347,9 +345,9 @@ class TestPlannerConfig:
         with pytest.raises(ValueError, match=f"^{name} must be a finite number, got "):
             PlannerConfig(**{name: value})
 
-    def test_accepts_numpy_integers_and_unset_k_elite(self):
-        cfg = PlannerConfig(horizon=np.int64(3), k_elite=None, eta_init=1)
-        assert cfg.horizon == 3 and cfg.k_elite is None
+    def test_accepts_numpy_integers(self):
+        cfg = PlannerConfig(horizon=np.int64(3), eta_init=1)
+        assert cfg.horizon == 3
 
 
 @pytest.mark.parametrize("total,expected", [

@@ -1,5 +1,6 @@
 import itertools
 import math
+from dataclasses import fields
 from functools import partial
 
 import numpy as np
@@ -63,12 +64,12 @@ class TestBarrier:
         return c * ux, c * uy
 
     def test_outside_no_force(self):
-        dyn = self.world.dynamics()
+        dyn = self.world.dynamics
         s = np.array([-1.0, 0.0])
         assert np.array_equal(dyn.step(s, np.zeros(2)), s)
 
     def test_radial_symmetry(self):
-        dyn = self.world.dynamics()
+        dyn = self.world.dynamics
         s = np.array(self.world.center) + np.array([self.world.radius / 2, 0.0])
         s_next = dyn.step(s, np.zeros(2))
         delta = s_next - s
@@ -76,7 +77,7 @@ class TestBarrier:
         assert abs(delta[1]) < 1e-12
 
     def test_matches_scalar_oracle_inside(self):
-        dyn = self.world.dynamics()
+        dyn = self.world.dynamics
         rng = np.random.default_rng(0)
         for _ in range(20):
             s = np.array(self.world.center) + rng.uniform(-0.35, 0.35, size=2)
@@ -86,7 +87,7 @@ class TestBarrier:
             np.testing.assert_allclose(dyn.step(s, a), want, rtol=0, atol=1e-15)
 
     def test_force_vanishes_at_rim(self):
-        dyn = self.world.dynamics()
+        dyn = self.world.dynamics
         w = self.world
         for frac in (0.9, 0.99, 0.999999):
             s = np.array(w.center) + np.array([w.radius * frac, 0.0])
@@ -97,14 +98,14 @@ class TestBarrier:
         assert np.linalg.norm(force) < 1e-4
 
     def test_reward_anchors(self):
-        reward = self.world.reward_model()
+        reward = self.world.reward
         goal = np.array(self.world.goal)
         assert reward.reward(goal, np.zeros(2)) == 0.0
         world0 = BarrierWorld(action_cost=0.0)
-        assert world0.reward_model().reward(goal + np.array([1.0, 0.0]), np.zeros(2)) == -1.0
+        assert world0.reward.reward(goal + np.array([1.0, 0.0]), np.zeros(2)) == -1.0
 
     def test_reward_matches_scalar_oracle(self):
-        reward = self.world.reward_model()
+        reward = self.world.reward
         rng = np.random.default_rng(1)
         for _ in range(10):
             s, a = rng.normal(size=2), rng.normal(size=2)
@@ -112,7 +113,7 @@ class TestBarrier:
             assert abs(float(reward.reward(s, a)) - want) < 1e-14
 
     def test_backward_vs_finite_differences(self):
-        dyn = self.world.dynamics()
+        dyn = self.world.dynamics
         rng = np.random.default_rng(2)
         for _ in range(100):
             s = rng.uniform(-1.0, 1.0, size=2)
@@ -172,7 +173,7 @@ class TestCartpole:
     world = CartpoleWorld()
 
     def test_equilibria(self):
-        dyn = self.world.dynamics()
+        dyn = self.world.dynamics
         upright = np.array([0.3, 0.0, 0.0, 0.0])
         assert np.array_equal(dyn.step(upright, np.zeros(1)), upright)
         # float sin(pi) is ~1e-16, so the hanging equilibrium holds to roundoff
@@ -181,7 +182,7 @@ class TestCartpole:
                                    rtol=0, atol=1e-14)
 
     def test_matches_scalar_integration(self):
-        dyn = self.world.dynamics()
+        dyn = self.world.dynamics
         w = self.world
         s = np.array([0.2, -0.1, 2.0, 0.5])
         a = 0.5
@@ -196,12 +197,12 @@ class TestCartpole:
         np.testing.assert_allclose(dyn.step(s, np.array([a])), want, rtol=0, atol=1e-15)
 
     def test_reward_anchors(self):
-        reward = self.world.reward_model()
+        reward = self.world.reward
         assert float(reward.reward(np.array([0.0, 0.0, 0.0, 0.0]), np.zeros(1))) == 1.0
         assert float(reward.reward(np.array([0.0, 0.0, math.pi, 0.0]), np.zeros(1))) == -1.0
 
     def test_reward_matches_scalar_oracle(self):
-        reward = self.world.reward_model()
+        reward = self.world.reward
         rng = np.random.default_rng(3)
         for _ in range(10):
             s, a = rng.normal(size=4), rng.normal(size=1)
@@ -209,7 +210,7 @@ class TestCartpole:
             assert abs(float(reward.reward(s, a)) - want) < 1e-14
 
     def test_backward_vs_finite_differences(self):
-        dyn = self.world.dynamics()
+        dyn = self.world.dynamics
         rng = np.random.default_rng(4)
         for _ in range(100):
             s = np.array([rng.uniform(-1, 1), rng.uniform(-2, 2),
@@ -219,7 +220,7 @@ class TestCartpole:
             assert_vjp_close(dyn, s, a, g, tol=1e-5)
 
     def test_reward_backward_vs_finite_differences(self):
-        reward = self.world.reward_model()
+        reward = self.world.reward
         rng = np.random.default_rng(5)
         h = 1e-6
         for _ in range(20):
@@ -242,6 +243,19 @@ def test_environment_registry():
     assert env.bounds.d_a == 2
     with pytest.raises(ValueError, match="barrier"):
         make_environment("mujoco-humanoid")
+
+
+@pytest.mark.parametrize("name, world", [("barrier", BarrierWorld), ("cartpole", CartpoleWorld)])
+def test_environment_is_its_world_with_parts_built_once(name, world):
+    env = make_environment(name, dt=0.1)
+    assert type(env) is world and env == world(dt=0.1) and env.name == name
+    parts = ("dynamics", "reward", "bounds", "start_state")
+    first = [getattr(env, part) for part in parts]
+    assert all(getattr(env, part) is got for part, got in zip(parts, first))
+    assert env.dynamics.world is env
+    assert np.array_equal(env.start_state, env.start)
+    # The parts are attributes, not fields: not options, not compared.
+    assert not set(parts) & {f.name for f in fields(world)}
 
 
 def test_batched_step_matches_single():
@@ -356,18 +370,18 @@ class TestBarrierFloatRollout:
         u = ss - center
         inside = np.sqrt(np.add.reduce(u * u, axis=-1) + SMOOTH_EPS**2) < world.radius
         assert inside.any() and not inside.all()
-        self.assert_rollouts_match(world.dynamics(), ss, aa, monkeypatch)
+        self.assert_rollouts_match(world.dynamics, ss, aa, monkeypatch)
 
     def test_signed_zeros(self, monkeypatch):
         # The centre's x is 0.0, so a -0.0 state entry gives u = -0.0 there.
-        dyn = BarrierWorld().dynamics()
+        dyn = BarrierWorld().dynamics
         zeros = list(itertools.product((0.0, -0.0), repeat=2))
         states = zeros + [(x, dyn.world.center[1]) for x in (0.0, -0.0)]
         ss, aa = (np.array(v) for v in zip(*itertools.product(states, zeros)))
         self.assert_rollouts_match(dyn, ss, aa, monkeypatch)
 
     def test_non_finite_states_and_actions(self, monkeypatch):
-        dyn = BarrierWorld().dynamics()
+        dyn = BarrierWorld().dynamics
         values = (math.nan, math.inf, -math.inf, 0.15, 1e308)
         pairs = np.array(list(itertools.product(values, repeat=2)))
         finite = np.full_like(pairs, 0.1)
@@ -396,7 +410,7 @@ class TestBarrierAdjointSweep:
     @pytest.mark.parametrize("world", BARRIER_WORLDS)
     @pytest.mark.parametrize("start", ["outside", "crossing", "centre"])
     def test_rollouts(self, world, start):
-        dyn, reward = world.dynamics(), world.reward_model()
+        dyn, reward = world.dynamics, world.reward
         rng = np.random.default_rng(5)
         center = np.asarray(world.center)
         actions = rng.uniform(-0.5, 0.5, size=(45, 2))
@@ -434,19 +448,19 @@ class TestBarrierAdjointSweep:
                                  center + rng.uniform(-0.6, 0.6, size=(40, 2))])
         inside = self.inside(world, states)
         assert inside.any() and not inside.all()
-        self.assert_sweeps_match(world.dynamics(), states, rng.uniform(-0.5, 0.5, states.shape),
+        self.assert_sweeps_match(world.dynamics, states, rng.uniform(-0.5, 0.5, states.shape),
                                  rng.normal(0.0, 1.0, states.shape))
 
     def test_signed_zero_adjoints(self):
         # The centre's x is 0.0, so a -0.0 state entry gives u = -0.0 there.
-        dyn = BarrierWorld().dynamics()
+        dyn = BarrierWorld().dynamics
         zeros = list(itertools.product((0.0, -0.0), repeat=2))
         states = zeros + [(x, dyn.world.center[1]) for x in (0.0, -0.0)] + [(3.0, 0.0)]
         ss, gg = (np.array(v) for v in zip(*itertools.product(states, zeros)))
         self.assert_sweeps_match(dyn, ss, np.zeros_like(ss), gg)
 
     def test_non_finite_states_and_adjoints(self):
-        dyn = BarrierWorld().dynamics()
+        dyn = BarrierWorld().dynamics
         values = (math.nan, math.inf, -math.inf, 0.15, 1e308)
         pairs = np.array(list(itertools.product(values, repeat=2)))
         within = np.full_like(pairs, 0.1)   # within the rim, so the product sees them
@@ -545,8 +559,8 @@ def test_linearize_matches_scalar_references_bitwise(name):
     n = 2000
     if name == "barrier":
         # Inside the barrier, off it, at the smoothed centre and on the rim.
-        ss = env.world.center + rng.uniform(-0.6, 0.6, size=(n, 2))
-        ss = np.concatenate([ss, barrier_rim_states(env.world)])
+        ss = env.center + rng.uniform(-0.6, 0.6, size=(n, 2))
+        ss = np.concatenate([ss, barrier_rim_states(env)])
         reference = scalar_barrier_backward
     else:
         # Wide pole angles and speeds, and the states whose squares libm
@@ -554,7 +568,7 @@ def test_linearize_matches_scalar_references_bitwise(name):
         ss = np.column_stack([rng.normal(0.0, 1.0, n), rng.normal(0.0, 2.0, n),
                               rng.uniform(-4.0 * np.pi, 4.0 * np.pi, n),
                               rng.normal(0.0, 4.0, n)])
-        ss = np.concatenate([ss, cartpole_states_with_rounding_squares(env.world, rng)])
+        ss = np.concatenate([ss, cartpole_states_with_rounding_squares(env, rng)])
         reference = scalar_cartpole_backward
     aa = rng.uniform(env.bounds.low, env.bounds.high, size=(len(ss), env.bounds.d_a))
     gg = rng.normal(size=ss.shape)
@@ -610,7 +624,7 @@ def test_kernels_match_reference_formulas_bitwise(shape):
         # Wide states reach the barrier's inside and the pole's every angle.
         s = rng.normal(0.0, 3.0, size=shape + (d_s,))
         if name == "barrier":
-            s = env.world.center + rng.uniform(-0.6, 0.6, size=shape + (d_s,))
+            s = env.center + rng.uniform(-0.6, 0.6, size=shape + (d_s,))
         a = rng.uniform(env.bounds.low, env.bounds.high, size=shape + (d_a,))
         assert_bitwise(env.dynamics.step(s, a), reference(env.dynamics, s, a))
         if name == "barrier":

@@ -1,5 +1,6 @@
 import csv
 import re
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -16,6 +17,23 @@ TINY = PlannerConfig(horizon=5, n_init=20, m_init=2, n_r=10, m_r=1)
 
 def barrier_policy(env, cfg=TINY):
     return make_policy("cemgd", env.dynamics, env.reward, cfg, env.bounds)
+
+
+@pytest.mark.parametrize("planner, defined", [
+    pytest.param("cemgd", set(), id="cemgd"),
+    pytest.param("gradient", {"n_init", "m_init", "k"}, id="gradient"),
+    *[pytest.param(f"cem-{budget}", {"n_init", "m_init", "n_r", "m_r", "G", "k"},
+                   id=f"cem-{budget}") for budget in (50, 500, 5000)],
+])
+def test_planner_id_sets_only_the_fields_it_defines(planner, defined):
+    # Every field away from its default, so an id that sets one shows.
+    shared = PlannerConfig(horizon=7, n_init=30, m_init=2, n_r=20, m_r=3, alpha=0.4, k=2,
+                           G=3, J=4, eta_init=0.02, rho=0.5)
+    assert all(getattr(shared, f.name) != f.default for f in fields(PlannerConfig))
+    env = make_environment("barrier")
+    cfg = make_policy(planner, env.dynamics, env.reward, shared, env.bounds).cfg
+    assert {f.name for f in fields(PlannerConfig)
+            if getattr(cfg, f.name) != getattr(shared, f.name)} == defined
 
 
 class TestRunEpisode:

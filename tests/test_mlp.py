@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import re
 import struct
 import subprocess
 import sys
@@ -426,6 +427,27 @@ class TestSerialization:
         path, data = self.saved_bytes(tmp_path)
         path.write_bytes(data[:16] + (9).to_bytes(4, "little") + data[20:])
         with pytest.raises(ValueError, match=r"model\.bin: unknown activation code 9"):
+            MlpModel.load_binary(path)
+
+    @pytest.mark.parametrize("shapes, problem", [
+        ([], "no layers"),
+        ([(3, 2)], "layer 0 takes 3 inputs, expected d_s + d_a = 4"),
+        ([(4, 8), (7, 2)], "layer 1 takes 7 inputs, expected layer 0's 8 outputs"),
+        ([(4, 3)], "the last layer gives 3 outputs, expected d_s = 2"),
+        ([(4, 8), (8, 2)], None),
+    ], ids=["no-layers", "first-fan-in", "broken-chain", "last-fan-out", "chains"])
+    def test_layers_that_do_not_chain_name_path(self, tmp_path, shapes, problem):
+        # A right-sized file of a (d_s, d_a) = (2, 2) model with these layer
+        # shapes; the last case chains, so loads.
+        path = tmp_path / "model.bin"
+        header = b"TJPM" + struct.pack("<5I", 1, 2, 2, 0, len(shapes))
+        header += b"".join(struct.pack("<II", *shape) for shape in shapes)
+        floats = 2 * 4 + 2 * 2 + sum(i * o + o for i, o in shapes)
+        path.write_bytes(header + np.ones(floats).tobytes())
+        if problem is None:
+            assert [W.shape for W, _ in MlpModel.load_binary(path).weights] == shapes
+            return
+        with pytest.raises(ValueError, match=f"^{re.escape(f'{path}: {problem}')}$"):
             MlpModel.load_binary(path)
 
     def test_truncated_file_names_path(self, tmp_path):
