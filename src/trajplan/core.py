@@ -126,7 +126,9 @@ def rollout_batch(model, reward, s0: Array, seqs: Array):
     ``dynamics.FLOAT_ROWS`` rows out on Python floats, where numpy's
     per-call cost would dominate, and a larger one by the batched numpy
     formula; both do the same IEEE operations in the same order (see
-    ``BarrierDynamics.rollout_states``).
+    ``BarrierDynamics.rollout_states``). The cartpole's states are the
+    transposed view of a (T+1, d_s, B) buffer, so they need not be
+    C-contiguous, and a row taken from them keeps the whole buffer alive.
     For ``MlpModel`` at B>1 rows are equal only to rounding,
     because BLAS may sum a row's products in another order for another B.
     Across BLAS threads an MLP-planned episode is bitwise equal: tested with

@@ -552,6 +552,70 @@ def cartpole_states_with_rounding_squares(world, rng, pool=100_000, each=40):
     return np.column_stack([x, v, theta[rows], omega[rows]])
 
 
+class TestCartpoleRollout:
+    """The cartpole rolls a batch out on contiguous rows of its own buffer.
+    DynamicsModel's default loop over step, which steps strided columns, is
+    the reference it must equal bit for bit, any NaN matching any NaN. So
+    this also checks that numpy's sin and cos give the same bits on a
+    contiguous row as on a strided column."""
+
+    world = CartpoleWorld()
+
+    def assert_rollout_matches(self, s0, actions):
+        dyn = self.world.dynamics
+        with np.errstate(all="ignore"):   # non-finite states warn in numpy
+            got = dyn.rollout_states(s0, actions)
+            want = DynamicsModel.rollout_states(dyn, s0, actions)
+        assert got.shape == (actions.shape[0], actions.shape[1] + 1, 4)
+        assert_bits_or_nans(got, want)
+        assert not np.shares_memory(got, actions)
+
+    # One row, the line search's 7 trials, CEM's 10 and 100 rows and the
+    # first plan's 1,000; no step, the true step's one and the paper's 45.
+    @pytest.mark.parametrize("rows", [1, 7, 10, 100, 1000])
+    @pytest.mark.parametrize("steps", [0, 1, 45])
+    def test_wide_random_starts(self, rows, steps):
+        rng = np.random.default_rng(rows * 100 + steps)
+        starts = np.column_stack([rng.normal(0.0, 1.0, 3), rng.normal(0.0, 2.0, 3),
+                                  rng.uniform(-4.0 * np.pi, 4.0 * np.pi, 3),
+                                  rng.normal(0.0, 4.0, 3)])
+        for s0 in [self.world.start_state, *starts]:
+            self.assert_rollout_matches(s0, rng.uniform(-1.0, 1.0, (rows, steps, 1)))
+
+    def test_starts_with_rounding_squares(self):
+        rng = np.random.default_rng(8)
+        for s0 in cartpole_states_with_rounding_squares(self.world, rng):
+            self.assert_rollout_matches(s0, rng.uniform(-1.0, 1.0, (10, 3, 1)))
+
+    def test_signed_zeros(self):
+        zeros = np.array(list(itertools.product((0.0, -0.0), repeat=4)))
+        actions = np.array([0.0, -0.0, 0.0, -0.0]).reshape(2, 2, 1)
+        for s0 in zeros:
+            self.assert_rollout_matches(s0, actions)
+
+    def test_overflowing_actions(self):
+        rng = np.random.default_rng(9)
+        actions = rng.uniform(-1.0, 1.0, (7, 45, 1))
+        actions[1:4, ::5] = 1e300
+        actions[4:, 2] = -1e300
+        self.assert_rollout_matches(self.world.start_state, actions)
+
+    def test_nan_starts(self):
+        actions = np.random.default_rng(10).uniform(-1.0, 1.0, (3, 4, 1))
+        for i in range(4):
+            s0 = np.array(self.world.start_state)
+            s0[i] = math.nan
+            self.assert_rollout_matches(s0, actions)
+
+    def test_non_contiguous_actions(self):
+        rng = np.random.default_rng(11)
+        candidates = rng.uniform(-1.0, 1.0, (8, 45, 1))
+        wide = rng.uniform(-1.0, 1.0, (10, 90, 2))
+        for actions in (candidates[1:], candidates[::2], wide[:, ::2, :1],
+                        np.asfortranarray(candidates)):
+            self.assert_rollout_matches(self.world.start_state, actions)
+
+
 @pytest.mark.parametrize("name", ["barrier", "cartpole"])
 def test_linearize_matches_scalar_references_bitwise(name):
     env = make_environment(name)
@@ -584,8 +648,9 @@ def test_linearize_matches_scalar_references_bitwise(name):
 
 
 # The kernels below were rewritten for speed (ndarray.sum instead of the
-# np.sum wrapper, an out= buffer instead of np.stack). The earlier formulas
-# are kept here as references that the kernels must equal bit for bit.
+# np.sum wrapper, an out= buffer instead of np.stack, the cartpole's fused
+# calls on rows). The formulas they were written from are kept here as
+# references that the kernels must equal bit for bit.
 
 
 def stacked_cartpole_step(dyn, s, a):
@@ -593,7 +658,13 @@ def stacked_cartpole_step(dyn, s, a):
     s = np.asarray(s, dtype=float)
     force = w.force_scale * np.asarray(a, dtype=float)[..., 0]
     x, v, theta, omega = (s[..., i] for i in range(4))
-    x_acc, theta_acc = dyn._accelerations(theta, omega, force)
+    sin, cos = np.sin(theta), np.cos(theta)
+    total_mass = w.masscart + w.masspole
+    pole_ml = w.masspole * w.half_length
+    temp = (force + pole_ml * omega**2 * sin) / total_mass
+    denom = w.half_length * (4.0 / 3.0 - w.masspole * cos**2 / total_mass)
+    theta_acc = (w.gravity * sin - cos * temp) / denom
+    x_acc = temp - pole_ml * theta_acc * cos / total_mass
     return np.stack(
         [x + w.dt * v, v + w.dt * x_acc, theta + w.dt * omega, omega + w.dt * theta_acc],
         axis=-1,
@@ -614,7 +685,9 @@ def np_sum_quadratic_reward(reward, s_next, a):
     return -np.sum(err * err, axis=-1) - reward.action_cost * np.sum(a * a, axis=-1)
 
 
-@pytest.mark.parametrize("shape", [(), (257,)])
+# Thousands of samples: regrouping the cartpole's pole_ml * theta_acc * cos
+# changes about one next state in 250.
+@pytest.mark.parametrize("shape", [(), (257,), (45, 100)])
 def test_kernels_match_reference_formulas_bitwise(shape):
     rng = np.random.default_rng(21)
     for name, reference in (("cartpole", stacked_cartpole_step),
