@@ -2,9 +2,9 @@
 
 Maintains an entrywise Gaussian (diagonal covariance) over (T, d_a) action
 sequences. Each iteration samples n sequences, rolls them out, refits the
-distribution to the top k_elite by a moving average, and the best
-sequences over the whole run are pooled across iterations, as the
-trajectories their rollouts produced.
+distribution to its top ``default_elite_count(n)`` by a moving average,
+and the best sequences over the whole run are pooled across iterations,
+as the trajectories their rollouts produced.
 """
 
 from __future__ import annotations
@@ -13,7 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ActionBounds, Array, DivergedError, Trajectory, rollout_batch
+from .core import (ActionBounds, Array, DivergedError, Trajectory, default_elite_count,
+                   rollout_batch)
 
 # Keeps the sampling distribution from collapsing to a point.
 VARIANCE_FLOOR = 1e-6
@@ -78,21 +79,20 @@ def update_distribution(dist: SamplingDistribution, elites, alpha: float) -> Sam
 
 
 def run_cem(model, reward, s0, init_dist: SamplingDistribution, n: int, m: int,
-            k_elite: int, alpha: float, bounds: ActionBounds, rng,
-            top_k: int) -> list[Trajectory]:
+            alpha: float, bounds: ActionBounds, rng, top_k: int) -> list[Trajectory]:
     """Run m CEM iterations of n samples each and return the pooled best.
 
-    Each iteration but the last refits the distribution to its top k_elite
-    samples, ties broken by sample order (a refit after the last would go
-    unread). The result is the best top_k of all n*m evaluated samples, as
-    the trajectories CEM's batched rollouts produced (states, actions, step
-    rewards, total), sorted by total reward descending, earlier sample
-    first on ties; so the best reward seen is a running maximum over
-    iterations. For the analytic models each equals
+    Each iteration but the last refits the distribution to its top
+    ``default_elite_count(n)`` samples, ties broken by sample order (a
+    refit after the last would go unread). The result is the best top_k of
+    all n*m evaluated samples, as the trajectories CEM's batched rollouts
+    produced (states, actions, step rewards, total), sorted by total reward
+    descending, earlier sample first on ties; so the best reward seen is a
+    running maximum over iterations. For the analytic models each equals
     ``rollout`` of its actions bit for bit, for ``MlpModel`` to rounding.
     """
-    if not 1 <= k_elite <= n:
-        raise ValueError("k_elite must satisfy 1 <= k_elite <= n")
+    if n < 1:
+        raise ValueError("n must be at least 1")
     if m < 1:
         raise ValueError("m must be at least 1")
     if not 0.0 <= alpha <= 1.0:
@@ -100,6 +100,7 @@ def run_cem(model, reward, s0, init_dist: SamplingDistribution, n: int, m: int,
     keep = int(top_k)
     if keep < 1:
         raise ValueError("top_k must be at least 1")
+    k_elite = default_elite_count(n)
     dist = init_dist
     pool: list[tuple[float, int, Trajectory]] = []   # (total, index over the run, trajectory)
     for it in range(m):

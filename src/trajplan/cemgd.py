@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .cem import SamplingDistribution, run_cem
-from .core import ActionBounds, Array, DivergedError, PlannerConfig, default_elite_count
+from .core import ActionBounds, Array, DivergedError, PlannerConfig
 from .gradplanner import OptimizeTrace, optimize
 
 
@@ -82,8 +82,7 @@ def plan(state: PlannerState, s_t: Array, model, reward, cfg: PlannerConfig,
         n, m = cfg.n_r, cfg.m_r
 
     dist = SamplingDistribution.initial(cfg.horizon, bounds.d_a, mean)
-    pooled = run_cem(model, reward, s_t, dist, n, m, default_elite_count(n), cfg.alpha,
-                     bounds, rng, top_k=cfg.k)
+    pooled = run_cem(model, reward, s_t, dist, n, m, cfg.alpha, bounds, rng, top_k=cfg.k)
 
     finals, traces = [], []
     for i, seed in enumerate(pooled if cfg.G > 0 else []):

@@ -13,19 +13,25 @@ makes the world of that ``name``.
 Every dynamics model subclasses DynamicsModel and implements
 
     step(s, a) -> s_next
+
+and one VJP code: either linearize, the hook of the default adjoint_sweep,
+
     linearize(states, actions) -> vjp, with vjp(t, grad_next) -> (grad_s, grad_a)
 
-where linearize computes the Jacobian factors of every step of a (T, d_s)
-/ (T, d_a) trajectory in one vectorised pass, and vjp(t, g) only
-multiplies with them to give the vector-Jacobian products of step at
-step t. For the analytic models vjp(t, g) equals linearize of that one
-step (T = 1) bit for bit; for MlpModel to rounding (BLAS may sum a row's
-products in another order for another T). Reward models expose
-reward(s_next, a) and backward(s_next, a). step accepts a single sample
-or a batch stacked along a leading axis; reward and the reward's backward
-accept any leading shape, such as a whole (B, T) block of rollout steps,
-and equal their per-sample values bit for bit. All models are pure
-functions of their inputs and safe to call concurrently.
+or its own adjoint_sweep. linearize computes the Jacobian factors of every
+step of a (T, d_s) / (T, d_a) trajectory in one vectorised pass, and
+vjp(t, g) only multiplies with them to give the vector-Jacobian products
+of step at step t. CartpoleDynamics and MlpModel give linearize: the VJPs
+at a single sample are linearize(s[None], a[None])(0, g), which vjp(t, g)
+equals bit for bit for the cartpole and to rounding for MlpModel (BLAS may
+sum a row's products in another order for another T). BarrierDynamics
+gives adjoint_sweep and no linearize; its VJPs at a single sample are a
+one-step sweep. Reward models expose reward(s_next, a) and
+backward(s_next, a). step accepts a single sample or a batch stacked along
+a leading axis; reward and the reward's backward accept any leading shape,
+such as a whole (B, T) block of rollout steps, and equal their per-sample
+values bit for bit. All models are pure functions of their inputs and safe
+to call concurrently.
 
 A rollout's loop over steps is the model's rollout_states(s0, actions):
 by default a loop over step that fills the (B, T+1, d_s) states.
@@ -44,10 +50,11 @@ transposed view: about 40% less time than the loop over step at 100 rows.
 A gradient sweep's loop over steps is the model's adjoint_sweep, by
 default a loop over linearize's vjp from the last step back. A sweep is
 one trajectory, where numpy's per-call cost dominates, so BarrierDynamics
-sweeps on Python floats at every T, in the default's IEEE operations and
-order, but for the steps within the rim: their jac @ g stays BLAS's 2x2
-product, which rounds with FMA (a float a*b + c*d differs in about a
-quarter of entries, with OpenBLAS on x86-64).
+sweeps on Python floats at every T, in the default's order and in the
+IEEE operations of the per-step VJP it was written from (kept in
+tests/oracles.py), but for the steps within the rim: their jac @ g stays
+BLAS's 2x2 product, which rounds with FMA (a float a*b + c*d differs in
+about a quarter of entries, with OpenBLAS on x86-64).
 
 MlpModel runs its network in one of two passes, by what the caller reads.
 The value pass (step, predict_delta, training_mse) keeps only the layer it
@@ -81,10 +88,12 @@ class DynamicsModel:
         raise NotImplementedError
 
     def linearize(self, states: Array, actions: Array):
-        """Fix the (T, d_s) states and (T, d_a) actions of a trajectory and
-        return vjp, where vjp(t, grad_next) is the VJPs (df/ds)^T grad_next
-        and (df/da)^T grad_next at (states[t], actions[t]) for a float
-        array grad_next."""
+        """The hook of the default adjoint_sweep, as step is the hook of
+        rollout_states: fix the (T, d_s) states and (T, d_a) actions of a
+        trajectory and return vjp, where vjp(t, grad_next) is the VJPs
+        (df/ds)^T grad_next and (df/da)^T grad_next at (states[t],
+        actions[t]) for a float array grad_next. A model that gives its own
+        adjoint_sweep gives no linearize."""
         raise NotImplementedError
 
     def rollout_states(self, s0: Array, actions: Array) -> Array:
@@ -123,7 +132,7 @@ def _libm_power(x: Array, n: int) -> Array:
     its own path): it differs from libm in the last bit on a fraction of a
     percent of squares and on about 5% of cubes. The analytic Jacobians
     must equal the per-sample float formulas they were written from (kept
-    in tests/test_dynamics.py) bit for bit, or planner results change.
+    in tests/oracles.py) bit for bit, or planner results change.
     """
     return np.power(np.asarray(x, dtype=float).astype(object), n).astype(float)
 
@@ -291,13 +300,26 @@ class BarrierDynamics(DynamicsModel):
         return np.array(flat).reshape(actions.shape[0], actions.shape[1] + 1, 2)
 
     def adjoint_sweep(self, states, actions, state_grads):
-        """The default sweep on Python floats, bit for bit: beyond the rim a
-        step's VJP is (g, dt*g), and within it jac @ g stays a numpy product
-        on the Jacobians of just those steps (see the module docstring)."""
-        u, d = self._offsets(states)
-        rim = np.flatnonzero(d < self.world.radius)
-        jacs = dict(zip(rim.tolist(), self._jacobians(u[rim], d[rim]))) if rim.size else {}
-        dt = self.world.dt
+        """The default sweep's order on Python floats, and the barrier's
+        only VJP code. Beyond the rim a step's VJP is (g, dt*g). Within it,
+        dF/ds = c*I - (kappa*r/d^3) u u^T with c = kappa*(r - d)/d, at the
+        offset u from the centre and the distance d, is symmetric, so the
+        VJP is (g + dt*(jac @ g), dt*g); jac @ g stays a numpy product on
+        the Jacobians of just those steps (see the module docstring). u @ u
+        is one ddot per row, as a single sample's is (an elementwise sum
+        rounds differently)."""
+        w = self.world
+        u = np.asarray(states, dtype=float) - self._center
+        d = np.sqrt(np.vecdot(u, u) + SMOOTH_EPS**2)
+        rim = np.flatnonzero(d < w.radius)
+        jacs = {}
+        if rim.size:
+            u, d = u[rim], d[rim]
+            c = w.kappa * (w.radius - d) / d
+            k = w.kappa * w.radius / _libm_power(d, 3)
+            jacs = dict(zip(rim.tolist(), c[:, None, None] * np.eye(2)
+                            - k[:, None, None] * (u[:, :, None] * u[:, None, :])))
+        dt = w.dt
         gx = gy = 0.0
         grads, adjoints = [], []
         T = len(state_grads)
@@ -310,36 +332,6 @@ class BarrierDynamics(DynamicsModel):
             adjoints += (gx, gy)
         # Built from the last step back, so read in reverse.
         return np.array(grads).reshape(T, 2)[::-1], np.array(adjoints).reshape(T, 2)[::-1]
-
-    def _offsets(self, states):
-        """Offsets u from the centre and distances d, one ddot per row as a
-        single sample's u @ u is (an elementwise sum rounds differently)."""
-        u = np.asarray(states, dtype=float) - self._center
-        return u, np.sqrt(np.vecdot(u, u) + SMOOTH_EPS**2)
-
-    def _jacobians(self, u, d):
-        """dF/ds = c*I - (kappa*r/d^3) u u^T, c = kappa*(r - d)/d, within
-        the rim (d < radius) at offsets u and distances d; zero beyond it."""
-        w = self.world
-        c = w.kappa * (w.radius - d) / d
-        k = w.kappa * w.radius / _libm_power(d, 3)
-        return c[:, None, None] * np.eye(2) - k[:, None, None] * (u[:, :, None] * u[:, None, :])
-
-    def linearize(self, states, actions):
-        """dF/ds is symmetric, so each step's VJP within the rim is a plain
-        matrix-vector product, and beyond it is (g, dt * g) with no
-        product at all."""
-        u, d = self._offsets(states)
-        jac = self._jacobians(u, d)
-        inside = (d < self.world.radius).tolist()
-        dt = self.world.dt
-
-        def vjp(t, g):
-            if inside[t]:
-                return g + dt * (jac[t] @ g), dt * g
-            return g.copy(), dt * g
-
-        return vjp
 
 
 # ---------------------------------------------------------------------------

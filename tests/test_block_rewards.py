@@ -14,10 +14,11 @@ import pytest
 import trajplan.cem as cem_mod
 import trajplan.core as core_mod
 import trajplan.gradplanner as gradplanner_mod
+from oracles import SCALAR_BACKWARD, oracle_sweep, scalar_barrier_backward
 from trajplan.cemgd import PlannerState, plan
 from trajplan.core import DivergedError, PlannerConfig, rollout_batch
-from trajplan.dynamics import (BarrierDynamics, BarrierWorld, CartpoleReward, DynamicsModel,
-                               MlpModel, QuadraticGoalReward, make_environment)
+from trajplan.dynamics import (BarrierDynamics, BarrierWorld, CartpoleReward, MlpModel,
+                               QuadraticGoalReward, make_environment)
 
 
 def per_step_rollout_batch(model, reward, s0, seqs):
@@ -55,7 +56,9 @@ def per_sample_reward_backward(reward, s_next, a):
 
 
 def per_step_reward_gradient(model, reward, traj):
-    """The sweep with one reward VJP and one dynamics VJP per step."""
+    """The sweep with one reward VJP and one dynamics VJP per step, the
+    dynamics VJP from the analytic model's scalar reference."""
+    reference = SCALAR_BACKWARD[type(model)]
     seq = traj.actions
     grad = np.empty_like(seq)
     state_adjoint = np.zeros(traj.states.shape[1])
@@ -63,7 +66,7 @@ def per_step_reward_gradient(model, reward, traj):
         for t in range(seq.shape[0] - 1, -1, -1):
             r_gs, r_ga = per_sample_reward_backward(reward, traj.states[t + 1], seq[t])
             state_adjoint = state_adjoint + r_gs
-            f_gs, f_ga = model.linearize(traj.states[t][None], seq[t][None])(0, state_adjoint)
+            f_gs, f_ga = reference(model, traj.states[t], seq[t], state_adjoint)
             grad[t] = r_ga + f_ga
             state_adjoint = f_gs
     return grad
@@ -171,7 +174,9 @@ def test_diverging_barrier_sweep_names_the_default_sweeps_step(fault, monkeypatc
         return err.value.step, str(err.value)
 
     got = diverged()
-    monkeypatch.setattr(BarrierDynamics, "adjoint_sweep", DynamicsModel.adjoint_sweep)
+    # The oracle sweep goes in the default sweep's order.
+    monkeypatch.setattr(BarrierDynamics, "adjoint_sweep", lambda self, *sweep: oracle_sweep(
+        scalar_barrier_backward, self, *sweep))
     assert got == diverged()
     assert got[0] == (29 if fault == "nan-state" else int(np.flatnonzero(
         np.linalg.norm(traj.states[:-1] - world.center, axis=1) < world.radius)[-1]))

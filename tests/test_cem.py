@@ -152,15 +152,14 @@ class TestUpdateDistribution:
 
 
 class TestRunCem:
-    def run(self, n, m, k_elite, top_k, seed=0, horizon=1):
+    def run(self, n, m, top_k, seed=0, horizon=1):
         dist = SamplingDistribution.initial(horizon, 1)
         return run_cem(StaticDynamics(), ActionQuadReward(), np.zeros(1), dist,
-                       n, m, k_elite, 0.1, bounds1, np.random.default_rng(seed),
-                       top_k=top_k)
+                       n, m, 0.1, bounds1, np.random.default_rng(seed), top_k=top_k)
 
     def test_single_iteration_all_samples_ranked(self):
         n = 6
-        pooled = self.run(n=n, m=1, k_elite=n, top_k=n)
+        pooled = self.run(n=n, m=1, top_k=n)
         # Reproduce the draws: same seed, same consumption order.
         dist = SamplingDistribution.initial(1, 1)
         draws = sample(dist, n, bounds1, np.random.default_rng(0))
@@ -171,45 +170,45 @@ class TestRunCem:
         assert got == want
 
     def test_quadratic_optimum_found(self):
-        pooled = self.run(n=100, m=10, k_elite=10, top_k=1, seed=5)
+        pooled = self.run(n=100, m=10, top_k=1, seed=5)   # 10 elites
         assert abs(pooled[0].actions[0, 0] - 0.3) < 0.05
 
     def test_best_reward_nondecreasing_in_m(self):
         # Identical seeds share the iteration prefix, so the pooled best
         # is a running maximum.
-        rewards = [self.run(n=20, m=m, k_elite=4, top_k=1, seed=9)[0].total_reward
+        rewards = [self.run(n=40, m=m, top_k=1, seed=9)[0].total_reward   # 4 elites
                    for m in (1, 2, 4, 8)]
         assert all(b >= a for a, b in zip(rewards, rewards[1:]))
 
     def test_top_k_dominates_and_feasible(self):
-        pooled = self.run(n=30, m=3, k_elite=5, top_k=5, seed=2)
+        pooled = self.run(n=50, m=3, top_k=5, seed=2)   # 5 elites
         top_rewards = [traj.total_reward for traj in pooled]
         assert top_rewards == sorted(top_rewards, reverse=True)
         for traj in pooled:
             assert np.all(traj.actions >= -1.0) and np.all(traj.actions <= 1.0)
 
     def test_top_k_parameter_truncates(self):
-        pooled = self.run(n=30, m=2, k_elite=5, top_k=2, seed=2)
+        pooled = self.run(n=50, m=2, top_k=2, seed=2)
         assert len(pooled) == 2
 
     def test_top_k_is_required(self):
         dist = SamplingDistribution.initial(1, 1)
         with pytest.raises(TypeError, match="top_k"):
-            run_cem(StaticDynamics(), ActionQuadReward(), np.zeros(1), dist, 5, 1, 2, 0.1,
+            run_cem(StaticDynamics(), ActionQuadReward(), np.zeros(1), dist, 5, 1, 0.1,
                     bounds1, np.random.default_rng(0))
 
     @pytest.mark.parametrize("top_k", [0, -1])
     def test_top_k_below_one_raises_before_any_rollout(self, monkeypatch, top_k):
         monkeypatch.setattr(cem_mod, "rollout_batch", None)   # must not be called
         with pytest.raises(ValueError, match="^top_k must be at least 1$"):
-            self.run(n=5, m=1, k_elite=2, top_k=top_k)
+            self.run(n=5, m=1, top_k=top_k)
 
     @pytest.mark.parametrize("name", ["barrier", "cartpole"])
     def test_top_k_trajectories_equal_single_rollouts_bitwise(self, name):
         env = make_environment(name)
         dist = SamplingDistribution.initial(6, env.bounds.d_a)
-        pooled = run_cem(env.dynamics, env.reward, env.start_state, dist, 30, 3, 5, 0.3,
-                         env.bounds, np.random.default_rng(4), top_k=4)
+        pooled = run_cem(env.dynamics, env.reward, env.start_state, dist, 50, 3, 0.3,
+                         env.bounds, np.random.default_rng(4), top_k=4)   # 5 elites
         assert len(pooled) == 4
         for traj in pooled:
             want = rollout(env.dynamics, env.reward, env.start_state, traj.actions)
@@ -222,17 +221,17 @@ class TestRunCem:
     def test_equal_rewards_keep_the_earliest_samples_across_iterations(self):
         # Every total is 0.0, so no later sample may displace an earlier one.
         dist = SamplingDistribution.initial(2, 1)
-        pooled = run_cem(StaticDynamics(), ZeroReward(), np.zeros(1), dist, 5, 3, 2, 0.1,
+        pooled = run_cem(StaticDynamics(), ZeroReward(), np.zeros(1), dist, 5, 3, 0.1,
                          bounds1, np.random.default_rng(7), top_k=3)
         first = sample(dist, 5, bounds1, np.random.default_rng(7))
         assert [traj.actions.tobytes() for traj in pooled] == [seq.tobytes() for seq in first[:3]]
         assert [traj.total_reward for traj in pooled] == [0.0] * 3
 
     def test_invalid_arguments(self):
-        with pytest.raises(ValueError):
-            self.run(n=5, m=1, k_elite=6, top_k=1)
-        with pytest.raises(ValueError):
-            self.run(n=5, m=0, k_elite=2, top_k=1)
+        with pytest.raises(ValueError, match="^n must be at least 1$"):
+            self.run(n=0, m=1, top_k=1)
+        with pytest.raises(ValueError, match="^m must be at least 1$"):
+            self.run(n=5, m=0, top_k=1)
 
     @pytest.mark.parametrize("alpha", [-0.1, 1.5, float("nan")])
     @pytest.mark.parametrize("m", [1, 3])
@@ -241,8 +240,8 @@ class TestRunCem:
         monkeypatch.setattr(cem_mod, "rollout_batch", None)   # must not be called
         dist = SamplingDistribution.initial(1, 1)
         with pytest.raises(ValueError, match="alpha must lie in"):
-            run_cem(StaticDynamics(), ActionQuadReward(), np.zeros(1), dist, 5, m, 2,
-                    alpha, bounds1, np.random.default_rng(0), top_k=1)
+            run_cem(StaticDynamics(), ActionQuadReward(), np.zeros(1), dist, 5, m, alpha,
+                    bounds1, np.random.default_rng(0), top_k=1)
 
     def test_no_refit_after_last_iteration(self, monkeypatch):
         # m - 1 refits, and the result equals the recipe that refit after
@@ -256,10 +255,10 @@ class TestRunCem:
             return real(dist, elites, alpha, *args)
 
         monkeypatch.setattr(cem_mod, "update_distribution", spy)
-        n, m, k_elite = 20, 4, 3
+        n, m, k_elite = 30, 4, 3   # default_elite_count(30) is 3
         dist = SamplingDistribution.initial(6, 2)
-        got = run_cem(env.dynamics, env.reward, env.start_state, dist, n, m, k_elite,
-                      0.3, env.bounds, np.random.default_rng(3), top_k=2)
+        got = run_cem(env.dynamics, env.reward, env.start_state, dist, n, m, 0.3,
+                      env.bounds, np.random.default_rng(3), top_k=2)
         assert len(refits) == m - 1
 
         rng = np.random.default_rng(3)

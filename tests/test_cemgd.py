@@ -8,8 +8,7 @@ import trajplan.gradplanner as gradplanner_mod
 from trajplan.cem import SamplingDistribution, run_cem
 from trajplan.cemgd import (PlanDiagnostics, PlannerState, PlanOutput, plan,
                             warm_start_mean)
-from trajplan.core import (ActionBounds, PlannerConfig, Trajectory, default_elite_count,
-                           rollout)
+from trajplan.core import ActionBounds, PlannerConfig, Trajectory, rollout
 from trajplan.dynamics import DynamicsModel, make_environment
 from trajplan.gradplanner import optimize
 
@@ -122,8 +121,7 @@ class TestPlan:
                           cfg, env.bounds, np.random.default_rng(8))
         dist = SamplingDistribution.initial(cfg.horizon, env.bounds.d_a)
         want = run_cem(env.dynamics, env.reward, env.start_state, dist, cfg.n_init,
-                       cfg.m_init, default_elite_count(cfg.n_init), cfg.alpha,
-                       env.bounds, np.random.default_rng(8), top_k=1)
+                       cfg.m_init, cfg.alpha, env.bounds, np.random.default_rng(8), top_k=1)
         assert np.array_equal(out.optimal_sequence, want[0].actions)
         assert np.array_equal(state.previous_optimal, want[0].actions)
         assert out.model_reward == want[0].total_reward
@@ -231,8 +229,7 @@ def reference_plan(state, s_t, model, reward, cfg, bounds, rng):
     else:
         mean, n, m = warm_start_mean(state.previous_optimal), cfg.n_r, cfg.m_r
     dist = SamplingDistribution.initial(cfg.horizon, bounds.d_a, mean)
-    pooled = run_cem(model, reward, s_t, dist, n, m, default_elite_count(n), cfg.alpha,
-                     bounds, rng, top_k=cfg.k)
+    pooled = run_cem(model, reward, s_t, dist, n, m, cfg.alpha, bounds, rng, top_k=cfg.k)
     refined, traces, rewards = [], [], []
     for seed in pooled:
         final, trace = optimize(rollout(model, reward, s_t, seed.actions), model, reward,

@@ -6,6 +6,7 @@ from functools import partial
 import numpy as np
 import pytest
 
+from oracles import oracle_sweep, scalar_barrier_backward, scalar_cartpole_backward
 from trajplan.dynamics import (FLOAT_ROWS, SMOOTH_EPS, BarrierWorld, CartpoleWorld,
                                DynamicsModel, make_environment)
 
@@ -30,8 +31,10 @@ def central_diff_vjp(model, s, a, g, h=1e-5):
 
 
 def one_step_vjp(model, s, a, g):
-    """The VJPs at the single sample (s, a): linearize at T = 1."""
-    return model.linearize(s[None], a[None])(0, g)
+    """The VJPs at the single sample (s, a): a one-step adjoint_sweep, the
+    single-sample recipe of every model, the barrier's (no linearize) too."""
+    grad_a, grad_s = model.adjoint_sweep(s[None], a[None], g[None])
+    return grad_s[0], grad_a[0]
 
 
 def assert_vjp_close(model, s, a, g, tol):
@@ -390,15 +393,16 @@ class TestBarrierFloatRollout:
 
 
 class TestBarrierAdjointSweep:
-    """The barrier's sweep runs on Python floats but for the product within
-    the rim. DynamicsModel's default sweep, a loop over linearize's vjp,
-    is the reference it must equal bit for bit."""
+    """The barrier's sweep, its only VJP code, runs on Python floats but for
+    the product within the rim. The oracle sweep, the scalar reference
+    chained in DynamicsModel's default order, is what it must equal bit for
+    bit."""
 
     @staticmethod
     def assert_sweeps_match(dyn, states, actions, state_grads, same=assert_bitwise):
         with np.errstate(all="ignore"):   # non-finite entries warn in numpy
             got = dyn.adjoint_sweep(states, actions, state_grads)
-            want = DynamicsModel.adjoint_sweep(dyn, states, actions, state_grads)
+            want = oracle_sweep(scalar_barrier_backward, dyn, states, actions, state_grads)
         for g, w in zip(got, want):
             same(g, w)
 
@@ -428,7 +432,7 @@ class TestBarrierAdjointSweep:
     @classmethod
     def rim_flips(cls, world, rng, count=10):
         """States by the rim that an elementwise u0*u0 + u1*u1 puts on the
-        other side of it than linearize's ddot does."""
+        other side of it than the sweep's ddot does."""
         center = np.asarray(world.center)
         angle = rng.uniform(0.0, 2.0 * np.pi, 20_000)
         rho = math.sqrt(world.radius**2 - SMOOTH_EPS**2)
@@ -469,67 +473,19 @@ class TestBarrierAdjointSweep:
             self.assert_sweeps_match(dyn, states[order], np.zeros_like(states),
                                      state_grads[order], same=assert_bits_or_nans)
 
-
-# The analytic VJPs were first written per sample, in Python floats. They
-# are kept here as references that linearize, over a whole trajectory and
-# at one step, must equal bit for bit: the planners' results were recorded
-# with them.
-
-
-def scalar_barrier_backward(dyn, s, a, grad_next):
-    w = dyn.world
-    s = np.asarray(s, dtype=float)
-    grad_next = np.asarray(grad_next, dtype=float)
-    u = s - dyn._center
-    d = math.sqrt(float(u @ u) + SMOOTH_EPS**2)
-    grad_s = grad_next.copy()
-    if d < w.radius:
-        c = w.kappa * (w.radius - d) / d
-        jac_f = c * np.eye(2) - (w.kappa * w.radius / d**3) * np.outer(u, u)
-        grad_s = grad_s + w.dt * (jac_f @ grad_next)
-    grad_a = w.dt * grad_next
-    return grad_s, grad_a
-
-
-def scalar_cartpole_backward(dyn, s, a, grad_next):
-    w = dyn.world
-    s = np.asarray(s, dtype=float)
-    g = np.asarray(grad_next, dtype=float)
-    theta, omega = float(s[2]), float(s[3])
-    force = w.force_scale * float(np.asarray(a).reshape(-1)[0])
-
-    sin, cos = math.sin(theta), math.cos(theta)
-    total_mass = w.masscart + w.masspole
-    pole_ml = w.masspole * w.half_length
-    temp = (force + pole_ml * omega**2 * sin) / total_mass
-    denom = w.half_length * (4.0 / 3.0 - w.masspole * cos**2 / total_mass)
-    num = w.gravity * sin - cos * temp
-    theta_acc = num / denom
-
-    dtemp_dtheta = pole_ml * omega**2 * cos / total_mass
-    dtemp_domega = 2.0 * pole_ml * omega * sin / total_mass
-    dtemp_dforce = 1.0 / total_mass
-    ddenom_dtheta = w.half_length * 2.0 * w.masspole * cos * sin / total_mass
-    dnum_dtheta = w.gravity * cos + sin * temp - cos * dtemp_dtheta
-    dtheta_acc_dtheta = (dnum_dtheta * denom - num * ddenom_dtheta) / denom**2
-    dtheta_acc_domega = (-cos * dtemp_domega) / denom
-    dtheta_acc_dforce = (-cos * dtemp_dforce) / denom
-    ml_over_mass = pole_ml / total_mass
-    dx_acc_dtheta = dtemp_dtheta - ml_over_mass * (dtheta_acc_dtheta * cos - theta_acc * sin)
-    dx_acc_domega = dtemp_domega - ml_over_mass * dtheta_acc_domega * cos
-    dx_acc_dforce = dtemp_dforce - ml_over_mass * dtheta_acc_dforce * cos
-
-    dt = w.dt
-    jac_s = np.array(
-        [
-            [1.0, dt, 0.0, 0.0],
-            [0.0, 1.0, dt * dx_acc_dtheta, dt * dx_acc_domega],
-            [0.0, 0.0, 1.0, dt],
-            [0.0, 0.0, dt * dtheta_acc_dtheta, 1.0 + dt * dtheta_acc_domega],
-        ]
-    )
-    jac_a = np.array([0.0, dt * dx_acc_dforce, 0.0, dt * dtheta_acc_dforce]) * w.force_scale
-    return jac_s.T @ g, np.array([jac_a @ g])
+    def test_random_and_rim_states_as_one_trajectory_and_one_step_each(self):
+        # Inside the barrier, off it, at the smoothed centre and on the rim.
+        env = make_environment("barrier")
+        rng = np.random.default_rng(7)
+        ss = np.concatenate([env.center + rng.uniform(-0.6, 0.6, size=(2000, 2)),
+                             barrier_rim_states(env)])
+        aa = rng.uniform(env.bounds.low, env.bounds.high, size=ss.shape)
+        gg = rng.normal(size=ss.shape)
+        # Signed zero gradients too, which a sweep adds to its adjoint.
+        gg[rng.random(gg.shape) < 0.3] = -0.0
+        self.assert_sweeps_match(env.dynamics, ss, aa, gg)
+        for t in range(len(ss)):
+            self.assert_sweeps_match(env.dynamics, ss[t:t + 1], aa[t:t + 1], gg[t:t + 1])
 
 
 def cartpole_states_with_rounding_squares(world, rng, pool=100_000, each=40):
@@ -554,20 +510,33 @@ def cartpole_states_with_rounding_squares(world, rng, pool=100_000, each=40):
 
 class TestCartpoleRollout:
     """The cartpole rolls a batch out on contiguous rows of its own buffer.
-    DynamicsModel's default loop over step, which steps strided columns, is
-    the reference it must equal bit for bit, any NaN matching any NaN. So
-    this also checks that numpy's sin and cos give the same bits on a
-    contiguous row as on a strided column."""
+    It must equal two references bit for bit, any NaN matching any NaN:
+    DynamicsModel's default loop over step, which steps strided columns
+    (so numpy's sin and cos must give the same bits on a contiguous row as
+    on a strided column), and a loop over stacked_cartpole_step, the
+    formula step's kernel was written from (step runs the same kernel, so
+    only this one checks the kernel's operations)."""
 
     world = CartpoleWorld()
+
+    @staticmethod
+    def formula_rollout(dyn, s0, actions):
+        B, T, _ = actions.shape
+        states = np.empty((B, T + 1, 4))
+        states[:, 0] = s0
+        for t in range(T):
+            states[:, t + 1] = stacked_cartpole_step(dyn, states[:, t], actions[:, t])
+        return states
 
     def assert_rollout_matches(self, s0, actions):
         dyn = self.world.dynamics
         with np.errstate(all="ignore"):   # non-finite states warn in numpy
             got = dyn.rollout_states(s0, actions)
-            want = DynamicsModel.rollout_states(dyn, s0, actions)
+            wants = (DynamicsModel.rollout_states(dyn, s0, actions),
+                     self.formula_rollout(dyn, s0, actions))
         assert got.shape == (actions.shape[0], actions.shape[1] + 1, 4)
-        assert_bits_or_nans(got, want)
+        for want in wants:
+            assert_bits_or_nans(got, want)
         assert not np.shares_memory(got, actions)
 
     # One row, the line search's 7 trials, CEM's 10 and 100 rows and the
@@ -616,33 +585,57 @@ class TestCartpoleRollout:
             self.assert_rollout_matches(self.world.start_state, actions)
 
 
-@pytest.mark.parametrize("name", ["barrier", "cartpole"])
-def test_linearize_matches_scalar_references_bitwise(name):
-    env = make_environment(name)
+class TestCartpoleAdjointSweep:
+    """The cartpole sweeps with DynamicsModel's default loop over its
+    linearize's vjp. The oracle sweep, the scalar reference chained in that
+    order, is what it must equal bit for bit."""
+
+    world = CartpoleWorld()
+
+    def assert_sweep_matches(self, states, actions, state_grads):
+        dyn = self.world.dynamics
+        got = dyn.adjoint_sweep(states, actions, state_grads)
+        want = oracle_sweep(scalar_cartpole_backward, dyn, states, actions, state_grads)
+        for g, w in zip(got, want):
+            assert_bitwise(g, w)
+
+    def test_swing_up_rollout(self):
+        rng = np.random.default_rng(12)
+        actions = rng.uniform(-1.0, 1.0, (45, 1))
+        states = self.world.dynamics.rollout_states(self.world.start_state, actions[None])[0]
+        state_grads, _ = self.world.reward.backward(states[1:], actions)
+        self.assert_sweep_matches(states[:-1], actions, state_grads)
+
+    def test_states_with_rounding_squares_as_one_trajectory_and_one_step_each(self):
+        # A sweep's accumulated adjoint can round a VJP's last-bit error
+        # away, so each state is also swept alone, at its own gradient.
+        rng = np.random.default_rng(13)
+        ss = cartpole_states_with_rounding_squares(self.world, rng)
+        aa, gg = rng.uniform(-1.0, 1.0, (len(ss), 1)), rng.normal(size=ss.shape)
+        self.assert_sweep_matches(ss, aa, gg)
+        for t in range(len(ss)):
+            self.assert_sweep_matches(ss[t:t + 1], aa[t:t + 1], gg[t:t + 1])
+
+
+def test_cartpole_linearize_matches_scalar_reference_bitwise():
+    env = make_environment("cartpole")
     rng = np.random.default_rng(7)
     n = 2000
-    if name == "barrier":
-        # Inside the barrier, off it, at the smoothed centre and on the rim.
-        ss = env.center + rng.uniform(-0.6, 0.6, size=(n, 2))
-        ss = np.concatenate([ss, barrier_rim_states(env)])
-        reference = scalar_barrier_backward
-    else:
-        # Wide pole angles and speeds, and the states whose squares libm
-        # rounds otherwise than numpy's x*x (about 0.1% of random ones).
-        ss = np.column_stack([rng.normal(0.0, 1.0, n), rng.normal(0.0, 2.0, n),
-                              rng.uniform(-4.0 * np.pi, 4.0 * np.pi, n),
-                              rng.normal(0.0, 4.0, n)])
-        ss = np.concatenate([ss, cartpole_states_with_rounding_squares(env, rng)])
-        reference = scalar_cartpole_backward
+    # Wide pole angles and speeds, and the states whose squares libm
+    # rounds otherwise than numpy's x*x (about 0.1% of random ones).
+    ss = np.column_stack([rng.normal(0.0, 1.0, n), rng.normal(0.0, 2.0, n),
+                          rng.uniform(-4.0 * np.pi, 4.0 * np.pi, n),
+                          rng.normal(0.0, 4.0, n)])
+    ss = np.concatenate([ss, cartpole_states_with_rounding_squares(env, rng)])
     aa = rng.uniform(env.bounds.low, env.bounds.high, size=(len(ss), env.bounds.d_a))
     gg = rng.normal(size=ss.shape)
-    # Signed zeros too: beyond the barrier's rim the reference passes g
-    # through as it is, so a -0.0 entry must come back as -0.0.
+    # Signed zeros too: the products must carry their signs as the reference does.
     gg[rng.random(gg.shape) < 0.3] = -0.0
-    vjp = env.dynamics.linearize(ss, aa)
+    dyn = env.dynamics
+    vjp = dyn.linearize(ss, aa)
     for t in range(len(ss)):
-        want = reference(env.dynamics, ss[t], aa[t], gg[t])
-        for got in (vjp(t, gg[t]), one_step_vjp(env.dynamics, ss[t], aa[t], gg[t])):
+        want = scalar_cartpole_backward(dyn, ss[t], aa[t], gg[t])
+        for got in (vjp(t, gg[t]), dyn.linearize(ss[t][None], aa[t][None])(0, gg[t])):
             for part, ref in zip(got, want):
                 assert_bitwise(part, ref)
 
