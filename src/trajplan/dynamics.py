@@ -13,25 +13,22 @@ makes the world of that ``name``.
 Every dynamics model subclasses DynamicsModel and implements
 
     step(s, a) -> s_next
+    adjoint_sweep(states, actions, state_grads) -> (action_grads, adjoints)
 
-and one VJP code: either linearize, the hook of the default adjoint_sweep,
-
-    linearize(states, actions) -> vjp, with vjp(t, grad_next) -> (grad_s, grad_a)
-
-or its own adjoint_sweep. linearize computes the Jacobian factors of every
-step of a (T, d_s) / (T, d_a) trajectory in one vectorised pass, and
-vjp(t, g) only multiplies with them to give the vector-Jacobian products
-of step at step t. CartpoleDynamics and MlpModel give linearize: the VJPs
-at a single sample are linearize(s[None], a[None])(0, g), which vjp(t, g)
-equals bit for bit for the cartpole and to rounding for MlpModel (BLAS may
-sum a row's products in another order for another T). BarrierDynamics
-gives adjoint_sweep and no linearize; its VJPs at a single sample are a
-one-step sweep. Reward models expose reward(s_next, a) and
-backward(s_next, a). step accepts a single sample or a batch stacked along
-a leading axis; reward and the reward's backward accept any leading shape,
-such as a whole (B, T) block of rollout steps, and equal their per-sample
-values bit for bit. All models are pure functions of their inputs and safe
-to call concurrently.
+adjoint_sweep is the model's one gradient method: the reverse sweep of a
+(T, d_s) / (T, d_a) trajectory through step's vector-Jacobian products,
+in the order DynamicsModel.adjoint_sweep's docstring sets out. The VJPs
+at a single sample are a one-step sweep. CartpoleDynamics and MlpModel
+compute every step's Jacobian factors in one vectorised pass, then only
+multiply with them from the last step back; a step of a longer sweep
+equals its one-step sweep bit for bit for the cartpole and to rounding
+for MlpModel (BLAS may sum a row's products in another order for another
+T). Reward models expose reward(s_next, a) and backward(s_next, a). step
+accepts a single sample or a batch stacked along a leading axis; reward
+and the reward's backward accept any leading shape, such as a whole
+(B, T) block of rollout steps, and equal their per-sample values bit for
+bit. All models are pure functions of their inputs and safe to call
+concurrently.
 
 A rollout's loop over steps is the model's rollout_states(s0, actions):
 by default a loop over step that fills the (B, T+1, d_s) states.
@@ -47,21 +44,20 @@ step's own kernel, 20 ufunc calls into work rows made once per rollout, on
 contiguous (4, B) rows of a (T+1, 4, B) buffer and returns the buffer's
 transposed view: about 40% less time than the loop over step at 100 rows.
 
-A gradient sweep's loop over steps is the model's adjoint_sweep, by
-default a loop over linearize's vjp from the last step back. A sweep is
-one trajectory, where numpy's per-call cost dominates, so BarrierDynamics
-sweeps on Python floats at every T, in the default's order and in the
-IEEE operations of the per-step VJP it was written from (kept in
-tests/oracles.py), but for the steps within the rim: their jac @ g stays
-BLAS's 2x2 product, which rounds with FMA (a float a*b + c*d differs in
-about a quarter of entries, with OpenBLAS on x86-64).
+A sweep is one trajectory, where numpy's per-call cost dominates, so
+BarrierDynamics sweeps on Python floats at every T, in the IEEE operations
+of the per-step VJP it was written from (kept in tests/oracles.py), but
+for the steps within the rim: their jac @ g stays BLAS's 2x2 product,
+which rounds with FMA (a float a*b + c*d differs in about a quarter of
+entries, with OpenBLAS on x86-64).
 
 MlpModel runs its network in one of two passes, by what the caller reads.
 The value pass (step, predict_delta, training_mse) keeps only the layer it
 is computing, so a batch of B rows holds about three (B, width) arrays at
-its peak. The recorded pass (linearize, and the training step's parameter
-gradients) keeps every layer's input and every hidden layer's SiLU slope,
-both from one sigmoid per layer, for the backward pass to multiply with.
+its peak. The recorded pass (adjoint_sweep, and the training step's
+parameter gradients) keeps every layer's input and every hidden layer's
+SiLU slope, both from one sigmoid per layer, for the backward pass to
+multiply with.
 """
 
 from __future__ import annotations
@@ -79,21 +75,13 @@ STD_FLOOR = 1e-8
 
 
 class DynamicsModel:
-    """Interface: differentiable dynamics f(s, a) -> s'."""
+    """Interface: differentiable dynamics f(s, a) -> s', with step and
+    adjoint_sweep; rollout_states defaults to a loop over step."""
 
     d_s: int
     d_a: int
 
     def step(self, s: Array, a: Array) -> Array:
-        raise NotImplementedError
-
-    def linearize(self, states: Array, actions: Array):
-        """The hook of the default adjoint_sweep, as step is the hook of
-        rollout_states: fix the (T, d_s) states and (T, d_a) actions of a
-        trajectory and return vjp, where vjp(t, grad_next) is the VJPs
-        (df/ds)^T grad_next and (df/da)^T grad_next at (states[t],
-        actions[t]) for a float array grad_next. A model that gives its own
-        adjoint_sweep gives no linearize."""
         raise NotImplementedError
 
     def rollout_states(self, s0: Array, actions: Array) -> Array:
@@ -111,18 +99,13 @@ class DynamicsModel:
 
     def adjoint_sweep(self, states: Array, actions: Array, state_grads: Array):
         """Sweep the (T, d_s) states and (T, d_a) actions of a trajectory back
-        from its last step, the adjoint taking state_grads[t] (the reward's
-        gradient at step t's next state), then step t's VJP. Returns the
-        dynamics' share of each action's gradient and each state's adjoint."""
-        action_grads = np.empty_like(actions)
-        adjoints = np.empty(state_grads.shape)
-        state_adjoint = np.zeros(state_grads.shape[1])
-        vjp = self.linearize(states, actions)
-        for t in range(len(actions) - 1, -1, -1):
-            state_adjoint = state_adjoint + state_grads[t]
-            f_gs, action_grads[t] = vjp(t, state_adjoint)
-            adjoints[t] = state_adjoint = f_gs
-        return action_grads, adjoints
+        from its last step. The adjoint g starts at zeros; at step t it takes
+        state_grads[t] (the reward's gradient at step t's next state) as
+        g = g + state_grads[t], and then step t's VJPs at (states[t],
+        actions[t]): action_grads[t] = (df/da)^T g, the dynamics' share of
+        the action's gradient, and adjoints[t] = g = (df/ds)^T g. Returns
+        the (T, d_a) action_grads and (T, d_s) adjoints."""
+        raise NotImplementedError
 
 
 def _libm_power(x: Array, n: int) -> Array:
@@ -300,11 +283,11 @@ class BarrierDynamics(DynamicsModel):
         return np.array(flat).reshape(actions.shape[0], actions.shape[1] + 1, 2)
 
     def adjoint_sweep(self, states, actions, state_grads):
-        """The default sweep's order on Python floats, and the barrier's
-        only VJP code. Beyond the rim a step's VJP is (g, dt*g). Within it,
-        dF/ds = c*I - (kappa*r/d^3) u u^T with c = kappa*(r - d)/d, at the
-        offset u from the centre and the distance d, is symmetric, so the
-        VJP is (g + dt*(jac @ g), dt*g); jac @ g stays a numpy product on
+        """DynamicsModel.adjoint_sweep's order on Python floats. Beyond the
+        rim a step's VJP is (g, dt*g). Within it, dF/ds = c*I -
+        (kappa*r/d^3) u u^T with c = kappa*(r - d)/d, at the offset u from
+        the centre and the distance d, is symmetric, so the VJP is
+        (g + dt*(jac @ g), dt*g); jac @ g stays a numpy product on
         the Jacobians of just those steps (see the module docstring). u @ u
         is one ddot per row, as a single sample's is (an elementwise sum
         rounds differently)."""
@@ -450,10 +433,11 @@ class CartpoleDynamics(DynamicsModel):
             euler(s, f, out)
         return states.transpose(2, 0, 1)
 
-    def linearize(self, states, actions):
-        """The Jacobians of every step in one pass. _stepper is not reused:
-        its numpy squares round differently from libm's (see _libm_power),
-        and the products below must stay as written."""
+    def adjoint_sweep(self, states, actions, state_grads):
+        """The Jacobians of every step in one pass, then per step only their
+        4x4 and 1x4 products with the adjoint. _stepper is not reused: its
+        numpy squares round differently from libm's (see _libm_power), and
+        the products below must stay as written."""
         w = self.world
         states = np.asarray(states, dtype=float)
         theta, omega = states[:, 2], states[:, 3]
@@ -491,11 +475,14 @@ class CartpoleDynamics(DynamicsModel):
         ], axis=-1).reshape(-1, 4, 4)
         jac_a = np.stack([zero, dt * dx_acc_dforce, zero, dt * dtheta_acc_dforce],
                          axis=-1) * w.force_scale
-
-        def vjp(t, g):
-            return jac_s[t].T @ g, np.array([jac_a[t] @ g])
-
-        return vjp
+        action_grads = np.empty_like(actions)
+        adjoints = np.empty(state_grads.shape)
+        g = np.zeros(4)
+        for t in range(len(actions) - 1, -1, -1):
+            g = g + state_grads[t]
+            action_grads[t] = jac_a[t] @ g
+            adjoints[t] = g = jac_s[t].T @ g
+        return action_grads, adjoints
 
 
 class CartpoleReward(RewardModel):
@@ -619,25 +606,29 @@ class MlpModel(DynamicsModel):
     def step(self, s, a):
         return np.asarray(s, dtype=float) + self.predict_delta(s, a)
 
-    def linearize(self, states, actions):
+    def adjoint_sweep(self, states, actions, state_grads):
         """One recorded pass over the (T, d_s) states and (T, d_a) actions
-        keeps each hidden layer's SiLU slope, so vjp(t, g) only chains the
-        weight products. vjp(t, g) equals linearize of step t alone to
+        keeps each hidden layer's SiLU slope, so each step only chains the
+        weight products. A step's VJPs equal its one-step sweep's to
         rounding: BLAS may sum a row's products in another order for
         another T."""
         x = np.concatenate([np.asarray(states, dtype=float),
                             np.asarray(actions, dtype=float)], axis=-1)
         _, slopes = self._recorded_pass((x - self.in_mean) / self.in_std)
         layers = [W.T for W, _ in self.weights]
-
-        def vjp(t, g):
+        hidden = list(zip(reversed(slopes), reversed(layers[:-1])))
+        action_grads = np.empty_like(actions)
+        adjoints = np.empty(state_grads.shape)
+        g = np.zeros(self.d_s)
+        for t in range(len(actions) - 1, -1, -1):
+            g = g + state_grads[t]
             gh = (g * self.out_std) @ layers[-1]
-            for slope, W_T in zip(reversed(slopes), reversed(layers[:-1])):
+            for slope, W_T in hidden:
                 gh = (gh * slope[t]) @ W_T
             gx = gh / self.in_std
-            return g + gx[..., : self.d_s], gx[..., self.d_s :]
-
-        return vjp
+            action_grads[t] = gx[self.d_s :]
+            adjoints[t] = g = g + gx[: self.d_s]
+        return action_grads, adjoints
 
     def _mse_grads(self, z, target):
         """Gradients of the mean squared error on normalized targets, one

@@ -53,12 +53,10 @@ def reward_gradient(model, reward, traj: Trajectory) -> Array:
     VJP from the following step, and each action collects its reward
     gradient plus the dynamics VJP routed through the next state. Per
     sweep there is one ``reward.backward`` call, on the (T, d_s) states and
-    (T, d_a) actions, and one ``model.adjoint_sweep`` call, which owns the
-    loop over steps and the VJPs: by default a loop over the VJPs of
-    ``model.linearize``, its hook (the cartpole's and the MLP's); the
-    barrier gives no ``linearize`` and sweeps on Python floats, keeping
-    only its within-rim products in numpy (see
-    ``BarrierDynamics.adjoint_sweep``).
+    (T, d_a) actions, and one ``model.adjoint_sweep`` call, the model's one
+    gradient method, which owns the loop over steps and the VJPs (the
+    barrier's sweeps on Python floats, keeping only its within-rim products
+    in numpy; see ``BarrierDynamics.adjoint_sweep``).
 
     Raises DivergedError naming the first step, in sweep order (the last
     step first), whose action gradient or state adjoint is non-finite. As

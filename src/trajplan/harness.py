@@ -302,6 +302,9 @@ def compare_planners(envs, seeds, steps: int = DEFAULT_STEPS,
 
 
 GRADCHECK_TOLERANCES = {"barrier": 1e-5, "cartpole": 1e-5, "mlp": 1e-4}
+GRADCHECK_PROBES = 50      # random start states and action sequences per check
+GRADCHECK_HORIZON = 12     # steps of each probe's action sequence
+GRADCHECK_STEP = 1e-5      # finite_difference_gradient's h
 
 
 def _gradcheck_setup(kind: str, rng):
@@ -335,19 +338,18 @@ def finite_difference_gradient(model, reward, s0: Array, seq: Array,
     return grad
 
 
-def gradient_check(kind: str, probes: int = 50, seed: int = 0,
-                   horizon: int = 12, h: float = 1e-5) -> float:
+def gradient_check(kind: str, seed: int = 0) -> float:
     """Max relative error of ``reward_gradient`` vs ``finite_difference_gradient``,
-    normalized by max(1, |analytic|, |numeric|), over probes of a random
-    state and in-bounds action sequence."""
+    normalized by max(1, |analytic|, |numeric|), over GRADCHECK_PROBES
+    probes of a random state and in-bounds action sequence."""
     rng = np.random.default_rng(seed)
     model, reward, bounds, sampler = _gradcheck_setup(kind, rng)
     worst = 0.0
-    for _ in range(probes):
+    for _ in range(GRADCHECK_PROBES):
         s0 = sampler()
-        seq = project(rng.normal(0.0, 0.5, size=(horizon, bounds.d_a)), bounds)
+        seq = project(rng.normal(0.0, 0.5, size=(GRADCHECK_HORIZON, bounds.d_a)), bounds)
         grad = reward_gradient(model, reward, rollout(model, reward, s0, seq))
-        numeric = finite_difference_gradient(model, reward, s0, seq, h)
+        numeric = finite_difference_gradient(model, reward, s0, seq, GRADCHECK_STEP)
         scale = np.maximum(1.0, np.maximum(np.abs(numeric), np.abs(grad)))
         worst = max(worst, float(np.max(np.abs(numeric - grad) / scale, initial=0.0)))
     return worst

@@ -3,8 +3,10 @@
 The analytic VJPs were first written per sample, in Python floats. They
 are kept here as the oracle that every analytic VJP code must equal bit
 for bit: the planners' results were recorded with them.
-``oracle_sweep`` chains a per-step reference in DynamicsModel's default
-sweep order, so it is the reference for every model's ``adjoint_sweep``.
+``oracle_sweep`` chains a per-step VJP from the last step back, in the
+order every model's ``adjoint_sweep`` follows (DynamicsModel.adjoint_sweep
+sets it out), so it is the reference for each analytic model's sweep and
+the sweep of the tests' own toy models.
 """
 
 import math
@@ -77,7 +79,7 @@ SCALAR_BACKWARD = {BarrierDynamics: scalar_barrier_backward,
 
 def oracle_sweep(reference, dyn, states, actions, state_grads):
     """adjoint_sweep's (action_grads, adjoints) from the per-step
-    ``reference``, in DynamicsModel's default order: from the last step
+    ``reference(dyn, s, a, g) -> (grad_s, grad_a)``: from the last step
     back, g = adjoint + state_grads[t], then step t's VJP at g."""
     action_grads = np.empty_like(actions)
     adjoints = np.empty(state_grads.shape)

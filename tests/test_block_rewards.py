@@ -174,7 +174,7 @@ def test_diverging_barrier_sweep_names_the_default_sweeps_step(fault, monkeypatc
         return err.value.step, str(err.value)
 
     got = diverged()
-    # The oracle sweep goes in the default sweep's order.
+    # The oracle sweep goes in the order every adjoint_sweep follows.
     monkeypatch.setattr(BarrierDynamics, "adjoint_sweep", lambda self, *sweep: oracle_sweep(
         scalar_barrier_backward, self, *sweep))
     assert got == diverged()

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from oracles import oracle_sweep
 import trajplan.cem as cem_mod
 import trajplan.cemgd as cemgd_mod
 import trajplan.core as core_mod
@@ -24,8 +25,11 @@ class ScalarLinearDynamics(DynamicsModel):
     def step(self, s, a):
         return self.A * np.asarray(s, dtype=float) + self.B * np.asarray(a, dtype=float)
 
-    def linearize(self, states, actions):
-        return lambda t, g: (self.A * g, self.B * g)
+    def step_vjp(self, s, a, g):
+        return self.A * g, self.B * g
+
+    def adjoint_sweep(self, states, actions, state_grads):
+        return oracle_sweep(ScalarLinearDynamics.step_vjp, self, states, actions, state_grads)
 
 
 class StateActionQuadReward:

@@ -570,7 +570,7 @@ def test_numeric_flag_named_before_any_output(tmp_path, capsys, argv):
 
 @pytest.mark.parametrize("flag", ["--probes", "--horizon"])
 def test_gradcheck_has_no_probes_flag(capsys, flag):
-    # gradcheck runs at gradient_check's defaults: 50 probes of horizon 12.
+    # gradcheck runs gradient_check's fixed probes: 50 of horizon 12.
     with pytest.raises(SystemExit) as exit_info:
         main(["gradcheck", flag, "5"])
     assert exit_info.value.code == 2

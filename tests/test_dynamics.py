@@ -31,8 +31,7 @@ def central_diff_vjp(model, s, a, g, h=1e-5):
 
 
 def one_step_vjp(model, s, a, g):
-    """The VJPs at the single sample (s, a): a one-step adjoint_sweep, the
-    single-sample recipe of every model, the barrier's (no linearize) too."""
+    """The VJPs at the single sample (s, a): a one-step adjoint_sweep."""
     grad_a, grad_s = model.adjoint_sweep(s[None], a[None], g[None])
     return grad_s[0], grad_a[0]
 
@@ -393,10 +392,9 @@ class TestBarrierFloatRollout:
 
 
 class TestBarrierAdjointSweep:
-    """The barrier's sweep, its only VJP code, runs on Python floats but for
-    the product within the rim. The oracle sweep, the scalar reference
-    chained in DynamicsModel's default order, is what it must equal bit for
-    bit."""
+    """The barrier's sweep runs on Python floats but for the product within
+    the rim. The oracle sweep, the scalar reference chained in the sweep
+    order, is what it must equal bit for bit."""
 
     @staticmethod
     def assert_sweeps_match(dyn, states, actions, state_grads, same=assert_bitwise):
@@ -586,8 +584,8 @@ class TestCartpoleRollout:
 
 
 class TestCartpoleAdjointSweep:
-    """The cartpole sweeps with DynamicsModel's default loop over its
-    linearize's vjp. The oracle sweep, the scalar reference chained in that
+    """The cartpole's sweep builds every step's Jacobians in one vectorised
+    pass. The oracle sweep, the scalar reference chained in the sweep
     order, is what it must equal bit for bit."""
 
     world = CartpoleWorld()
@@ -599,6 +597,13 @@ class TestCartpoleAdjointSweep:
         for g, w in zip(got, want):
             assert_bitwise(g, w)
 
+    def assert_sweeps_match(self, states, actions, state_grads):
+        # A sweep's accumulated adjoint can round a VJP's last-bit error
+        # away, so each state is also swept alone, at its own gradient.
+        self.assert_sweep_matches(states, actions, state_grads)
+        for t in range(len(states)):
+            self.assert_sweep_matches(states[t:t + 1], actions[t:t + 1], state_grads[t:t + 1])
+
     def test_swing_up_rollout(self):
         rng = np.random.default_rng(12)
         actions = rng.uniform(-1.0, 1.0, (45, 1))
@@ -607,37 +612,27 @@ class TestCartpoleAdjointSweep:
         self.assert_sweep_matches(states[:-1], actions, state_grads)
 
     def test_states_with_rounding_squares_as_one_trajectory_and_one_step_each(self):
-        # A sweep's accumulated adjoint can round a VJP's last-bit error
-        # away, so each state is also swept alone, at its own gradient.
         rng = np.random.default_rng(13)
         ss = cartpole_states_with_rounding_squares(self.world, rng)
         aa, gg = rng.uniform(-1.0, 1.0, (len(ss), 1)), rng.normal(size=ss.shape)
-        self.assert_sweep_matches(ss, aa, gg)
-        for t in range(len(ss)):
-            self.assert_sweep_matches(ss[t:t + 1], aa[t:t + 1], gg[t:t + 1])
+        self.assert_sweeps_match(ss, aa, gg)
 
-
-def test_cartpole_linearize_matches_scalar_reference_bitwise():
-    env = make_environment("cartpole")
-    rng = np.random.default_rng(7)
-    n = 2000
-    # Wide pole angles and speeds, and the states whose squares libm
-    # rounds otherwise than numpy's x*x (about 0.1% of random ones).
-    ss = np.column_stack([rng.normal(0.0, 1.0, n), rng.normal(0.0, 2.0, n),
-                          rng.uniform(-4.0 * np.pi, 4.0 * np.pi, n),
-                          rng.normal(0.0, 4.0, n)])
-    ss = np.concatenate([ss, cartpole_states_with_rounding_squares(env, rng)])
-    aa = rng.uniform(env.bounds.low, env.bounds.high, size=(len(ss), env.bounds.d_a))
-    gg = rng.normal(size=ss.shape)
-    # Signed zeros too: the products must carry their signs as the reference does.
-    gg[rng.random(gg.shape) < 0.3] = -0.0
-    dyn = env.dynamics
-    vjp = dyn.linearize(ss, aa)
-    for t in range(len(ss)):
-        want = scalar_cartpole_backward(dyn, ss[t], aa[t], gg[t])
-        for got in (vjp(t, gg[t]), dyn.linearize(ss[t][None], aa[t][None])(0, gg[t])):
-            for part, ref in zip(got, want):
-                assert_bitwise(part, ref)
+    def test_wide_states_as_one_trajectory_and_one_step_each(self):
+        world = self.world
+        rng = np.random.default_rng(7)
+        n = 2000
+        # Wide pole angles and speeds, and the states whose squares libm
+        # rounds otherwise than numpy's x*x (about 0.1% of random ones).
+        ss = np.column_stack([rng.normal(0.0, 1.0, n), rng.normal(0.0, 2.0, n),
+                              rng.uniform(-4.0 * np.pi, 4.0 * np.pi, n),
+                              rng.normal(0.0, 4.0, n)])
+        ss = np.concatenate([ss, cartpole_states_with_rounding_squares(world, rng)])
+        aa = rng.uniform(world.bounds.low, world.bounds.high, size=(len(ss), world.bounds.d_a))
+        gg = rng.normal(size=ss.shape)
+        # Signed zeros too: the sums and products must carry their signs as
+        # the reference's do.
+        gg[rng.random(gg.shape) < 0.3] = -0.0
+        self.assert_sweeps_match(ss, aa, gg)
 
 
 # The kernels below were rewritten for speed (ndarray.sum instead of the

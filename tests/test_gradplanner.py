@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from oracles import oracle_sweep
 import trajplan.gradplanner as gradplanner_mod
 from trajplan.core import (ActionBounds, DivergedError, PlannerConfig, Trajectory,
                            project, rollout, rollout_batch)
@@ -18,8 +19,11 @@ class FrozenDynamics(DynamicsModel):
     def step(self, s, a):
         return np.asarray(s, dtype=float).copy()
 
-    def linearize(self, states, actions):
-        return lambda t, g: (g.copy(), np.zeros(1))
+    def step_vjp(self, s, a, g):
+        return g.copy(), np.zeros(1)
+
+    def adjoint_sweep(self, states, actions, state_grads):
+        return oracle_sweep(FrozenDynamics.step_vjp, self, states, actions, state_grads)
 
 
 class ActionQuadReward:
@@ -50,15 +54,16 @@ class VjpOverflowDynamics(DynamicsModel):
     def step(self, s, a):
         return np.asarray(s, dtype=float) + 0.1 * np.asarray(a, dtype=float)
 
-    def linearize(self, states, actions):
-        def vjp(t, g):
-            grad_s, grad_a = np.array(g, dtype=float), 0.1 * np.asarray(g, dtype=float)
-            if int(actions[t][0]) in self.bad_steps:
-                big = grad_s if self.part == "state" else grad_a
-                big *= 1e300
-                big *= 1e300   # numpy overflow: warns unless ignored
-            return grad_s, grad_a
-        return vjp
+    def step_vjp(self, s, a, g):
+        grad_s, grad_a = np.array(g, dtype=float), 0.1 * np.asarray(g, dtype=float)
+        if int(a[0]) in self.bad_steps:
+            big = grad_s if self.part == "state" else grad_a
+            big *= 1e300
+            big *= 1e300   # numpy overflow: warns unless ignored
+        return grad_s, grad_a
+
+    def adjoint_sweep(self, states, actions, state_grads):
+        return oracle_sweep(VjpOverflowDynamics.step_vjp, self, states, actions, state_grads)
 
 
 class NegSquaredNorm:

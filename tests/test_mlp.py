@@ -12,6 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from oracles import oracle_sweep
 import trajplan
 import trajplan.dynamics as dynamics_mod
 from trajplan.dynamics import (MlpModel, TrainingDivergedError, collect_random_rollouts,
@@ -84,8 +85,9 @@ class TestForward:
 
 
 def one_step_vjp(model, s, a, g):
-    """The VJPs at the single sample (s, a): linearize at T = 1."""
-    return model.linearize(s[None], a[None])(0, g)
+    """The VJPs at the single sample (s, a): a one-step adjoint_sweep."""
+    grad_a, grad_s = model.adjoint_sweep(s[None], a[None], g[None])
+    return grad_s[0], grad_a[0]
 
 
 class TestBackward:
@@ -136,7 +138,7 @@ def per_sample_vjp(model, s, a, g):
     return np.concatenate([g + gx[: model.d_s], gx[model.d_s :]])
 
 
-class TestLinearize:
+class TestAdjointSweep:
     def test_matches_per_sample_vjp(self):
         rng = np.random.default_rng(4)
         model = MlpModel.initialize(4, 2, hidden=(64, 64, 64), rng=rng,
@@ -144,11 +146,14 @@ class TestLinearize:
                                     out_std=rng.uniform(0.5, 2.0, size=4))
         T = 30
         states, actions = rng.normal(size=(T, 4)), rng.normal(size=(T, 2))
-        vjp = model.linearize(states, actions)
+        state_grads = rng.normal(size=(T, 4))
+        action_grads, adjoints = model.adjoint_sweep(states, actions, state_grads)
         for t in range(T):
-            g = rng.normal(size=4)
+            # The adjoint that step t's VJPs took in the sweep.
+            g = state_grads[t] + (adjoints[t + 1] if t + 1 < T else 0.0)
             want = per_sample_vjp(model, states[t], actions[t], g)
-            for got in (vjp(t, g), one_step_vjp(model, states[t], actions[t], g)):
+            for got in ((adjoints[t], action_grads[t]),
+                        one_step_vjp(model, states[t], actions[t], g)):
                 err = np.linalg.norm(np.concatenate(got) - want)
                 assert err <= 1e-12 * np.linalg.norm(want)
 
@@ -182,7 +187,8 @@ def old_forward(model, z):
 
 
 def old_linearize(model, states, actions):
-    """MlpModel.linearize as first written: a full forward, then silu_prime."""
+    """The MLP's per-step VJPs as first written: a full forward, then
+    silu_prime; vjp(t, g) is step t's."""
     x = np.concatenate([states, actions], axis=-1)
     _, pres, _ = old_forward(model, (x - model.in_mean) / model.in_std)
     slopes = [old_silu_prime(pre) for pre in pres]
@@ -247,16 +253,19 @@ class TestSameBitsAsOldFormulas:
         for got, want in ((inputs, want_inputs), (slopes, want_slopes)):
             assert [a.tobytes() for a in got] == [a.tobytes() for a in want]
 
-    def test_linearize_bitwise(self):
+    def test_adjoint_sweep_bitwise(self):
         rng = np.random.default_rng(2)
         model = self.model(rng)
         T = 30
         states, actions = rng.normal(size=(T, 4)), rng.normal(size=(T, 2))
-        got, want = model.linearize(states, actions), old_linearize(model, states, actions)
-        for t in range(T):
-            g = rng.normal(size=4)
-            for a, b in zip(got(t, g), want(t, g)):
-                assert a.tobytes() == b.tobytes()
+        state_grads = rng.normal(size=(T, 4))
+        vjp = old_linearize(model, states, actions)
+        # vjp has recorded the states, so the chain passes each step's index
+        # in its state's place.
+        want = oracle_sweep(lambda _, t, a, g: vjp(t, g), model, range(T), actions, state_grads)
+        got = model.adjoint_sweep(states, actions, state_grads)
+        for a, b in zip(got, want):
+            assert a.tobytes() == b.tobytes()
 
     def test_fit_mlp_weights_bitwise(self, monkeypatch):
         env = make_environment("barrier")

@@ -22,8 +22,8 @@ TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 
 KNOWN_STALE = {"trajplan.harness.run_cem", "trajplan.cemgd.rollout",
                "trajplan.gradplanner.rollout",
-               # the models' backward is deleted: a model's VJP code is its
-               # linearize (cartpole, MLP) or its own adjoint_sweep (barrier)
+               # the models' backward is deleted: a model's one gradient
+               # method is its adjoint_sweep
                "trajplan.dynamics:BarrierDynamics.backward",
                "trajplan.dynamics:CartpoleDynamics.backward",
                "trajplan.dynamics:MlpModel.backward"}
