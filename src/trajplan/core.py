@@ -135,9 +135,10 @@ def rollout_batch(model, reward, s0: Array, seqs: Array):
     OpenBLAS 0.3.31 at 1 and 2 threads, whose threads split a product's
     output rows and columns, not the sums that make one entry. That claim
     and the pinned result hashes were made with OpenBLAS's SkylakeX
-    (AVX-512) kernels; the analytic gradient sweeps call BLAS too (the
-    barrier's ddot and 2x2 products, the cartpole's 4x4 and 1x4), and
-    another kernel, such as Haswell's, may round them otherwise.
+    (AVX-512) kernels; the barrier's gradient sweep calls BLAS too (a ddot
+    per distance and a 2x2 product per step within the rim), and another
+    kernel, such as Haswell's, may round those otherwise. The cartpole's
+    rollouts and gradient sweeps call no BLAS.
 
     Raises DivergedError naming the first step at which the model produced
     a non-finite state or reward (the state first). Finiteness is checked

@@ -18,12 +18,11 @@ Every dynamics model subclasses DynamicsModel and implements
 adjoint_sweep is the model's one gradient method: the reverse sweep of a
 (T, d_s) / (T, d_a) trajectory through step's vector-Jacobian products,
 in the order DynamicsModel.adjoint_sweep's docstring sets out. The VJPs
-at a single sample are a one-step sweep. CartpoleDynamics and MlpModel
-compute every step's Jacobian factors in one vectorised pass, then only
-multiply with them from the last step back; a step of a longer sweep
-equals its one-step sweep bit for bit for the cartpole and to rounding
-for MlpModel (BLAS may sum a row's products in another order for another
-T). Reward models expose reward(s_next, a) and backward(s_next, a). step
+at a single sample are a one-step sweep. MlpModel computes every step's
+SiLU slopes in one recorded pass, then only multiplies with them from the
+last step back; a step of a longer sweep equals its one-step sweep to
+rounding (BLAS may sum a row's products in another order for another T).
+Reward models expose reward(s_next, a) and backward(s_next, a). step
 accepts a single sample or a batch stacked along a leading axis; reward
 and the reward's backward accept any leading shape, such as a whole
 (B, T) block of rollout steps, and equal their per-sample values bit for
@@ -44,12 +43,15 @@ step's own kernel, 20 ufunc calls into work rows made once per rollout, on
 contiguous (4, B) rows of a (T+1, 4, B) buffer and returns the buffer's
 transposed view: about 40% less time than the loop over step at 100 rows.
 
-A sweep is one trajectory, where numpy's per-call cost dominates, so
-BarrierDynamics sweeps on Python floats at every T, in the IEEE operations
-of the per-step VJP it was written from (kept in tests/oracles.py), but
-for the steps within the rim: their jac @ g stays BLAS's 2x2 product,
-which rounds with FMA (a float a*b + c*d differs in about a quarter of
-entries, with OpenBLAS on x86-64).
+A sweep is one trajectory, where numpy's per-call cost dominates, so both
+analytic models sweep on Python floats at every T, in the IEEE operations
+of the per-step VJPs they were written from (kept in tests/oracles.py),
+and a step of a longer sweep equals its one-step sweep bit for bit. The
+cartpole's sweep calls no BLAS, so its results do not depend on the BLAS
+kernel. The barrier's keeps two BLAS calls, whose rounding the kernel
+sets: its distance's u @ u is a ddot, and at the steps within the rim
+jac @ g is BLAS's 2x2 product, which rounds with FMA (a float
+a*b + c*d differs in about a quarter of entries, with OpenBLAS on x86-64).
 
 MlpModel runs its network in one of two passes, by what the caller reads.
 The value pass (step, predict_delta, training_mse) keeps only the layer it
@@ -106,18 +108,6 @@ class DynamicsModel:
         the action's gradient, and adjoints[t] = g = (df/ds)^T g. Returns
         the (T, d_a) action_grads and (T, d_s) adjoints."""
         raise NotImplementedError
-
-
-def _libm_power(x: Array, n: int) -> Array:
-    """x**n elementwise through libm's pow, as Python's float ** computes it.
-
-    numpy's array power rounds differently (its x**2 is x*x, and x**3 takes
-    its own path): it differs from libm in the last bit on a fraction of a
-    percent of squares and on about 5% of cubes. The analytic Jacobians
-    must equal the per-sample float formulas they were written from (kept
-    in tests/oracles.py) bit for bit, or planner results change.
-    """
-    return np.power(np.asarray(x, dtype=float).astype(object), n).astype(float)
 
 
 class RewardModel:
@@ -287,33 +277,31 @@ class BarrierDynamics(DynamicsModel):
         rim a step's VJP is (g, dt*g). Within it, dF/ds = c*I -
         (kappa*r/d^3) u u^T with c = kappa*(r - d)/d, at the offset u from
         the centre and the distance d, is symmetric, so the VJP is
-        (g + dt*(jac @ g), dt*g); jac @ g stays a numpy product on
-        the Jacobians of just those steps (see the module docstring). u @ u
-        is one ddot per row, as a single sample's is (an elementwise sum
-        rounds differently)."""
+        (g + dt*(jac @ g), dt*g). The loop writes jac's entries as
+        c*np.eye(2) - k*np.outer(u, u) rounds them (c*1 is c, and c*0 is 0.0
+        since c > 0 within the rim), and jac @ g stays numpy's 2x2 product
+        (see the module docstring). u @ u is one ddot per row, as a single
+        sample's is (an elementwise sum rounds differently)."""
         w = self.world
         u = np.asarray(states, dtype=float) - self._center
-        d = np.sqrt(np.vecdot(u, u) + SMOOTH_EPS**2)
-        rim = np.flatnonzero(d < w.radius)
-        jacs = {}
-        if rim.size:
-            u, d = u[rim], d[rim]
-            c = w.kappa * (w.radius - d) / d
-            k = w.kappa * w.radius / _libm_power(d, 3)
-            jacs = dict(zip(rim.tolist(), c[:, None, None] * np.eye(2)
-                            - k[:, None, None] * (u[:, :, None] * u[:, None, :])))
-        dt = w.dt
+        dists = np.sqrt(np.vecdot(u, u) + SMOOTH_EPS**2).tolist()
+        dt, radius, kappa = w.dt, w.radius, w.kappa
         gx = gy = 0.0
         grads, adjoints = [], []
-        T = len(state_grads)
-        for t, (rx, ry) in zip(range(T - 1, -1, -1), reversed(state_grads.tolist())):
+        for (ux, uy), d, (rx, ry) in zip(reversed(u.tolist()), reversed(dists),
+                                         reversed(state_grads.tolist())):
             gx, gy = gx + rx, gy + ry
             grads += (dt * gx, dt * gy)
-            if t in jacs:
-                px, py = (jacs[t] @ np.array([gx, gy])).tolist()
+            if d < radius:
+                c = kappa * (radius - d) / d
+                k = kappa * radius / d**3   # float ** is libm's pow
+                off = 0.0 - k * (ux * uy)
+                jac = np.array([[c - k * (ux * ux), off], [off, c - k * (uy * uy)]])
+                px, py = (jac @ np.array([gx, gy])).tolist()
                 gx, gy = gx + dt * px, gy + dt * py
             adjoints += (gx, gy)
         # Built from the last step back, so read in reverse.
+        T = len(dists)
         return np.array(grads).reshape(T, 2)[::-1], np.array(adjoints).reshape(T, 2)[::-1]
 
 
@@ -434,55 +422,62 @@ class CartpoleDynamics(DynamicsModel):
         return states.transpose(2, 0, 1)
 
     def adjoint_sweep(self, states, actions, state_grads):
-        """The Jacobians of every step in one pass, then per step only their
-        4x4 and 1x4 products with the adjoint. _stepper is not reused: its
-        numpy squares round differently from libm's (see _libm_power), and
-        the products below must stay as written."""
+        """DynamicsModel.adjoint_sweep's order on Python floats, with no BLAS
+        call, so no result depends on the BLAS kernel. Each step computes its
+        Jacobian entries by the formulas below (float ** is libm's pow), then
+        its VJPs (df/ds)^T g and (df/da)^T g summed in row order, with the
+        Jacobian's ones and zeros written out instead of multiplied. The
+        states are a rollout's, finite, as rollout_batch guarantees: as in
+        the per-step reference, math.sin raises ValueError at an infinite
+        angle and omega**2 raises OverflowError past |omega| of about
+        1.3e154. The state gradients may hold NaN or infinities."""
         w = self.world
-        states = np.asarray(states, dtype=float)
-        theta, omega = states[:, 2], states[:, 3]
-        force = w.force_scale * np.asarray(actions, dtype=float)[:, 0]
-
-        sin, cos = np.sin(theta), np.cos(theta)
-        total_mass = w.masscart + w.masspole
-        pole_ml = w.masspole * w.half_length
-        omega_sq = _libm_power(omega, 2)
-        temp = (force + pole_ml * omega_sq * sin) / total_mass
-        denom = w.half_length * (4.0 / 3.0 - w.masspole * _libm_power(cos, 2) / total_mass)
-        num = w.gravity * sin - cos * temp
-        theta_acc = num / denom
-
-        dtemp_dtheta = pole_ml * omega_sq * cos / total_mass
-        dtemp_domega = 2.0 * pole_ml * omega * sin / total_mass
-        dtemp_dforce = 1.0 / total_mass
-        ddenom_dtheta = w.half_length * 2.0 * w.masspole * cos * sin / total_mass
-        dnum_dtheta = w.gravity * cos + sin * temp - cos * dtemp_dtheta
-        dtheta_acc_dtheta = (dnum_dtheta * denom - num * ddenom_dtheta) / _libm_power(denom, 2)
-        dtheta_acc_domega = (-cos * dtemp_domega) / denom
-        dtheta_acc_dforce = (-cos * dtemp_dforce) / denom
+        dt, force_scale, gravity = w.dt, w.force_scale, w.gravity
+        half_length, masspole = w.half_length, w.masspole
+        total_mass = w.masscart + masspole
+        pole_ml = masspole * half_length
         ml_over_mass = pole_ml / total_mass
-        dx_acc_dtheta = dtemp_dtheta - ml_over_mass * (dtheta_acc_dtheta * cos - theta_acc * sin)
-        dx_acc_domega = dtemp_domega - ml_over_mass * dtheta_acc_domega * cos
-        dx_acc_dforce = dtemp_dforce - ml_over_mass * dtheta_acc_dforce * cos
+        dtemp_dforce = 1.0 / total_mass
+        g0 = g1 = g2 = g3 = 0.0
+        grads, adjoints = [], []
+        for (_, _, theta, omega), (a,), (r0, r1, r2, r3) in zip(
+                reversed(np.asarray(states, dtype=float).tolist()),
+                reversed(np.asarray(actions, dtype=float).tolist()),
+                reversed(state_grads.tolist())):
+            g0, g1, g2, g3 = g0 + r0, g1 + r1, g2 + r2, g3 + r3
+            force = force_scale * a
+            sin, cos = math.sin(theta), math.cos(theta)
+            temp = (force + pole_ml * omega**2 * sin) / total_mass
+            denom = half_length * (4.0 / 3.0 - masspole * cos**2 / total_mass)
+            num = gravity * sin - cos * temp
+            theta_acc = num / denom
 
-        dt = w.dt
-        one, zero = np.ones(len(states)), np.zeros(len(states))
-        jac_s = np.stack([
-            one, dt * one, zero, zero,
-            zero, one, dt * dx_acc_dtheta, dt * dx_acc_domega,
-            zero, zero, one, dt * one,
-            zero, zero, dt * dtheta_acc_dtheta, 1.0 + dt * dtheta_acc_domega,
-        ], axis=-1).reshape(-1, 4, 4)
-        jac_a = np.stack([zero, dt * dx_acc_dforce, zero, dt * dtheta_acc_dforce],
-                         axis=-1) * w.force_scale
-        action_grads = np.empty_like(actions)
-        adjoints = np.empty(state_grads.shape)
-        g = np.zeros(4)
-        for t in range(len(actions) - 1, -1, -1):
-            g = g + state_grads[t]
-            action_grads[t] = jac_a[t] @ g
-            adjoints[t] = g = jac_s[t].T @ g
-        return action_grads, adjoints
+            dtemp_dtheta = pole_ml * omega**2 * cos / total_mass
+            dtemp_domega = 2.0 * pole_ml * omega * sin / total_mass
+            ddenom_dtheta = half_length * 2.0 * masspole * cos * sin / total_mass
+            dnum_dtheta = gravity * cos + sin * temp - cos * dtemp_dtheta
+            dtheta_acc_dtheta = (dnum_dtheta * denom - num * ddenom_dtheta) / denom**2
+            dtheta_acc_domega = (-cos * dtemp_domega) / denom
+            dtheta_acc_dforce = (-cos * dtemp_dforce) / denom
+            dx_acc_dtheta = dtemp_dtheta - ml_over_mass * (dtheta_acc_dtheta * cos - theta_acc * sin)
+            dx_acc_domega = dtemp_domega - ml_over_mass * dtheta_acc_domega * cos
+            dx_acc_dforce = dtemp_dforce - ml_over_mass * dtheta_acc_dforce * cos
+
+            # df/ds has rows (1, dt, 0, 0), (0, 1, dt*dx_acc_dtheta,
+            # dt*dx_acc_domega), (0, 0, 1, dt) and (0, 0, dt*dtheta_acc_dtheta,
+            # 1 + dt*dtheta_acc_domega); df/da = force_scale * (0,
+            # dt*dx_acc_dforce, 0, dt*dtheta_acc_dforce).
+            grads.append(dt * dx_acc_dforce * force_scale * g1
+                         + dt * dtheta_acc_dforce * force_scale * g3)
+            g0, g1, g2, g3 = (
+                g0,
+                dt * g0 + g1,
+                dt * dx_acc_dtheta * g1 + g2 + dt * dtheta_acc_dtheta * g3,
+                dt * dx_acc_domega * g1 + dt * g2 + (1.0 + dt * dtheta_acc_domega) * g3)
+            adjoints += (g0, g1, g2, g3)
+        # Built from the last step back, so read in reverse.
+        T = len(grads)
+        return np.array(grads).reshape(T, 1)[::-1], np.array(adjoints).reshape(T, 4)[::-1]
 
 
 class CartpoleReward(RewardModel):

@@ -55,8 +55,8 @@ def reward_gradient(model, reward, traj: Trajectory) -> Array:
     sweep there is one ``reward.backward`` call, on the (T, d_s) states and
     (T, d_a) actions, and one ``model.adjoint_sweep`` call, the model's one
     gradient method, which owns the loop over steps and the VJPs (the
-    barrier's sweeps on Python floats, keeping only its within-rim products
-    in numpy; see ``BarrierDynamics.adjoint_sweep``).
+    analytic models sweep on Python floats, the barrier keeping only its
+    within-rim products in numpy; see ``BarrierDynamics.adjoint_sweep``).
 
     Raises DivergedError naming the first step, in sweep order (the last
     step first), whose action gradient or state adjoint is non-finite. As

@@ -60,16 +60,21 @@ def scalar_cartpole_backward(dyn, s, a, grad_next):
     dx_acc_dforce = dtemp_dforce - ml_over_mass * dtheta_acc_dforce * cos
 
     dt = w.dt
-    jac_s = np.array(
-        [
-            [1.0, dt, 0.0, 0.0],
-            [0.0, 1.0, dt * dx_acc_dtheta, dt * dx_acc_domega],
-            [0.0, 0.0, 1.0, dt],
-            [0.0, 0.0, dt * dtheta_acc_dtheta, 1.0 + dt * dtheta_acc_domega],
-        ]
-    )
-    jac_a = np.array([0.0, dt * dx_acc_dforce, 0.0, dt * dtheta_acc_dforce]) * w.force_scale
-    return jac_s.T @ g, np.array([jac_a @ g])
+    g0, g1, g2, g3 = (float(x) for x in g)
+    # jac_s = [[1, dt, 0, 0],
+    #          [0, 1, dt * dx_acc_dtheta, dt * dx_acc_domega],
+    #          [0, 0, 1, dt],
+    #          [0, 0, dt * dtheta_acc_dtheta, 1 + dt * dtheta_acc_domega]]
+    # jac_a = [0, dt * dx_acc_dforce, 0, dt * dtheta_acc_dforce] * force_scale
+    # jac_s.T @ g and jac_a @ g, summed in row order with the zero terms
+    # dropped and the ones not multiplied: no BLAS kernel can round these.
+    grad_s = [g0,
+              dt * g0 + g1,
+              dt * dx_acc_dtheta * g1 + g2 + dt * dtheta_acc_dtheta * g3,
+              dt * dx_acc_domega * g1 + dt * g2 + (1.0 + dt * dtheta_acc_domega) * g3]
+    grad_a = (dt * dx_acc_dforce * w.force_scale * g1
+              + dt * dtheta_acc_dforce * w.force_scale * g3)
+    return np.array(grad_s), np.array([grad_a])
 
 
 # Each analytic model's per-step reference.

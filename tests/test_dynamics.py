@@ -584,25 +584,27 @@ class TestCartpoleRollout:
 
 
 class TestCartpoleAdjointSweep:
-    """The cartpole's sweep builds every step's Jacobians in one vectorised
-    pass. The oracle sweep, the scalar reference chained in the sweep
-    order, is what it must equal bit for bit."""
+    """The cartpole's sweep runs on Python floats and calls no BLAS. The
+    oracle sweep, the scalar reference chained in the sweep order, is what
+    it must equal bit for bit."""
 
     world = CartpoleWorld()
 
-    def assert_sweep_matches(self, states, actions, state_grads):
+    def assert_sweep_matches(self, states, actions, state_grads, same=assert_bitwise):
         dyn = self.world.dynamics
-        got = dyn.adjoint_sweep(states, actions, state_grads)
-        want = oracle_sweep(scalar_cartpole_backward, dyn, states, actions, state_grads)
+        with np.errstate(all="ignore"):   # non-finite entries warn in numpy
+            got = dyn.adjoint_sweep(states, actions, state_grads)
+            want = oracle_sweep(scalar_cartpole_backward, dyn, states, actions, state_grads)
         for g, w in zip(got, want):
-            assert_bitwise(g, w)
+            same(g, w)
 
-    def assert_sweeps_match(self, states, actions, state_grads):
+    def assert_sweeps_match(self, states, actions, state_grads, same=assert_bitwise):
         # A sweep's accumulated adjoint can round a VJP's last-bit error
         # away, so each state is also swept alone, at its own gradient.
-        self.assert_sweep_matches(states, actions, state_grads)
+        self.assert_sweep_matches(states, actions, state_grads, same)
         for t in range(len(states)):
-            self.assert_sweep_matches(states[t:t + 1], actions[t:t + 1], state_grads[t:t + 1])
+            self.assert_sweep_matches(states[t:t + 1], actions[t:t + 1], state_grads[t:t + 1],
+                                      same)
 
     def test_swing_up_rollout(self):
         rng = np.random.default_rng(12)
@@ -633,6 +635,19 @@ class TestCartpoleAdjointSweep:
         # the reference's do.
         gg[rng.random(gg.shape) < 0.3] = -0.0
         self.assert_sweeps_match(ss, aa, gg)
+
+    def test_non_finite_state_gradients_as_one_trajectory_and_one_step_each(self):
+        # The states are a rollout's, so finite, but a reward gradient may
+        # hold NaN or an infinity in any entry, next to a signed zero or a
+        # finite number. A dropped zero term must not turn inf into NaN.
+        rng = np.random.default_rng(17)
+        values = (math.nan, math.inf, -math.inf, -0.0, 1.5)
+        gg = np.array(list(itertools.product(values, repeat=4)))
+        actions = rng.uniform(-1.0, 1.0, (len(gg), 1))
+        ss = self.world.dynamics.rollout_states(self.world.start_state, actions[None])[0][:-1]
+        for order in (slice(None), slice(None, None, -1)):
+            self.assert_sweeps_match(ss[order], actions[order], gg[order],
+                                     same=assert_bits_or_nans)
 
 
 # The kernels below were rewritten for speed (ndarray.sum instead of the
