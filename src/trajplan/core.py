@@ -123,10 +123,14 @@ def rollout_batch(model, reward, s0: Array, seqs: Array):
     versus ``rollout(seqs[i])`` (which is this function at B=1): bitwise
     equal for the analytic models (barrier, cartpole: elementwise
     arithmetic) at any B. The barrier rolls a batch of at most
-    ``dynamics.FLOAT_ROWS`` rows out on Python floats, where numpy's
-    per-call cost would dominate, and a larger one by the batched numpy
-    formula; both do the same IEEE operations in the same order (see
-    ``BarrierDynamics.rollout_states``). The cartpole's states are the
+    ``dynamics.FLOAT_ROWS`` rows out without numpy's per-step calls, which
+    would dominate there: one row on Python floats, more by running sums
+    of dt*actions, exact beyond the rim for every finite state and nonzero
+    action, with Python floats from each row's first step within the rim
+    (or at a zero action entry, a NaN distance or a non-finite state). A
+    larger batch takes the batched numpy formula. All do the same IEEE
+    operations in the same order (see ``BarrierDynamics.rollout_states``).
+    The cartpole's states are the
     transposed view of a (T+1, d_s, B) buffer, so they need not be
     C-contiguous, and a row taken from them keeps the whole buffer alive.
     For ``MlpModel`` at B>1 rows are equal only to rounding,

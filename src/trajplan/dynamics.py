@@ -31,14 +31,21 @@ concurrently.
 
 A rollout's loop over steps is the model's rollout_states(s0, actions):
 by default a loop over step that fills the (B, T+1, d_s) states.
-BarrierDynamics rolls a batch of at most FLOAT_ROWS rows out on Python
-floats instead, the whole horizon in one loop, because at the planner's
-small batches (10-row CEM replans, the line search's 1- and 7-row trials)
-a numpy step costs mostly per-call overhead: about 14 ufunc calls per
-step whatever B. Above FLOAT_ROWS rows the float loop's per-row cost
-overtakes numpy's per-call cost, so larger batches take the batched
-formula. The float loop does the batched formula's IEEE operations in its
-order, so it equals the batched formula bit for bit. CartpoleDynamics runs
+BarrierDynamics rolls a batch of at most FLOAT_ROWS rows out without it,
+because at the planner's small batches (10-row CEM replans, the line
+search's 1- and 7-row trials) a numpy step costs mostly per-call
+overhead: about 14 ufunc calls per step whatever B. Beyond the rim, where
+most steps lie, the step s + dt*(a + 0.0*u) is s + dt*a bit for bit
+whenever u is finite and a has no zero entry, because adding a signed
+zero leaves a nonzero number as it is: free flight is a running sum. So
+a batch of 2 to FLOAT_ROWS rows is one np.add.accumulate of dt*actions,
+and only the rows that reach the rim (or meet a zero action entry, a NaN
+distance or a non-finite state) go on from their first such step in a
+loop on Python floats, all in one call; a one-row batch takes that float
+loop whole. Above FLOAT_ROWS rows the float loop's per-row cost overtakes
+numpy's per-call cost, so larger batches take the batched formula. The
+float loop does the batched formula's IEEE operations in its order, so
+every path equals the batched formula bit for bit. CartpoleDynamics runs
 step's own kernel, 20 ufunc calls into work rows made once per rollout, on
 contiguous (4, B) rows of a (T+1, 4, B) buffer and returns the buffer's
 transposed view: about 40% less time than the loop over step at 100 rows.
@@ -47,7 +54,10 @@ A sweep is one trajectory, where numpy's per-call cost dominates, so both
 analytic models sweep on Python floats at every T, in the IEEE operations
 of the per-step VJPs they were written from (kept in tests/oracles.py),
 and a step of a longer sweep equals its one-step sweep bit for bit. The
-cartpole's sweep calls no BLAS, so its results do not depend on the BLAS
+barrier's steps after its last one within the rim only add their state
+gradient to the adjoint, so it sweeps them as one reverse running sum
+from 0.0 and loops only over the steps up to that one. The cartpole's
+sweep calls no BLAS, so its results do not depend on the BLAS
 kernel. The barrier's keeps two BLAS calls, whose rounding the kernel
 sets: its distance's u @ u is a ddot, and at the steps within the rim
 jac @ g is BLAS's 2x2 product, which rounds with FMA (a float
@@ -217,11 +227,19 @@ class BarrierWorld:
                     and np.all(states[in_band, 1] < cy))
 
 
-# Barrier batches of up to this many rows are rolled out on Python floats
-# (BarrierDynamics.rollout_states); larger ones take the batched formula.
-# At horizon 45 the float loop takes about half numpy's time at B = 16 and
-# as long at B = 32 (see CHANGES.md): half the break-even batch leaves a
-# margin for hosts where Python's float arithmetic costs relatively more.
+# Barrier batches of up to this many rows are rolled out without the
+# batched formula (BarrierDynamics.rollout_states): one row on Python
+# floats, more by running sums, with Python floats only from each row's
+# first step that is not free flight. Larger batches take the batched
+# formula. At horizon 45, on one core of a 2-core Xeon VM (see
+# CHANGES.md), the batched formula took about 0.50 ms at any B up to 32.
+# Running sums took 0.015-0.035 ms for a batch that stays beyond the rim,
+# and in the worst case, every row within the rim from its first step,
+# 0.34 ms at B = 16 and 0.50 ms at B = 24. The worst case breaks even near
+# B = 24, and 16 leaves a margin for hosts where Python's float arithmetic
+# costs relatively more. One row skips the running sum, whose dozen numpy
+# calls cost more than one row's float loop: 27 against 21 us at horizon
+# 45, and 16 against 2 us for an episode's one-step true step.
 FLOAT_ROWS = 16
 
 
@@ -244,24 +262,19 @@ class BarrierDynamics(DynamicsModel):
         coeff = np.where(d < w.radius, w.kappa * (w.radius - d) / d, 0.0)
         return s + w.dt * (np.asarray(a, dtype=float) + coeff * u)
 
-    def rollout_states(self, s0, actions):
-        """Up to FLOAT_ROWS rows, each row's whole horizon in one loop on
-        Python floats: the batched formula's IEEE operations in its order
-        (SMOOTH_EPS**2 is the same float in both), so bit for bit its
-        states, without numpy's per-call cost at every step. Float ``**``
-        can raise where numpy's gives inf, so u is squared as u*u; the
-        distance is never zero, so ``/ d`` cannot raise."""
-        if len(actions) > FLOAT_ROWS:
-            return super().rollout_states(s0, actions)
+    def _float_steps(self, starts, seqs):
+        """step on Python floats: from each (x, y) of ``starts``, the states
+        after each (ax, ay) of its row of ``seqs``, as one flat list x, y,
+        x, y, ... of every row in turn. The batched formula's IEEE
+        operations in its order (SMOOTH_EPS**2 is the same float in both).
+        Float ``**`` can raise where numpy's gives inf, so u is squared as
+        u*u; the distance is never zero, so ``/ d`` cannot raise."""
         w = self.world
         cx, cy = self._center_xy
         dt, radius, kappa, eps2 = w.dt, w.radius, w.kappa, SMOOTH_EPS**2
         sqrt = math.sqrt
-        start = np.asarray(s0, dtype=float).tolist()
         flat = []
-        for seq in actions.tolist():
-            x, y = start
-            flat += (x, y)
+        for (x, y), seq in zip(starts, seqs):
             for ax, ay in seq:
                 ux, uy = x - cx, y - cy
                 d = sqrt(ux * ux + uy * uy + eps2)
@@ -270,26 +283,95 @@ class BarrierDynamics(DynamicsModel):
                 x = x + dt * (ax + c * ux)
                 y = y + dt * (ay + c * uy)
                 flat += (x, y)
-        return np.array(flat).reshape(actions.shape[0], actions.shape[1] + 1, 2)
+        return flat
+
+    def rollout_states(self, s0, actions):
+        """The batched formula's states bit for bit. More than FLOAT_ROWS
+        rows take the batched formula and one row the float loop
+        (_float_steps). Other batches run free flight as a running sum:
+        beyond the rim the step is s + dt*(a + 0.0*u), which is s + dt*a
+        bit for bit while u is finite and a has no zero entry, because
+        adding a signed zero leaves a nonzero number as it is. So the
+        states are first one np.add.accumulate of dt*actions from s0. Then
+        each step's distance, in the float loop's operations (ux*ux + uy*uy
+        + SMOOTH_EPS**2, then sqrt), finds each row's first step that is
+        not free: within the rim, at a NaN or infinite distance (a state
+        that is not finite, or whose square overflows), or with a zero
+        (either sign) action entry. The sum made that step's state bit for
+        bit, so the rows with such a step restart from it, all in one call
+        of the float loop."""
+        actions = np.asarray(actions, dtype=float)   # dt*a in float64, as step's
+        B, T, _ = actions.shape
+        if B > FLOAT_ROWS:
+            return super().rollout_states(s0, actions)
+        if B == 1:
+            start = np.asarray(s0, dtype=float).tolist()
+            flat = start + self._float_steps([start], actions.tolist())
+            return np.array(flat).reshape(B, T + 1, 2)
+        w = self.world
+        cx, cy = self._center_xy
+        states = np.empty((B, T + 1, 2))
+        states[:, 0] = s0
+        np.multiply(w.dt, actions, out=states[:, 1:])
+        np.add.accumulate(states, axis=1, out=states)
+        # The distance from the (B, T) x and y rows: numpy is slow on a
+        # last axis of length 2.
+        d = states[:, :-1, 0] - cx
+        uy = states[:, :-1, 1] - cy
+        d *= d
+        uy *= uy
+        d += uy
+        d += SMOOTH_EPS**2
+        np.sqrt(d, out=d)
+        free = (d >= w.radius) & (d < math.inf)
+        if np.count_nonzero(actions == 0.0):   # rare; the per-step test costs more
+            free &= (actions != 0.0).all(axis=2)
+        # True from each row's first step that is not free on.
+        stuck = np.logical_or.accumulate(~free, axis=1)
+        rows = np.flatnonzero(stuck[:, -1]) if T else []
+        if len(rows):
+            first = np.argmax(stuck[rows], axis=1)
+            seqs = [seq[t:] for seq, t in zip(actions[rows].tolist(), first.tolist())]
+            flat = self._float_steps(states[rows, first].tolist(), seqs)
+            states[:, 1:][stuck] = np.array(flat).reshape(-1, 2)
+        return states
 
     def adjoint_sweep(self, states, actions, state_grads):
-        """DynamicsModel.adjoint_sweep's order on Python floats. Beyond the
-        rim a step's VJP is (g, dt*g). Within it, dF/ds = c*I -
-        (kappa*r/d^3) u u^T with c = kappa*(r - d)/d, at the offset u from
-        the centre and the distance d, is symmetric, so the VJP is
-        (g + dt*(jac @ g), dt*g). The loop writes jac's entries as
-        c*np.eye(2) - k*np.outer(u, u) rounds them (c*1 is c, and c*0 is 0.0
-        since c > 0 within the rim), and jac @ g stays numpy's 2x2 product
-        (see the module docstring). u @ u is one ddot per row, as a single
-        sample's is (an elementwise sum rounds differently)."""
+        """DynamicsModel.adjoint_sweep's order, on Python floats up to the
+        last step within the rim. Beyond the rim a step's VJP is (g, dt*g),
+        so the steps after that one (every step, if none is within it) are
+        one reverse np.add.accumulate of their state gradients from 0.0,
+        as the loop's first 0.0 + r (which turns -0.0 into 0.0), and their
+        action gradients dt times those adjoints: bit for bit the loop's
+        operations. Within the rim, dF/ds = c*I - (kappa*r/d^3) u u^T with
+        c = kappa*(r - d)/d, at the offset u from the centre and the
+        distance d, is symmetric, so the VJP is (g + dt*(jac @ g), dt*g).
+        The loop writes jac's entries as c*np.eye(2) - k*np.outer(u, u)
+        rounds them (c*1 is c, and c*0 is 0.0 since c > 0 within the rim),
+        and jac @ g stays numpy's 2x2 product (see the module docstring).
+        u @ u is one ddot per row, as a single sample's is (an elementwise
+        sum rounds differently), and decides which steps are within the
+        rim."""
         w = self.world
         u = np.asarray(states, dtype=float) - self._center
-        dists = np.sqrt(np.vecdot(u, u) + SMOOTH_EPS**2).tolist()
+        dists = np.sqrt(np.vecdot(u, u) + SMOOTH_EPS**2)
         dt, radius, kappa = w.dt, w.radius, w.kappa
-        gx = gy = 0.0
-        grads, adjoints = [], []
-        for (ux, uy), d, (rx, ry) in zip(reversed(u.tolist()), reversed(dists),
-                                         reversed(state_grads.tolist())):
+        T = len(dists)
+        rim = np.flatnonzero(dists < radius)
+        m = int(rim[-1]) + 1 if len(rim) else 0   # steps m.. are free
+        # Step t's adjoint is rev[T - t]; rev[0] is the 0.0 the sweep starts from.
+        rev = np.zeros((T + 1, 2))
+        rev[1:] = state_grads[::-1]
+        tail = rev[:T - m + 1]
+        np.add.accumulate(tail, axis=0, out=tail)
+        adjoints = rev[:0:-1]
+        action_grads = dt * adjoints
+        if not m:
+            return action_grads, adjoints
+        gx, gy = tail[-1].tolist()
+        grads, adjs = [], []
+        for (ux, uy), d, (rx, ry) in zip(reversed(u[:m].tolist()), reversed(dists[:m].tolist()),
+                                         reversed(state_grads[:m].tolist())):
             gx, gy = gx + rx, gy + ry
             grads += (dt * gx, dt * gy)
             if d < radius:
@@ -299,10 +381,11 @@ class BarrierDynamics(DynamicsModel):
                 jac = np.array([[c - k * (ux * ux), off], [off, c - k * (uy * uy)]])
                 px, py = (jac @ np.array([gx, gy])).tolist()
                 gx, gy = gx + dt * px, gy + dt * py
-            adjoints += (gx, gy)
-        # Built from the last step back, so read in reverse.
-        T = len(dists)
-        return np.array(grads).reshape(T, 2)[::-1], np.array(adjoints).reshape(T, 2)[::-1]
+            adjs += (gx, gy)
+        # Built from step m-1 back, so stored in reverse.
+        rev[T - m + 1:] = np.array(adjs).reshape(m, 2)
+        action_grads[:m] = np.array(grads).reshape(m, 2)[::-1]
+        return action_grads, adjoints
 
 
 # ---------------------------------------------------------------------------

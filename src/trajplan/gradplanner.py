@@ -56,7 +56,8 @@ def reward_gradient(model, reward, traj: Trajectory) -> Array:
     (T, d_a) actions, and one ``model.adjoint_sweep`` call, the model's one
     gradient method, which owns the loop over steps and the VJPs (the
     analytic models sweep on Python floats, the barrier keeping only its
-    within-rim products in numpy; see ``BarrierDynamics.adjoint_sweep``).
+    within-rim products in numpy and sweeping the steps after its last one
+    within the rim as one running sum; see ``BarrierDynamics.adjoint_sweep``).
 
     Raises DivergedError naming the first step, in sweep order (the last
     step first), whose action gradient or state adjoint is non-finite. As
@@ -85,37 +86,37 @@ def line_search_update(current: Trajectory, grad: Array, model, reward,
     accepted, record, trajectory): the winner and its rollout, or, if none
     improves within J trials, ``current.actions`` and ``current``.
 
-    The J candidates are built by one broadcast over the step sizes
-    (elementwise, so bit for bit the per-eta formula), but only the
-    rollouts that can decide the update are made: candidate 0 alone, then,
-    only if it does not improve, candidates 1..J-1 as one batch. The
-    record's ``evaluations`` is 1 or J accordingly. For the analytic models
-    this is bit-identical to rolling all J out at once or one at a time;
-    for ``MlpModel`` the candidate rewards agree across batch sizes only
-    to rounding (see ``rollout_batch``), so a near-tie can be decided
+    Only the candidates that can decide the update are built and rolled
+    out: candidate 0 alone, then, only if it does not improve, candidates
+    1..J-1 as one batch. Each batch is one broadcast over its step sizes
+    (elementwise, so bit for bit the per-eta formula). The record's
+    ``evaluations`` is 1 or J accordingly. For the analytic models this is
+    bit-identical to rolling all J out at once or one at a time; for
+    ``MlpModel`` the candidate rewards agree across batch sizes only to
+    rounding (see ``rollout_batch``), so a near-tie can be decided
     differently. A candidate that is not rolled out raises no
     DivergedError. A step eta * grad that overflows is +-inf, which the
     projection clamps to the bound, without a warning.
     """
     etas = eta_schedule(cfg)
-    with np.errstate(over="ignore"):   # an overflowing step is +-inf: the bound
-        candidates = project(current.actions + np.asarray(etas)[:, None, None] * grad,
-                             bounds)
     for lo, hi in ((0, 1), (1, len(etas))):   # trial 1 alone, then trials 2..J
         if lo == hi:
             break
+        with np.errstate(over="ignore"):   # an overflowing step is +-inf: the bound
+            candidates = project(current.actions + np.asarray(etas[lo:hi])[:, None, None] * grad,
+                                 bounds)
         totals, states, step_rewards = rollout_batch(model, reward, current.states[0],
-                                                     candidates[lo:hi])
+                                                     candidates)
         better = np.nonzero(totals > current.total_reward)[0]
         if better.size:
             i = int(better[0])
             j = lo + i
-            accepted_traj = Trajectory(states=states[i], actions=candidates[j],
+            accepted_traj = Trajectory(states=states[i], actions=candidates[i],
                                        step_rewards=step_rewards[i],
                                        total_reward=float(totals[i]))
             record = UpdateRecord(accepted=True, trials_used=j + 1, eta_used=etas[j],
                                   reward_after=float(totals[i]), evaluations=hi)
-            return candidates[j], True, record, accepted_traj
+            return candidates[i], True, record, accepted_traj
     record = UpdateRecord(accepted=False, trials_used=len(etas), eta_used=0.0,
                           reward_after=current.total_reward, evaluations=len(etas))
     return current.actions, False, record, current

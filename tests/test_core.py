@@ -228,8 +228,10 @@ class TestRollout:
         # Models with elementwise arithmetic give the same row at any batch size.
         # barrier_in_rim starts 0.2 from the barrier's centre, within its
         # 0.4 rim, so the steps take the repulsion branch too. The barrier
-        # rolls out up to FLOAT_ROWS rows on Python floats and more by the
-        # batched formula: rows equal rollout's on both sides of that switch.
+        # rolls out one row on Python floats, up to FLOAT_ROWS rows by
+        # running sums (and Python floats where a row reaches the rim) and
+        # more by the batched formula: rows equal rollout's across both
+        # switches.
         rng = np.random.default_rng(11)
         if name == "pointmass":
             model, reward, d_a = PointMass(), NegSquaredNorm(), 2

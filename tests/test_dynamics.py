@@ -319,15 +319,18 @@ BARRIER_WORLDS = [
 ]
 
 
-# The batch sizes of the float rollout tests: one row, more than one, and
-# the most that take the float loop.
-FLOAT_BATCHES = (1, 2, FLOAT_ROWS)
+# The batch sizes of the float rollout tests: one row (the float loop
+# alone), more than one (running sums, and the float loop for the rows that
+# need it), a replan's CEM batch, and the most that take these paths.
+FLOAT_BATCHES = (1, 2, 10, FLOAT_ROWS)
 
 
 class TestBarrierFloatRollout:
-    """A batch of at most FLOAT_ROWS rows is rolled out on Python floats.
-    The batched formula, DynamicsModel's default loop over step, is the
-    reference it must equal bit for bit. Each given state is the shared
+    """A batch of at most FLOAT_ROWS rows is rolled out without the batched
+    formula: one row by the float loop, more by running sums, with the
+    float loop from each row's first step that is not free flight. The
+    batched formula, DynamicsModel's default loop over step, is the
+    reference they must equal bit for bit. Each given state is the shared
     start of a batch whose first step pairs it with the given actions in
     turn; the later steps carry the float states on."""
 
@@ -389,6 +392,106 @@ class TestBarrierFloatRollout:
         finite = np.full_like(pairs, 0.1)
         self.assert_rollouts_match(dyn, np.concatenate([pairs, finite]),
                                    np.concatenate([finite, pairs]), monkeypatch)
+
+    def assert_batch_matches(self, dyn, s0, actions, monkeypatch):
+        """rollout_states of the (B, T, 2) actions from s0, and of its
+        first B' rows for each B' of FLOAT_BATCHES up to B, against the
+        batched formula."""
+        with np.errstate(all="ignore"):   # non-finite states warn in numpy
+            want = DynamicsModel.rollout_states(dyn, s0, actions)
+            with monkeypatch.context() as patch:
+                self.forbid_the_batched_formula(dyn, patch)
+                for rows in {len(actions), *(b for b in FLOAT_BATCHES if b <= len(actions))}:
+                    assert_bits_or_nans(dyn.rollout_states(s0, actions[:rows]), want[:rows])
+
+    @staticmethod
+    def inside(world, states):
+        u = states - np.asarray(world.center)
+        d = np.sqrt(u[..., 0] * u[..., 0] + u[..., 1] * u[..., 1] + SMOOTH_EPS**2)
+        return d < world.radius
+
+    @pytest.mark.parametrize("world", BARRIER_WORLDS)
+    def test_rows_beyond_the_rim_beside_rows_that_enter_leave_and_reenter_it(
+            self, world, monkeypatch):
+        # From just beyond the rim on its +x side: rows that head away and
+        # stay beyond it, rows that head in, out and in again along x, and
+        # random rows.
+        dyn, rng = world.dynamics, np.random.default_rng(31)
+        s0 = np.asarray(world.center) + (world.radius + 0.01, 0.0)
+        T, leg = 48, 12
+        speed = 0.5 * np.ones(T)
+        speed[leg:2 * leg] = speed[3 * leg:] = -0.5
+        swing = np.stack([-speed, rng.uniform(-0.01, 0.01, T)], axis=1)
+        away = np.stack([0.5 * np.ones(T), rng.uniform(-0.5, 0.5, T)], axis=1)
+        actions = np.stack([away, swing, away[::-1], swing * 0.9]
+                           + list(rng.uniform(-0.5, 0.5, (FLOAT_ROWS - 4, T, 2))))
+        states = DynamicsModel.rollout_states(dyn, s0, actions)
+        inside = self.inside(world, states)
+        assert not inside[0].any() and not inside[2].any()
+        assert (np.diff(inside[1].astype(int)) != 0).sum() >= 3   # enters, leaves, re-enters
+        self.assert_batch_matches(dyn, s0, actions, monkeypatch)
+
+    @pytest.mark.parametrize("world", BARRIER_WORLDS)
+    def test_rows_that_start_within_the_rim(self, world, monkeypatch):
+        rng = np.random.default_rng(32)
+        for s0 in (np.asarray(world.center), np.asarray(world.center) + (0.1, -0.2)):
+            actions = rng.uniform(-0.5, 0.5, (FLOAT_ROWS, 40, 2))
+            assert self.inside(world, s0)
+            self.assert_batch_matches(world.dynamics, s0, actions, monkeypatch)
+
+    @pytest.mark.parametrize("world", BARRIER_WORLDS)
+    @pytest.mark.parametrize("value", [0.0, -0.0, 1e308, math.inf, -math.inf, math.nan])
+    def test_zero_overflowing_or_nan_action_in_a_free_row(self, world, value, monkeypatch):
+        rng = np.random.default_rng(33)
+        s0 = np.array([3.0, -2.0])
+        actions = rng.uniform(-0.5, 0.5, (FLOAT_ROWS, 20, 2))
+        actions[:, 8, 0] = value   # each row's x at step 8
+        actions[1::2, 8] = value   # and every other row's y too
+        assert not self.inside(world, DynamicsModel.rollout_states(world.dynamics, s0,
+                                                                   actions[:, :8])).any()
+        self.assert_batch_matches(world.dynamics, s0, actions, monkeypatch)
+
+    def test_zero_actions_from_a_signed_zero_start(self, monkeypatch):
+        # The centre's x is negative, so from x = -0.0 beyond the rim a
+        # step's 0.0*ux is +0.0, and -0.0 + 0.0 is 0.0, not the -0.0 a
+        # running sum of a -0.0 action keeps: the one place where a zero
+        # action entry makes the running sum differ from step.
+        world = BarrierWorld(center=(-1.0, 0.2))
+        zeros = np.array(list(itertools.product((0.0, -0.0, 0.25), repeat=2)))
+        actions = np.stack([np.roll(zeros, -i, axis=0) for i in range(len(zeros))])
+        for s0 in ((-0.0, -2.0), (0.0, -2.0), (-0.0, -0.0)):
+            self.assert_batch_matches(world.dynamics, np.asarray(s0), actions, monkeypatch)
+
+    @pytest.mark.parametrize("rows", FLOAT_BATCHES)
+    @pytest.mark.parametrize("steps", [0, 1])
+    @pytest.mark.parametrize("start", ["beyond", "within"])
+    def test_no_and_one_step(self, rows, steps, start, monkeypatch):
+        world = BarrierWorld()
+        s0 = np.asarray(world.center) + ((1.0, 0.0) if start == "beyond" else (0.1, 0.0))
+        actions = np.random.default_rng(34).uniform(-0.5, 0.5, (rows, steps, 2))
+        self.assert_batch_matches(world.dynamics, s0, actions, monkeypatch)
+
+    def test_float32_actions(self, monkeypatch):
+        # step multiplies float64 actions by dt, so a running sum must too.
+        world = BarrierWorld(dt=0.03)
+        actions = np.random.default_rng(36).uniform(-0.5, 0.5, (FLOAT_ROWS, 45, 2))
+        for s0 in (world.start_state, np.asarray(world.center)):
+            self.assert_batch_matches(world.dynamics, s0, actions.astype(np.float32), monkeypatch)
+
+    def test_a_batch_beyond_the_rim_makes_no_float_step(self, monkeypatch):
+        world = BarrierWorld()
+        dyn, rng = world.dynamics, np.random.default_rng(35)
+        batches = [rng.uniform(-0.5, 0.5, (rows, 45, 2)) for rows in FLOAT_BATCHES[1:]]
+        want = [DynamicsModel.rollout_states(dyn, world.start_state, a) for a in batches]
+        assert not any(self.inside(world, states).any() for states in want)
+
+        def float_steps(starts, seqs):
+            raise AssertionError("a free batch took the float loop")
+
+        monkeypatch.setattr(dyn, "_float_steps", float_steps)
+        self.forbid_the_batched_formula(dyn, monkeypatch)
+        for actions, states in zip(batches, want):
+            assert_bitwise(dyn.rollout_states(world.start_state, actions), states)
 
 
 class TestBarrierAdjointSweep:
@@ -484,6 +587,40 @@ class TestBarrierAdjointSweep:
         self.assert_sweeps_match(env.dynamics, ss, aa, gg)
         for t in range(len(ss)):
             self.assert_sweeps_match(env.dynamics, ss[t:t + 1], aa[t:t + 1], gg[t:t + 1])
+
+    @pytest.mark.parametrize("world", BARRIER_WORLDS)
+    @pytest.mark.parametrize("last_rim_step", ["last", "middle", "none"])
+    def test_free_tails(self, world, last_rim_step):
+        # The steps after the last one within the rim are swept as a running
+        # sum. Their state gradients take every pair of -0.0, 0.0, +-inf,
+        # NaN and 1.5, forward and reversed, or are all -0.0 (which the
+        # sweep's 0.0 start turns into 0.0).
+        rng = np.random.default_rng(41)
+        center = np.asarray(world.center)
+        values = (-0.0, 0.0, math.inf, -math.inf, math.nan, 1.5)
+        pairs = np.array(list(itertools.product(values, repeat=2)))
+        T = 12 + len(pairs)
+        signs = rng.choice([-1.0, 1.0], (T, 2))
+        states = center + signs * rng.uniform(0.5, 1.0, (T, 2))   # beyond the rim
+        within = center + rng.uniform(-0.15, 0.15, (12, 2))
+        if last_rim_step == "middle":
+            states[:12] = within
+        elif last_rim_step == "last":
+            states[-1] = within[0]
+        inside = np.flatnonzero(self.inside(world, states)).tolist()
+        assert inside[-1:] == {"last": [T - 1], "middle": [11], "none": []}[last_rim_step]
+        actions = rng.uniform(-0.5, 0.5, (T, 2))
+        for tail in (pairs, pairs[::-1], np.full((4, 2), -0.0)):
+            state_grads = np.concatenate([rng.normal(size=(T - len(tail), 2)), tail])
+            self.assert_sweeps_match(world.dynamics, states, actions, state_grads,
+                                     same=assert_bits_or_nans)
+
+    @pytest.mark.parametrize("steps", [0, 1])
+    def test_no_and_one_step(self, steps):
+        world = BarrierWorld()
+        for s in (np.asarray(world.center), world.start_state):
+            self.assert_sweeps_match(world.dynamics, np.tile(s, (steps, 1)),
+                                     np.full((steps, 2), 0.25), np.full((steps, 2), -0.0))
 
 
 def cartpole_states_with_rounding_squares(world, rng, pool=100_000, each=40):
