@@ -64,11 +64,9 @@ def plan(state: PlannerState, s_t: Array, model, reward, cfg: PlannerConfig,
     Refinement starts from CEM's pooled trajectories and returns refined
     trajectories; the one with the highest total reward wins, the lowest
     index on ties. So plan() rolls out nothing beyond CEM's samples and the
-    line-search candidates. ``gradient_evals`` is the refinement budget,
-    1 + G*J + 1 per refined sequence (the seed's
-    score, every trial of every update, the winner's score), which is what
-    it counted when every update rolled out all J trials; the rollouts
-    actually made are in ``traces`` (``OptimizeTrace.rollout_evaluations``).
+    line-search candidates. The diagnostics' ``gradient_evals`` is a budget,
+    not a rollout count (README.md, Output schema); the rollouts actually
+    made are in ``traces`` (``OptimizeTrace.rollout_evaluations``).
     """
     first = state.timestep == 0
     if first != (state.previous_optimal is None):

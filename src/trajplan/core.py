@@ -105,7 +105,10 @@ def rollout(model, reward, s0: Array, seq: Array) -> Trajectory:
 
 
 # Rows of a rollout batch scored by one reward call: the reward's
-# temporaries stay O(rows * T) at any batch size.
+# temporaries stay O(rows * T) at any batch size. Scoring a whole batch in
+# one call raised perfbench's barrier_cemgd peak_rss_mb, whose first plans
+# roll out 1,000 rows, from 41.5 to 43.4 MiB (four runs a side on a 2-core
+# Xeon VM).
 REWARD_BLOCK_ROWS = 128
 
 
@@ -113,36 +116,15 @@ def rollout_batch(model, reward, s0: Array, seqs: Array):
     """Roll out a batch of action sequences (B, T, d_a) from a shared state.
 
     Returns (totals, states, rewards): the (B,) cumulative rewards, the
-    (B, T+1, d_s) states and the (B, T) step rewards. The states come
-    from ``model.rollout_states`` (a ``DynamicsModel`` method: by default a
-    loop over ``model.step``); the rewards are scored after it,
-    one ``reward.reward`` call per block of up to REWARD_BLOCK_ROWS rows
-    (one call for B <= 128) on (rows, T, d_s) states and (rows, T, d_a)
-    actions. Rewards accumulate in ascending step order, bit for bit as a
-    per-step ``totals += r`` from 0.0; reruns are bit-identical. Row i
-    versus ``rollout(seqs[i])`` (which is this function at B=1): bitwise
-    equal for the analytic models (barrier, cartpole: elementwise
-    arithmetic) at any B. The barrier rolls a batch of at most
-    ``dynamics.FLOAT_ROWS`` rows out without numpy's per-step calls, which
-    would dominate there: one row on Python floats, more by running sums
-    of dt*actions, exact beyond the rim for every finite state and nonzero
-    action, with Python floats from each row's first step within the rim
-    (or at a zero action entry, a NaN distance or a non-finite state). A
-    larger batch takes the batched numpy formula. All do the same IEEE
-    operations in the same order (see ``BarrierDynamics.rollout_states``).
-    The cartpole's states are the
-    transposed view of a (T+1, d_s, B) buffer, so they need not be
-    C-contiguous, and a row taken from them keeps the whole buffer alive.
-    For ``MlpModel`` at B>1 rows are equal only to rounding,
-    because BLAS may sum a row's products in another order for another B.
-    Across BLAS threads an MLP-planned episode is bitwise equal: tested with
-    OpenBLAS 0.3.31 at 1 and 2 threads, whose threads split a product's
-    output rows and columns, not the sums that make one entry. That claim
-    and the pinned result hashes were made with OpenBLAS's SkylakeX
-    (AVX-512) kernels; the barrier's gradient sweep calls BLAS too (a ddot
-    per distance and a 2x2 product per step within the rim), and another
-    kernel, such as Haswell's, may round those otherwise. The cartpole's
-    rollouts and gradient sweeps call no BLAS.
+    (B, T+1, d_s) states and the (B, T) step rewards. The states are
+    ``model.rollout_states(s0, seqs)``, which need not be C-contiguous (the
+    cartpole's are a transposed view), so a row taken from them keeps the
+    whole buffer alive. The rewards are scored after it, one
+    ``reward.reward`` call per block of up to REWARD_BLOCK_ROWS rows, and
+    accumulate in ascending step order, bit for bit as a per-step
+    ``totals += r`` from 0.0. Row i equals ``rollout(seqs[i])`` (this
+    function at B=1) bit for bit for the analytic models and to rounding
+    for ``MlpModel``: README.md's Determinism section owns that contract.
 
     Raises DivergedError naming the first step at which the model produced
     a non-finite state or reward (the state first). Finiteness is checked
@@ -161,7 +143,7 @@ def rollout_batch(model, reward, s0: Array, seqs: Array):
         for lo in range(0, B if T else 0, REWARD_BLOCK_ROWS):   # T = 0: nothing to score
             rows = slice(lo, lo + REWARD_BLOCK_ROWS)
             rewards[rows] = reward.reward(states[rows, 1:], seqs[rows])
-            # Running sums in step order: bit for bit ``totals += rewards[:, t]``
+            # Accumulated in step order: bit for bit ``totals += rewards[:, t]``
             # for each t, including the 0.0 start that turns a -0.0 sum into 0.0.
             totals[rows] += np.add.accumulate(rewards[rows], axis=1)[:, -1]
     if not (np.isfinite(totals).all() and np.isfinite(states[:, 1:]).all()):

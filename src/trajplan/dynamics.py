@@ -15,61 +15,17 @@ Every dynamics model subclasses DynamicsModel and implements
     step(s, a) -> s_next
     adjoint_sweep(states, actions, state_grads) -> (action_grads, adjoints)
 
-adjoint_sweep is the model's one gradient method: the reverse sweep of a
-(T, d_s) / (T, d_a) trajectory through step's vector-Jacobian products,
-in the order DynamicsModel.adjoint_sweep's docstring sets out. The VJPs
-at a single sample are a one-step sweep. MlpModel computes every step's
-SiLU slopes in one recorded pass, then only multiplies with them from the
-last step back; a step of a longer sweep equals its one-step sweep to
-rounding (BLAS may sum a row's products in another order for another T).
-Reward models expose reward(s_next, a) and backward(s_next, a). step
-accepts a single sample or a batch stacked along a leading axis; reward
-and the reward's backward accept any leading shape, such as a whole
-(B, T) block of rollout steps, and equal their per-sample values bit for
-bit. All models are pure functions of their inputs and safe to call
-concurrently.
-
-A rollout's loop over steps is the model's rollout_states(s0, actions):
-by default a loop over step that fills the (B, T+1, d_s) states.
-BarrierDynamics rolls a batch of at most FLOAT_ROWS rows out without it,
-because at the planner's small batches (10-row CEM replans, the line
-search's 1- and 7-row trials) a numpy step costs mostly per-call
-overhead: about 14 ufunc calls per step whatever B. Beyond the rim, where
-most steps lie, the step s + dt*(a + 0.0*u) is s + dt*a bit for bit
-whenever u is finite and a has no zero entry, because adding a signed
-zero leaves a nonzero number as it is: free flight is a running sum. So
-a batch of 2 to FLOAT_ROWS rows is one np.add.accumulate of dt*actions,
-and only the rows that reach the rim (or meet a zero action entry, a NaN
-distance or a non-finite state) go on from their first such step in a
-loop on Python floats, all in one call; a one-row batch takes that float
-loop whole. Above FLOAT_ROWS rows the float loop's per-row cost overtakes
-numpy's per-call cost, so larger batches take the batched formula. The
-float loop does the batched formula's IEEE operations in its order, so
-every path equals the batched formula bit for bit. CartpoleDynamics runs
-step's own kernel, 20 ufunc calls into work rows made once per rollout, on
-contiguous (4, B) rows of a (T+1, 4, B) buffer and returns the buffer's
-transposed view: about 40% less time than the loop over step at 100 rows.
-
-A sweep is one trajectory, where numpy's per-call cost dominates, so both
-analytic models sweep on Python floats at every T, in the IEEE operations
-of the per-step VJPs they were written from (kept in tests/oracles.py),
-and a step of a longer sweep equals its one-step sweep bit for bit. The
-barrier's steps after its last one within the rim only add their state
-gradient to the adjoint, so it sweeps them as one reverse running sum
-from 0.0 and loops only over the steps up to that one. The cartpole's
-sweep calls no BLAS, so its results do not depend on the BLAS
-kernel. The barrier's keeps two BLAS calls, whose rounding the kernel
-sets: its distance's u @ u is a ddot, and at the steps within the rim
-jac @ g is BLAS's 2x2 product, which rounds with FMA (a float
-a*b + c*d differs in about a quarter of entries, with OpenBLAS on x86-64).
-
-MlpModel runs its network in one of two passes, by what the caller reads.
-The value pass (step, predict_delta, training_mse) keeps only the layer it
-is computing, so a batch of B rows holds about three (B, width) arrays at
-its peak. The recorded pass (adjoint_sweep, and the training step's
-parameter gradients) keeps every layer's input and every hidden layer's
-SiLU slope, both from one sigmoid per layer, for the backward pass to
-multiply with.
+step accepts a single sample or a batch stacked along a leading axis.
+adjoint_sweep is the model's one gradient method; the VJPs at a single
+sample are a one-step sweep. A rollout takes its states from
+rollout_states(s0, actions), by default a loop over step. How each model
+rolls out and sweeps, and why, is in its own methods' docstrings and its
+constants' comments. Reward models expose reward(s_next, a) and
+backward(s_next, a) on any leading shape, such as a whole (B, T) block of
+rollout steps, equal to their per-sample values bit for bit. All models
+are pure functions of their inputs and safe to call concurrently. Which
+results are bitwise across batch sizes, BLAS threads and BLAS kernels is
+set out, with its tests, in README.md's Determinism section.
 """
 
 from __future__ import annotations
@@ -239,7 +195,14 @@ class BarrierWorld:
 # B = 24, and 16 leaves a margin for hosts where Python's float arithmetic
 # costs relatively more. One row skips the running sum, whose dozen numpy
 # calls cost more than one row's float loop: 27 against 21 us at horizon
-# 45, and 16 against 2 us for an episode's one-step true step.
+# 45, and 16 against 2 us for an episode's one-step true step. The bound is
+# on batch size because rows that stay within the rim cost the float loop
+# more than the batched formula: with no bound, every result stayed bit
+# for bit and the paper-default first plan (1,000-row batches, mostly
+# beyond the rim) fell from a median 140 to 98 ms, but desk plans from a
+# state within the rim slowed, cem-5000 from 42 to 101 ms and cem-500
+# from 4.3 to 11.8 ms (100-row batches; medians of five runs a side, same
+# host).
 FLOAT_ROWS = 16
 
 
@@ -286,11 +249,14 @@ class BarrierDynamics(DynamicsModel):
         return flat
 
     def rollout_states(self, s0, actions):
-        """The batched formula's states bit for bit. More than FLOAT_ROWS
-        rows take the batched formula and one row the float loop
-        (_float_steps). Other batches run free flight as a running sum:
-        beyond the rim the step is s + dt*(a + 0.0*u), which is s + dt*a
-        bit for bit while u is finite and a has no zero entry, because
+        """The batched formula's states bit for bit. At the planner's small
+        batches (10-row CEM replans, the line search's 1- and 7-row trials)
+        a numpy step costs mostly per-call overhead, about 14 ufunc calls
+        per step whatever B, so only more than FLOAT_ROWS rows take the
+        batched formula. One row takes the float loop (_float_steps) whole.
+        Other batches run free flight as a running sum: beyond the rim the
+        step is s + dt*(a + 0.0*u), which is s + dt*a bit for bit while u
+        is finite and a has no zero entry, because
         adding a signed zero leaves a nonzero number as it is. So the
         states are first one np.add.accumulate of dt*actions from s0. Then
         each step's distance, in the float loop's operations (ux*ux + uy*uy
@@ -299,7 +265,8 @@ class BarrierDynamics(DynamicsModel):
         that is not finite, or whose square overflows), or with a zero
         (either sign) action entry. The sum made that step's state bit for
         bit, so the rows with such a step restart from it, all in one call
-        of the float loop."""
+        of the float loop, which does the batched formula's IEEE operations
+        in its order."""
         actions = np.asarray(actions, dtype=float)   # dt*a in float64, as step's
         B, T, _ = actions.shape
         if B > FLOAT_ROWS:
@@ -338,20 +305,25 @@ class BarrierDynamics(DynamicsModel):
 
     def adjoint_sweep(self, states, actions, state_grads):
         """DynamicsModel.adjoint_sweep's order, on Python floats up to the
-        last step within the rim. Beyond the rim a step's VJP is (g, dt*g),
-        so the steps after that one (every step, if none is within it) are
-        one reverse np.add.accumulate of their state gradients from 0.0,
-        as the loop's first 0.0 + r (which turns -0.0 into 0.0), and their
-        action gradients dt times those adjoints: bit for bit the loop's
-        operations. Within the rim, dF/ds = c*I - (kappa*r/d^3) u u^T with
+        last step within the rim: a sweep is one trajectory, where numpy's
+        per-call cost dominates. The loop does the IEEE operations of the
+        per-step VJP it was written from (tests/oracles.py), so a step of a
+        longer sweep equals its one-step sweep bit for bit. Beyond the rim
+        a step's VJP is (g, dt*g), so the steps after that one (every step,
+        if none is within it) are one reverse np.add.accumulate of their
+        state gradients from 0.0, as the loop's first 0.0 + r (which turns
+        -0.0 into 0.0), and their action gradients dt times those
+        adjoints: bit for bit the loop's operations. Within the rim, dF/ds = c*I - (kappa*r/d^3) u u^T with
         c = kappa*(r - d)/d, at the offset u from the centre and the
         distance d, is symmetric, so the VJP is (g + dt*(jac @ g), dt*g).
         The loop writes jac's entries as c*np.eye(2) - k*np.outer(u, u)
-        rounds them (c*1 is c, and c*0 is 0.0 since c > 0 within the rim),
-        and jac @ g stays numpy's 2x2 product (see the module docstring).
-        u @ u is one ddot per row, as a single sample's is (an elementwise
-        sum rounds differently), and decides which steps are within the
-        rim."""
+        rounds them (c*1 is c, and c*0 is 0.0 since c > 0 within the rim).
+        jac @ g stays numpy's 2x2 product, a BLAS call that rounds with FMA:
+        a float a*b + c*d differs from it in about a quarter of entries
+        (OpenBLAS on x86-64). u @ u is one ddot per row, as a single
+        sample's is (an elementwise sum rounds differently), and decides
+        which steps are within the rim. These two BLAS calls are where the
+        kernel OpenBLAS picks can change the barrier's results."""
         w = self.world
         u = np.asarray(states, dtype=float) - self._center
         dists = np.sqrt(np.vecdot(u, u) + SMOOTH_EPS**2)
@@ -494,7 +466,11 @@ class CartpoleDynamics(DynamicsModel):
 
     def rollout_states(self, s0, actions):
         """The default loop's states bit for bit, stepped on contiguous rows:
-        the (B, T+1, 4) transposed view of a (T+1, 4, B) buffer."""
+        the (B, T+1, 4) transposed view of a (T+1, 4, B) buffer. step's own
+        kernel (_stepper), about 20 elementwise ufunc calls per step and no
+        BLAS call, into work rows made once per rollout, takes about 40%
+        less time than the loop over step on a 45-step rollout of CEM's 100
+        rows."""
         B, T, _ = actions.shape
         states = np.empty((T + 1, 4, B))
         states[0] = np.asarray(s0, dtype=float)[:, None]
@@ -505,10 +481,14 @@ class CartpoleDynamics(DynamicsModel):
         return states.transpose(2, 0, 1)
 
     def adjoint_sweep(self, states, actions, state_grads):
-        """DynamicsModel.adjoint_sweep's order on Python floats, with no BLAS
-        call, so no result depends on the BLAS kernel. Each step computes its
-        Jacobian entries by the formulas below (float ** is libm's pow), then
-        its VJPs (df/ds)^T g and (df/da)^T g summed in row order, with the
+        """DynamicsModel.adjoint_sweep's order on Python floats, since a
+        sweep is one trajectory, where numpy's per-call cost dominates. The
+        loop does the IEEE operations of the per-step VJP it was written
+        from (tests/oracles.py), so a step of a longer sweep equals its
+        one-step sweep bit for bit. It makes no BLAS call, so no result
+        depends on the BLAS kernel. Each step computes its Jacobian entries
+        by the formulas below (float ** is libm's pow), then its VJPs
+        (df/ds)^T g and (df/da)^T g summed in row order, with the
         Jacobian's ones and zeros written out instead of multiplied. The
         states are a rollout's, finite, as rollout_batch guarantees: as in
         the per-step reference, math.sin raises ValueError at an infinite
@@ -652,8 +632,11 @@ class MlpModel(DynamicsModel):
         return cls(d_s, d_a, weights, **stats)
 
     def _value_pass(self, z):
-        """The network's output on normalized input z, holding one hidden
-        layer at a time."""
+        """The network's output on normalized input z: the pass for callers
+        that read only values (step, predict_delta, training_mse). It holds
+        one hidden layer at a time, so a batch of B rows holds about three
+        (B, width) arrays at its peak, not every layer's pre-activation and
+        activation."""
         h = z
         for W, b in self.weights[:-1]:
             h = h @ W
@@ -666,7 +649,9 @@ class MlpModel(DynamicsModel):
 
     def _recorded_pass(self, z):
         """Every layer's input (z first, the output layer's last) and every
-        hidden layer's SiLU slope; the output layer itself is not applied."""
+        hidden layer's SiLU slope, both from one sigmoid per layer, for a
+        backward pass (adjoint_sweep, _mse_grads) to multiply with; the
+        output layer itself is not applied."""
         inputs, slopes = [z], []
         for W, b in self.weights[:-1]:
             pre = inputs[-1] @ W

@@ -54,10 +54,8 @@ def reward_gradient(model, reward, traj: Trajectory) -> Array:
     gradient plus the dynamics VJP routed through the next state. Per
     sweep there is one ``reward.backward`` call, on the (T, d_s) states and
     (T, d_a) actions, and one ``model.adjoint_sweep`` call, the model's one
-    gradient method, which owns the loop over steps and the VJPs (the
-    analytic models sweep on Python floats, the barrier keeping only its
-    within-rim products in numpy and sweeping the steps after its last one
-    within the rim as one running sum; see ``BarrierDynamics.adjoint_sweep``).
+    gradient method, which owns the loop over steps and the VJPs (each
+    model's ``adjoint_sweep`` docstring says how it sweeps).
 
     Raises DivergedError naming the first step, in sweep order (the last
     step first), whose action gradient or state adjoint is non-finite. As
@@ -90,13 +88,12 @@ def line_search_update(current: Trajectory, grad: Array, model, reward,
     out: candidate 0 alone, then, only if it does not improve, candidates
     1..J-1 as one batch. Each batch is one broadcast over its step sizes
     (elementwise, so bit for bit the per-eta formula). The record's
-    ``evaluations`` is 1 or J accordingly. For the analytic models this is
-    bit-identical to rolling all J out at once or one at a time; for
-    ``MlpModel`` the candidate rewards agree across batch sizes only to
-    rounding (see ``rollout_batch``), so a near-tie can be decided
-    differently. A candidate that is not rolled out raises no
-    DivergedError. A step eta * grad that overflows is +-inf, which the
-    projection clamps to the bound, without a warning.
+    ``evaluations`` is 1 or J accordingly. The batch size changes no
+    analytic model's candidate rewards, but an ``MlpModel``'s only to
+    rounding (README.md, Determinism), so a near-tie can be decided
+    otherwise than by rolling all J out at once. A candidate that is not
+    rolled out raises no DivergedError. A step eta * grad that overflows
+    is +-inf, which the projection clamps to the bound, without a warning.
     """
     etas = eta_schedule(cfg)
     for lo, hi in ((0, 1), (1, len(etas))):   # trial 1 alone, then trials 2..J

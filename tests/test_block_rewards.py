@@ -7,6 +7,7 @@ and the analytic models must match them bit for bit.
 """
 
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -16,7 +17,7 @@ import trajplan.core as core_mod
 import trajplan.gradplanner as gradplanner_mod
 from oracles import SCALAR_BACKWARD, oracle_sweep, scalar_barrier_backward
 from trajplan.cemgd import PlannerState, plan
-from trajplan.core import DivergedError, PlannerConfig, rollout_batch
+from trajplan.core import REWARD_BLOCK_ROWS, DivergedError, PlannerConfig, rollout_batch
 from trajplan.dynamics import (BarrierDynamics, BarrierWorld, CartpoleReward, MlpModel,
                                QuadraticGoalReward, make_environment)
 
@@ -122,6 +123,60 @@ def test_mlp_rollout_matches_per_step_recipe_to_rounding(B):
     tol = 1e4 * np.finfo(np.float64).eps
     for g, w in zip(got, want):
         np.testing.assert_allclose(g, w, rtol=tol, atol=tol)
+
+
+@pytest.mark.parametrize("B", [REWARD_BLOCK_ROWS, REWARD_BLOCK_ROWS + 1,
+                               2 * REWARD_BLOCK_ROWS + 1])
+@pytest.mark.parametrize("name", ["barrier", "cartpole", "mlp"])
+def test_rows_across_reward_blocks_match_rollout(name, B):
+    # Every row, in whichever reward block scores it, equals rollout's:
+    # bit for bit for the analytic models and to rounding for an MLP
+    # (README.md, Determinism). The bound is fixed from float64 (1e4 ulps
+    # over 10 steps), not from a measurement.
+    if name == "mlp":
+        rng = np.random.default_rng(14)
+        model = MlpModel.initialize(4, 1, hidden=(32, 32), rng=rng)
+        reward = QuadraticGoalReward(np.zeros(4), action_cost=0.01)
+        s0, seqs = rng.normal(size=4), rng.uniform(-1.0, 1.0, size=(B, 10, 1))
+    else:
+        env = make_environment(name)
+        model, reward = env.dynamics, env.reward
+        s0, seqs = start_and_actions(env, B, 10, seed=B)
+        if name == "barrier":
+            s0 = np.array([-0.3, 0.0])   # inside the barrier: both branches run
+    blocks = []
+
+    def scored(s_next, a):
+        blocks.append(len(a))
+        return reward.reward(s_next, a)
+
+    got = rollout_batch(model, SimpleNamespace(reward=scored), s0, seqs)
+    assert blocks == [min(REWARD_BLOCK_ROWS, B - lo) for lo in range(0, B, REWARD_BLOCK_ROWS)]
+    tol = 1e4 * np.finfo(np.float64).eps
+    for i in range(B):
+        traj = core_mod.rollout(model, reward, s0, seqs[i])
+        for g, w in zip(got, (traj.total_reward, traj.states, traj.step_rewards)):
+            if name == "mlp":
+                np.testing.assert_allclose(g[i], w, rtol=tol, atol=tol)
+            else:
+                assert_bitwise(g[i], w)
+
+
+def test_non_finite_reward_in_a_second_block_row_names_its_step():
+    # One row of the second reward block takes an action at step 7 whose
+    # square overflows: its rewards from step 7 on are -inf while its
+    # states stay finite, and every other row stays finite.
+    env = make_environment("barrier")
+    s0, seqs = start_and_actions(env, 2 * REWARD_BLOCK_ROWS + 1, 10, seed=3)
+    row = REWARD_BLOCK_ROWS + 72
+    seqs[row, 7] = 1e200
+    with pytest.raises(DivergedError, match="non-finite reward at rollout step 7$") as err:
+        rollout_batch(env.dynamics, env.reward, s0, seqs)
+    assert err.value.step == 7
+    assert np.isfinite(env.dynamics.rollout_states(s0, seqs[row:row + 1])).all()
+    others = np.delete(seqs, row, axis=0)
+    totals, states, _ = rollout_batch(env.dynamics, env.reward, s0, others)
+    assert np.isfinite(totals).all() and np.isfinite(states).all()
 
 
 @pytest.mark.parametrize("name", ["barrier", "cartpole"])

@@ -225,13 +225,12 @@ class TestRollout:
 
     @pytest.mark.parametrize("name", ["pointmass", "barrier", "cartpole", "barrier_in_rim"])
     def test_batch_matches_single_bitwise(self, name):
-        # Models with elementwise arithmetic give the same row at any batch size.
-        # barrier_in_rim starts 0.2 from the barrier's centre, within its
-        # 0.4 rim, so the steps take the repulsion branch too. The barrier
-        # rolls out one row on Python floats, up to FLOAT_ROWS rows by
-        # running sums (and Python floats where a row reaches the rim) and
-        # more by the batched formula: rows equal rollout's across both
-        # switches.
+        # Row i of a batch equals rollout(seqs[i]) bit for bit at any batch
+        # size for models with elementwise arithmetic (README.md,
+        # Determinism). The batch sizes span the barrier's switches at 1 and
+        # FLOAT_ROWS rows (BarrierDynamics.rollout_states). barrier_in_rim
+        # starts 0.2 from the barrier's centre, within its 0.4 rim, so the
+        # steps take the repulsion branch too.
         rng = np.random.default_rng(11)
         if name == "pointmass":
             model, reward, d_a = PointMass(), NegSquaredNorm(), 2

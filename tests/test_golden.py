@@ -16,11 +16,9 @@ rollouts and sweeps reach within the rim far more often) and the
 cartpole. A change that must leave results as they are keeps these
 hashes too.
 
-The hashes were made with OpenBLAS 0.3.31's SkylakeX (AVX-512) kernels.
-The barrier's gradient sweep calls BLAS (a ddot per distance and a 2x2
-product per step within the rim), and another kernel, such as Haswell's,
-may round those otherwise, so the barrier hashes hold only under that
-kernel.
+The barrier hashes hold only under the OpenBLAS kernel they were made
+with, which README.md's Determinism section names with the tests that
+fail under another.
 """
 
 import hashlib
