@@ -100,19 +100,19 @@ def line_search_update(current: Trajectory, grad: Array, model, reward,
         if lo == hi:
             break
         with np.errstate(over="ignore"):   # an overflowing step is +-inf: the bound
-            candidates = project(current.actions + np.asarray(etas[lo:hi])[:, None, None] * grad,
-                                 bounds)
+            steps = np.multiply(np.asarray(etas[lo:hi])[:, None, None], grad)
+            candidates = project(np.add(current.actions, steps, out=steps), bounds)
         totals, states, step_rewards = rollout_batch(model, reward, current.states[0],
                                                      candidates)
-        better = np.nonzero(totals > current.total_reward)[0]
+        better = (totals > current.total_reward).nonzero()[0]
         if better.size:
             i = int(better[0])
             j = lo + i
+            r = totals.item(i)
             accepted_traj = Trajectory(states=states[i], actions=candidates[i],
-                                       step_rewards=step_rewards[i],
-                                       total_reward=float(totals[i]))
+                                       step_rewards=step_rewards[i], total_reward=r)
             record = UpdateRecord(accepted=True, trials_used=j + 1, eta_used=etas[j],
-                                  reward_after=float(totals[i]), evaluations=hi)
+                                  reward_after=r, evaluations=hi)
             return candidates[i], True, record, accepted_traj
     record = UpdateRecord(accepted=False, trials_used=len(etas), eta_used=0.0,
                           reward_after=current.total_reward, evaluations=len(etas))

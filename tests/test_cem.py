@@ -1,3 +1,4 @@
+import itertools
 import tracemalloc
 
 import numpy as np
@@ -68,6 +69,26 @@ class TestSample:
         want = np.clip(mean + np.sqrt(variance) * noise, bounds.low, bounds.high)
         assert got.tobytes() == want.tobytes()
 
+    @pytest.mark.parametrize("low, high", [([-1.0, -1.0], [1.0, 1.0]),
+                                           ([-1.0, 0.0], [0.5, 2.0]),
+                                           ([-0.0, -0.0], [0.0, 0.0]),
+                                           ([0.0, -1.0], [1.0, -0.0])])
+    def test_clamp_matches_np_clip_bitwise(self, low, high):
+        # The clamp is project's clip, with a 0-d bound where a bound is one
+        # nonzero float: bit for bit np.clip on signed zeros at a zero bound,
+        # NaN and infinities, as the draw's mean makes them (zero variance).
+        bounds = ActionBounds(np.array(low), np.array(high))
+        values = [0.0, -0.0, np.nan, -np.nan, np.inf, -np.inf, 0.3, -2.0]
+        mean = np.array(list(itertools.product(values, repeat=2)))
+        variance = np.zeros_like(mean)
+        variance[::3] = 0.5
+        dist = SamplingDistribution(mean, variance)
+        with np.errstate(invalid="ignore"):   # 0 * inf in the old formula
+            got = sample(dist, 3, bounds, np.random.default_rng(5))
+            noise = np.random.default_rng(5).standard_normal((3, *mean.shape))
+            want = np.clip(mean + np.sqrt(variance) * noise, bounds.low, bounds.high)
+        assert got.tobytes() == want.tobytes()
+
     def test_draw_holds_one_buffer(self):
         # The noise block is scaled, shifted and clamped where it was drawn.
         dist = SamplingDistribution.initial(45, 128)
@@ -133,6 +154,26 @@ class TestUpdateDistribution:
                                VARIANCE_FLOOR)
                 assert abs(new.mean[t, j] - want_mean) < 1e-12
                 assert abs(new.variance[t, j] - want_var) < 1e-12
+
+    @pytest.mark.parametrize("k", [1, 2, 10, 100])
+    def test_refit_matches_numpy_mean_and_var_bitwise(self, k):
+        # The refit makes the ufunc calls of elites.mean(0) and
+        # elites.var(0), so it equals the blend written with them bit for
+        # bit, with tied elites and -0.0 entries among them.
+        rng = np.random.default_rng(k)
+        dist = SamplingDistribution(rng.normal(size=(45, 2)), rng.uniform(0.0, 2.0, (45, 2)))
+        dist.mean[:3] = -0.0
+        elites = rng.normal(size=(k, 45, 2))
+        elites[rng.random(elites.shape) < 0.2] = -0.0
+        elites[k // 2:] = elites[0]   # ties
+        elites[:, 5] = 0.25           # every elite equal at one step: zero variance
+        for alpha in (0.3, 1.0, 0.0):
+            new = update_distribution(dist, elites, alpha)
+            want_mean = (1.0 - alpha) * dist.mean + alpha * elites.mean(axis=0)
+            want_var = np.maximum((1.0 - alpha) * dist.variance + alpha * elites.var(axis=0),
+                                  VARIANCE_FLOOR)
+            assert new.mean.tobytes() == want_mean.tobytes()
+            assert new.variance.tobytes() == want_var.tobytes()
 
     def test_alpha_one_reproduces_elite_statistics(self):
         rng = np.random.default_rng(4)

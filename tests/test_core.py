@@ -1,11 +1,13 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import trajplan
-from trajplan.core import (ActionBounds, DivergedError, PlannerConfig, project,
-                           rollout, rollout_batch, split_budget)
+from trajplan.core import (REWARD_BLOCK_ROWS, ActionBounds, DivergedError, PlannerConfig,
+                           project, rollout, rollout_batch, split_budget)
 from trajplan.dynamics import (FLOAT_ROWS, DynamicsModel, MlpModel, QuadraticGoalReward,
                                make_environment)
 
@@ -123,6 +125,27 @@ class TestProject:
         once = project(seq, bounds)
         assert np.all(once >= bounds.low) and np.all(once <= bounds.high)
         assert np.array_equal(project(once, bounds), once)
+
+    @pytest.mark.parametrize("low, high", [([-0.5, -0.5], [0.5, 0.5]),
+                                           ([-1.0, 0.0], [0.5, 2.0]),
+                                           ([-0.0, -0.0], [0.0, 0.0]),
+                                           ([0.0, -1.0], [1.0, -0.0])])
+    def test_matches_np_clip_bitwise(self, low, high):
+        # project is clip's ufunc, with a 0-d bound where a bound is one
+        # nonzero float, so it equals np.clip bit for bit: on signed zeros at
+        # a zero bound, NaN and infinities, on one sequence and on a batch.
+        bounds = ActionBounds(np.array(low), np.array(high))
+        values = [0.0, -0.0, np.nan, -np.nan, np.inf, -np.inf, 0.3, -2.0, 5e-324]
+        seq = np.array(list(itertools.product(values, repeat=2)))
+        for x in (seq, np.stack([seq, -seq, seq[::-1]])):
+            assert project(x, bounds).tobytes() == np.clip(x, bounds.low, bounds.high).tobytes()
+        assert project(seq.tolist(), bounds).tobytes() == project(seq, bounds).tobytes()
+
+    def test_bounds_are_read_only(self):
+        # project's clip operands are taken from the bounds once, when they are made.
+        bounds = ActionBounds.symmetric(1.0, 2)
+        with pytest.raises(ValueError):
+            bounds.low[0] = 0.5
 
     def test_invalid_bounds(self):
         with pytest.raises(ValueError):
@@ -253,6 +276,32 @@ class TestRollout:
                 assert totals[i] == traj.total_reward
                 assert states[i].tobytes() == traj.states.tobytes()
                 assert step_rewards[i].tobytes() == traj.step_rewards.tobytes()
+
+    @pytest.mark.parametrize("rows", [1, REWARD_BLOCK_ROWS, REWARD_BLOCK_ROWS + 1])
+    @pytest.mark.parametrize("steps", [0, 5])
+    @pytest.mark.parametrize("name", ["pointmass", "barrier", "cartpole"])
+    def test_one_and_more_reward_blocks_match_single_rollouts(self, name, steps, rows):
+        # Up to REWARD_BLOCK_ROWS rows are scored by one reward call whose
+        # result is kept; more are scored block by block into one buffer.
+        # Either way each row equals its own rollout bit for bit, and a
+        # rollout of no steps scores nothing.
+        rng = np.random.default_rng(rows + steps)
+        if name == "pointmass":
+            model, reward, d_a, s0 = PointMass(), NegSquaredNorm(), 2, rng.normal(size=2)
+        else:
+            env = make_environment(name)
+            model, reward, d_a, s0 = env.dynamics, env.reward, env.bounds.d_a, env.start_state
+        seqs = rng.normal(size=(rows, steps, d_a))
+        totals, states, step_rewards = rollout_batch(model, reward, s0, seqs)
+        assert step_rewards.shape == (rows, steps) and step_rewards.dtype == np.float64
+        for i in range(rows):
+            traj = rollout(model, reward, s0, seqs[i])
+            assert totals[i].tobytes() == np.float64(traj.total_reward).tobytes()
+            assert states[i].tobytes() == traj.states.tobytes()
+            assert step_rewards[i].tobytes() == traj.step_rewards.tobytes()
+        if not steps:
+            assert np.array_equal(totals, np.zeros(rows))
+            assert not np.signbit(totals).any()
 
     def test_mlp_batch_matches_single_to_rounding(self):
         # BLAS may order a row's dot products differently for B=8 than for

@@ -8,7 +8,7 @@ import pytest
 
 from oracles import oracle_sweep, scalar_barrier_backward, scalar_cartpole_backward
 from trajplan.dynamics import (FLOAT_ROWS, SMOOTH_EPS, BarrierWorld, CartpoleWorld,
-                               DynamicsModel, make_environment)
+                               DynamicsModel, QuadraticGoalReward, make_environment)
 
 
 def central_diff_vjp(model, s, a, g, h=1e-5):
@@ -615,6 +615,35 @@ class TestBarrierAdjointSweep:
             self.assert_sweeps_match(world.dynamics, states, actions, state_grads,
                                      same=assert_bits_or_nans)
 
+    @pytest.mark.parametrize("world", BARRIER_WORLDS)
+    @pytest.mark.parametrize("first_rim_step", ["first", "second", "middle", "last"])
+    def test_free_heads(self, world, first_rim_step):
+        # The steps before the first one within the rim are swept as a
+        # second running sum, from the adjoint at that step. Their state
+        # gradients next to it take every pair of -0.0, 0.0, +-inf, NaN and
+        # 1.5, forward and reversed, or are all -0.0, as far as the head
+        # steps reach; with the first rim step at 0 there are none, and
+        # these gradients are the loop's.
+        rng = np.random.default_rng(43)
+        center = np.asarray(world.center)
+        values = (-0.0, 0.0, math.inf, -math.inf, math.nan, 1.5)
+        pairs = np.array(list(itertools.product(values, repeat=2)))
+        T = 2 * len(pairs) + 12
+        first = {"first": 0, "second": 1, "middle": len(pairs) + 6, "last": T - 1}[first_rim_step]
+        signs = rng.choice([-1.0, 1.0], (T, 2))
+        states = center + signs * rng.uniform(0.5, 1.0, (T, 2))   # beyond the rim
+        states[first:first + 4] = center + rng.uniform(-0.15, 0.15, (min(4, T - first), 2))
+        states[first + 1:first + 2] = center + (0.0, 2.0)   # a free step between rim steps
+        inside = np.flatnonzero(self.inside(world, states)).tolist()
+        assert inside[0] == first and (first_rim_step == "last" or len(inside) == 3)
+        actions = rng.uniform(-0.5, 0.5, (T, 2))
+        for head in (pairs, pairs[::-1], np.full((4, 2), -0.0)):
+            state_grads = rng.normal(size=(T, 2))
+            lo = max(first - len(head), 0)
+            state_grads[lo:lo + len(head)] = head
+            self.assert_sweeps_match(world.dynamics, states, actions, state_grads,
+                                     same=assert_bits_or_nans)
+
     @pytest.mark.parametrize("steps", [0, 1])
     def test_no_and_one_step(self, steps):
         world = BarrierWorld()
@@ -842,3 +871,34 @@ def test_kernels_match_reference_formulas_bitwise(shape):
         assert_bitwise(env.dynamics.step(s, a), reference(env.dynamics, s, a))
         if name == "barrier":
             assert_bitwise(env.reward.reward(s, a), np_sum_quadratic_reward(env.reward, s, a))
+
+
+# Goal lengths on either side of 8, where numpy's reduce over the last axis
+# turns from an in-order sum into a pairwise one.
+@pytest.mark.parametrize("d", range(1, 10))
+def test_quadratic_reward_matches_the_reduce_form_bitwise(d):
+    # QuadraticGoalReward sums the squares of fewer than 8 columns column by
+    # column: bit for bit np.add.reduce over the last axis, on every
+    # leading shape, on lists, and on signed zeros, infinities and NaN.
+    rng = np.random.default_rng(d)
+    specials = np.array([0.0, -0.0, math.inf, -math.inf, math.nan, 1e200])
+    reward = QuadraticGoalReward(rng.normal(size=d), action_cost=0.01)
+
+    def reduce_form(s_next, a):
+        err = s_next - reward.goal
+        return (-np.add.reduce(err * err, axis=-1)
+                - reward.action_cost * np.add.reduce(a * a, axis=-1))
+
+    with np.errstate(all="ignore"):
+        for shape in [(d,)] * 20 + [(45, d), (10, 45, d)]:
+            s = rng.normal(size=shape)
+            a = rng.normal(size=shape[:-1] + (2,))
+            np.putmask(s, rng.random(s.shape) < 0.3, rng.choice(specials, s.shape))
+            np.putmask(a, rng.random(a.shape) < 0.3, rng.choice(specials, a.shape))
+            assert_bitwise(reward.reward(s, a), reduce_form(s, a))
+            assert_bitwise(reward.reward(s.tolist(), a), reduce_form(np.array(s), a))
+        # A 0-d goal, state and action keep the reduce, over no axis.
+        scalar = QuadraticGoalReward(0.5, action_cost=0.01)
+        assert_bitwise(scalar.reward(np.array(2.0), np.array(-3.0)),
+                       -np.add.reduce(np.array(1.5) ** 2, axis=-1)
+                       - 0.01 * np.add.reduce(np.array(9.0), axis=-1))
