@@ -27,10 +27,9 @@ class ConfigError(ValueError):
     pass
 
 
-# Every preset runs 20 seeded episodes of 100 steps per cell.
-_EPISODES = {"version": 1, "steps": 100, "seeds": list(range(20))}
-_LINEUP = {**_EPISODES, "cells": [{"env": e, "planner": p} for e in ("barrier", "cartpole")
+_LINEUP = {"version": 1, "cells": [{"env": e, "planner": p} for e in ("barrier", "cartpole")
                                    for p in harness.PLANNER_NAMES]}
+# Every preset runs load_config's default steps and seeds.
 PRESETS = {
     # Published hyperparameters throughout.
     "paper_defaults": {**_LINEUP, "planner_config": {}},
@@ -38,7 +37,7 @@ PRESETS = {
     "desk": {**_LINEUP, "planner_config": {"n_init": 1000, "m_init": 5, "horizon": 30}},
     # Barrier success fraction vs the first-step budget b = n_init * m_init,
     # the replan budget held at its default.
-    "ninit_sweep": {**_EPISODES, "cells": [
+    "ninit_sweep": {"version": 1, "cells": [
         {"id": f"cemgd-ninit{b}", "env": "barrier", "planner": "cemgd",
          "planner_config": dict(zip(("n_init", "m_init"), split_budget(b))),
          "row": {"n_init": b}} for b in (50, 500, 5000)],
@@ -46,7 +45,7 @@ PRESETS = {
                   "columns": {"success_fraction": "success_rate"}}},
     # Cartpole episode reward vs per-step sample budget b: pure CEM spends b
     # at every step, cemgd spends b per replan after its first-step budget.
-    "sample_efficiency": {**_EPISODES, "cells": [
+    "sample_efficiency": {"version": 1, "cells": [
         {"env": "cartpole", "planner": f"cem-{b}", "row": {"planner": "cem", "budget": b}}
         for b in (50, 500)] + [
         {"id": f"cemgd-nr{b}", "env": "cartpole", "planner": "cemgd",
@@ -68,7 +67,8 @@ def _require(ok: bool, field: str, expected: str, got) -> None:
 
 def load_config(source: str) -> dict:
     """Load a config from a JSON file path or a named preset; either is
-    checked the same way."""
+    checked the same way. An absent ``steps`` or ``seeds`` takes its
+    default: the harness's episode length, or the seeds 0-19."""
     if source in PRESETS:
         config = json.loads(json.dumps(PRESETS[source]))
     else:
@@ -79,7 +79,9 @@ def load_config(source: str) -> dict:
                               f"(presets: {names})")
         try:
             config = json.loads(path.read_text())
-        except ValueError as err:  # invalid JSON, or bytes that are not UTF-8
+        # invalid JSON, bytes that are not UTF-8, or nesting deeper than
+        # Python's recursion limit
+        except (ValueError, RecursionError) as err:
             raise ConfigError(f"config field parse error in {source}: {err}") from None
     if not isinstance(config, dict):
         raise ConfigError("config root must be a JSON object")
@@ -88,11 +90,10 @@ def load_config(source: str) -> dict:
     version = config.get("version")
     _require(type(version) is int and version == CONFIG_VERSION, "version", CONFIG_VERSION,
              version)
-    steps = config.get("steps", harness.DEFAULT_STEPS)
+    steps = config.setdefault("steps", harness.DEFAULT_STEPS)
     _require(type(steps) is int and steps >= 1, "steps", "a positive integer", steps)
-    if "seeds" in config:
-        _check_list(config["seeds"], "seeds", "nonnegative integers",
-                    lambda s: type(s) is int and s >= 0)
+    _check_list(config.setdefault("seeds", list(range(20))), "seeds", "nonnegative integers",
+                lambda s: type(s) is int and s >= 0)
     _check_list(config.get("cells"), "cells", "cell objects", lambda c: isinstance(c, dict))
     return config
 
@@ -210,7 +211,7 @@ def _grid_config(args) -> tuple[dict, list[dict]]:
         except ValueError as err:  # an unknown planner id
             raise ConfigError(f"config field '{where}planner': {err}") from None
         cell["policy"] = dataclasses.replace(policy, planner_id=cell["id"])
-        _check_sizes(where, cell, config.get("steps", harness.DEFAULT_STEPS))
+        _check_sizes(where, cell, config["steps"])
     return config, [cell for _, cell in cells]
 
 
@@ -264,9 +265,9 @@ def cmd_grid(args) -> int:
     table = config.get("table")
     out = _out_dir(args, "raw.csv", "summary.csv", "failures.csv",
                    *([table["file"]] if table else []))
-    seeds = [args.seed] if args.seed is not None else config.get("seeds", list(range(20)))
+    seeds = [args.seed] if args.seed is not None else config["seeds"]
     result = harness.run_grid([(cell["env"], cell["policy"]) for cell in cells], seeds,
-                              config.get("steps", harness.DEFAULT_STEPS))
+                              config["steps"])
     return _write_grid(out, result, cells, table)
 
 

@@ -76,17 +76,6 @@ class DynamicsModel:
         raise NotImplementedError
 
 
-class RewardModel:
-    """Interface: known reward r(s_next, a) with gradients, on any leading
-    shape (..., d_s) / (..., d_a), elementwise over the leading axes."""
-
-    def reward(self, s_next: Array, a: Array):
-        raise NotImplementedError
-
-    def backward(self, s_next: Array, a: Array) -> tuple[Array, Array]:
-        raise NotImplementedError
-
-
 def _sum_squares(x, centre=None):
     """np.add.reduce(e * e, axis=-1) for e = x - centre (x itself if no
     centre), bit for bit. Over a last axis of fewer than 8 entries numpy's
@@ -115,7 +104,7 @@ def _sum_squares(x, centre=None):
     return total
 
 
-class QuadraticGoalReward(RewardModel):
+class QuadraticGoalReward:
     """-(distance to goal)^2 - action_cost * |a|^2, maximal at the goal."""
 
     def __init__(self, goal, action_cost: float = 0.0):
@@ -133,7 +122,7 @@ class QuadraticGoalReward(RewardModel):
 # Barrier world
 
 
-def _set_parts(world, dynamics: DynamicsModel, reward: RewardModel, d_a: int) -> None:
+def _set_parts(world, dynamics: DynamicsModel, reward, d_a: int) -> None:
     """Give a checked world its parts, once: its ``dynamics`` and ``reward``
     models, symmetric action ``bounds`` in ``d_a`` dimensions and its
     ``start_state``. They are attributes, not fields, so not options."""
@@ -498,10 +487,9 @@ class CartpoleDynamics(DynamicsModel):
     def step(self, s, a):
         s = np.asarray(s, dtype=float)
         force = self.world.force_scale * np.asarray(a, dtype=float)[..., 0]
-        out = np.empty(np.broadcast_shapes(s.shape[:-1], force.shape) + (4,))
+        out = np.empty(s.shape)
         rows = out.reshape(-1, 4).T   # a view: out is contiguous
-        self._stepper(rows.shape[1])(np.broadcast_to(s, out.shape).reshape(-1, 4).T,
-                                     np.broadcast_to(force, out.shape[:-1]).ravel(), rows)
+        self._stepper(rows.shape[1])(s.reshape(-1, 4).T, force.ravel(), rows)
         return out
 
     def rollout_states(self, s0, actions):
@@ -583,7 +571,7 @@ class CartpoleDynamics(DynamicsModel):
         return np.array(grads).reshape(T, 1)[::-1], np.array(adjoints).reshape(T, 4)[::-1]
 
 
-class CartpoleReward(RewardModel):
+class CartpoleReward:
     """cos(theta) - x_cost * x^2 - action_cost * a^2, maximal upright and centered."""
 
     def __init__(self, world: CartpoleWorld):
@@ -661,7 +649,7 @@ class MlpModel(DynamicsModel):
         self.out_std = np.ones(self.d_s) if out_std is None else np.asarray(out_std, dtype=float)
 
     @classmethod
-    def initialize(cls, d_s, d_a, hidden=(200, 200, 200), rng=None, **stats):
+    def initialize(cls, d_s, d_a, hidden=(200, 200, 200), *, rng, **stats):
         """Fresh model with scaled-Gaussian weights and zero biases."""
         rng = np.random.default_rng(rng)
         sizes = [d_s + d_a, *hidden, d_s]
@@ -835,7 +823,7 @@ class TrainingDivergedError(ValueError):
 
 
 def fit_mlp(transitions, epochs=50, batch_size=64, lr=1e-3,
-            hidden=(200, 200, 200), rng=None):
+            hidden=(200, 200, 200), *, rng):
     """Fit an MLP delta-dynamics model to (s, a, s') transitions by mini-batch SGD.
 
     Returns (model, history) where history[i] is the full-dataset MSE on
@@ -851,7 +839,7 @@ def fit_mlp(transitions, epochs=50, batch_size=64, lr=1e-3,
     X = np.hstack([states, actions])
     Y = next_states - states
     in_mean, in_std, out_mean, out_std = _normalization_stats(X, Y)
-    model = MlpModel.initialize(states.shape[1], actions.shape[1], hidden, rng,
+    model = MlpModel.initialize(states.shape[1], actions.shape[1], hidden, rng=rng,
                                 in_mean=in_mean, in_std=in_std,
                                 out_mean=out_mean, out_std=out_std)
     Z = (X - in_mean) / in_std
@@ -874,7 +862,7 @@ def fit_mlp(transitions, epochs=50, batch_size=64, lr=1e-3,
     return model, history
 
 
-def collect_random_rollouts(dynamics, bounds, start_state, episodes, steps=200, rng=None):
+def collect_random_rollouts(dynamics, bounds, start_state, episodes, steps, *, rng):
     """Gather (s, a, s') transitions by applying uniform random actions.
 
     All episodes step together as one ``rollout_states`` batch, and the

@@ -183,19 +183,14 @@ def run_episode(env: BarrierWorld | CartpoleWorld, policy, steps: int,
 # CSV output
 
 
-def _fmt(value) -> str:
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
-
-
 def write_csv(rows: list[dict], columns: list[str], path) -> None:
-    """One header line, then each row's columns in order (floats as repr)."""
+    """One header line, then each row's columns in order; csv writes a
+    float as its repr."""
     with open(path, "w", newline="") as f:
         writer = csv.writer(f, lineterminator="\n")
         writer.writerow(columns)
         for row in rows:
-            writer.writerow([_fmt(row[col]) for col in columns])
+            writer.writerow([row[col] for col in columns])
 
 
 def episode_rows(result: EpisodeResult) -> list[dict]:
@@ -279,15 +274,12 @@ def run_grid(pairs, seeds, steps: int) -> CompareResult:
     return CompareResult(results=results, summary=summarize(results), failures=failures)
 
 
-def compare_planners(envs, seeds, steps: int = DEFAULT_STEPS,
-                     cfg: PlannerConfig | None = None,
-                     planners=None, planning_models: dict | None = None) -> CompareResult:
-    """Run the planner lineup (``PLANNER_NAMES`` by default) on each named
-    environment over the given seeds. `planning_models` optionally maps an
-    env name to the dynamics model its planners use; the true environment
-    still scores and advances episodes."""
-    cfg = cfg or PlannerConfig()
-    planners = planners if planners is not None else PLANNER_NAMES
+def compare_planners(envs, seeds, steps: int, cfg: PlannerConfig, planners,
+                     planning_models: dict | None = None) -> CompareResult:
+    """Run the named planners on each named environment over the given
+    seeds. `planning_models` optionally maps an env name to the dynamics
+    model its planners use; the true environment still scores and advances
+    episodes."""
     pairs = []
     for name in envs:
         env = make_environment(name)
@@ -324,10 +316,10 @@ def _gradcheck_setup(kind: str, rng):
     raise ValueError(f"unknown gradcheck target {kind!r}; valid targets: {valid}")
 
 
-def finite_difference_gradient(model, reward, s0: Array, seq: Array,
-                               h: float = 1e-5) -> Array:
+def finite_difference_gradient(model, reward, s0: Array, seq: Array) -> Array:
     """Central differences of the rollout reward w.r.t. every action entry,
-    each bumped by +h and then by -2h."""
+    each bumped by +h and then by -2h, h = GRADCHECK_STEP."""
+    h = GRADCHECK_STEP
     grad = np.empty(np.shape(seq))
     for t, j in np.ndindex(grad.shape):
         bumped = np.array(seq, dtype=float)
@@ -349,7 +341,7 @@ def gradient_check(kind: str, seed: int = 0) -> float:
         s0 = sampler()
         seq = project(rng.normal(0.0, 0.5, size=(GRADCHECK_HORIZON, bounds.d_a)), bounds)
         grad = reward_gradient(model, reward, rollout(model, reward, s0, seq))
-        numeric = finite_difference_gradient(model, reward, s0, seq, GRADCHECK_STEP)
+        numeric = finite_difference_gradient(model, reward, s0, seq)
         scale = np.maximum(1.0, np.maximum(np.abs(numeric), np.abs(grad)))
         worst = max(worst, float(np.max(np.abs(numeric - grad) / scale, initial=0.0)))
     return worst

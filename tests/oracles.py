@@ -7,6 +7,10 @@ for bit: the planners' results were recorded with them.
 order every model's ``adjoint_sweep`` follows (DynamicsModel.adjoint_sweep
 sets it out), so it is the reference for each analytic model's sweep and
 the sweep of the tests' own toy models.
+
+It also holds the toys and helpers that more than one test module uses:
+the rewards ``NegSquaredNorm`` and ``ActionQuadReward``, ``one_step_vjp``
+and ``assert_bitwise``.
 """
 
 import math
@@ -94,3 +98,37 @@ def oracle_sweep(reference, dyn, states, actions, state_grads):
         g, action_grads[t] = reference(dyn, states[t], actions[t], g)
         adjoints[t] = g
     return action_grads, adjoints
+
+
+def one_step_vjp(model, s, a, g):
+    """The VJPs at the single sample (s, a): a one-step adjoint_sweep."""
+    grad_a, grad_s = model.adjoint_sweep(s[None], a[None], g[None])
+    return grad_s[0], grad_a[0]
+
+
+def assert_bitwise(got, want):
+    got, want = np.asarray(got), np.asarray(want)
+    assert got.shape == want.shape and got.dtype == want.dtype
+    assert got.tobytes() == want.tobytes()
+
+
+class NegSquaredNorm:
+    def reward(self, s_next, a):
+        return -np.sum(np.asarray(s_next) ** 2, axis=-1)
+
+    def backward(self, s_next, a):
+        return -2.0 * np.asarray(s_next, dtype=float), np.zeros_like(np.asarray(a, dtype=float))
+
+
+class ActionQuadReward:
+    """r = -(a - target)^2; one-step optimum known in closed form."""
+
+    def __init__(self, target=0.3):
+        self.target = target
+
+    def reward(self, s_next, a):
+        return -np.sum((np.asarray(a) - self.target) ** 2, axis=-1)
+
+    def backward(self, s_next, a):
+        return (np.zeros_like(np.asarray(s_next, dtype=float)),
+                -2.0 * (np.asarray(a, dtype=float) - self.target))

@@ -15,7 +15,7 @@ import pytest
 import trajplan.cem as cem_mod
 import trajplan.core as core_mod
 import trajplan.gradplanner as gradplanner_mod
-from oracles import SCALAR_BACKWARD, oracle_sweep, scalar_barrier_backward
+from oracles import SCALAR_BACKWARD, assert_bitwise, oracle_sweep, scalar_barrier_backward
 from trajplan.cemgd import PlannerState, plan
 from trajplan.core import REWARD_BLOCK_ROWS, DivergedError, PlannerConfig, rollout_batch
 from trajplan.dynamics import (BarrierDynamics, BarrierWorld, CartpoleReward, MlpModel,
@@ -77,12 +77,6 @@ def start_and_actions(env, B, T, seed):
     rng = np.random.default_rng(seed)
     s0 = env.start_state + rng.normal(0.0, 0.1, size=env.start_state.shape)
     return s0, rng.uniform(env.bounds.low, env.bounds.high, size=(B, T, env.bounds.d_a))
-
-
-def assert_bitwise(got, want):
-    got, want = np.asarray(got), np.asarray(want)
-    assert got.shape == want.shape
-    assert got.tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("T", [1, 45])

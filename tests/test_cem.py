@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import trajplan.cem as cem_mod
+from oracles import ActionQuadReward
 from trajplan.cem import (VARIANCE_FLOOR, SamplingDistribution, run_cem, sample,
                           update_distribution)
 from trajplan.core import ActionBounds, default_elite_count, rollout, rollout_batch
@@ -18,16 +19,6 @@ class StaticDynamics(DynamicsModel):
 
     def step(self, s, a):
         return np.asarray(s, dtype=float).copy()
-
-
-class ActionQuadReward:
-    """r = -(a - target)^2; one-step optimum known in closed form."""
-
-    def __init__(self, target=0.3):
-        self.target = target
-
-    def reward(self, s_next, a):
-        return -np.sum((np.asarray(a) - self.target) ** 2, axis=-1)
 
 
 class ZeroReward:

@@ -522,6 +522,19 @@ class TestConfigErrors:
             assert err == f"error: config field '{field}': {detail}\n"
         assert not (tmp_path / "r").exists()
 
+    @pytest.mark.parametrize("text", [
+        "[" * 200_000,
+        '{"version": 1, "cells": [{"env": "barrier", "planner": "cem-50", "row": {"r": '
+        + "[" * 100_000 + "]" * 100_000 + "}}]}"], ids=["root", "cell-row"])
+    def test_nesting_past_the_recursion_limit_is_a_parse_error(self, tmp_path, capsys, text):
+        path = tmp_path / "cfg.json"
+        path.write_text(text)
+        assert main(["compare", "--config", str(path), "--out", str(tmp_path / "r")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: config field parse error in {path}: ")
+        assert err.count("\n") == 1
+        assert not (tmp_path / "r").exists()
+
     @pytest.mark.parametrize("field, form", [
         ("models.barrier", lambda path: {"cells": [{"env": "barrier", "planner": "cem-50"},
                                                    {"env": "cartpole", "planner": "cem-50"}],

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import trajplan
+from oracles import NegSquaredNorm
 from trajplan.core import (REWARD_BLOCK_ROWS, ActionBounds, DivergedError, PlannerConfig,
                            project, rollout, rollout_batch, split_budget)
 from trajplan.dynamics import (FLOAT_ROWS, DynamicsModel, MlpModel, QuadraticGoalReward,
@@ -21,14 +22,6 @@ class PointMass(DynamicsModel):
 
     def step(self, s, a):
         return np.asarray(s, dtype=float) + self.dt * np.asarray(a, dtype=float)
-
-
-class NegSquaredNorm:
-    def reward(self, s_next, a):
-        return -np.sum(np.asarray(s_next) ** 2, axis=-1)
-
-    def backward(self, s_next, a):
-        return -2.0 * np.asarray(s_next, dtype=float), np.zeros_like(np.asarray(a, dtype=float))
 
 
 class ExplodingModel(DynamicsModel):

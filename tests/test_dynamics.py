@@ -6,7 +6,8 @@ from functools import partial
 import numpy as np
 import pytest
 
-from oracles import oracle_sweep, scalar_barrier_backward, scalar_cartpole_backward
+from oracles import (assert_bitwise, one_step_vjp, oracle_sweep, scalar_barrier_backward,
+                     scalar_cartpole_backward)
 from trajplan.dynamics import (FLOAT_ROWS, SMOOTH_EPS, BarrierWorld, CartpoleWorld,
                                DynamicsModel, QuadraticGoalReward, make_environment)
 
@@ -30,12 +31,6 @@ def central_diff_vjp(model, s, a, g, h=1e-5):
     return grad_s, grad_a
 
 
-def one_step_vjp(model, s, a, g):
-    """The VJPs at the single sample (s, a): a one-step adjoint_sweep."""
-    grad_a, grad_s = model.adjoint_sweep(s[None], a[None], g[None])
-    return grad_s[0], grad_a[0]
-
-
 def assert_vjp_close(model, s, a, g, tol):
     got_s, got_a = one_step_vjp(model, s, a, g)
     want_s, want_a = central_diff_vjp(model, s, a, g)
@@ -43,12 +38,6 @@ def assert_vjp_close(model, s, a, g, tol):
     scale_a = np.maximum(1.0, np.maximum(np.abs(want_a), np.abs(got_a)))
     assert np.max(np.abs(got_s - want_s) / scale_s) < tol
     assert np.max(np.abs(got_a - want_a) / scale_a) < tol
-
-
-def assert_bitwise(got, want):
-    got, want = np.asarray(got), np.asarray(want)
-    assert got.shape == want.shape and got.dtype == want.dtype
-    assert got.tobytes() == want.tobytes()
 
 
 class TestBarrier:
@@ -545,6 +534,7 @@ class TestBarrierAdjointSweep:
         assert len(flips) == count
         return flips
 
+    @pytest.mark.blas_kernel
     @pytest.mark.parametrize("world", BARRIER_WORLDS)
     def test_rim_and_random_states(self, world):
         rng = np.random.default_rng(21)

@@ -16,9 +16,9 @@ rollouts and sweeps reach within the rim far more often) and the
 cartpole. A change that must leave results as they are keeps these
 hashes too.
 
-The barrier hashes hold only under the OpenBLAS kernel they were made
-with, which README.md's Determinism section names with the tests that
-fail under another.
+The grid and barrier hashes hold only under the OpenBLAS kernel they
+were made with, which README.md's Determinism section names; they are
+marked ``blas_kernel``.
 """
 
 import hashlib
@@ -57,6 +57,7 @@ def _cut_sha256(path, keep) -> str:
     return hashlib.sha256(text.encode()).hexdigest()
 
 
+@pytest.mark.blas_kernel
 def test_grid_results_match_pinned_hashes(tmp_path, capsys):
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(CONFIG))
@@ -71,10 +72,10 @@ def test_grid_results_match_pinned_hashes(tmp_path, capsys):
 @pytest.mark.parametrize("name, options, sha256", [
     pytest.param("barrier", {},
                  "673430d04e264fcfaab62acb90aa02884f6fa0ee6157f0fbf845d0f1856be036",
-                 id="barrier"),
+                 id="barrier", marks=pytest.mark.blas_kernel),
     pytest.param("barrier", {"dt": 0.2},
                  "2148866e83e465b68c5612ed0e26da0a4bce857db5a6f001bca951631af9f66c",
-                 id="barrier-dt0.2"),
+                 id="barrier-dt0.2", marks=pytest.mark.blas_kernel),
     pytest.param("cartpole", {},
                  "c928a3c2d01b99caa6231f3c9088869ec19da29269e4aa73b2ca9133afe30f20",
                  id="cartpole"),

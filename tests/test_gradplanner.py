@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from oracles import oracle_sweep
+from oracles import ActionQuadReward, NegSquaredNorm, oracle_sweep
 import trajplan.gradplanner as gradplanner_mod
 from trajplan.core import (ActionBounds, DivergedError, PlannerConfig, Trajectory,
                            project, rollout, rollout_batch)
@@ -24,18 +24,6 @@ class FrozenDynamics(DynamicsModel):
 
     def adjoint_sweep(self, states, actions, state_grads):
         return oracle_sweep(FrozenDynamics.step_vjp, self, states, actions, state_grads)
-
-
-class ActionQuadReward:
-    def __init__(self, target):
-        self.target = target
-
-    def reward(self, s_next, a):
-        return -np.sum((np.asarray(a) - self.target) ** 2, axis=-1)
-
-    def backward(self, s_next, a):
-        return (np.zeros_like(np.asarray(s_next, dtype=float)),
-                -2.0 * (np.asarray(a, dtype=float) - self.target))
 
 
 class VjpOverflowDynamics(DynamicsModel):
@@ -66,14 +54,6 @@ class VjpOverflowDynamics(DynamicsModel):
         return oracle_sweep(VjpOverflowDynamics.step_vjp, self, states, actions, state_grads)
 
 
-class NegSquaredNorm:
-    def reward(self, s_next, a):
-        return -np.sum(np.asarray(s_next) ** 2, axis=-1)
-
-    def backward(self, s_next, a):
-        return -2.0 * np.asarray(s_next, dtype=float), np.zeros_like(np.asarray(a, dtype=float))
-
-
 bounds1 = ActionBounds.symmetric(1.0, 1)
 
 
@@ -96,7 +76,7 @@ class TestRewardGradient:
                           env.bounds.low, env.bounds.high)
             grad = reward_gradient(env.dynamics, env.reward,
                                    rollout(env.dynamics, env.reward, s0, seq))
-            num = finite_difference_gradient(env.dynamics, env.reward, s0, seq, h=1e-5)
+            num = finite_difference_gradient(env.dynamics, env.reward, s0, seq)
             assert np.all(np.abs(num - grad) / np.maximum(1.0, np.abs(num)) < tol)
 
     @pytest.mark.parametrize("part", ["state", "action"])

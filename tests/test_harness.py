@@ -214,6 +214,13 @@ class TestCompareAndCsv:
             assert float(srow["mean_reward"]) == np.mean(list(episode_totals.values()))
             assert int(srow["episodes"]) == len(episode_totals)
 
+    @pytest.mark.parametrize("value", [-0.0, 5e-324, 1e-320, float("inf"), float("nan"),
+                                       1.7976931348623157e+308])
+    def test_float_written_as_its_repr(self, tmp_path, value):
+        path = tmp_path / "rows.csv"
+        write_csv([{"x": value, "n": 3, "s": ""}], ["x", "n", "s"], path)
+        assert path.read_text() == f"x,n,s\n{value!r},3,\n"
+
     def test_success_column_consistent(self):
         result = self.small_compare()
         for res in result.results:

@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from oracles import oracle_sweep
+from oracles import one_step_vjp, oracle_sweep
 import trajplan
 import trajplan.dynamics as dynamics_mod
 from trajplan.dynamics import (MlpModel, TrainingDivergedError, collect_random_rollouts,
@@ -82,12 +82,6 @@ class TestForward:
         for i in range(6):
             np.testing.assert_allclose(batched[i], model.step(ss[i], aa[i]),
                                        rtol=1e-12, atol=0)
-
-
-def one_step_vjp(model, s, a, g):
-    """The VJPs at the single sample (s, a): a one-step adjoint_sweep."""
-    grad_a, grad_s = model.adjoint_sweep(s[None], a[None], g[None])
-    return grad_s[0], grad_a[0]
 
 
 class TestBackward:
@@ -346,8 +340,20 @@ class TestFit:
 
     def test_empty_dataset_rejected(self):
         with pytest.raises(ValueError):
-            fit_mlp((np.empty((0, 2)), np.empty((0, 1)), np.empty((0, 2))))
+            fit_mlp((np.empty((0, 2)), np.empty((0, 1)), np.empty((0, 2))), rng=0)
 
+
+    def test_rng_is_required(self):
+        # An omitted rng would draw from OS entropy and make a run unrepeatable.
+        env = make_environment("barrier")
+        data = self.linear_data(20)
+        calls = [lambda: fit_mlp(data, epochs=0, hidden=(4, 4, 4)),
+                 lambda: collect_random_rollouts(env.dynamics, env.bounds, env.start_state,
+                                                 episodes=1, steps=2),
+                 lambda: MlpModel.initialize(2, 2, hidden=(4, 4, 4))]
+        for call in calls:
+            with pytest.raises(TypeError, match="'rng'"):
+                call()
 
     def test_diverging_lr_raises_at_first_nonfinite_epoch(self):
         data = self.linear_data(200)
@@ -357,6 +363,7 @@ class TestFit:
 
 
 class TestBlasThreads:
+    @pytest.mark.blas_kernel
     def test_planned_episode_bitwise_at_1_and_2_threads(self, tmp_path):
         # A desk-budget cemgd episode planned on a 200x3 MLP, in two fresh
         # processes whose only difference is OPENBLAS_NUM_THREADS (1 or 2,
