@@ -119,14 +119,12 @@ def rollout(model, reward, s0: Array, seq: Array) -> Trajectory:
                       total_reward=float(totals[0]))
 
 
-# Rows of a rollout batch scored by one reward call: the reward's
-# temporaries stay O(rows * T) at any batch size. A batch of B <= 128 rows
-# is one call with no copy: its result is the step rewards, which saves
-# about 2 us of slicing and copying per call. Scoring a whole batch in
-# one call raised perfbench's barrier_cemgd peak_rss_mb, whose first plans
-# roll out 1,000 rows, from 41.5 to 43.4 MiB (four runs a side on a 2-core
-# Xeon VM).
-REWARD_BLOCK_ROWS = 128
+# Rows per block, so that a pass's temporaries stay O(rows * width) at any
+# batch size.
+# - rollout_batch: one reward call per block (width T); a batch of at most
+#   BLOCK_ROWS rows is one call with no copy, about 2 us less per call.
+# - MlpModel._value_pass: one block of rows at a time (width its layers').
+BLOCK_ROWS = 128
 
 
 def rollout_batch(model, reward, s0: Array, seqs: Array):
@@ -137,7 +135,7 @@ def rollout_batch(model, reward, s0: Array, seqs: Array):
     ``model.rollout_states(s0, seqs)``, which need not be C-contiguous (the
     cartpole's are a transposed view), so a row taken from them keeps the
     whole buffer alive. The rewards are scored after it, one
-    ``reward.reward`` call per block of up to REWARD_BLOCK_ROWS rows (the
+    ``reward.reward`` call per block of up to BLOCK_ROWS rows (the
     step rewards are that call's result when there is one block), and
     accumulate in ascending step order, bit for bit as a per-step
     ``totals += r`` from 0.0. Row i equals ``rollout(seqs[i])`` (this
@@ -158,14 +156,14 @@ def rollout_batch(model, reward, s0: Array, seqs: Array):
         states = model.rollout_states(s0, seqs)
         # Accumulated in step order: bit for bit ``totals += rewards[:, t]``
         # for each t, including the 0.0 start that turns a -0.0 sum into 0.0.
-        if T and B <= REWARD_BLOCK_ROWS:
+        if T and B <= BLOCK_ROWS:
             rewards = np.asarray(reward.reward(states[:, 1:], seqs), dtype=float)
             totals = 0.0 + np.add.accumulate(rewards, axis=1)[:, -1]
         else:
             rewards = np.empty((B, T))
             totals = np.zeros(B)
-            for lo in range(0, B if T else 0, REWARD_BLOCK_ROWS):   # T = 0: nothing to score
-                rows = slice(lo, lo + REWARD_BLOCK_ROWS)
+            for lo in range(0, B if T else 0, BLOCK_ROWS):   # T = 0: nothing to score
+                rows = slice(lo, lo + BLOCK_ROWS)
                 rewards[rows] = reward.reward(states[rows, 1:], seqs[rows])
                 totals[rows] += np.add.accumulate(rewards[rows], axis=1)[:, -1]
     if not (np.isfinite(totals).all() and np.isfinite(states[:, 1:]).all()):

@@ -37,7 +37,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .core import ActionBounds, Array, _finite_real
+from .core import BLOCK_ROWS, ActionBounds, Array, _finite_real
 
 STD_FLOOR = 1e-8
 
@@ -623,6 +623,24 @@ def _silu_and_slope(x):
     return x * sig, sig * (1.0 + x * (1.0 - sig))
 
 
+def _aligned(x):
+    """A float64 copy of x whose data starts on a 64-byte boundary.
+
+    The heap hands a (200, 200) weight matrix any 16-byte offset mod 64,
+    and OpenBLAS's products with it run slower off a 64-byte boundary: a
+    desk-budget CEM-GD replan on a 200x3 MLP took 26.6 ms with its weights
+    on one against 29.6-31.2 ms at 16, 32 or 48 bytes past one (SkylakeX
+    kernels, one core of a 2-core Xeon VM). The offset changes speed, not
+    bits (tests/test_mlp.py::TestAlignment).
+    """
+    x = np.asarray(x, dtype=float)
+    buf = np.empty(x.size + 8)   # 8 spare float64s: 64 bytes of slack
+    lo = -buf.ctypes.data % 64 // 8
+    out = buf[lo : lo + x.size].reshape(x.shape)
+    out[...] = x
+    return out
+
+
 _MLP_MAGIC = b"TJPM"
 _MLP_VERSION = 1
 _MLP_SILU = 0   # the only activation code in the file format
@@ -640,8 +658,7 @@ class MlpModel(DynamicsModel):
                  out_mean=None, out_std=None):
         self.d_s = int(d_s)
         self.d_a = int(d_a)
-        self.weights = [(np.asarray(W, dtype=float), np.asarray(b, dtype=float))
-                        for W, b in weights]
+        self.weights = [(_aligned(W), _aligned(b)) for W, b in weights]
         d_in = self.d_s + self.d_a
         self.in_mean = np.zeros(d_in) if in_mean is None else np.asarray(in_mean, dtype=float)
         self.in_std = np.ones(d_in) if in_std is None else np.asarray(in_std, dtype=float)
@@ -661,10 +678,24 @@ class MlpModel(DynamicsModel):
 
     def _value_pass(self, z):
         """The network's output on normalized input z: the pass for callers
-        that read only values (step, predict_delta, training_mse). It holds
-        one hidden layer at a time, so a batch of B rows holds about three
-        (B, width) arrays at its peak, not every layer's pre-activation and
-        activation."""
+        that read only values (step, predict_delta, training_mse). More than
+        BLOCK_ROWS rows run as blocks of that many into one output, so its
+        temporaries stay O(BLOCK_ROWS * width) at any batch size. A one-row
+        tail joins the block before it, since numpy would take a one-row
+        product through gemv, which rounds otherwise than the gemm of a
+        block (README.md, Determinism)."""
+        if z.ndim < 2 or len(z) <= BLOCK_ROWS:
+            return self._block_pass(z)
+        out = np.empty((*z.shape[:-1], self.d_s))
+        starts = range(0, len(z) - 1, BLOCK_ROWS)
+        for lo, hi in zip(starts, [*starts[1:], len(z)]):
+            out[lo:hi] = self._block_pass(z[lo:hi])
+        return out
+
+    def _block_pass(self, z):
+        """_value_pass in one call: it holds one hidden layer at a time,
+        about three (rows, width) arrays at its peak, not every layer's
+        pre-activation and activation."""
         h = z
         for W, b in self.weights[:-1]:
             h = h @ W
@@ -852,8 +883,11 @@ def fit_mlp(transitions, epochs=50, batch_size=64, lr=1e-3,
             for lo in range(0, n, batch_size):
                 idx = order[lo : lo + batch_size]
                 grads = model._mse_grads(Z[idx], Yn[idx])
-                model.weights = [(W - lr * gW, b - lr * gb)
-                                 for (W, b), (gW, gb) in zip(model.weights, grads)]
+                # In place, bit for bit W - lr * gW, and the weights keep
+                # MlpModel's 64-byte alignment.
+                for (W, b), (gW, gb) in zip(model.weights, grads):
+                    W -= lr * gW
+                    b -= lr * gb
             history.append(model.training_mse(Z, Yn))
             if not math.isfinite(history[-1]):
                 raise TrainingDivergedError(

@@ -17,7 +17,7 @@ import trajplan.core as core_mod
 import trajplan.gradplanner as gradplanner_mod
 from oracles import SCALAR_BACKWARD, assert_bitwise, oracle_sweep, scalar_barrier_backward
 from trajplan.cemgd import PlannerState, plan
-from trajplan.core import REWARD_BLOCK_ROWS, DivergedError, PlannerConfig, rollout_batch
+from trajplan.core import BLOCK_ROWS, DivergedError, PlannerConfig, rollout_batch
 from trajplan.dynamics import (BarrierDynamics, BarrierWorld, CartpoleReward, MlpModel,
                                QuadraticGoalReward, make_environment)
 
@@ -119,8 +119,8 @@ def test_mlp_rollout_matches_per_step_recipe_to_rounding(B):
         np.testing.assert_allclose(g, w, rtol=tol, atol=tol)
 
 
-@pytest.mark.parametrize("B", [REWARD_BLOCK_ROWS, REWARD_BLOCK_ROWS + 1,
-                               2 * REWARD_BLOCK_ROWS + 1])
+@pytest.mark.parametrize("B", [BLOCK_ROWS, BLOCK_ROWS + 1,
+                               2 * BLOCK_ROWS + 1])
 @pytest.mark.parametrize("name", ["barrier", "cartpole", "mlp"])
 def test_rows_across_reward_blocks_match_rollout(name, B):
     # Every row, in whichever reward block scores it, equals rollout's:
@@ -145,7 +145,7 @@ def test_rows_across_reward_blocks_match_rollout(name, B):
         return reward.reward(s_next, a)
 
     got = rollout_batch(model, SimpleNamespace(reward=scored), s0, seqs)
-    assert blocks == [min(REWARD_BLOCK_ROWS, B - lo) for lo in range(0, B, REWARD_BLOCK_ROWS)]
+    assert blocks == [min(BLOCK_ROWS, B - lo) for lo in range(0, B, BLOCK_ROWS)]
     tol = 1e4 * np.finfo(np.float64).eps
     for i in range(B):
         traj = core_mod.rollout(model, reward, s0, seqs[i])
@@ -161,8 +161,8 @@ def test_non_finite_reward_in_a_second_block_row_names_its_step():
     # square overflows: its rewards from step 7 on are -inf while its
     # states stay finite, and every other row stays finite.
     env = make_environment("barrier")
-    s0, seqs = start_and_actions(env, 2 * REWARD_BLOCK_ROWS + 1, 10, seed=3)
-    row = REWARD_BLOCK_ROWS + 72
+    s0, seqs = start_and_actions(env, 2 * BLOCK_ROWS + 1, 10, seed=3)
+    row = BLOCK_ROWS + 72
     seqs[row, 7] = 1e200
     with pytest.raises(DivergedError, match="non-finite reward at rollout step 7$") as err:
         rollout_batch(env.dynamics, env.reward, s0, seqs)

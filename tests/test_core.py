@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 import trajplan
 from oracles import NegSquaredNorm
-from trajplan.core import (REWARD_BLOCK_ROWS, ActionBounds, DivergedError, PlannerConfig,
+from trajplan.core import (BLOCK_ROWS, ActionBounds, DivergedError, PlannerConfig,
                            project, rollout, rollout_batch, split_budget)
 from trajplan.dynamics import (FLOAT_ROWS, DynamicsModel, MlpModel, QuadraticGoalReward,
                                make_environment)
@@ -270,11 +270,11 @@ class TestRollout:
                 assert states[i].tobytes() == traj.states.tobytes()
                 assert step_rewards[i].tobytes() == traj.step_rewards.tobytes()
 
-    @pytest.mark.parametrize("rows", [1, REWARD_BLOCK_ROWS, REWARD_BLOCK_ROWS + 1])
+    @pytest.mark.parametrize("rows", [1, BLOCK_ROWS, BLOCK_ROWS + 1])
     @pytest.mark.parametrize("steps", [0, 5])
     @pytest.mark.parametrize("name", ["pointmass", "barrier", "cartpole"])
     def test_one_and_more_reward_blocks_match_single_rollouts(self, name, steps, rows):
-        # Up to REWARD_BLOCK_ROWS rows are scored by one reward call whose
+        # Up to BLOCK_ROWS rows are scored by one reward call whose
         # result is kept; more are scored block by block into one buffer.
         # Either way each row equals its own rollout bit for bit, and a
         # rollout of no steps scores nothing.

@@ -15,6 +15,7 @@ import pytest
 from oracles import one_step_vjp, oracle_sweep
 import trajplan
 import trajplan.dynamics as dynamics_mod
+from trajplan.core import BLOCK_ROWS
 from trajplan.dynamics import (MlpModel, TrainingDivergedError, collect_random_rollouts,
                                fit_mlp, make_environment, silu)
 
@@ -276,24 +277,131 @@ class TestSameBitsAsOldFormulas:
             assert W.tobytes() == Wo.tobytes() and b.tobytes() == bo.tobytes()
 
 
+def peak_bytes(call):
+    """tracemalloc's peak over one call, in bytes."""
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 class TestMemory:
     def test_value_pass_holds_one_layer_at_a_time(self):
-        # A 1000-row step or training MSE at width 200 may hold a few
+        # The one-call pass on 1000 rows at width 200 may hold a few
         # (rows, width) arrays at once (the layer in hand and SiLU's
         # temporaries), not every layer's pre-activation and activation.
         rows, width = 1000, 200
         rng = np.random.default_rng(0)
         model = MlpModel.initialize(4, 2, hidden=(width,) * 3, rng=rng)
+        z = rng.normal(size=(rows, 6))
+        assert peak_bytes(lambda: model._block_pass(z)) < 4 * rows * width * 8
+
+    def test_value_pass_holds_one_block_at_a_time(self):
+        # A 20,000-row step or training MSE at width 200 may hold a few
+        # copies of its inputs and output (the concatenation and the
+        # normalization) and a few (BLOCK_ROWS, width) arrays (the
+        # layer in hand and SiLU's temporaries), not (rows, width) ones.
+        rows, width = 20_000, 200
+        rng = np.random.default_rng(0)
+        model = MlpModel.initialize(4, 2, hidden=(width,) * 3, rng=rng)
         s, a = rng.normal(size=(rows, 4)), rng.normal(size=(rows, 2))
         z, target = rng.normal(size=(rows, 6)), rng.normal(size=(rows, 4))
+        io = rows * (6 + 4) * 8   # bytes of a call's inputs and output
         for call in (lambda: model.step(s, a), lambda: model.training_mse(z, target)):
-            tracemalloc.start()
-            try:
-                call()
-                _, peak = tracemalloc.get_traced_memory()
-            finally:
-                tracemalloc.stop()
-            assert peak < 4 * rows * width * 8
+            assert peak_bytes(call) < 3 * io + 4 * BLOCK_ROWS * width * 8
+
+
+def at_offset(x, offset):
+    """A copy of x whose data starts at offset bytes past a 64-byte boundary."""
+    buf = np.empty(x.size + 16)
+    lo = (-buf.ctypes.data % 64 + offset) // 8
+    out = buf[lo : lo + x.size].reshape(x.shape)
+    out[...] = x
+    assert out.ctypes.data % 64 == offset
+    return out
+
+
+class TestAlignment:
+    def assert_aligned(self, model):
+        for W, b in model.weights:
+            assert W.ctypes.data % 64 == 0 and b.ctypes.data % 64 == 0
+            assert W.flags.c_contiguous and W.dtype == np.float64
+
+    def test_every_way_to_make_a_model_aligns_its_weights(self, tmp_path):
+        rng = np.random.default_rng(0)
+        weights = [(at_offset(rng.normal(size=(6, 8)), 16), at_offset(np.zeros(8), 48)),
+                   (at_offset(rng.normal(size=(8, 4)), 32), at_offset(np.ones(4), 8))]
+        model = MlpModel(4, 2, weights)
+        self.assert_aligned(model)
+        for (W, b), (Wi, bi) in zip(model.weights, weights):
+            assert W.tobytes() == Wi.tobytes() and b.tobytes() == bi.tobytes()
+        self.assert_aligned(MlpModel.initialize(4, 2, hidden=(200, 200), rng=1))
+        env = make_environment("barrier")
+        data = collect_random_rollouts(env.dynamics, env.bounds, env.start_state,
+                                       episodes=2, steps=40, rng=2)
+        trained, _ = fit_mlp(data, epochs=2, hidden=(16, 16), rng=3)
+        self.assert_aligned(trained)
+        trained.save_binary(tmp_path / "model.bin")
+        self.assert_aligned(MlpModel.load_binary(tmp_path / "model.bin"))
+
+    def test_weight_offset_changes_no_bits(self):
+        # The offset of the weights mod 64 sets how fast BLAS runs, not what
+        # it returns: every offset gives the same bits at the replan's batch
+        # sizes, the first plan's and the sweep's, under any kernel.
+        rng = np.random.default_rng(4)
+        model = MlpModel.initialize(4, 2, hidden=(200, 200, 200), rng=rng)
+        layers = [(W.copy(), b.copy()) for W, b in model.weights]
+        s, a = rng.normal(size=(1000, 4)), rng.normal(size=(1000, 2))
+        T = 30
+        states, actions, grads = (rng.normal(size=(T, d)) for d in (4, 2, 4))
+        outputs = []
+        for offset in (0, 16, 32, 48):
+            model.weights = [(at_offset(W, offset), at_offset(b, offset)) for W, b in layers]
+            outputs.append([model.step(s[:B], a[:B]).tobytes() for B in (1, 10, 1000)]
+                           + [g.tobytes() for g in model.adjoint_sweep(states, actions, grads)])
+        assert all(out == outputs[0] for out in outputs[1:])
+
+
+class TestBlockedPass:
+    def model_and_input(self, rows, seed=5):
+        rng = np.random.default_rng(seed)
+        model = MlpModel.initialize(4, 2, hidden=(200, 200, 200), rng=rng)
+        return model, rng.normal(size=(rows, 6))
+
+    @pytest.mark.parametrize("rows, blocks", [
+        (BLOCK_ROWS, [BLOCK_ROWS]),
+        (BLOCK_ROWS + 1, [BLOCK_ROWS + 1]),
+        (BLOCK_ROWS + 2, [BLOCK_ROWS, 2]),
+        (2 * BLOCK_ROWS + 1, [BLOCK_ROWS, BLOCK_ROWS + 1]),
+        (1000, [BLOCK_ROWS] * 7 + [1000 - 7 * BLOCK_ROWS])])
+    def test_block_rows(self, rows, blocks, monkeypatch):
+        # Blocks of BLOCK_ROWS rows, where a one-row tail, which
+        # numpy would hand to gemv, joins the block before it.
+        model, z = self.model_and_input(rows)
+        seen = []
+        block_pass = MlpModel._block_pass
+        monkeypatch.setattr(MlpModel, "_block_pass",
+                            lambda self, z: seen.append(len(z)) or block_pass(self, z))
+        model._value_pass(z)
+        assert seen == blocks
+
+    @pytest.mark.parametrize("rows", [BLOCK_ROWS + 2, 1000, 3000])
+    def test_blocked_matches_one_call_to_rounding(self, rows):
+        # BLAS may order a row's sums otherwise for another number of rows;
+        # the bound is fixed from float64 (1e4 ulps of the output's scale).
+        model, z = self.model_and_input(rows)
+        got, want = model._value_pass(z), model._block_pass(z)
+        tol = 1e4 * np.finfo(np.float64).eps * np.abs(want).max()
+        np.testing.assert_allclose(got, want, rtol=0, atol=tol)
+
+    @pytest.mark.blas_kernel
+    def test_blocked_matches_one_call_bitwise_at_first_plan_rows(self):
+        # The first plan of perfbench's mlp_cemgd rolls out 1,000 rows: its
+        # bits, and so its results, are those of the one-call pass.
+        model, z = self.model_and_input(1000)
+        assert model._value_pass(z).tobytes() == model._block_pass(z).tobytes()
 
 
 class TestFit:
