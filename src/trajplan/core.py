@@ -124,6 +124,8 @@ def rollout(model, reward, s0: Array, seq: Array) -> Trajectory:
 # - rollout_batch: one reward call per block (width T); a batch of at most
 #   BLOCK_ROWS rows is one call with no copy, about 2 us less per call.
 # - MlpModel._value_pass: one block of rows at a time (width its layers').
+# - MlpModel.rollout_states and step: one block of rows at a time, each
+#   rolled out on buffers made once per block (width its layers').
 BLOCK_ROWS = 128
 
 

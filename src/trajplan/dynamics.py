@@ -18,14 +18,15 @@ Every dynamics model subclasses DynamicsModel and implements
 step accepts a single sample or a batch stacked along a leading axis.
 adjoint_sweep is the model's one gradient method; the VJPs at a single
 sample are a one-step sweep. A rollout takes its states from
-rollout_states(s0, actions), by default a loop over step. How each model
-rolls out and sweeps, and why, is in its own methods' docstrings and its
-constants' comments. Reward models expose reward(s_next, a) and
-backward(s_next, a) on any leading shape, such as a whole (B, T) block of
-rollout steps, equal to their per-sample values bit for bit. All models
-are pure functions of their inputs and safe to call concurrently. Which
-results are bitwise across batch sizes, BLAS threads and BLAS kernels is
-set out, with its tests, in README.md's Determinism section.
+rollout_states(s0, actions), by default a loop over step; each built-in
+model has its own. How each model rolls out and sweeps, and why, is in its
+own methods' docstrings and its constants' comments. Reward models expose
+reward(s_next, a) and backward(s_next, a) on any leading shape, such as a
+whole (B, T) block of rollout steps, equal to their per-sample values bit
+for bit. All models are pure functions of their inputs and safe to call
+concurrently. Which results are bitwise across batch sizes, BLAS threads
+and BLAS kernels is set out, with its tests, in README.md's Determinism
+section.
 """
 
 from __future__ import annotations
@@ -641,6 +642,23 @@ def _aligned(x):
     return out
 
 
+def _read_only(x):
+    """A read-only float64 view of x: writes through it raise, while the
+    array it views stays writable."""
+    view = np.asarray(x, dtype=float).view()
+    view.flags.writeable = False
+    return view
+
+
+def _row_blocks(n):
+    """The (lo, hi) bounds of the blocks of BLOCK_ROWS rows that a pass over
+    n rows runs as. A one-row tail joins the block before it, since numpy
+    would take a one-row product through gemv, which rounds otherwise than
+    the gemm of a block (README.md, Determinism)."""
+    starts = range(0, max(n - 1, 1), BLOCK_ROWS)
+    return zip(starts, [*starts[1:], n])
+
+
 _MLP_MAGIC = b"TJPM"
 _MLP_VERSION = 1
 _MLP_SILU = 0   # the only activation code in the file format
@@ -652,18 +670,72 @@ class MlpModel(DynamicsModel):
     The network predicts the state delta; inputs and targets are
     standardized with statistics stored on the model. Every hidden layer
     applies SiLU; the output layer is linear.
+
+    Training and gradients run on the stored weights. Rollouts and step
+    run on planning layers derived from them and from the statistics
+    (_planning_layers), so both are read-only arrays: new weights are
+    assigned whole, ``model.weights = [(W, b), ...]``, and the statistics
+    are set when the model is made.
     """
 
     def __init__(self, d_s, d_a, weights, in_mean=None, in_std=None,
                  out_mean=None, out_std=None):
         self.d_s = int(d_s)
         self.d_a = int(d_a)
-        self.weights = [(_aligned(W), _aligned(b)) for W, b in weights]
         d_in = self.d_s + self.d_a
-        self.in_mean = np.zeros(d_in) if in_mean is None else np.asarray(in_mean, dtype=float)
-        self.in_std = np.ones(d_in) if in_std is None else np.asarray(in_std, dtype=float)
-        self.out_mean = np.zeros(self.d_s) if out_mean is None else np.asarray(out_mean, dtype=float)
-        self.out_std = np.ones(self.d_s) if out_std is None else np.asarray(out_std, dtype=float)
+        self._in_mean, self._in_std, self._out_mean, self._out_std = (
+            _read_only(np.full(size, fill) if given is None else np.array(given, dtype=float))
+            for given, size, fill in ((in_mean, d_in, 0.0), (in_std, d_in, 1.0),
+                                      (out_mean, self.d_s, 0.0), (out_std, self.d_s, 1.0)))
+        self.weights = [(_aligned(W), _aligned(b)) for W, b in weights]
+
+    in_mean = property(lambda self: self._in_mean)
+    in_std = property(lambda self: self._in_std)
+    out_mean = property(lambda self: self._out_mean)
+    out_std = property(lambda self: self._out_std)
+
+    @property
+    def weights(self):
+        """The (W, b) pair of each layer, as read-only views of the arrays
+        assigned. Assigning new weights drops the planning layers of the
+        old ones (_planning_layers)."""
+        return self._weights
+
+    @weights.setter
+    def weights(self, layers):
+        self._weights = [(_read_only(W), _read_only(b)) for W, b in layers]
+        self._planning = None
+
+    def _planning_layers(self):
+        """The 64-byte-aligned (hidden, output) layers that step and
+        rollout_states run on, derived from the weights at the first call
+        after they are assigned, with the input scaling, SiLU's half and
+        the output scale folded into them:
+
+        - every hidden layer is 0.5 * W and 0.5 * b, so its product gives
+          h = pre / 2 exactly and SiLU is h * (1 + tanh(h)), as in silu;
+        - the first layer also divides W's rows by in_std;
+        - the output layer is W * out_std with bias b * out_std + out_mean.
+
+        in_mean stays a subtraction of its own: folded into the first bias,
+        it would subtract two products of the state's size and lose digits
+        wherever |state| is much larger than its spread. The two rescaling
+        folds round otherwise than the stored weights' formula, so step
+        agrees with it to rounding (tests/test_mlp.py::TestFoldedPass).
+        """
+        if self._planning is None:
+            layers = [(_aligned(W), _aligned(b)) for W, b in self.weights]
+            W, _ = layers[0]
+            W /= self.in_std[:, None]
+            W, b = layers[-1]
+            W *= self.out_std
+            b *= self.out_std
+            b += self.out_mean
+            for W, b in layers[:-1]:
+                W *= 0.5
+                b *= 0.5
+            self._planning = (layers[:-1], layers[-1])
+        return self._planning
 
     @classmethod
     def initialize(cls, d_s, d_a, hidden=(200, 200, 200), *, rng, **stats):
@@ -676,19 +748,80 @@ class MlpModel(DynamicsModel):
             weights.append((W, np.zeros(fan_out)))
         return cls(d_s, d_a, weights, **stats)
 
+    def _stepper(self, rows):
+        """step(x, s, out) for blocks of ``rows`` rows: the next states of
+        the (rows, d_s + d_a) state-action rows x, whose states are s, into
+        out. It runs on the planning layers and on buffers made here once,
+        in 19 numpy calls a step for three hidden layers and no allocation.
+        Layers of one width share a (pre-activation, activation) pair."""
+        z = np.empty((rows, self.d_s + self.d_a))
+        delta = np.empty((rows, self.d_s))
+        pairs, layers = {}, []
+        hidden, (W_out, b_out) = self._planning_layers()
+        for W, b in hidden:
+            width = W.shape[1]
+            if width not in pairs:
+                pairs[width] = (np.empty((rows, width)), np.empty((rows, width)))
+            layers.append((W, b, *pairs[width]))
+        in_mean, one = self.in_mean, np.array(1.0)   # 0-d: a cheaper operand than a float
+        add, matmul, multiply, subtract, tanh = np.add, np.matmul, np.multiply, np.subtract, np.tanh
+
+        def step(x, s, out):
+            act = subtract(x, in_mean, z)
+            for W, b, h, a in layers:
+                matmul(act, W, h)
+                add(h, b, h)                  # h = pre / 2
+                act = tanh(h, a)
+                add(a, one, a)
+                multiply(a, h, a)             # silu(pre) = h * (1 + tanh(h))
+            matmul(act, W_out, delta)
+            add(delta, b_out, delta)
+            add(s, delta, out)
+
+        return step
+
+    def rollout_states(self, s0, actions):
+        """The states of chained steps, bit for bit, rolled out a block of
+        rows at a time (_row_blocks), so the temporaries stay
+        O(BLOCK_ROWS * width) at any batch size."""
+        B, T, _ = actions.shape
+        states = np.empty((B, T + 1, self.d_s))
+        for lo, hi in _row_blocks(B):
+            states[lo:hi] = self._block_rollout(s0, actions[lo:hi]).transpose(1, 0, 2)
+        return states
+
+    def _block_rollout(self, s0, actions):
+        """The (T+1, rows, d_s) states of one block of rows: one
+        (T+1, rows, d_s + d_a) buffer takes the actions once, and each step
+        writes its next states straight into the next slot."""
+        rows, T, _ = actions.shape
+        x = np.empty((T + 1, rows, self.d_s + self.d_a))
+        x[:T, :, self.d_s :] = actions.transpose(1, 0, 2)
+        states = x[:, :, : self.d_s]
+        states[0] = s0
+        step = self._stepper(rows)
+        for t in range(T):
+            step(x[t], states[t], states[t + 1])
+        return states
+
+    def step(self, s, a):
+        """The rollout's step on a single sample or a batch along leading axes."""
+        x = np.concatenate([np.asarray(s, dtype=float), np.asarray(a, dtype=float)], axis=-1)
+        rows = x.reshape(-1, x.shape[-1])
+        out = np.empty((len(rows), self.d_s))
+        for lo, hi in _row_blocks(len(rows)):
+            self._stepper(hi - lo)(rows[lo:hi], rows[lo:hi, : self.d_s], out[lo:hi])
+        return out.reshape(*x.shape[:-1], self.d_s)
+
     def _value_pass(self, z):
-        """The network's output on normalized input z: the pass for callers
-        that read only values (step, predict_delta, training_mse). More than
-        BLOCK_ROWS rows run as blocks of that many into one output, so its
-        temporaries stay O(BLOCK_ROWS * width) at any batch size. A one-row
-        tail joins the block before it, since numpy would take a one-row
-        product through gemv, which rounds otherwise than the gemm of a
-        block (README.md, Determinism)."""
+        """The network's output on normalized input z, on the stored
+        weights: the pass of training_mse. More than BLOCK_ROWS rows run
+        as the blocks of _row_blocks into one output, so its temporaries
+        stay O(BLOCK_ROWS * width) at any batch size."""
         if z.ndim < 2 or len(z) <= BLOCK_ROWS:
             return self._block_pass(z)
         out = np.empty((*z.shape[:-1], self.d_s))
-        starts = range(0, len(z) - 1, BLOCK_ROWS)
-        for lo, hi in zip(starts, [*starts[1:], len(z)]):
+        for lo, hi in _row_blocks(len(z)):
             out[lo:hi] = self._block_pass(z[lo:hi])
         return out
 
@@ -719,14 +852,6 @@ class MlpModel(DynamicsModel):
             inputs.append(h)
             slopes.append(slope)
         return inputs, slopes
-
-    def predict_delta(self, s, a):
-        x = np.concatenate([np.asarray(s, dtype=float), np.asarray(a, dtype=float)], axis=-1)
-        z = (x - self.in_mean) / self.in_std
-        return self.out_mean + self.out_std * self._value_pass(z)
-
-    def step(self, s, a):
-        return np.asarray(s, dtype=float) + self.predict_delta(s, a)
 
     def adjoint_sweep(self, states, actions, state_grads):
         """One recorded pass over the (T, d_s) states and (T, d_a) actions
@@ -791,7 +916,9 @@ class MlpModel(DynamicsModel):
 
     @classmethod
     def load_binary(cls, path):
-        """Read a save_binary file; a malformed file raises ValueError naming it."""
+        """Read a save_binary file. A malformed file, or one holding a
+        non-finite value or an in_std or out_std entry that is not
+        positive, raises ValueError naming it."""
         with open(path, "rb") as f:
             data = f.read()
         if data[:4] != _MLP_MAGIC:
@@ -828,13 +955,20 @@ class MlpModel(DynamicsModel):
             offset += 8 * n
             return arr
 
-        in_mean, in_std = take(d_in), take(d_in)
-        out_mean, out_std = take(d_s), take(d_s)
-        weights = []
-        for fan_in, fan_out in shapes:
-            W = take(fan_in * fan_out).reshape(fan_in, fan_out)
-            weights.append((W, take(fan_out)))
-        return cls(d_s, d_a, weights, in_mean, in_std, out_mean, out_std)
+        stats = {name: take(n) for name, n in
+                 (("in_mean", d_in), ("in_std", d_in), ("out_mean", d_s), ("out_std", d_s))}
+        weights = [(take(fan_in * fan_out).reshape(fan_in, fan_out), take(fan_out))
+                   for fan_in, fan_out in shapes]
+        named = list(stats.items())
+        for i, (W, b) in enumerate(weights):
+            named += [(f"layer {i} weights", W), (f"layer {i} bias", b)]
+        for name, arr in named:
+            if not np.isfinite(arr).all():
+                raise ValueError(f"{path}: {name} holds a non-finite value")
+        for name in ("in_std", "out_std"):   # fit_mlp floors both at STD_FLOOR
+            if not (stats[name] > 0.0).all():
+                raise ValueError(f"{path}: {name} holds an entry that is not positive")
+        return cls(d_s, d_a, weights, **stats)
 
 
 def _normalization_stats(X, Y):
@@ -876,6 +1010,12 @@ def fit_mlp(transitions, epochs=50, batch_size=64, lr=1e-3,
     Z = (X - in_mean) / in_std
     Yn = (Y - out_mean) / out_std
     history = [model.training_mse(Z, Yn)]
+    # SGD updates writable copies in place, bit for bit W - lr * gW, and
+    # they keep MlpModel's 64-byte alignment. The model's weights are
+    # read-only views of them; training never plans, so the model's first
+    # plan derives its planning layers from the trained weights.
+    layers = [(_aligned(W), _aligned(b)) for W, b in model.weights]
+    model.weights = layers
     n = Z.shape[0]
     with np.errstate(over="ignore", invalid="ignore"):
         for epoch in range(1, epochs + 1):
@@ -883,9 +1023,7 @@ def fit_mlp(transitions, epochs=50, batch_size=64, lr=1e-3,
             for lo in range(0, n, batch_size):
                 idx = order[lo : lo + batch_size]
                 grads = model._mse_grads(Z[idx], Yn[idx])
-                # In place, bit for bit W - lr * gW, and the weights keep
-                # MlpModel's 64-byte alignment.
-                for (W, b), (gW, gb) in zip(model.weights, grads):
+                for (W, b), (gW, gb) in zip(layers, grads):
                     W -= lr * gW
                     b -= lr * gb
             history.append(model.training_mse(Z, Yn))

@@ -213,6 +213,19 @@ class TestOneCellGrid:
                                            "expected layer 0's 8 outputs\n")
         assert not (tmp_path / "r").exists()
 
+    def test_model_with_zero_in_std_exits_2_naming_path(self, tmp_path, capsys):
+        # Planned on, a zero in_std would make every episode fail at its
+        # first rollout step; the model file is rejected before --out.
+        model = MlpModel.initialize(2, 2, hidden=(4, 4, 4), rng=0, in_std=[0.0, 1.0, 1.0, 1.0])
+        model_path = tmp_path / "model.bin"
+        model.save_binary(model_path)
+        cfg = run_config(tmp_path, models={"barrier": {"path": str(model_path)}})
+        code = main(["compare", "--config", cfg, "--out", str(tmp_path / "r")])
+        assert code == 2
+        assert capsys.readouterr().err == (f"error: {model_path}: in_std holds an entry "
+                                           "that is not positive\n")
+        assert not (tmp_path / "r").exists()
+
     def test_diverged_episodes_written_as_failures(self, tmp_path, capsys):
         cfg = run_config(tmp_path, models={"barrier": diverging_model(tmp_path)})
         code = main(["compare", "--config", cfg, "--out", str(tmp_path / "r")])

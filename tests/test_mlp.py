@@ -312,6 +312,19 @@ class TestMemory:
         for call in (lambda: model.step(s, a), lambda: model.training_mse(z, target)):
             assert peak_bytes(call) < 3 * io + 4 * BLOCK_ROWS * width * 8
 
+    def test_rollout_holds_one_block_at_a_time(self):
+        # A 20,000-row rollout at T = 2 may hold a few copies of its actions
+        # and states, and a few (BLOCK_ROWS, width) buffers, so the first
+        # plan's 1,000 rows do not make (rows, width) ones.
+        rows, width, T = 20_000, 200, 2
+        rng = np.random.default_rng(0)
+        model = MlpModel.initialize(4, 2, hidden=(width,) * 3, rng=rng)
+        model._planning_layers()   # made once per model, not per rollout
+        s0, actions = rng.normal(size=4), rng.normal(size=(rows, T, 2))
+        io = rows * (T * 2 + (T + 1) * 4) * 8   # bytes of the actions and the states
+        assert peak_bytes(lambda: model.rollout_states(s0, actions)) < \
+            3 * io + 4 * BLOCK_ROWS * width * 8
+
 
 def at_offset(x, offset):
     """A copy of x whose data starts at offset bytes past a 64-byte boundary."""
@@ -325,7 +338,8 @@ def at_offset(x, offset):
 
 class TestAlignment:
     def assert_aligned(self, model):
-        for W, b in model.weights:
+        hidden, output = model._planning_layers()
+        for W, b in [*model.weights, *hidden, output]:
             assert W.ctypes.data % 64 == 0 and b.ctypes.data % 64 == 0
             assert W.flags.c_contiguous and W.dtype == np.float64
 
@@ -356,10 +370,12 @@ class TestAlignment:
         s, a = rng.normal(size=(1000, 4)), rng.normal(size=(1000, 2))
         T = 30
         states, actions, grads = (rng.normal(size=(T, d)) for d in (4, 2, 4))
+        seqs = rng.normal(size=(1000, T, 2))
         outputs = []
         for offset in (0, 16, 32, 48):
             model.weights = [(at_offset(W, offset), at_offset(b, offset)) for W, b in layers]
             outputs.append([model.step(s[:B], a[:B]).tobytes() for B in (1, 10, 1000)]
+                           + [model.rollout_states(s[0], seqs[:B]).tobytes() for B in (1, 10, 1000)]
                            + [g.tobytes() for g in model.adjoint_sweep(states, actions, grads)])
         assert all(out == outputs[0] for out in outputs[1:])
 
@@ -402,6 +418,103 @@ class TestBlockedPass:
         # bits, and so its results, are those of the one-call pass.
         model, z = self.model_and_input(1000)
         assert model._value_pass(z).tobytes() == model._block_pass(z).tobytes()
+
+
+def stats_model(rng, hidden=(32, 32, 32)):
+    """A 4-state, 2-action model with nontrivial normalization statistics."""
+    return MlpModel.initialize(4, 2, hidden=hidden, rng=rng,
+                               in_mean=rng.normal(size=6),
+                               in_std=rng.uniform(0.5, 2.0, size=6),
+                               out_mean=rng.normal(size=4),
+                               out_std=rng.uniform(0.5, 2.0, size=4))
+
+
+def chained_steps(model, s0, actions):
+    """The (B, T+1, d_s) states of a loop over step on the whole batch."""
+    B, T, _ = actions.shape
+    states = np.empty((B, T + 1, len(s0)))
+    states[:, 0] = s0
+    for t in range(T):
+        states[:, t + 1] = model.step(states[:, t], actions[:, t])
+    return states
+
+
+class TestFoldedPass:
+    """step and rollout_states run on the planning layers, which fold the
+    input scaling, SiLU's half and the output scale into the weights."""
+
+    @pytest.mark.parametrize("T", [0, 1, 30])
+    @pytest.mark.parametrize("B", [1, 10, BLOCK_ROWS + 1, 1000])
+    def test_rollout_rows_equal_chained_steps_bitwise(self, B, T):
+        rng = np.random.default_rng(B + T)
+        model = stats_model(rng, hidden=(200, 200, 200))
+        s0, actions = rng.normal(size=4), rng.normal(size=(B, T, 2))
+        got = model.rollout_states(s0, actions)
+        assert got.shape == (B, T + 1, 4)
+        assert got.tobytes() == chained_steps(model, s0, actions).tobytes()
+
+    @pytest.mark.parametrize("rows", [None, 1, 10, 200])
+    def test_step_matches_unfolded_formula_to_rounding(self, rows):
+        # The folds of in_std and out_std round otherwise than the stored
+        # weights' formula; the bound is fixed from float64 (1e4 ulps of
+        # the output's scale), as in TestBlockedPass.
+        rng = np.random.default_rng(6)
+        model = stats_model(rng)
+        shape = () if rows is None else (rows,)
+        s, a = rng.normal(size=(*shape, 4)), rng.normal(size=(*shape, 2))
+        z = (np.concatenate([s, a], axis=-1) - model.in_mean) / model.in_std
+        want = s + (model.out_mean + model.out_std * old_value_pass(model, z))
+        got = model.step(s, a)
+        assert got.shape == want.shape
+        tol = 1e4 * np.finfo(np.float64).eps * np.abs(want).max()
+        np.testing.assert_allclose(got, want, rtol=0, atol=tol)
+
+    def test_one_layer_model_folds_both_scalings_into_it(self):
+        rng = np.random.default_rng(7)
+        model = MlpModel(2, 1, [(rng.normal(size=(3, 2)), rng.normal(size=2))],
+                         in_mean=rng.normal(size=3), in_std=rng.uniform(0.5, 2.0, size=3),
+                         out_mean=rng.normal(size=2), out_std=rng.uniform(0.5, 2.0, size=2))
+        s, a = rng.normal(size=(5, 2)), rng.normal(size=(5, 1))
+        z = (np.concatenate([s, a], axis=-1) - model.in_mean) / model.in_std
+        want = s + (model.out_mean + model.out_std * old_value_pass(model, z))
+        np.testing.assert_allclose(model.step(s, a), want, rtol=0,
+                                   atol=1e4 * np.finfo(np.float64).eps * np.abs(want).max())
+
+    def test_reassigned_weights_change_the_next_rollout(self):
+        rng = np.random.default_rng(8)
+        model = stats_model(rng)
+        s0, actions = rng.normal(size=4), rng.normal(size=(3, 5, 2))
+        before = model.rollout_states(s0, actions)
+        model.weights = [(2.0 * W, b) for W, b in model.weights]
+        after = model.rollout_states(s0, actions)
+        assert not np.array_equal(after, before)
+        fresh = MlpModel(4, 2, model.weights, model.in_mean, model.in_std,
+                         model.out_mean, model.out_std)
+        assert after.tobytes() == fresh.rollout_states(s0, actions).tobytes()
+
+    def test_weights_and_statistics_cannot_change_in_place(self):
+        # The planning layers are derived from both, so an edit in place
+        # would leave them stale: it raises instead.
+        rng = np.random.default_rng(9)
+        model = stats_model(rng)
+        model.rollout_states(rng.normal(size=4), rng.normal(size=(2, 3, 2)))
+        for arr in (model.weights[0][0], model.weights[-1][1], model.in_mean, model.out_std):
+            with pytest.raises(ValueError, match="read-only"):
+                arr *= 2.0
+        with pytest.raises(AttributeError):
+            model.in_std = np.ones(6)
+
+    def test_fit_mlp_model_rolls_out_like_its_saved_copy(self, tmp_path):
+        env = make_environment("barrier")
+        data = collect_random_rollouts(env.dynamics, env.bounds, env.start_state,
+                                       episodes=2, steps=40, rng=10)
+        trained, _ = fit_mlp(data, epochs=2, hidden=(16, 16), rng=11)
+        trained.save_binary(tmp_path / "model.bin")
+        loaded = MlpModel.load_binary(tmp_path / "model.bin")
+        rng = np.random.default_rng(12)
+        s0, actions = rng.normal(size=2), rng.normal(size=(10, 20, 2))
+        assert trained.rollout_states(s0, actions).tobytes() == \
+            loaded.rollout_states(s0, actions).tobytes()
 
 
 class TestFit:
@@ -585,6 +698,24 @@ class TestSerialization:
         path, data = self.saved_bytes(tmp_path)
         path.write_bytes(data + b"\x00")
         with pytest.raises(ValueError, match=r"model\.bin: trailing bytes"):
+            MlpModel.load_binary(path)
+
+    @pytest.mark.parametrize("index, value, problem", [
+        (0, math.nan, "in_mean holds a non-finite value"),
+        (-1, math.inf, "layer 2 bias holds a non-finite value"),
+        (4, 0.0, "in_std holds an entry that is not positive"),
+        (11, -1.0, "out_std holds an entry that is not positive"),
+    ], ids=["nan-in-mean", "inf-bias", "zero-in-std", "negative-out-std"])
+    def test_bad_values_name_path_and_array(self, tmp_path, index, value, problem):
+        # The floats of the saved (d_s, d_a) = (2, 2) model follow its
+        # 24-byte header and 3 shape pairs: in_mean and in_std (4 each),
+        # out_mean and out_std (2 each), then each layer's weights and bias.
+        # A zero in_std would make the folded first layer infinite.
+        path, data = self.saved_bytes(tmp_path)
+        floats = np.frombuffer(data, dtype="<f8", offset=24 + 8 * 3).copy()
+        floats[index] = value
+        path.write_bytes(data[: 24 + 8 * 3] + floats.tobytes())
+        with pytest.raises(ValueError, match=f"^{re.escape(f'{path}: {problem}')}$"):
             MlpModel.load_binary(path)
 
     def test_bad_magic_rejected(self, tmp_path):
