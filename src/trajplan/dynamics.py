@@ -24,9 +24,10 @@ own methods' docstrings and its constants' comments. Reward models expose
 reward(s_next, a) and backward(s_next, a) on any leading shape, such as a
 whole (B, T) block of rollout steps, equal to their per-sample values bit
 for bit. All models are pure functions of their inputs and safe to call
-concurrently. Which results are bitwise across batch sizes, BLAS threads
-and BLAS kernels is set out, with its tests, in README.md's Determinism
-section.
+concurrently. An MlpModel is made once: its constructor copies and checks
+its weights and statistics, which no one can change after. Which results
+are bitwise across batch sizes, BLAS threads and BLAS kernels is set out,
+with its tests, in README.md's Determinism section.
 """
 
 from __future__ import annotations
@@ -35,6 +36,7 @@ import math
 import struct
 import warnings
 from dataclasses import dataclass, fields
+from functools import cached_property
 
 import numpy as np
 
@@ -642,14 +644,6 @@ def _aligned(x):
     return out
 
 
-def _read_only(x):
-    """A read-only float64 view of x: writes through it raise, while the
-    array it views stays writable."""
-    view = np.asarray(x, dtype=float).view()
-    view.flags.writeable = False
-    return view
-
-
 def _row_blocks(n):
     """The (lo, hi) bounds of the blocks of BLOCK_ROWS rows that a pass over
     n rows runs as. A one-row tail joins the block before it, since numpy
@@ -657,6 +651,74 @@ def _row_blocks(n):
     the gemm of a block (README.md, Determinism)."""
     starts = range(0, max(n - 1, 1), BLOCK_ROWS)
     return zip(starts, [*starts[1:], n])
+
+
+def _initial_weights(sizes, rng):
+    """Scaled-Gaussian weights and zero biases of layers of these widths,
+    drawn from rng in layer order."""
+    return [(rng.normal(0.0, math.sqrt(2.0 / fan_in), size=(fan_in, fan_out)), np.zeros(fan_out))
+            for fan_in, fan_out in zip(sizes[:-1], sizes[1:])]
+
+
+def _block_pass(weights, z):
+    """The output on normalized rows z of the network of the (W, b) layers
+    ``weights``, as fit_mlp trains them, in one call: it holds one
+    hidden layer at a time, about three (rows, width) arrays at its peak,
+    not every layer's pre-activation and activation."""
+    h = z
+    for W, b in weights[:-1]:
+        h = h @ W
+        h += b
+        h = silu(h)
+    W, b = weights[-1]
+    out = h @ W
+    out += b
+    return out
+
+
+def _recorded_pass(weights, z):
+    """Every layer's input (z first, the output layer's last) and every
+    hidden layer's SiLU slope, both from one sigmoid per layer, for a
+    backward pass (MlpModel.adjoint_sweep, _mse_grads) to multiply with;
+    the output layer itself is not applied."""
+    inputs, slopes = [z], []
+    for W, b in weights[:-1]:
+        pre = inputs[-1] @ W
+        pre += b
+        h, slope = _silu_and_slope(pre)
+        inputs.append(h)
+        slopes.append(slope)
+    return inputs, slopes
+
+
+def _mse_grads(weights, z, target):
+    """Gradients of the mean squared error on normalized targets, one
+    (dW, db) pair per layer."""
+    inputs, slopes = _recorded_pass(weights, z)
+    W, b = weights[-1]
+    pred = inputs[-1] @ W
+    pred += b
+    err = pred - target
+    gh = 2.0 * err / err.size
+    grads = [None] * len(weights)
+    for i in range(len(weights) - 1, -1, -1):
+        W, _ = weights[i]
+        grads[i] = (inputs[i].T @ gh, gh.sum(axis=0))
+        if i > 0:
+            gh = (gh @ W.T) * slopes[i - 1]
+    return grads
+
+
+def training_mse(weights, z, target):
+    """The mean squared error of the network's output on the normalized
+    rows z against the normalized targets: fit_mlp's history. Its value
+    pass runs z as the blocks of _row_blocks into one output, so its
+    temporaries stay O(BLOCK_ROWS * width) at any dataset size."""
+    out = np.empty(target.shape)
+    for lo, hi in _row_blocks(len(z)):
+        out[lo:hi] = _block_pass(weights, z[lo:hi])
+    err = out - target
+    return float(np.mean(err * err))
 
 
 _MLP_MAGIC = b"TJPM"
@@ -671,11 +733,15 @@ class MlpModel(DynamicsModel):
     standardized with statistics stored on the model. Every hidden layer
     applies SiLU; the output layer is linear.
 
-    Training and gradients run on the stored weights. Rollouts and step
-    run on planning layers derived from them and from the statistics
-    (_planning_layers), so both are read-only arrays: new weights are
-    assigned whole, ``model.weights = [(W, b), ...]``, and the statistics
-    are set when the model is made.
+    A model is made once. The constructor copies the weights and the
+    statistics into 64-byte-aligned arrays of its own and checks them: the
+    layers chain from d_s + d_a inputs to d_s outputs, every statistic and
+    bias has its size, every value is finite and every in_std and out_std
+    entry is positive, or ValueError names the array. It then makes them read-only, and ``weights`` and the
+    statistics cannot be assigned. Gradients run on the weights; step and
+    rollouts on planning layers derived from them and the statistics at
+    the first plan (_planning_layers), which never go stale, since neither
+    can change.
     """
 
     def __init__(self, d_s, d_a, weights, in_mean=None, in_std=None,
@@ -683,34 +749,52 @@ class MlpModel(DynamicsModel):
         self.d_s = int(d_s)
         self.d_a = int(d_a)
         d_in = self.d_s + self.d_a
-        self._in_mean, self._in_std, self._out_mean, self._out_std = (
-            _read_only(np.full(size, fill) if given is None else np.array(given, dtype=float))
-            for given, size, fill in ((in_mean, d_in, 0.0), (in_std, d_in, 1.0),
-                                      (out_mean, self.d_s, 0.0), (out_std, self.d_s, 1.0)))
-        self.weights = [(_aligned(W), _aligned(b)) for W, b in weights]
+        stats = {name: _aligned(np.full(size, fill) if given is None else given)
+                 for name, given, size, fill in (
+                     ("in_mean", in_mean, d_in, 0.0), ("in_std", in_std, d_in, 1.0),
+                     ("out_mean", out_mean, self.d_s, 0.0), ("out_std", out_std, self.d_s, 1.0))}
+        self._weights = tuple((_aligned(W), _aligned(b)) for W, b in weights)
+        if not self._weights:
+            raise ValueError("no layers")
+        widths = [d_in] + [W.shape[-1] for W, _ in self._weights]   # d_in, then each fan_out
+        for i, (W, _) in enumerate(self._weights):
+            if W.shape[0] != widths[i]:
+                given = f"d_s + d_a = {d_in}" if i == 0 else f"layer {i - 1}'s {widths[i]} outputs"
+                raise ValueError(f"layer {i} takes {W.shape[0]} inputs, expected {given}")
+        if widths[-1] != self.d_s:
+            raise ValueError(f"the last layer gives {widths[-1]} outputs, "
+                             f"expected d_s = {self.d_s}")
+        # (name, array, expected shape); a vector of another size would broadcast
+        named = [(name, arr, (size,)) for (name, arr), size in
+                 zip(stats.items(), (d_in, d_in, self.d_s, self.d_s))]
+        for i, (W, b) in enumerate(self._weights):
+            named += [(f"layer {i} weights", W, (widths[i], widths[i + 1])),
+                      (f"layer {i} bias", b, (widths[i + 1],))]
+        for name, arr, shape in named:
+            if arr.shape != shape:
+                raise ValueError(f"{name} has shape {arr.shape}, expected {shape}")
+        for name, arr, _ in named:
+            if not np.isfinite(arr).all():
+                raise ValueError(f"{name} holds a non-finite value")
+        for name in ("in_std", "out_std"):   # fit_mlp floors both at STD_FLOOR
+            if not (stats[name] > 0.0).all():
+                raise ValueError(f"{name} holds an entry that is not positive")
+        for _, arr, _ in named:
+            arr.flags.writeable = False
+        self._in_mean, self._in_std, self._out_mean, self._out_std = stats.values()
 
+    weights = property(lambda self: self._weights)   # the (W, b) pair of each layer
     in_mean = property(lambda self: self._in_mean)
     in_std = property(lambda self: self._in_std)
     out_mean = property(lambda self: self._out_mean)
     out_std = property(lambda self: self._out_std)
 
-    @property
-    def weights(self):
-        """The (W, b) pair of each layer, as read-only views of the arrays
-        assigned. Assigning new weights drops the planning layers of the
-        old ones (_planning_layers)."""
-        return self._weights
-
-    @weights.setter
-    def weights(self, layers):
-        self._weights = [(_read_only(W), _read_only(b)) for W, b in layers]
-        self._planning = None
-
+    @cached_property
     def _planning_layers(self):
         """The 64-byte-aligned (hidden, output) layers that step and
-        rollout_states run on, derived from the weights at the first call
-        after they are assigned, with the input scaling, SiLU's half and
-        the output scale folded into them:
+        rollout_states run on, derived from the weights at the first plan,
+        so a model that never plans holds no second copy, with the input
+        scaling, SiLU's half and the output scale folded into them:
 
         - every hidden layer is 0.5 * W and 0.5 * b, so its product gives
           h = pre / 2 exactly and SiLU is h * (1 + tanh(h)), as in silu;
@@ -723,29 +807,22 @@ class MlpModel(DynamicsModel):
         folds round otherwise than the stored weights' formula, so step
         agrees with it to rounding (tests/test_mlp.py::TestFoldedPass).
         """
-        if self._planning is None:
-            layers = [(_aligned(W), _aligned(b)) for W, b in self.weights]
-            W, _ = layers[0]
-            W /= self.in_std[:, None]
-            W, b = layers[-1]
-            W *= self.out_std
-            b *= self.out_std
-            b += self.out_mean
-            for W, b in layers[:-1]:
-                W *= 0.5
-                b *= 0.5
-            self._planning = (layers[:-1], layers[-1])
-        return self._planning
+        layers = [(_aligned(W), _aligned(b)) for W, b in self.weights]
+        W, _ = layers[0]
+        W /= self.in_std[:, None]
+        W, b = layers[-1]
+        W *= self.out_std
+        b *= self.out_std
+        b += self.out_mean
+        for W, b in layers[:-1]:
+            W *= 0.5
+            b *= 0.5
+        return layers[:-1], layers[-1]
 
     @classmethod
     def initialize(cls, d_s, d_a, hidden=(200, 200, 200), *, rng, **stats):
         """Fresh model with scaled-Gaussian weights and zero biases."""
-        rng = np.random.default_rng(rng)
-        sizes = [d_s + d_a, *hidden, d_s]
-        weights = []
-        for fan_in, fan_out in zip(sizes[:-1], sizes[1:]):
-            W = rng.normal(0.0, math.sqrt(2.0 / fan_in), size=(fan_in, fan_out))
-            weights.append((W, np.zeros(fan_out)))
+        weights = _initial_weights([d_s + d_a, *hidden, d_s], np.random.default_rng(rng))
         return cls(d_s, d_a, weights, **stats)
 
     def _stepper(self, rows):
@@ -757,7 +834,7 @@ class MlpModel(DynamicsModel):
         z = np.empty((rows, self.d_s + self.d_a))
         delta = np.empty((rows, self.d_s))
         pairs, layers = {}, []
-        hidden, (W_out, b_out) = self._planning_layers()
+        hidden, (W_out, b_out) = self._planning_layers
         for W, b in hidden:
             width = W.shape[1]
             if width not in pairs:
@@ -813,46 +890,6 @@ class MlpModel(DynamicsModel):
             self._stepper(hi - lo)(rows[lo:hi], rows[lo:hi, : self.d_s], out[lo:hi])
         return out.reshape(*x.shape[:-1], self.d_s)
 
-    def _value_pass(self, z):
-        """The network's output on normalized input z, on the stored
-        weights: the pass of training_mse. More than BLOCK_ROWS rows run
-        as the blocks of _row_blocks into one output, so its temporaries
-        stay O(BLOCK_ROWS * width) at any batch size."""
-        if z.ndim < 2 or len(z) <= BLOCK_ROWS:
-            return self._block_pass(z)
-        out = np.empty((*z.shape[:-1], self.d_s))
-        for lo, hi in _row_blocks(len(z)):
-            out[lo:hi] = self._block_pass(z[lo:hi])
-        return out
-
-    def _block_pass(self, z):
-        """_value_pass in one call: it holds one hidden layer at a time,
-        about three (rows, width) arrays at its peak, not every layer's
-        pre-activation and activation."""
-        h = z
-        for W, b in self.weights[:-1]:
-            h = h @ W
-            h += b
-            h = silu(h)
-        W, b = self.weights[-1]
-        out = h @ W
-        out += b
-        return out
-
-    def _recorded_pass(self, z):
-        """Every layer's input (z first, the output layer's last) and every
-        hidden layer's SiLU slope, both from one sigmoid per layer, for a
-        backward pass (adjoint_sweep, _mse_grads) to multiply with; the
-        output layer itself is not applied."""
-        inputs, slopes = [z], []
-        for W, b in self.weights[:-1]:
-            pre = inputs[-1] @ W
-            pre += b
-            h, slope = _silu_and_slope(pre)
-            inputs.append(h)
-            slopes.append(slope)
-        return inputs, slopes
-
     def adjoint_sweep(self, states, actions, state_grads):
         """One recorded pass over the (T, d_s) states and (T, d_a) actions
         keeps each hidden layer's SiLU slope, so each step only chains the
@@ -861,7 +898,7 @@ class MlpModel(DynamicsModel):
         another T."""
         x = np.concatenate([np.asarray(states, dtype=float),
                             np.asarray(actions, dtype=float)], axis=-1)
-        _, slopes = self._recorded_pass((x - self.in_mean) / self.in_std)
+        _, slopes = _recorded_pass(self.weights, (x - self.in_mean) / self.in_std)
         layers = [W.T for W, _ in self.weights]
         hidden = list(zip(reversed(slopes), reversed(layers[:-1])))
         action_grads = np.empty_like(actions)
@@ -876,27 +913,6 @@ class MlpModel(DynamicsModel):
             action_grads[t] = gx[self.d_s :]
             adjoints[t] = g = g + gx[: self.d_s]
         return action_grads, adjoints
-
-    def _mse_grads(self, z, target):
-        """Gradients of the mean squared error on normalized targets, one
-        (dW, db) pair per layer."""
-        inputs, slopes = self._recorded_pass(z)
-        W, b = self.weights[-1]
-        pred = inputs[-1] @ W
-        pred += b
-        err = pred - target
-        gh = 2.0 * err / err.size
-        grads = [None] * len(self.weights)
-        for i in range(len(self.weights) - 1, -1, -1):
-            W, _ = self.weights[i]
-            grads[i] = (inputs[i].T @ gh, gh.sum(axis=0))
-            if i > 0:
-                gh = (gh @ W.T) * slopes[i - 1]
-        return grads
-
-    def training_mse(self, z, target):
-        err = self._value_pass(z) - target
-        return float(np.mean(err * err))
 
     # -- serialization ------------------------------------------------------
 
@@ -916,9 +932,8 @@ class MlpModel(DynamicsModel):
 
     @classmethod
     def load_binary(cls, path):
-        """Read a save_binary file. A malformed file, or one holding a
-        non-finite value or an in_std or out_std entry that is not
-        positive, raises ValueError naming it."""
+        """Read a save_binary file. A malformed file, or one whose arrays the
+        constructor rejects, raises ValueError naming it."""
         with open(path, "rb") as f:
             data = f.read()
         if data[:4] != _MLP_MAGIC:
@@ -933,16 +948,6 @@ class MlpModel(DynamicsModel):
         if act_code != _MLP_SILU:
             raise ValueError(f"{path}: unknown activation code {act_code}")
         d_in = d_s + d_a
-        if not shapes:
-            raise ValueError(f"{path}: no layers")
-        widths = [d_in] + [fan_out for _, fan_out in shapes]   # d_in, then each fan_out
-        for i, (fan_in, _) in enumerate(shapes):
-            if fan_in != widths[i]:
-                given = f"d_s + d_a = {d_in}" if i == 0 else f"layer {i - 1}'s {widths[i]} outputs"
-                raise ValueError(f"{path}: layer {i} takes {fan_in} inputs, expected {given}")
-        if widths[-1] != d_s:
-            raise ValueError(f"{path}: the last layer gives {widths[-1]} outputs, "
-                             f"expected d_s = {d_s}")
         offset = 24 + 8 * n_layers
         expected = offset + 8 * (2 * d_in + 2 * d_s + sum(i * o + o for i, o in shapes))
         if len(data) != expected:
@@ -951,7 +956,7 @@ class MlpModel(DynamicsModel):
 
         def take(n):
             nonlocal offset
-            arr = np.frombuffer(data, dtype="<f8", count=n, offset=offset).copy()
+            arr = np.frombuffer(data, dtype="<f8", count=n, offset=offset)
             offset += 8 * n
             return arr
 
@@ -959,16 +964,10 @@ class MlpModel(DynamicsModel):
                  (("in_mean", d_in), ("in_std", d_in), ("out_mean", d_s), ("out_std", d_s))}
         weights = [(take(fan_in * fan_out).reshape(fan_in, fan_out), take(fan_out))
                    for fan_in, fan_out in shapes]
-        named = list(stats.items())
-        for i, (W, b) in enumerate(weights):
-            named += [(f"layer {i} weights", W), (f"layer {i} bias", b)]
-        for name, arr in named:
-            if not np.isfinite(arr).all():
-                raise ValueError(f"{path}: {name} holds a non-finite value")
-        for name in ("in_std", "out_std"):   # fit_mlp floors both at STD_FLOOR
-            if not (stats[name] > 0.0).all():
-                raise ValueError(f"{path}: {name} holds an entry that is not positive")
-        return cls(d_s, d_a, weights, **stats)
+        try:   # the constructor copies the arrays and checks them
+            return cls(d_s, d_a, weights, **stats)
+        except ValueError as err:
+            raise ValueError(f"{path}: {err}") from None
 
 
 def _normalization_stats(X, Y):
@@ -1004,34 +1003,30 @@ def fit_mlp(transitions, epochs=50, batch_size=64, lr=1e-3,
     X = np.hstack([states, actions])
     Y = next_states - states
     in_mean, in_std, out_mean, out_std = _normalization_stats(X, Y)
-    model = MlpModel.initialize(states.shape[1], actions.shape[1], hidden, rng=rng,
-                                in_mean=in_mean, in_std=in_std,
-                                out_mean=out_mean, out_std=out_std)
+    d_s, d_a = states.shape[1], actions.shape[1]
+    # SGD updates these 64-byte-aligned layers in place, bit for bit
+    # W - lr * gW; the model is made from them once they are trained.
+    layers = [(_aligned(W), _aligned(b))
+              for W, b in _initial_weights([d_s + d_a, *hidden, d_s], rng)]
     Z = (X - in_mean) / in_std
     Yn = (Y - out_mean) / out_std
-    history = [model.training_mse(Z, Yn)]
-    # SGD updates writable copies in place, bit for bit W - lr * gW, and
-    # they keep MlpModel's 64-byte alignment. The model's weights are
-    # read-only views of them; training never plans, so the model's first
-    # plan derives its planning layers from the trained weights.
-    layers = [(_aligned(W), _aligned(b)) for W, b in model.weights]
-    model.weights = layers
+    history = [training_mse(layers, Z, Yn)]
     n = Z.shape[0]
     with np.errstate(over="ignore", invalid="ignore"):
         for epoch in range(1, epochs + 1):
             order = rng.permutation(n)
             for lo in range(0, n, batch_size):
                 idx = order[lo : lo + batch_size]
-                grads = model._mse_grads(Z[idx], Yn[idx])
+                grads = _mse_grads(layers, Z[idx], Yn[idx])
                 for (W, b), (gW, gb) in zip(layers, grads):
                     W -= lr * gW
                     b -= lr * gb
-            history.append(model.training_mse(Z, Yn))
+            history.append(training_mse(layers, Z, Yn))
             if not math.isfinite(history[-1]):
                 raise TrainingDivergedError(
                     f"training diverged in epoch {epoch} of {epochs} (normalized MSE "
                     f"{history[-1]}); use a smaller learning rate than {lr:g}")
-    return model, history
+    return MlpModel(d_s, d_a, layers, in_mean, in_std, out_mean, out_std), history
 
 
 def collect_random_rollouts(dynamics, bounds, start_state, episodes, steps, *, rng):

@@ -33,8 +33,8 @@ def run_config(tmp_path, cell=None, **overrides):
 
 def diverging_model(tmp_path):
     """A barrier-sized MLP whose weights overflow on the first rollout."""
-    model = MlpModel.initialize(2, 2, hidden=(4, 4, 4), rng=0)
-    model.weights = [(W * 1e200, b) for W, b in model.weights]
+    weights = MlpModel.initialize(2, 2, hidden=(4, 4, 4), rng=0).weights
+    model = MlpModel(2, 2, [(W * 1e200, b) for W, b in weights])
     path = tmp_path / "diverging.bin"
     model.save_binary(path)
     return {"path": str(path)}
@@ -215,10 +215,14 @@ class TestOneCellGrid:
 
     def test_model_with_zero_in_std_exits_2_naming_path(self, tmp_path, capsys):
         # Planned on, a zero in_std would make every episode fail at its
-        # first rollout step; the model file is rejected before --out.
-        model = MlpModel.initialize(2, 2, hidden=(4, 4, 4), rng=0, in_std=[0.0, 1.0, 1.0, 1.0])
+        # first rollout step; the model file is rejected before --out. Its
+        # first in_std float follows the 24-byte header, 4 shape pairs and
+        # the 4 of in_mean.
         model_path = tmp_path / "model.bin"
-        model.save_binary(model_path)
+        MlpModel.initialize(2, 2, hidden=(4, 4, 4), rng=0).save_binary(model_path)
+        data = model_path.read_bytes()
+        at = 24 + 8 * 4 + 8 * 4
+        model_path.write_bytes(data[:at] + struct.pack("<d", 0.0) + data[at + 8:])
         cfg = run_config(tmp_path, models={"barrier": {"path": str(model_path)}})
         code = main(["compare", "--config", cfg, "--out", str(tmp_path / "r")])
         assert code == 2

@@ -16,9 +16,13 @@ rollouts and sweeps reach within the rim far more often) and the
 cartpole. A change that must leave results as they are keeps these
 hashes too.
 
-The grid and barrier hashes hold only under the OpenBLAS kernel they
-were made with, which README.md's Determinism section names; they are
-marked ``blas_kernel``.
+The MLP is pinned on its own: the model that CI's "Training reruns" step
+trains, and CI's "Planning reruns" MLP grid planned through it. CI only
+compares reruns of those with each other.
+
+The grid, barrier and MLP hashes hold only under the OpenBLAS kernel
+they were made with, which README.md's Determinism section names; they
+are marked ``blas_kernel``.
 """
 
 import hashlib
@@ -50,6 +54,12 @@ RAW_SHA256 = "6469522567993e2ea60f05ac5136b2e4d796b4af9ff5b71b5511f1980b274166"
 SUMMARY_SHA256 = "0609bd776a762b99a48d7fcd323f13b2a85bce96ba7b434405e0bf8a03171247"
 
 
+# sha256 of model.bin as CI's "Training reruns" step trains it, and of
+# `cut -d, -f1-10 raw.csv` of CI's "Planning reruns" grid on that model.
+MLP_MODEL_SHA256 = "a53f41c642feb6926471e4e43dc63cbb84a0d75c29b87ff9112f7ba1b1043d1e"
+MLP_RAW_SHA256 = "784d865ced5fb0818698a50d06112f03231acb44d5394e14983afb3de7bf112c"
+
+
 def _cut_sha256(path, keep) -> str:
     lines = path.read_text().splitlines()
     text = "".join(",".join(f for i, f in enumerate(line.split(",")) if keep(i)) + "\n"
@@ -65,6 +75,25 @@ def test_grid_results_match_pinned_hashes(tmp_path, capsys):
     assert "barrier/cemgd-dt0.2: " in capsys.readouterr().out
     assert _cut_sha256(tmp_path / "out" / "raw.csv", lambda i: i < 10) == RAW_SHA256
     assert _cut_sha256(tmp_path / "out" / "summary.csv", lambda i: i != 5) == SUMMARY_SHA256
+
+
+@pytest.mark.blas_kernel
+def test_mlp_model_and_grid_match_pinned_hashes(tmp_path):
+    train = tmp_path / "train"
+    assert main(["train-model", "--env", "barrier", "--episodes", "4", "--steps", "50",
+                 "--epochs", "2", "--hidden", "32,32,32", "--seed", "0",
+                 "--out", str(train)]) == 0
+    assert hashlib.sha256((train / "model.bin").read_bytes()).hexdigest() == MLP_MODEL_SHA256
+    path = tmp_path / "mlp.json"
+    path.write_text(json.dumps({
+        "version": 1,
+        "cells": [{"env": "barrier", "planner": "cemgd"},
+                  {"env": "barrier", "planner": "cem-500"}],
+        "models": {"barrier": {"path": str(train / "model.bin")}},
+        "planner_config": {"horizon": 15, "n_init": 200, "m_init": 3},
+        "steps": 10, "seeds": [0, 1]}))
+    assert main(["compare", "--config", str(path), "--out", str(tmp_path / "out")]) == 0
+    assert _cut_sha256(tmp_path / "out" / "raw.csv", lambda i: i < 10) == MLP_RAW_SHA256
 
 
 # sha256 of every plan's optimal_sequence.tobytes() and its model_reward's

@@ -141,8 +141,8 @@ class TestBarrierOutcome:
 class TestRunGrid:
     def test_diverging_cell_recorded_and_grid_continues(self):
         env = make_environment("barrier")
-        bad = MlpModel.initialize(2, 2, hidden=(4, 4, 4), rng=0)
-        bad.weights = [(W * 1e200, b) for W, b in bad.weights]
+        weights = MlpModel.initialize(2, 2, hidden=(4, 4, 4), rng=0).weights
+        bad = MlpModel(2, 2, [(W * 1e200, b) for W, b in weights])
         good = make_policy("cem-50", env.dynamics, env.reward, TINY, env.bounds)
         diverging = make_policy("cemgd", bad, env.reward, TINY, env.bounds)
         result = run_grid([(env, diverging), (env, good)], seeds=[0, 1, 2], steps=3)

@@ -8,6 +8,7 @@ import sys
 import tracemalloc
 import warnings
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -17,7 +18,7 @@ import trajplan
 import trajplan.dynamics as dynamics_mod
 from trajplan.core import BLOCK_ROWS
 from trajplan.dynamics import (MlpModel, TrainingDivergedError, collect_random_rollouts,
-                               fit_mlp, make_environment, silu)
+                               fit_mlp, make_environment, silu, training_mse)
 
 
 def silu_slope(x):
@@ -208,6 +209,19 @@ def old_recorded_pass(model, z):
     return acts, [old_silu_prime(pre) for pre in pres]
 
 
+def on_weights(old_pass):
+    """old_pass, which reads only its model's weights, as a pass of a
+    weight list."""
+    return lambda weights, z: old_pass(SimpleNamespace(weights=weights), z)
+
+
+def old_training_mse(weights, z, target):
+    """The training MSE of one old-formula value pass over all rows, where
+    training_mse runs its pass in blocks."""
+    err = on_weights(old_value_pass)(weights, z) - target
+    return float(np.mean(err * err))
+
+
 def bits(a):
     return np.asarray(a, dtype=float).view(np.uint64)
 
@@ -242,7 +256,8 @@ class TestSameBitsAsOldFormulas:
         rng = np.random.default_rng(1)
         model = self.model(rng)
         z = rng.normal(size=6 if rows is None else (rows, 6))
-        out, (inputs, slopes) = model._value_pass(z), model._recorded_pass(z)
+        out = dynamics_mod._block_pass(model.weights, z)
+        inputs, slopes = dynamics_mod._recorded_pass(model.weights, z)
         want_out, (want_inputs, want_slopes) = old_value_pass(model, z), old_recorded_pass(model, z)
         assert bits(out).tobytes() == bits(want_out).tobytes()
         for got, want in ((inputs, want_inputs), (slopes, want_slopes)):
@@ -269,8 +284,8 @@ class TestSameBitsAsOldFormulas:
         got, got_hist = fit_mlp(data, epochs=3, batch_size=32, hidden=(32, 32, 32), rng=4)
         monkeypatch.setattr(dynamics_mod, "silu", old_silu)
         monkeypatch.setattr(dynamics_mod, "_sigmoid", old_sigmoid)
-        monkeypatch.setattr(MlpModel, "_value_pass", old_value_pass)
-        monkeypatch.setattr(MlpModel, "_recorded_pass", old_recorded_pass)
+        monkeypatch.setattr(dynamics_mod, "training_mse", old_training_mse)
+        monkeypatch.setattr(dynamics_mod, "_recorded_pass", on_weights(old_recorded_pass))
         want, want_hist = fit_mlp(data, epochs=3, batch_size=32, hidden=(32, 32, 32), rng=4)
         assert got_hist == want_hist
         for (W, b), (Wo, bo) in zip(got.weights, want.weights):
@@ -296,7 +311,8 @@ class TestMemory:
         rng = np.random.default_rng(0)
         model = MlpModel.initialize(4, 2, hidden=(width,) * 3, rng=rng)
         z = rng.normal(size=(rows, 6))
-        assert peak_bytes(lambda: model._block_pass(z)) < 4 * rows * width * 8
+        assert peak_bytes(lambda: dynamics_mod._block_pass(model.weights, z)) < \
+            4 * rows * width * 8
 
     def test_value_pass_holds_one_block_at_a_time(self):
         # A 20,000-row step or training MSE at width 200 may hold a few
@@ -309,7 +325,7 @@ class TestMemory:
         s, a = rng.normal(size=(rows, 4)), rng.normal(size=(rows, 2))
         z, target = rng.normal(size=(rows, 6)), rng.normal(size=(rows, 4))
         io = rows * (6 + 4) * 8   # bytes of a call's inputs and output
-        for call in (lambda: model.step(s, a), lambda: model.training_mse(z, target)):
+        for call in (lambda: model.step(s, a), lambda: training_mse(model.weights, z, target)):
             assert peak_bytes(call) < 3 * io + 4 * BLOCK_ROWS * width * 8
 
     def test_rollout_holds_one_block_at_a_time(self):
@@ -319,7 +335,7 @@ class TestMemory:
         rows, width, T = 20_000, 200, 2
         rng = np.random.default_rng(0)
         model = MlpModel.initialize(4, 2, hidden=(width,) * 3, rng=rng)
-        model._planning_layers()   # made once per model, not per rollout
+        model._planning_layers   # made at the first plan, not per rollout
         s0, actions = rng.normal(size=4), rng.normal(size=(rows, T, 2))
         io = rows * (T * 2 + (T + 1) * 4) * 8   # bytes of the actions and the states
         assert peak_bytes(lambda: model.rollout_states(s0, actions)) < \
@@ -338,8 +354,9 @@ def at_offset(x, offset):
 
 class TestAlignment:
     def assert_aligned(self, model):
-        hidden, output = model._planning_layers()
-        for W, b in [*model.weights, *hidden, output]:
+        hidden, output = model._planning_layers
+        stats = (model.in_mean, model.in_std, model.out_mean, model.out_std)
+        for W, b in [*model.weights, *hidden, output, stats[:2], stats[2:]]:
             assert W.ctypes.data % 64 == 0 and b.ctypes.data % 64 == 0
             assert W.flags.c_contiguous and W.dtype == np.float64
 
@@ -361,22 +378,32 @@ class TestAlignment:
         self.assert_aligned(MlpModel.load_binary(tmp_path / "model.bin"))
 
     def test_weight_offset_changes_no_bits(self):
-        # The offset of the weights mod 64 sets how fast BLAS runs, not what
-        # it returns: every offset gives the same bits at the replan's batch
-        # sizes, the first plan's and the sweep's, under any kernel.
+        # The offset of the layers mod 64 sets how fast BLAS runs, not what
+        # it returns: every offset gives the same bits at the batch sizes of
+        # a replan, a first plan, a sweep, an SGD step and the training MSE,
+        # under any kernel. Every pass runs on layers at each offset: the
+        # training passes take them as their weight list, and they stand in
+        # for the model's own weights, which its sweep runs on, and its
+        # planning layers, which step and rollout_states run on.
         rng = np.random.default_rng(4)
         model = MlpModel.initialize(4, 2, hidden=(200, 200, 200), rng=rng)
-        layers = [(W.copy(), b.copy()) for W, b in model.weights]
+        hidden, output = model._planning_layers
         s, a = rng.normal(size=(1000, 4)), rng.normal(size=(1000, 2))
+        z, target = rng.normal(size=(1000, 6)), rng.normal(size=(1000, 4))
         T = 30
         states, actions, grads = (rng.normal(size=(T, d)) for d in (4, 2, 4))
         seqs = rng.normal(size=(1000, T, 2))
         outputs = []
         for offset in (0, 16, 32, 48):
-            model.weights = [(at_offset(W, offset), at_offset(b, offset)) for W, b in layers]
+            weights, planning = ([(at_offset(W, offset), at_offset(b, offset)) for W, b in layers]
+                                 for layers in (model.weights, [*hidden, output]))
+            model._weights, model._planning_layers = weights, (planning[:-1], planning[-1])
             outputs.append([model.step(s[:B], a[:B]).tobytes() for B in (1, 10, 1000)]
                            + [model.rollout_states(s[0], seqs[:B]).tobytes() for B in (1, 10, 1000)]
-                           + [g.tobytes() for g in model.adjoint_sweep(states, actions, grads)])
+                           + [g.tobytes() for g in model.adjoint_sweep(states, actions, grads)]
+                           + [g.tobytes() for pair in dynamics_mod._mse_grads(
+                               weights, z[:64], target[:64]) for g in pair]
+                           + [training_mse(weights, z, target)])
         assert all(out == outputs[0] for out in outputs[1:])
 
 
@@ -385,6 +412,15 @@ class TestBlockedPass:
         rng = np.random.default_rng(seed)
         model = MlpModel.initialize(4, 2, hidden=(200, 200, 200), rng=rng)
         return model, rng.normal(size=(rows, 6))
+
+    def value_pass_blocks(self, model, z, monkeypatch):
+        """The outputs of the blocks that training_mse runs z's value pass as."""
+        outs = []
+        block_pass = dynamics_mod._block_pass
+        monkeypatch.setattr(dynamics_mod, "_block_pass",
+                            lambda weights, z: outs.append(block_pass(weights, z)) or outs[-1])
+        training_mse(model.weights, z, np.zeros((len(z), model.d_s)))
+        return outs
 
     @pytest.mark.parametrize("rows, blocks", [
         (BLOCK_ROWS, [BLOCK_ROWS]),
@@ -396,28 +432,39 @@ class TestBlockedPass:
         # Blocks of BLOCK_ROWS rows, where a one-row tail, which
         # numpy would hand to gemv, joins the block before it.
         model, z = self.model_and_input(rows)
-        seen = []
-        block_pass = MlpModel._block_pass
-        monkeypatch.setattr(MlpModel, "_block_pass",
-                            lambda self, z: seen.append(len(z)) or block_pass(self, z))
-        model._value_pass(z)
-        assert seen == blocks
+        assert [len(out) for out in self.value_pass_blocks(model, z, monkeypatch)] == blocks
 
     @pytest.mark.parametrize("rows", [BLOCK_ROWS + 2, 1000, 3000])
-    def test_blocked_matches_one_call_to_rounding(self, rows):
+    def test_blocked_matches_one_call_to_rounding(self, rows, monkeypatch):
         # BLAS may order a row's sums otherwise for another number of rows;
         # the bound is fixed from float64 (1e4 ulps of the output's scale).
         model, z = self.model_and_input(rows)
-        got, want = model._value_pass(z), model._block_pass(z)
+        want = dynamics_mod._block_pass(model.weights, z)
+        got = np.concatenate(self.value_pass_blocks(model, z, monkeypatch))
         tol = 1e4 * np.finfo(np.float64).eps * np.abs(want).max()
         np.testing.assert_allclose(got, want, rtol=0, atol=tol)
 
     @pytest.mark.blas_kernel
-    def test_blocked_matches_one_call_bitwise_at_first_plan_rows(self):
-        # The first plan of perfbench's mlp_cemgd rolls out 1,000 rows: its
-        # bits, and so its results, are those of the one-call pass.
+    def test_blocked_matches_one_call_bitwise_at_training_set_rows(self, monkeypatch):
+        # The value pass serves only training_mse, and perfbench's mlp_cemgd
+        # trains on 1,000 rows (20 episodes of 50 transitions): its training
+        # history, and so its model, are those of the one-call pass.
         model, z = self.model_and_input(1000)
-        assert model._value_pass(z).tobytes() == model._block_pass(z).tobytes()
+        want = dynamics_mod._block_pass(model.weights, z)
+        got = np.concatenate(self.value_pass_blocks(model, z, monkeypatch))
+        assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("rows", [BLOCK_ROWS + 2, 1000, 3000])
+    def test_blocked_rollout_matches_one_block_to_rounding(self, rows):
+        # rollout_states runs blocks of BLOCK_ROWS rows; one _stepper block
+        # over all rows (_block_rollout) gives its states to rounding, with
+        # the bound above.
+        model, _ = self.model_and_input(rows)
+        rng = np.random.default_rng(rows)
+        s0, actions = rng.normal(size=4), rng.normal(size=(rows, 5, 2))
+        want = model._block_rollout(s0, actions).transpose(1, 0, 2)
+        tol = 1e4 * np.finfo(np.float64).eps * np.abs(want).max()
+        np.testing.assert_allclose(model.rollout_states(s0, actions), want, rtol=0, atol=tol)
 
 
 def stats_model(rng, hidden=(32, 32, 32)):
@@ -480,21 +527,17 @@ class TestFoldedPass:
         np.testing.assert_allclose(model.step(s, a), want, rtol=0,
                                    atol=1e4 * np.finfo(np.float64).eps * np.abs(want).max())
 
-    def test_reassigned_weights_change_the_next_rollout(self):
-        rng = np.random.default_rng(8)
-        model = stats_model(rng)
-        s0, actions = rng.normal(size=4), rng.normal(size=(3, 5, 2))
-        before = model.rollout_states(s0, actions)
-        model.weights = [(2.0 * W, b) for W, b in model.weights]
-        after = model.rollout_states(s0, actions)
-        assert not np.array_equal(after, before)
-        fresh = MlpModel(4, 2, model.weights, model.in_mean, model.in_std,
-                         model.out_mean, model.out_std)
-        assert after.tobytes() == fresh.rollout_states(s0, actions).tobytes()
+    def test_assigning_weights_raises(self):
+        # A model is made once: other weights make another MlpModel.
+        model = stats_model(np.random.default_rng(8))
+        with pytest.raises(AttributeError):
+            model.weights = [(2.0 * W, b) for W, b in model.weights]
+        with pytest.raises(TypeError):
+            model.weights[0] = model.weights[1]
 
     def test_weights_and_statistics_cannot_change_in_place(self):
-        # The planning layers are derived from both, so an edit in place
-        # would leave them stale: it raises instead.
+        # The planning layers are derived from both at the first plan and
+        # never again, so an edit in place raises.
         rng = np.random.default_rng(9)
         model = stats_model(rng)
         model.rollout_states(rng.normal(size=4), rng.normal(size=(2, 3, 2)))
@@ -547,7 +590,7 @@ class TestFit:
         held_Y = S2[3000:] - S[3000:]
         z = (held_X - model.in_mean) / model.in_std
         yn = (held_Y - model.out_mean) / model.out_std
-        assert model.training_mse(z, yn) < 1e-3
+        assert training_mse(model.weights, z, yn) < 1e-3
 
     def test_degenerate_target_dimension_warns_and_floors(self):
         rng = np.random.default_rng(5)
@@ -619,6 +662,42 @@ class TestBlasThreads:
             stripped.append([line.rsplit(",", 1)[0] for line in lines])
         assert len(stripped[0]) == 1 + 3
         assert stripped[0] == stripped[1]
+
+
+def ones_layers(*widths):
+    return [(np.ones((i, o)), np.zeros(o)) for i, o in zip(widths[:-1], widths[1:])]
+
+
+class TestChecks:
+    """The constructor is the one home of what makes a model valid, for
+    every way to make one."""
+
+    @pytest.mark.parametrize("weights, stats, problem", [
+        (ones_layers(4, 3) + [(np.full((3, 2), math.nan), np.zeros(2))], {},
+         "layer 1 weights holds a non-finite value"),
+        (ones_layers(4, 3, 2), {"in_mean": [0.0, math.nan, 0.0, 0.0]},
+         "in_mean holds a non-finite value"),
+        (ones_layers(4, 3, 2), {"in_std": [1.0, 0.0, 1.0, 1.0]},
+         "in_std holds an entry that is not positive"),
+        (ones_layers(4, 3, 2), {"out_std": [1.0, -2.0]},
+         "out_std holds an entry that is not positive"),
+        (ones_layers(4, 3, 2), {"in_std": [2.0]}, "in_std has shape (1,), expected (4,)"),
+        (ones_layers(4, 3, 2), {"out_mean": [0.0, 0.0, 0.0]},
+         "out_mean has shape (3,), expected (2,)"),
+        ([(np.ones((4, 3)), np.zeros(1))] + ones_layers(3, 2), {},
+         "layer 0 bias has shape (1,), expected (3,)"),
+        (ones_layers(4, 3) + ones_layers(5, 2), {},
+         "layer 1 takes 5 inputs, expected layer 0's 3 outputs"),
+        ([], {}, "no layers"),
+    ], ids=["nan-weight", "nan-in-mean", "zero-in-std", "negative-out-std", "short-in-std",
+            "long-out-mean", "short-bias", "broken-chain", "no-layers"])
+    def test_constructor_names_the_array(self, weights, stats, problem):
+        with pytest.raises(ValueError, match=f"^{re.escape(problem)}$"):
+            MlpModel(2, 2, weights, **stats)
+
+    def test_initialize_goes_through_the_constructor(self):
+        with pytest.raises(ValueError, match=r"^in_std has shape \(1,\), expected \(4,\)$"):
+            MlpModel.initialize(2, 2, hidden=(4,), rng=0, in_std=[2.0])
 
 
 class TestSerialization:
