@@ -94,6 +94,8 @@ def plan(state: PlannerState, s_t: Array, model, reward, cfg: PlannerConfig,
 
     # max keeps the first of equal rewards: the lowest index wins ties.
     best = max(finals or pooled[:1], key=lambda traj: traj.total_reward)
+    # The output is also the next plan's warm start, so it cannot be edited.
+    best.actions.flags.writeable = False
     diagnostics = PlanDiagnostics(samples_used=n * m,
                                   gradient_evals=len(finals) * (1 + cfg.G * cfg.J + 1),
                                   memory_proxy=n + (cfg.k if cfg.G > 0 else 0),

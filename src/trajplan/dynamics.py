@@ -6,9 +6,10 @@ dynamics model trained on random-rollout transitions.
 
 An environment is its world, a frozen dataclass whose fields are its
 options. Making a world builds its parts once, as attributes beside the
-fields: ``dynamics``, ``reward``, ``bounds`` and ``start_state``; its
-``success(states)`` judges an episode. ``make_environment(name, **options)``
-makes the world of that ``name``.
+fields: ``dynamics``, ``reward``, ``bounds`` (the action box of one
+positive ``action_limit`` in every dimension) and a read-only
+``start_state``; its ``success(states)`` judges an episode.
+``make_environment(name, **options)`` makes the world of that ``name``.
 
 Every dynamics model subclasses DynamicsModel and implements
 
@@ -125,14 +126,17 @@ class QuadraticGoalReward:
 # Barrier world
 
 
-def _set_parts(world, dynamics: DynamicsModel, reward, d_a: int) -> None:
+def _set_parts(world, dynamics: DynamicsModel, reward) -> None:
     """Give a checked world its parts, once: its ``dynamics`` and ``reward``
-    models, symmetric action ``bounds`` in ``d_a`` dimensions and its
-    ``start_state``. They are attributes, not fields, so not options."""
+    models, its action ``bounds`` [-action_limit, action_limit]^d_a and its
+    read-only ``start_state``. They are attributes, not fields, so not
+    options."""
+    start_state = np.array(world.start, dtype=float)
+    start_state.flags.writeable = False
     object.__setattr__(world, "dynamics", dynamics)
     object.__setattr__(world, "reward", reward)
-    object.__setattr__(world, "bounds", ActionBounds.symmetric(world.action_limit, d_a))
-    object.__setattr__(world, "start_state", np.asarray(world.start, dtype=float))
+    object.__setattr__(world, "bounds", ActionBounds(world.action_limit, dynamics.d_a))
+    object.__setattr__(world, "start_state", start_state)
 
 
 def _check_fields(world, size: int, vectors, positive) -> None:
@@ -181,7 +185,8 @@ class BarrierWorld:
     action_cost: float = 0.01
 
     def __post_init__(self):
-        _check_fields(self, 2, ("center", "goal", "start"), ("radius", "kappa", "dt"))
+        _check_fields(self, 2, ("center", "goal", "start"),
+                      ("radius", "kappa", "dt", "action_limit"))
         if not self.radius > SMOOTH_EPS:   # every distance would reach the rim
             raise ValueError(f"radius must exceed the smoothing distance {SMOOTH_EPS!r} or "
                              f"the world has no barrier, got {self.radius!r}")
@@ -189,7 +194,7 @@ class BarrierWorld:
             raise ValueError("barrier center must sit strictly above y = 0")
         if self.action_cost < 0.0:
             raise ValueError("action_cost must be nonnegative")
-        _set_parts(self, BarrierDynamics(self), QuadraticGoalReward(self.goal, self.action_cost), 2)
+        _set_parts(self, BarrierDynamics(self), QuadraticGoalReward(self.goal, self.action_cost))
 
     def success(self, states: Array) -> bool:
         """An episode's (H+1, 2) states end within GOAL_EPS of the goal and
@@ -420,8 +425,9 @@ class CartpoleWorld:
     start: tuple[float, float, float, float] = (0.0, 0.0, math.pi, 0.0)
 
     def __post_init__(self):
-        _check_fields(self, 4, ("start",), ("masscart", "masspole", "half_length", "dt"))
-        _set_parts(self, CartpoleDynamics(self), CartpoleReward(self), 1)
+        _check_fields(self, 4, ("start",),
+                      ("masscart", "masspole", "half_length", "dt", "action_limit"))
+        _set_parts(self, CartpoleDynamics(self), CartpoleReward(self))
 
     def success(self, states: Array) -> None:
         """Swingup has no success verdict, only reward."""
@@ -1040,7 +1046,7 @@ def collect_random_rollouts(dynamics, bounds, start_state, episodes, steps, *, r
     analytic ones); an MlpModel agrees only to rounding.
     """
     rng = np.random.default_rng(rng)
-    actions = rng.uniform(bounds.low, bounds.high, size=(episodes, steps, bounds.d_a))
+    actions = rng.uniform(-bounds.limit, bounds.limit, size=(episodes, steps, bounds.d_a))
     states = dynamics.rollout_states(np.asarray(start_state, dtype=float), actions)
     d_s = states.shape[-1]
     return (states[:, :-1].reshape(-1, d_s), actions.reshape(-1, bounds.d_a),

@@ -143,7 +143,7 @@ def run_episode(env: BarrierWorld | CartpoleWorld, policy, steps: int,
     gevals = np.empty(steps, dtype=int)
     proxy = np.empty(steps, dtype=int)
 
-    s = env.start_state.copy()
+    s = env.start_state
     states[0] = s
     total = 0.0
     for t in range(steps):
@@ -309,7 +309,7 @@ def _gradcheck_setup(kind: str, rng):
     if kind == "mlp":
         model = MlpModel.initialize(3, 2, hidden=(16, 16, 16), rng=rng)
         reward = QuadraticGoalReward(np.zeros(3), action_cost=0.01)
-        bounds = ActionBounds.symmetric(1.0, 2)
+        bounds = ActionBounds(1.0, 2)
         sampler = lambda: rng.normal(0.0, 1.0, size=3)
         return model, reward, bounds, sampler
     valid = ", ".join(sorted(GRADCHECK_TOLERANCES))

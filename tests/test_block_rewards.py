@@ -76,7 +76,7 @@ def per_step_reward_gradient(model, reward, traj):
 def start_and_actions(env, B, T, seed):
     rng = np.random.default_rng(seed)
     s0 = env.start_state + rng.normal(0.0, 0.1, size=env.start_state.shape)
-    return s0, rng.uniform(env.bounds.low, env.bounds.high, size=(B, T, env.bounds.d_a))
+    return s0, rng.uniform(-env.bounds.limit, env.bounds.limit, size=(B, T, env.bounds.d_a))
 
 
 @pytest.mark.parametrize("T", [1, 45])
@@ -180,7 +180,7 @@ def test_reward_backward_on_any_leading_shape_is_per_sample_bitwise(name):
     d_s, d_a = env.start_state.shape[0], env.bounds.d_a
     states = rng.normal(0.0, 3.0, size=(6, 7, d_s))
     states[0, :3, -2] = [1e5, -0.0, math.pi]    # far, signed-zero and exact angles
-    actions = rng.uniform(env.bounds.low, env.bounds.high, size=(6, 7, d_a))
+    actions = rng.uniform(-env.bounds.limit, env.bounds.limit, size=(6, 7, d_a))
     for s, a in ((states[2, 3], actions[2, 3]), (states[0], actions[0]), (states, actions)):
         grad_s, grad_a = env.reward.backward(s, a)
         assert grad_s.shape == s.shape and grad_a.shape == a.shape

@@ -140,7 +140,7 @@ class TestPlan:
         want = -model.A * model.B * s0[0] / (model.B**2 + reward.c)
         cfg = PlannerConfig(horizon=1, n_init=200, m_init=5, n_r=10, m_r=5,
                             eta_init=0.2)
-        bounds = ActionBounds.symmetric(3.0, 1)
+        bounds = ActionBounds(3.0, 1)
         out, _ = plan(PlannerState(), s0, model, reward, cfg, bounds,
                       np.random.default_rng(4))
         assert abs(out.action[0] - want) < 1e-2
@@ -181,6 +181,17 @@ class TestPlan:
         assert a0.model_reward == b0.model_reward
         assert np.array_equal(a1.optimal_sequence, b1.optimal_sequence)
         assert a1.model_reward == b1.model_reward
+
+    @pytest.mark.parametrize("G", [0, 2])
+    def test_winner_is_read_only(self, G):
+        # The output is the next plan's warm start, so an edit in place
+        # would change the next plan.
+        env = make_environment("barrier")
+        out, state = plan(PlannerState(), env.start_state, env.dynamics, env.reward,
+                          tiny_cfg(G=G), env.bounds, np.random.default_rng(4))
+        assert state.previous_optimal is out.optimal_sequence
+        with pytest.raises(ValueError):
+            out.optimal_sequence[0, 0] = 0.0
 
     def test_k_exceeding_elites_rejected(self):
         # The default elite count for n_r=10 is 1; PlannerConfig checks it,

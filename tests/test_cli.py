@@ -502,9 +502,11 @@ class TestConfigErrors:
                      "m_r, n_init, n_r, rho), got 'k_elite'", id="k_elite"),
         # A world's bounds are built with it, so a bad action limit names
         # the env, not the planner whose policy first reads the bounds.
-        pytest.param("cells[0].env",
-                     {"cells": [dict(CELL, env={"name": "barrier", "action_limit": -0.5})]},
-                     "lower bound exceeds upper bound", id="action_limit-negative"),
+        *[pytest.param("cells[0].env",
+                       {"cells": [dict(CELL, env={"name": world, "action_limit": value})]},
+                       f"action_limit must be a positive finite number, got {value!r}",
+                       id=f"{world}-action_limit-{value!r}")
+          for world in ("barrier", "cartpole") for value in (0, -0.5)],
         pytest.param("cells", {"cells": None}, "expected a nonempty list of cell objects, "
                      "got None", id="no-cells"),
         # Arrays past numpy's own size limit, named by the field that sizes

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 
 import numpy as np
@@ -92,7 +93,7 @@ def per_step_divergence(model, reward, s0, seqs):
     return None
 
 
-unit_bounds = ActionBounds.symmetric(1.0, 2)
+unit_bounds = ActionBounds(1.0, 2)
 
 
 class TestProject:
@@ -110,41 +111,47 @@ class TestProject:
     @settings(max_examples=40, deadline=None)
     def test_idempotent_and_feasible(self, seed):
         rng = np.random.default_rng(seed)
-        d = int(rng.integers(1, 4))
-        low = rng.uniform(-2, 0, d)
-        high = low + rng.uniform(0, 3, d)
-        bounds = ActionBounds(low, high)
-        seq = rng.normal(0, 2, size=(int(rng.integers(1, 8)), d))
+        bounds = ActionBounds(float(rng.uniform(0.01, 3.0)), int(rng.integers(1, 6)))
+        seq = rng.normal(0, 2, size=(int(rng.integers(1, 8)), bounds.d_a))
         once = project(seq, bounds)
-        assert np.all(once >= bounds.low) and np.all(once <= bounds.high)
+        assert np.all(np.abs(once) <= bounds.limit)
         assert np.array_equal(project(once, bounds), once)
 
-    @pytest.mark.parametrize("low, high", [([-0.5, -0.5], [0.5, 0.5]),
-                                           ([-1.0, 0.0], [0.5, 2.0]),
-                                           ([-0.0, -0.0], [0.0, 0.0]),
-                                           ([0.0, -1.0], [1.0, -0.0])])
-    def test_matches_np_clip_bitwise(self, low, high):
-        # project is clip's ufunc, with a 0-d bound where a bound is one
-        # nonzero float, so it equals np.clip bit for bit: on signed zeros at
-        # a zero bound, NaN and infinities, on one sequence and on a batch.
-        bounds = ActionBounds(np.array(low), np.array(high))
-        values = [0.0, -0.0, np.nan, -np.nan, np.inf, -np.inf, 0.3, -2.0, 5e-324]
+    @pytest.mark.parametrize("limit", [0.5, 1.0, 3.0, 5e-324])
+    def test_matches_np_clip_bitwise(self, limit):
+        # project is clip's ufunc with 0-d bounds, so it equals np.clip bit
+        # for bit: on signed zeros, NaN, infinities and subnormals, on one
+        # sequence and on a batch.
+        bounds = ActionBounds(limit, 2)
+        values = [0.0, -0.0, np.nan, -np.nan, np.inf, -np.inf, 0.3, -2.0, 5e-324, -5e-324]
         seq = np.array(list(itertools.product(values, repeat=2)))
         for x in (seq, np.stack([seq, -seq, seq[::-1]])):
-            assert project(x, bounds).tobytes() == np.clip(x, bounds.low, bounds.high).tobytes()
+            assert project(x, bounds).tobytes() == np.clip(x, -limit, limit).tobytes()
         assert project(seq.tolist(), bounds).tobytes() == project(seq, bounds).tobytes()
 
     def test_bounds_are_read_only(self):
-        # project's clip operands are taken from the bounds once, when they are made.
-        bounds = ActionBounds.symmetric(1.0, 2)
-        with pytest.raises(ValueError):
-            bounds.low[0] = 0.5
+        # project's clip operands are made once, with the bounds.
+        bounds = ActionBounds(1.0, 2)
+        for operand in (bounds._clip_low, bounds._clip_high):
+            with pytest.raises(ValueError):
+                operand[...] = 0.5
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            bounds.limit = 0.5
 
-    def test_invalid_bounds(self):
-        with pytest.raises(ValueError):
-            ActionBounds(np.array([1.0]), np.array([0.0]))
-        with pytest.raises(ValueError):
-            ActionBounds(np.array([np.inf]), np.array([np.inf]))
+    def test_fields_are_a_float_and_an_int(self):
+        bounds = ActionBounds(2, np.int64(3))
+        assert type(bounds.limit) is float and type(bounds.d_a) is int
+        assert bounds == ActionBounds(2.0, 3)
+
+    @pytest.mark.parametrize("limit, d_a, detail", [
+        *[(limit, 2, f"limit must be a positive finite number, got {limit!r}")
+          for limit in (0, -0.0, -0.5, np.nan, np.inf, -np.inf, True)],
+        *[(1.0, d_a, f"d_a must be an integer >= 1, got {d_a!r}") for d_a in (0, 2.5, True)],
+    ])
+    def test_invalid_bounds(self, limit, d_a, detail):
+        with pytest.raises(ValueError) as err:
+            ActionBounds(limit, d_a)
+        assert str(err.value) == detail
 
 
 class TestRollout:
@@ -368,6 +375,13 @@ class TestPlannerConfig:
         with pytest.raises(ValueError, match=f"^k={kwargs['k']} exceeds the elite "
                                              f"count \\d+ of {budget}$"):
             PlannerConfig(**kwargs)
+
+    def test_frozen_and_replace_rechecks(self):
+        cfg = PlannerConfig(horizon=10, n_init=50, m_init=2)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            cfg.k = 50
+        with pytest.raises(ValueError, match="^k=2 exceeds the elite count 1 of n_r=10$"):
+            dataclasses.replace(cfg, k=2)
 
     def test_k_within_both_default_elite_counts_accepted(self):
         cfg = PlannerConfig(k=2, n_init=20, n_r=11)   # elites: 2 and 2

@@ -249,13 +249,23 @@ def test_environment_is_its_world_with_parts_built_once(name, world):
     assert not set(parts) & {f.name for f in fields(world)}
 
 
+@pytest.mark.parametrize("name, world", [("barrier", BarrierWorld), ("cartpole", CartpoleWorld)])
+def test_start_state_is_a_read_only_copy(name, world):
+    # Every episode starts from it, so an edit in place would move them all.
+    start = np.array(world.start, dtype=float)
+    env = make_environment(name, start=start)
+    with pytest.raises(ValueError):
+        env.start_state[0] = 0.5
+    assert env.start_state is not start and start.flags.writeable
+
+
 def test_batched_step_matches_single():
     for name in ("barrier", "cartpole"):
         env = make_environment(name)
         rng = np.random.default_rng(6)
         d_s = env.start_state.shape[0]
         ss = rng.normal(size=(12, d_s))
-        aa = rng.uniform(env.bounds.low, env.bounds.high, size=(12, env.bounds.d_a))
+        aa = rng.uniform(-env.bounds.limit, env.bounds.limit, size=(12, env.bounds.d_a))
         batched = env.dynamics.step(ss, aa)
         for i in range(12):
             assert np.array_equal(batched[i], env.dynamics.step(ss[i], aa[i]))
@@ -570,7 +580,7 @@ class TestBarrierAdjointSweep:
         rng = np.random.default_rng(7)
         ss = np.concatenate([env.center + rng.uniform(-0.6, 0.6, size=(2000, 2)),
                              barrier_rim_states(env)])
-        aa = rng.uniform(env.bounds.low, env.bounds.high, size=ss.shape)
+        aa = rng.uniform(-env.bounds.limit, env.bounds.limit, size=ss.shape)
         gg = rng.normal(size=ss.shape)
         # Signed zero gradients too, which a sweep adds to its adjoint.
         gg[rng.random(gg.shape) < 0.3] = -0.0
@@ -785,7 +795,8 @@ class TestCartpoleAdjointSweep:
                               rng.uniform(-4.0 * np.pi, 4.0 * np.pi, n),
                               rng.normal(0.0, 4.0, n)])
         ss = np.concatenate([ss, cartpole_states_with_rounding_squares(world, rng)])
-        aa = rng.uniform(world.bounds.low, world.bounds.high, size=(len(ss), world.bounds.d_a))
+        bounds = world.bounds
+        aa = rng.uniform(-bounds.limit, bounds.limit, size=(len(ss), bounds.d_a))
         gg = rng.normal(size=ss.shape)
         # Signed zeros too: the sums and products must carry their signs as
         # the reference's do.
@@ -857,7 +868,7 @@ def test_kernels_match_reference_formulas_bitwise(shape):
         s = rng.normal(0.0, 3.0, size=shape + (d_s,))
         if name == "barrier":
             s = env.center + rng.uniform(-0.6, 0.6, size=shape + (d_s,))
-        a = rng.uniform(env.bounds.low, env.bounds.high, size=shape + (d_a,))
+        a = rng.uniform(-env.bounds.limit, env.bounds.limit, size=shape + (d_a,))
         assert_bitwise(env.dynamics.step(s, a), reference(env.dynamics, s, a))
         if name == "barrier":
             assert_bitwise(env.reward.reward(s, a), np_sum_quadratic_reward(env.reward, s, a))

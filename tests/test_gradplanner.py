@@ -54,7 +54,7 @@ class VjpOverflowDynamics(DynamicsModel):
         return oracle_sweep(VjpOverflowDynamics.step_vjp, self, states, actions, state_grads)
 
 
-bounds1 = ActionBounds.symmetric(1.0, 1)
+bounds1 = ActionBounds(1.0, 1)
 
 
 class TestRewardGradient:
@@ -73,7 +73,7 @@ class TestRewardGradient:
         for _ in range(5):
             s0 = env.start_state + rng.normal(0, 0.1, size=env.start_state.shape)
             seq = np.clip(rng.normal(0, 0.4, size=(T, env.bounds.d_a)),
-                          env.bounds.low, env.bounds.high)
+                          -env.bounds.limit, env.bounds.limit)
             grad = reward_gradient(env.dynamics, env.reward,
                                    rollout(env.dynamics, env.reward, s0, seq))
             num = finite_difference_gradient(env.dynamics, env.reward, s0, seq)
@@ -110,7 +110,7 @@ class TestLineSearch:
         current = rollout(model, reward, np.zeros(1), seq)
         out, accepted, record, traj = line_search_update(
             current, np.zeros_like(seq), model, reward, cfg,
-            ActionBounds.symmetric(1.0, 1))
+            ActionBounds(1.0, 1))
         assert not accepted
         assert record.trials_used == 4
         assert record.eta_used == 0.0
@@ -174,7 +174,7 @@ class TestLineSearch:
         policy = make_policy("gradient", env.dynamics, env.reward, cfg, env.bounds)
         policy.reset(np.random.default_rng(0))
         out = policy.plan_step(env.start_state)
-        assert np.all(np.abs(out.optimal_sequence) <= env.bounds.high)
+        assert np.all(np.abs(out.optimal_sequence) <= env.bounds.limit)
 
 
 class TestOptimize:
@@ -203,7 +203,7 @@ class TestOptimize:
         cfg = PlannerConfig()
         rng = np.random.default_rng(11)
         for _ in range(5):
-            seq = np.clip(rng.normal(0, 1, size=(15, 2)), env.bounds.low, env.bounds.high)
+            seq = np.clip(rng.normal(0, 1, size=(15, 2)), -env.bounds.limit, env.bounds.limit)
             start = rollout(env.dynamics, env.reward, env.start_state, seq)
             out, trace = optimize(start, env.dynamics, env.reward, cfg, env.bounds)
             assert trace.final_reward >= trace.initial_reward
@@ -213,8 +213,8 @@ class TestOptimize:
                     assert rec.reward_after > last
                     last = rec.reward_after
             assert trace.final_reward == out.total_reward
-            assert np.all(out.actions >= env.bounds.low)
-            assert np.all(out.actions <= env.bounds.high)
+            assert np.all(out.actions >= -env.bounds.limit)
+            assert np.all(out.actions <= env.bounds.limit)
 
     def test_evaluation_accounting(self):
         # Every update of this concave quadratic is accepted at trial 1, so
@@ -357,7 +357,7 @@ class TestBaselinePlan:
         for _ in range(2):  # no warm start: each step refines a fresh draw
             out = policy.plan_step(env.start_state)
             start = np.clip(starts.standard_normal((6, 2)),
-                            env.bounds.low, env.bounds.high)
+                            -env.bounds.limit, env.bounds.limit)
             want, want_trace = optimize(
                 rollout(env.dynamics, env.reward, env.start_state, start),
                 env.dynamics, env.reward, cfg, env.bounds)

@@ -811,12 +811,13 @@ class TestCollect:
         rng = np.random.default_rng(10)
         got = collect_random_rollouts(env.dynamics, env.bounds, env.start_state,
                                       episodes=4, steps=25, rng=rng)
+        # The reference draws between vector bounds, one per action dimension.
+        limit, d_a = env.bounds.limit, env.bounds.d_a
         ref_rng = np.random.default_rng(10)
         want = ([], [], [])
         for _ in range(4):
             s = env.start_state
-            for a in ref_rng.uniform(env.bounds.low, env.bounds.high,
-                                     size=(25, env.bounds.d_a)):
+            for a in ref_rng.uniform(np.full(d_a, -limit), np.full(d_a, limit), size=(25, d_a)):
                 s_next = env.dynamics.step(s, a)
                 for part, value in zip(want, (s, a, s_next)):
                     part.append(value)
